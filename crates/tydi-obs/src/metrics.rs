@@ -249,19 +249,30 @@ impl Snapshot {
             .map(|(name, metric)| (name.as_str(), metric))
     }
 
-    /// Serializes the snapshot as one flat JSON object, names sorted.
-    /// Counters and gauges serialize as numbers, text as strings,
-    /// histograms as `{"count":..,"sum":..,"min":..,"max":..}`.
+    /// The entries under `prefix`, with the prefix stripped from their
+    /// names: one scope's metrics under the names they were published
+    /// with (see [`scoped`]).
+    pub fn within(&self, prefix: &str) -> Snapshot {
+        let entries = self
+            .prefixed(prefix)
+            .map(|(name, metric)| (name[prefix.len()..].to_string(), metric.clone()))
+            .collect();
+        Snapshot { entries }
+    }
+
+    /// Serializes the snapshot as one flat, single-line JSON object,
+    /// names sorted. Counters and gauges serialize as numbers, text as
+    /// strings, histograms as `{"count":..,"sum":..,"min":..,"max":..}`.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(32 + self.entries.len() * 48);
-        out.push_str("{\n");
+        out.push('{');
         for (index, (name, metric)) in self.entries.iter().enumerate() {
             if index > 0 {
-                out.push_str(",\n");
+                out.push(',');
             }
-            out.push_str("  \"");
+            out.push('"');
             crate::escape_json(name, &mut out);
-            out.push_str("\": ");
+            out.push_str("\":");
             match metric {
                 Metric::Counter(value) => out.push_str(&value.to_string()),
                 Metric::Gauge(value) => out.push_str(&format_f64(*value)),
@@ -272,7 +283,7 @@ impl Snapshot {
                 }
                 Metric::Histogram(h) => {
                     out.push_str(&format!(
-                        "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}}}",
+                        "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{}}}",
                         h.count,
                         format_f64(h.sum),
                         format_f64(h.min),
@@ -281,7 +292,7 @@ impl Snapshot {
                 }
             }
         }
-        out.push_str("\n}\n");
+        out.push('}');
         out
     }
 }
@@ -366,6 +377,9 @@ mod tests {
             Some(1)
         );
         assert_eq!(snap.text("req.7.par.levels"), None, "scoped clear applied");
+        let request = snap.within("req.7.");
+        assert_eq!(request.counter("timings.wall"), Some(2), "prefix stripped");
+        assert!(request.to_json().starts_with(r#"{"cache.hits":4,"#));
         // Guard dropped: writes land unscoped again.
         counter_set("after.scope", 9);
         assert_eq!(snapshot().counter("after.scope"), Some(9));

@@ -1,39 +1,100 @@
-//! The shared job runner: one function that executes a compile job
-//! against a resident [`ArtifactCache`], producing exactly the bytes
-//! an in-process `tydic` run would have produced.
+//! The job executor: the one function that runs a `tydic` job —
+//! `check`, `compile`/`build`, `analyze` or `sim` — against an
+//! [`ArtifactCache`], rendering everything the job prints into the
+//! response's stdout and stderr buffers.
 //!
-//! Both the daemon and the byte-identity tests route through
-//! [`run_job`], and its output formatting deliberately mirrors
-//! `src/bin/tydic.rs` line for line — the acceptance bar for the
-//! daemon is that `tydic --daemon check` and `tydic check` are
-//! indistinguishable apart from latency.
+//! `tydic` hands every job to [`run_job`]: in-process, or through
+//! `--daemon` to the warm daemon, which calls the same function. A
+//! daemon-served job is therefore byte-identical to an in-process run
+//! apart from the timing values it reports. The option checks
+//! ([`validate`]) are shared the same way, so a bad `--emit` reads the
+//! same from the command line and the socket.
 
 use crate::protocol::{DiagnosticInfo, JobKind, JobRequest, JobResponse};
-use std::path::{Path, PathBuf};
+use std::fmt::Write as _;
+use std::path::PathBuf;
 use std::time::Instant;
 use tydi_lang::{compile_with_cache, ArtifactCache, CompileOptions, CompileOutput, Stage};
-use tydi_obs::metrics::{self, Metric};
+use tydi_obs::metrics;
+use tydi_sim::{FaultPlan, Packet, Scenario, SimBatch, Simulator};
 use tydi_stdlib::{full_registry, stdlib_source, STDLIB_FILE_NAME};
 use tydi_vhdl::{generate_project_for_with, Backend, VhdlOptions};
 
-/// Runs one `check`/`build`/`analyze` job against the cache. When
-/// `scope` is non-empty (the daemon passes `req.<n>.`), every metric
-/// the job publishes lands under that thread-local prefix; the
-/// response embeds the prefix-stripped namespace as JSON and the
-/// namespace is scrubbed from the registry afterwards, so a long-lived
-/// daemon's registry does not grow with request count.
+/// The `--emit` spellings, as usage and error messages list them.
+pub const EMIT_FORMATS: &str = "ir|vhdl|verilog";
+
+/// Parses an `--emit` value: `None` is Tydi-IR text, otherwise the
+/// netlist backend that renders the RTL.
+fn parse_emit(text: &str) -> Result<Option<Backend>, String> {
+    match text {
+        "ir" => Ok(None),
+        "vhdl" => Ok(Some(Backend::Vhdl)),
+        "verilog" | "sv" | "systemverilog" => Ok(Some(Backend::SystemVerilog)),
+        other => Err(format!(
+            "unknown --emit format `{other}` (expected {EMIT_FORMATS})"
+        )),
+    }
+}
+
+/// Parses a `--deny` severity.
+fn parse_deny(text: &str) -> Result<tydi_analyze::Severity, String> {
+    tydi_analyze::Severity::parse(text)
+        .ok_or_else(|| format!("unknown --deny severity `{text}` (expected info|warning|error)"))
+}
+
+/// Parses an `--inject` fault spec.
+fn parse_inject(text: &str) -> Result<FaultPlan, String> {
+    FaultPlan::parse(text).map_err(|e| format!("--inject: {e}"))
+}
+
+/// A request's options, parsed and cross-checked.
+pub struct Settings {
+    backend: Option<Backend>,
+    deny: Option<tydi_analyze::Severity>,
+    faults: Option<FaultPlan>,
+}
+
+/// Parses and cross-checks a request's options. An error is a usage
+/// error (exit code 2): `tydic` reports it before running anything,
+/// and [`run_job`] answers it for requests arriving on the socket.
+pub fn validate(request: &JobRequest) -> Result<Settings, String> {
+    if request.files.is_empty() {
+        return Err("no input files".to_string());
+    }
+    let settings = Settings {
+        backend: parse_emit(&request.emit)?,
+        deny: request.deny.as_deref().map(parse_deny).transpose()?,
+        faults: request.inject.as_deref().map(parse_inject).transpose()?,
+    };
+    if request.kind == JobKind::Sim && request.top.is_none() {
+        return Err("sim needs --top <impl> (the implementation to simulate)".to_string());
+    }
+    if request.inject_sweep.is_some() && request.inject.is_none() {
+        return Err("--inject-sweep needs --inject <spec>".to_string());
+    }
+    if request.inject.is_some() && request.kind != JobKind::Sim {
+        return Err("--inject is only supported with `sim`".to_string());
+    }
+    Ok(settings)
+}
+
+/// Runs one job against the cache. Every metric the job publishes
+/// lands under `scope` (the daemon passes `req.<n>.`; `tydic` passes
+/// the empty scope). The response embeds that namespace, prefix
+/// stripped, as `metrics_json`; a non-empty namespace is then scrubbed
+/// from the registry, so a long-lived daemon's registry does not grow
+/// with request count.
 pub fn run_job(request: &JobRequest, cache: &mut ArtifactCache, scope: &str) -> JobResponse {
-    debug_assert!(matches!(
-        request.kind,
-        JobKind::Check | JobKind::Build | JobKind::Analyze
-    ));
     let started = Instant::now();
     let scope_guard = (!scope.is_empty()).then(|| metrics::scoped(scope.to_string()));
-    let mut response = run_job_inner(request, cache);
+    let mut response = match validate(request) {
+        Ok(settings) => run_validated(request, &settings, cache, scope),
+        Err(message) => JobResponse::failure(request.id, 2, message),
+    };
+    response.metrics_json = metrics::snapshot().within(scope).to_json();
     if scope_guard.is_some() {
-        response.metrics_json = scoped_metrics_json(scope);
-        // Scrub this request's namespace (the guard is still active,
-        // so the empty prefix resolves to exactly `scope`).
+        // The guard is still active, so the empty prefix resolves to
+        // exactly this request's namespace.
         metrics::clear_prefix("");
     }
     drop(scope_guard);
@@ -41,39 +102,13 @@ pub fn run_job(request: &JobRequest, cache: &mut ArtifactCache, scope: &str) -> 
     response
 }
 
-fn run_job_inner(request: &JobRequest, cache: &mut ArtifactCache) -> JobResponse {
+fn run_validated(
+    request: &JobRequest,
+    settings: &Settings,
+    cache: &mut ArtifactCache,
+    scope: &str,
+) -> JobResponse {
     let mut response = JobResponse::new(request.id);
-    if request.files.is_empty() {
-        return JobResponse::failure(request.id, 2, "no input files");
-    }
-    // Validate job-level options before compiling, mirroring
-    // `parse_args` (same messages, same usage exit code).
-    let deny = match request.deny.as_deref() {
-        None => None,
-        Some(text) => match tydi_analyze::Severity::parse(text) {
-            Some(severity) => Some(severity),
-            None => {
-                return JobResponse::failure(
-                    request.id,
-                    2,
-                    format!("unknown --deny severity `{text}` (expected info|warning|error)"),
-                )
-            }
-        },
-    };
-    let backend = match request.emit.as_str() {
-        "ir" => None,
-        "vhdl" => Some(Backend::Vhdl),
-        "verilog" | "sv" | "systemverilog" => Some(Backend::SystemVerilog),
-        other => {
-            return JobResponse::failure(
-                request.id,
-                2,
-                format!("unknown --emit format `{other}` (expected ir|vhdl|verilog)"),
-            )
-        }
-    };
-
     let sources = match load_sources(request) {
         Ok(sources) => sources,
         Err(message) => return JobResponse::failure(request.id, 2, message),
@@ -103,26 +138,33 @@ fn run_job_inner(request: &JobRequest, cache: &mut ArtifactCache) -> JobResponse
     }
     response.diagnostics = diagnostic_infos(&output.diagnostics, &output.files);
     let stats = output.project.stats();
-    response.stderr.push_str(&format!(
-        "ok: {} streamlet(s), {} implementation(s), {} connection(s) in {:?}\n",
+    let _ = writeln!(
+        response.stderr,
+        "ok: {} streamlet(s), {} implementation(s), {} connection(s) in {:?}",
         stats.streamlets, stats.implementations, stats.connections, output.timings.wall
-    ));
+    );
     response.warm = output
         .stage_records
         .iter()
         .any(|record| matches!(record.stage, Stage::Elaborate) && record.reused > 0);
+    // `analyze` records its own stage first, then renders the timings
+    // itself so the analyze column is populated.
+    if request.timings && request.kind != JobKind::Analyze {
+        render_timings(&output, scope, &mut response.stderr);
+    }
 
     match request.kind {
         JobKind::Check => {}
-        JobKind::Build => emit(request, backend, &output, &mut response),
-        JobKind::Analyze => analyze(request, deny, &mut output, &mut response),
+        JobKind::Build => emit(request, settings.backend, &output, &mut response),
+        JobKind::Analyze => analyze(request, settings.deny, &mut output, scope, &mut response),
+        JobKind::Sim => simulate(request, &settings.faults, &output, scope, &mut response),
         JobKind::Status | JobKind::Shutdown => unreachable!("handled by the server"),
     }
     response
 }
 
 /// Reads the job's input files (the standard library is implicit
-/// unless the job disables it), mirroring the CLI's `load_sources`.
+/// unless the job disables it).
 fn load_sources(request: &JobRequest) -> Result<Vec<(String, String)>, String> {
     let mut sources: Vec<(String, String)> = Vec::new();
     if request.include_std {
@@ -136,8 +178,69 @@ fn load_sources(request: &JobRequest) -> Result<Vec<(String, String)>, String> {
     Ok(sources)
 }
 
-/// `build` jobs: emit IR text or RTL through the netlist backends,
-/// mirroring the CLI's emit arm of `run`.
+/// The `--timings` report: per-stage *self* times, then the self-time
+/// sum and the wall-clock window as separate totals (summing stage
+/// times double-counts when stage work overlaps on the thread pool),
+/// then per-stage cache reuse counts. The type-store and parallelism
+/// lines read the job's own metrics back from the registry, so the
+/// report and `--timings-json` can never disagree.
+fn render_timings(output: &CompileOutput, scope: &str, err: &mut String) {
+    let t = output.timings;
+    let _ = writeln!(
+        err,
+        "stages: parse {:?}, elaborate {:?}, sugar {:?}, drc {:?}, analyze {:?} (self times)",
+        t.parse, t.elaborate, t.sugar, t.drc, t.analyze
+    );
+    let _ = writeln!(err, "totals: self {:?}, wall {:?}", t.total(), t.wall);
+    let mut reused = [0usize; 4];
+    let mut recomputed = [0usize; 4];
+    for record in &output.stage_records {
+        let slot = match record.stage {
+            Stage::Parse => 0,
+            Stage::Elaborate => 1,
+            Stage::Sugar => 2,
+            Stage::Drc => 3,
+            // Analysis runs after the compile and is never served from
+            // the artifact cache; it has no reuse column.
+            Stage::Analyze => continue,
+        };
+        reused[slot] += record.reused;
+        recomputed[slot] += record.recomputed;
+    }
+    let _ = writeln!(
+        err,
+        "cache: parse {} reused / {} recomputed, elaborate {}/{}, sugar {}/{}, drc {}/{}",
+        reused[0],
+        recomputed[0],
+        reused[1],
+        recomputed[1],
+        reused[2],
+        recomputed[2],
+        reused[3],
+        recomputed[3],
+    );
+    let job = metrics::snapshot().within(scope);
+    let _ = writeln!(
+        err,
+        "types: {} distinct node(s) interned, {} dedup hit(s) ({:.0}% hit rate); \
+         expansions: {} reused / {} computed",
+        job.counter("types.distinct").unwrap_or(0),
+        job.counter("types.intern_hits").unwrap_or(0),
+        job.gauge("types.intern_hit_rate_pct").unwrap_or(0.0),
+        job.counter("types.expansions_reused").unwrap_or(0),
+        job.counter("types.expansions_computed").unwrap_or(0),
+    );
+    let levels = job.text("par.level_packages").unwrap_or("");
+    let _ = writeln!(
+        err,
+        "par: {} thread(s), packages per level [{}], {} shard contention event(s)",
+        job.counter("par.threads").unwrap_or(0),
+        if levels.is_empty() { "-" } else { levels },
+        job.counter("types.shard_contention").unwrap_or(0),
+    );
+}
+
+/// `compile`/`build`: emit IR text or RTL through the netlist backends.
 fn emit(
     request: &JobRequest,
     backend: Option<Backend>,
@@ -145,89 +248,82 @@ fn emit(
     response: &mut JobResponse,
 ) {
     let out_dir = request.out_dir.as_ref().map(PathBuf::from);
-    match backend {
-        None => {
-            let text = tydi_ir::text::emit_project(&output.project);
-            match &out_dir {
-                Some(dir) => {
-                    let path = dir.join("project.tir");
-                    if let Err(e) =
-                        std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, &text))
-                    {
-                        response.fail(1, format!("write failed: {e}"));
-                        return;
-                    }
-                    response
-                        .stderr
-                        .push_str(&format!("wrote {}\n", path.display()));
-                    response.artifacts.push(path.display().to_string());
+    let Some(backend) = backend else {
+        let text = tydi_ir::text::emit_project(&output.project);
+        match &out_dir {
+            Some(dir) => {
+                let path = dir.join("project.tir");
+                if let Err(e) =
+                    std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, &text))
+                {
+                    return response.fail(1, format!("write failed: {e}"));
                 }
-                None => response.stdout.push_str(&text),
+                let _ = writeln!(response.stderr, "wrote {}", path.display());
+                response.artifacts.push(path.display().to_string());
             }
+            None => response.stdout.push_str(&text),
         }
-        Some(backend) => {
-            let registry = full_registry();
-            tydi_fletcher::register_fletcher_rtl(&registry);
-            let generated = match generate_project_for_with(
-                &output.project,
-                &output.index,
-                &registry,
-                &VhdlOptions::default(),
-                backend,
-            ) {
-                Ok(generated) => generated,
-                Err(e) => {
-                    response.fail(1, format!("{backend} generation failed: {e}"));
-                    return;
-                }
-            };
-            match &out_dir {
-                Some(dir) => {
-                    if let Err(e) = std::fs::create_dir_all(dir) {
-                        response.fail(1, format!("cannot create `{}`: {e}", dir.display()));
-                        return;
-                    }
-                    for file in &generated {
-                        let path = dir.join(&file.name);
-                        if let Err(e) = std::fs::write(&path, &file.contents) {
-                            response.fail(1, format!("write failed: {e}"));
-                            return;
-                        }
-                        response.artifacts.push(path.display().to_string());
-                    }
-                    response.stderr.push_str(&format!(
-                        "wrote {} file(s) to {}\n",
-                        generated.len(),
-                        dir.display()
-                    ));
-                }
-                None => {
-                    response
-                        .stdout
-                        .push_str(&tydi_vhdl::files_to_string(&generated, backend));
-                }
+        return;
+    };
+    let registry = full_registry();
+    tydi_fletcher::register_fletcher_rtl(&registry);
+    // The compile already ran the design-rule checks; lowering must
+    // not run them a second time.
+    let options = VhdlOptions {
+        validate: false,
+        ..VhdlOptions::default()
+    };
+    let generated = match generate_project_for_with(
+        &output.project,
+        &output.index,
+        &registry,
+        &options,
+        backend,
+    ) {
+        Ok(generated) => generated,
+        Err(e) => return response.fail(1, format!("{backend} generation failed: {e}")),
+    };
+    match &out_dir {
+        Some(dir) => {
+            if let Err(e) = std::fs::create_dir_all(dir) {
+                return response.fail(1, format!("cannot create `{}`: {e}", dir.display()));
             }
+            for file in &generated {
+                let path = dir.join(&file.name);
+                if let Err(e) = std::fs::write(&path, &file.contents) {
+                    return response.fail(1, format!("write failed: {e}"));
+                }
+                response.artifacts.push(path.display().to_string());
+            }
+            let _ = writeln!(
+                response.stderr,
+                "wrote {} file(s) to {}",
+                generated.len(),
+                dir.display()
+            );
         }
+        // Banner each file so concatenated stdout stays splittable
+        // (e.g. `tydic compile ... | csplit`).
+        None => response
+            .stdout
+            .push_str(&tydi_vhdl::files_to_string(&generated, backend)),
     }
 }
 
-/// `analyze` jobs: static throughput/latency bounds and hazards,
-/// mirroring the CLI's `run_analyze`.
+/// `analyze`: static throughput/latency bounds and structural hazards
+/// over the elaborated design, without running the simulator.
 fn analyze(
     request: &JobRequest,
     deny: Option<tydi_analyze::Severity>,
     output: &mut CompileOutput,
+    scope: &str,
     response: &mut JobResponse,
 ) {
-    let candidates = output.project.top_level_candidates();
     let top = match request.top.as_deref() {
         Some(top) => top.to_string(),
-        None => match candidates.first() {
+        None => match output.project.top_level_candidates().first() {
             Some(top) => top.to_string(),
-            None => {
-                response.fail(1, "no top-level implementation candidate found".to_string());
-                return;
-            }
+            None => return response.fail(1, "no top-level implementation candidate found".into()),
         },
     };
     let analyze_options = tydi_analyze::AnalyzeOptions {
@@ -243,42 +339,249 @@ fn analyze(
     let report = match tydi_analyze::analyze(&output.project, &output.index, &top, &analyze_options)
     {
         Ok(report) => report,
-        Err(e) => {
-            response.fail(1, e.to_string());
-            return;
-        }
+        Err(e) => return response.fail(1, e.to_string()),
     };
     output.record_stage(Stage::Analyze, started.elapsed(), report.hazards.len());
+    // Republish so the analyze stage's time and hazard count reach the
+    // registry (and thus `--timings` and `--timings-json`).
     tydi_lang::publish_compile_metrics(output);
-    tydi_obs::metrics::counter_set("analyze.hazards", report.hazards.len() as u64);
+    metrics::counter_set("analyze.hazards", report.hazards.len() as u64);
+    if request.timings {
+        render_timings(output, scope, &mut response.stderr);
+    }
     if request.json {
         response.stdout.push_str(&report.to_json());
     } else {
-        response.stdout.push_str(&report.to_string());
+        let _ = write!(response.stdout, "{report}");
     }
-    if let Some(deny) = deny {
-        let denied: Vec<&tydi_analyze::Hazard> = report.hazards_at_least(deny).collect();
-        if !denied.is_empty() {
-            for hazard in &denied {
-                let span = hazard
-                    .impl_name
-                    .as_deref()
-                    .and_then(|name| output.elab_info.impl_span(name));
-                let diagnostic = tydi_lang::Diagnostic::error(
-                    "analyze",
-                    format!("{}: {}", hazard.kind.name(), hazard.message),
-                    span,
-                );
-                response.stderr.push_str(&diagnostic.render(&output.files));
-            }
-            response.fail(
-                1,
-                format!(
-                    "analyze: {} hazard(s) at or above `{}` in `{top}`",
-                    denied.len(),
-                    deny.name()
-                ),
+    let Some(deny) = deny else { return };
+    let denied: Vec<&tydi_analyze::Hazard> = report.hazards_at_least(deny).collect();
+    if denied.is_empty() {
+        return;
+    }
+    // Each denied hazard renders through the compiler's diagnostic
+    // renderer, pointing at the declaration of the implementation at
+    // the hazard site when the elaborator recorded its span
+    // (cache-restored compiles carry no spans and fall back to the
+    // span-less form).
+    for hazard in &denied {
+        let span = hazard
+            .impl_name
+            .as_deref()
+            .and_then(|name| output.elab_info.impl_span(name));
+        let diagnostic = tydi_lang::Diagnostic::error(
+            "analyze",
+            format!("{}: {}", hazard.kind.name(), hazard.message),
+            span,
+        );
+        response.stderr.push_str(&diagnostic.render(&output.files));
+    }
+    response.fail(
+        1,
+        format!(
+            "analyze: {} hazard(s) at or above `{}` in `{top}`",
+            denied.len(),
+            deny.name()
+        ),
+    );
+}
+
+/// `sim`: shard deterministic stimulus scenarios over the design and
+/// print the aggregated batch report.
+///
+/// Scenario `k` feeds every boundary input with `packets` values
+/// offset by `k * 1000` and throttles every output to accept only
+/// every `1 + k % 4` cycles, so the batch covers free-running and
+/// increasingly backpressured schedules in one invocation.
+fn simulate(
+    request: &JobRequest,
+    faults: &Option<FaultPlan>,
+    output: &CompileOutput,
+    scope: &str,
+    response: &mut JobResponse,
+) {
+    let project = &output.project;
+    let top = request.top.as_deref().expect("checked by validate");
+    let mut behaviors = tydi_sim::BehaviorRegistry::with_std();
+    tydi_fletcher::register_fletcher_behaviors(&mut behaviors, Default::default());
+    // One probe simulator just to discover the boundary ports.
+    let (input_ports, output_ports) = match Simulator::new(project, top, &behaviors) {
+        Ok(probe) => (probe.input_ports(), probe.output_ports()),
+        Err(e) => return response.fail(1, format!("cannot build simulator: {e}")),
+    };
+    let make_scenario = |k: usize, name: String| {
+        let mut scenario = Scenario::new(name).with_max_cycles(request.max_cycles);
+        if let Some(idle) = request.idle {
+            scenario = scenario.with_idle_threshold(idle);
+        }
+        for port in &input_ports {
+            let base = k as i64 * 1000;
+            scenario = scenario.with_feed(
+                port,
+                (0..request.packets as i64).map(|v| Packet::data(base + v)),
             );
+        }
+        for port in &output_ports {
+            scenario = scenario.with_backpressure(port, 1 + k as u64 % 4);
+        }
+        scenario
+    };
+    let count = request.scenarios.max(1);
+    let scenarios: Vec<Scenario> = match (faults, &request.inject_sweep) {
+        (None, _) => (0..count)
+            .map(|k| make_scenario(k, format!("scenario-{k}")))
+            .collect(),
+        (Some(plan), None) => (0..count)
+            .map(|k| make_scenario(k, format!("scenario-{k}")).with_faults(plan.clone()))
+            .collect(),
+        // The sweep reruns every scenario once per seed; only the
+        // jitter faults actually vary with the seed, but the whole
+        // plan is reseeded so a sweep over a deterministic plan is a
+        // (cheap) replication check.
+        (Some(plan), Some(seeds)) => seeds
+            .iter()
+            .flat_map(|&seed| (0..count).map(move |k| (k, seed)))
+            .map(|(k, seed)| {
+                make_scenario(k, format!("scenario-{k}-seed-{seed}"))
+                    .with_faults(plan.reseeded(seed))
+            })
+            .collect(),
+    };
+
+    let started = Instant::now();
+    let report = match SimBatch::new(project, top, &behaviors).run(&scenarios) {
+        Ok(report) => report,
+        Err(e) => return response.fail(1, format!("simulation failed: {e}")),
+    };
+    let elapsed = started.elapsed();
+    publish_sim_metrics(&report);
+    metrics::gauge_set("sim.elapsed_ms", elapsed.as_secs_f64() * 1e3);
+    let _ = write!(response.stdout, "{report}");
+    if request.timings {
+        render_channel_stats(&report, scope, &mut response.stderr);
+    }
+    let _ = writeln!(
+        response.stderr,
+        "simulated {} scenario(s) over `{top}` in {elapsed:?} (event-driven scheduler, {} thread(s))",
+        report.scenarios.len(),
+        rayon::current_num_threads(),
+    );
+    // Per-scenario failures are aggregated (every scenario ran), but
+    // they still fail the job.
+    if report.failed() > 0 {
+        response.fail(
+            1,
+            format!(
+                "simulation: {} of {} scenario(s) failed",
+                report.failed(),
+                scenarios.len()
+            ),
+        );
+    }
+}
+
+/// Publishes every scenario's per-channel counters under the `sim.`
+/// prefix, replacing any previous batch. The `--timings` channel
+/// report and `--timings-json` both read these entries back.
+fn publish_sim_metrics(report: &tydi_sim::BatchReport) {
+    use tydi_obs::metrics::counter_set;
+    metrics::clear_prefix("sim.");
+    counter_set("sim.scenarios", report.scenarios.len() as u64);
+    counter_set("sim.scenarios_failed", report.failed() as u64);
+    let gated: u64 = report
+        .scenarios
+        .iter()
+        .map(|s| s.fault_stats.gated_cycles)
+        .sum();
+    let frozen: u64 = report
+        .scenarios
+        .iter()
+        .map(|s| s.fault_stats.frozen_ticks)
+        .sum();
+    if gated > 0 || frozen > 0 {
+        counter_set("sim.fault.gated_cycles", gated);
+        counter_set("sim.fault.frozen_ticks", frozen);
+    }
+    for scenario in &report.scenarios {
+        for c in &scenario.channels {
+            let key = format!("sim.channel.{}.{}", scenario.scenario, c.name);
+            counter_set(&format!("{key}.transferred"), c.transferred);
+            counter_set(&format!("{key}.max_occupancy"), c.max_occupancy as u64);
+            counter_set(&format!("{key}.capacity"), c.capacity as u64);
+            counter_set(&format!("{key}.refused"), c.refused_pushes);
+        }
+    }
+}
+
+/// One channel row of the `sim --timings` report.
+struct ChannelRow<'a> {
+    name: &'a str,
+    transferred: u64,
+    max_occupancy: u64,
+    capacity: u64,
+    refused: u64,
+}
+
+impl ChannelRow<'_> {
+    fn saturated(&self) -> bool {
+        self.max_occupancy >= self.capacity
+    }
+}
+
+/// `sim --timings`: per-scenario channel occupancy and credit-stall
+/// counters, most refused pushes first, so saturated FIFOs (the
+/// backpressure front) are visible without re-running under a
+/// profiler. Every number comes from the job's metrics (the report
+/// only drives scenario/channel iteration order), so this output and
+/// `--timings-json` can never disagree.
+fn render_channel_stats(report: &tydi_sim::BatchReport, scope: &str, err: &mut String) {
+    let job = metrics::snapshot().within(scope);
+    for scenario in &report.scenarios {
+        let rows: Vec<ChannelRow<'_>> = scenario
+            .channels
+            .iter()
+            .map(|c| {
+                let key = format!("sim.channel.{}.{}", scenario.scenario, c.name);
+                let counter = |field: &str| job.counter(&format!("{key}.{field}")).unwrap_or(0);
+                ChannelRow {
+                    name: &c.name,
+                    transferred: counter("transferred"),
+                    max_occupancy: counter("max_occupancy"),
+                    capacity: counter("capacity"),
+                    refused: counter("refused"),
+                }
+            })
+            .collect();
+        let mut stats: Vec<&ChannelRow<'_>> = rows
+            .iter()
+            .filter(|c| c.transferred > 0 || c.refused > 0)
+            .collect();
+        stats.sort_by(|a, b| {
+            (b.refused, b.max_occupancy, a.name).cmp(&(a.refused, a.max_occupancy, b.name))
+        });
+        let _ = writeln!(
+            err,
+            "channels [{}]: {} active of {} ({} saturated)",
+            scenario.scenario,
+            stats.len(),
+            rows.len(),
+            rows.iter().filter(|c| c.saturated()).count(),
+        );
+        err.push_str("  xfer   max/cap  refused  name\n");
+        for c in stats.iter().take(12) {
+            let _ = writeln!(
+                err,
+                "  {:<6} {:>3}/{:<4} {:>7}  {}{}",
+                c.transferred,
+                c.max_occupancy,
+                c.capacity,
+                c.refused,
+                c.name,
+                if c.saturated() { "  [saturated]" } else { "" },
+            );
+        }
+        if stats.len() > 12 {
+            let _ = writeln!(err, "  ... {} more", stats.len() - 12);
         }
     }
 }
@@ -295,7 +598,7 @@ impl JobResponse {
 }
 
 /// Maps rendered-text diagnostics to their structured wire form.
-pub fn diagnostic_infos(
+fn diagnostic_infos(
     diagnostics: &[tydi_lang::Diagnostic],
     files: &[tydi_lang::SourceFile],
 ) -> Vec<DiagnosticInfo> {
@@ -324,62 +627,10 @@ pub fn diagnostic_infos(
         .collect()
 }
 
-/// One request's metric namespace as a compact flat JSON object, with
-/// the scope prefix stripped, in the same value encoding as
-/// [`tydi_obs::metrics::Snapshot::to_json`].
-fn scoped_metrics_json(scope: &str) -> String {
-    let snapshot = metrics::snapshot();
-    let mut out = String::from("{");
-    for (index, (name, metric)) in snapshot.prefixed(scope).enumerate() {
-        if index > 0 {
-            out.push(',');
-        }
-        crate::protocol::push_str(&mut out, &name[scope.len()..]);
-        out.push(':');
-        match metric {
-            Metric::Counter(value) => out.push_str(&value.to_string()),
-            Metric::Gauge(value) => out.push_str(&json_f64(*value)),
-            Metric::Text(value) => crate::protocol::push_str(&mut out, value),
-            Metric::Histogram(h) => out.push_str(&format!(
-                "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{}}}",
-                h.count,
-                json_f64(h.sum),
-                json_f64(h.min),
-                json_f64(h.max)
-            )),
-        }
-    }
-    out.push('}');
-    out
-}
-
-/// `f64` as JSON, matching the metrics serializer: finite values
-/// verbatim (`.0` suffix for integral ones), non-finite as `null`.
-fn json_f64(value: f64) -> String {
-    if !value.is_finite() {
-        return "null".to_string();
-    }
-    if value == value.trunc() && value.abs() < 1e15 {
-        format!("{value:.1}")
-    } else {
-        format!("{value}")
-    }
-}
-
-/// Convenience for tests and the in-process fallback: run one job on
-/// a cache loaded from (and persisted back to) `cache_dir`.
-pub fn run_job_with_cache_dir(request: &JobRequest, cache_dir: &Path) -> JobResponse {
-    let mut cache = ArtifactCache::load(cache_dir);
-    let response = run_job(request, &mut cache, "");
-    if cache.is_dirty() {
-        let _ = cache.save(cache_dir);
-    }
-    response
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     const GOOD: &str = "\
 package demo;

@@ -10,7 +10,7 @@
 //!   (and, through it, the warm interners and type store of
 //!   cache-restored artifacts) in memory, serving concurrent clients.
 //!   Each request is one newline-delimited JSON *job* (`check`,
-//!   `build`, `analyze`, `status`, `shutdown`) answered with the
+//!   `build`, `analyze`, `sim`, `status`, `shutdown`) answered with the
 //!   compiler's diagnostics, a per-request metrics snapshot (namespaced
 //!   via [`tydi_obs::metrics::scoped`]), and the emitted artifact
 //!   paths.
@@ -18,10 +18,9 @@
 //!   the socket under the cache directory, spawning the daemon on
 //!   demand, and fall back to in-process compilation when the socket
 //!   cannot be reached.
-//! * [`execute`] — the shared job runner. The daemon and the
-//!   in-process fallback route through the same function, so a
-//!   daemon-served job is byte-identical to a cold `tydic` run by
-//!   construction.
+//! * [`execute`] — the job executor. `tydic` runs every job through
+//!   it, in-process or on the daemon, so a daemon-served job is
+//!   byte-identical to a cold `tydic` run by construction.
 //! * [`lsp`] — a minimal Language Server Protocol subset over stdio
 //!   (`tydic serve --lsp`): `didOpen`/`didChange` publish diagnostics
 //!   mapped from the compiler's spans, and `hover` resolves the

@@ -22,6 +22,8 @@ pub enum JobKind {
     Build,
     /// Check, then run the static throughput/latency analysis.
     Analyze,
+    /// Check, then batch-simulate stimulus scenarios.
+    Sim,
     /// Report daemon health: pid, uptime, request count, cache size.
     Status,
     /// Persist the cache and exit the daemon.
@@ -35,6 +37,7 @@ impl JobKind {
             JobKind::Check => "check",
             JobKind::Build => "build",
             JobKind::Analyze => "analyze",
+            JobKind::Sim => "sim",
             JobKind::Status => "status",
             JobKind::Shutdown => "shutdown",
         }
@@ -46,6 +49,7 @@ impl JobKind {
             "check" => Some(JobKind::Check),
             "build" => Some(JobKind::Build),
             "analyze" => Some(JobKind::Analyze),
+            "sim" => Some(JobKind::Sim),
             "status" => Some(JobKind::Status),
             "shutdown" => Some(JobKind::Shutdown),
             _ => None,
@@ -72,7 +76,8 @@ pub struct JobRequest {
     /// `build`: write files into this directory instead of returning
     /// the concatenated text on stdout.
     pub out_dir: Option<String>,
-    /// `analyze`: top-level implementation override.
+    /// `analyze`: top-level implementation override; `sim`: the
+    /// implementation to simulate (required).
     pub top: Option<String>,
     /// `analyze`: deny severity (`info`/`warning`/`error`).
     pub deny: Option<String>,
@@ -80,6 +85,20 @@ pub struct JobRequest {
     pub json: bool,
     /// `analyze`: clock frequency in MHz.
     pub clock_mhz: Option<f64>,
+    /// Append the `--timings` report to stderr.
+    pub timings: bool,
+    /// `sim`: number of stimulus scenarios.
+    pub scenarios: usize,
+    /// `sim`: packets per boundary input.
+    pub packets: u64,
+    /// `sim`: per-scenario cycle budget.
+    pub max_cycles: u64,
+    /// `sim`: quiescence threshold override, in idle cycles.
+    pub idle: Option<u64>,
+    /// `sim`: fault-injection spec (the `--inject` text).
+    pub inject: Option<String>,
+    /// `sim`: rerun every scenario once per seed, reseeding the faults.
+    pub inject_sweep: Option<Vec<u64>>,
     /// Testing hook: sleep this long inside the job before compiling,
     /// to pin down timeout and saturation behaviour determinstically.
     pub test_sleep_ms: Option<u64>,
@@ -107,12 +126,21 @@ impl JobRequest {
             deny: None,
             json: false,
             clock_mhz: None,
+            timings: false,
+            scenarios: 4,
+            packets: 64,
+            max_cycles: 100_000,
+            idle: None,
+            inject: None,
+            inject_sweep: None,
             test_sleep_ms: None,
             test_panic: false,
         }
     }
 
     /// Serializes the request as one JSON line (no trailing newline).
+    /// Fields at their defaults are omitted, so a request that uses no
+    /// newer option reads the same to an older daemon.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(128);
         out.push('{');
@@ -155,13 +183,38 @@ impl JobRequest {
             push_sep_key(&mut out, "clock_mhz");
             out.push_str(&format_number(mhz));
         }
-        if let Some(ms) = self.test_sleep_ms {
-            push_sep_key(&mut out, "test_sleep_ms");
-            out.push_str(&ms.to_string());
+        let defaults = JobRequest::new(self.kind);
+        let differs = |value: u64, default: u64| (value != default).then_some(value);
+        let numbers = [
+            (
+                "scenarios",
+                differs(self.scenarios as u64, defaults.scenarios as u64),
+            ),
+            ("packets", differs(self.packets, defaults.packets)),
+            ("max_cycles", differs(self.max_cycles, defaults.max_cycles)),
+            ("idle", self.idle),
+            ("test_sleep_ms", self.test_sleep_ms),
+        ];
+        for (key, value) in numbers {
+            if let Some(n) = value {
+                push_sep_key(&mut out, key);
+                out.push_str(&n.to_string());
+            }
         }
-        if self.test_panic {
-            push_sep_key(&mut out, "test_panic");
-            out.push_str("true");
+        for (key, flag) in [("timings", self.timings), ("test_panic", self.test_panic)] {
+            if flag {
+                push_sep_key(&mut out, key);
+                out.push_str("true");
+            }
+        }
+        if let Some(spec) = &self.inject {
+            push_sep_key(&mut out, "inject");
+            push_str(&mut out, spec);
+        }
+        if let Some(seeds) = &self.inject_sweep {
+            let seeds: Vec<String> = seeds.iter().map(u64::to_string).collect();
+            push_sep_key(&mut out, "inject_sweep");
+            out.push_str(&format!("[{}]", seeds.join(",")));
         }
         out.push('}');
         out
@@ -209,6 +262,22 @@ impl JobRequest {
         request.top = value.get("top").and_then(Json::as_str).map(String::from);
         request.deny = value.get("deny").and_then(Json::as_str).map(String::from);
         request.clock_mhz = value.get("clock_mhz").and_then(Json::as_f64);
+        request.timings = get_bool(&value, "timings").unwrap_or(false);
+        request.scenarios = get_u64(&value, "scenarios").map_or(request.scenarios, |n| n as usize);
+        request.packets = get_u64(&value, "packets").unwrap_or(request.packets);
+        request.max_cycles = get_u64(&value, "max_cycles").unwrap_or(request.max_cycles);
+        request.idle = get_u64(&value, "idle");
+        request.inject = value.get("inject").and_then(Json::as_str).map(String::from);
+        request.inject_sweep = value
+            .get("inject_sweep")
+            .and_then(Json::as_array)
+            .map(|seeds| {
+                seeds
+                    .iter()
+                    .filter_map(Json::as_f64)
+                    .map(|n| n as u64)
+                    .collect()
+            });
         request.test_sleep_ms = get_u64(&value, "test_sleep_ms");
         request.test_panic = get_bool(&value, "test_panic").unwrap_or(false);
         Ok(request)
@@ -596,6 +665,11 @@ mod tests {
         request.deny = Some("warning".to_string());
         request.json = true;
         request.clock_mhz = Some(250.5);
+        request.timings = true;
+        (request.scenarios, request.packets, request.max_cycles) = (2, 8, 500);
+        request.idle = Some(16);
+        request.inject = Some("stall(a,0,*)".to_string());
+        request.inject_sweep = Some(vec![1, 2, 3]);
         let line = request.to_json();
         assert!(!line.contains('\n'), "one line: {line}");
         let back = JobRequest::parse(&line).unwrap();
@@ -610,6 +684,11 @@ mod tests {
         assert_eq!(back.deny.as_deref(), Some("warning"));
         assert!(back.json);
         assert_eq!(back.clock_mhz, Some(250.5));
+        assert!(back.timings);
+        assert_eq!((back.scenarios, back.packets, back.max_cycles), (2, 8, 500));
+        assert_eq!(back.idle, Some(16));
+        assert_eq!(back.inject, request.inject);
+        assert_eq!(back.inject_sweep, request.inject_sweep);
     }
 
     #[test]
@@ -700,6 +779,22 @@ mod tests {
         assert_eq!(plain.test_sleep_ms, None);
         assert!(!plain.test_panic);
         assert!(!plain.to_json().contains("test_"), "hooks elided when off");
+        // Options at their defaults stay off the wire, so a request that
+        // uses no newer option reads the same to an older daemon.
+        let line = JobRequest::new(JobKind::Sim).to_json();
+        for key in [
+            "timings",
+            "scenarios",
+            "packets",
+            "max_cycles",
+            "idle",
+            "inject",
+        ] {
+            assert!(
+                !line.contains(&format!("\"{key}\"")),
+                "{key} elided: {line}"
+            );
+        }
     }
 
     #[test]

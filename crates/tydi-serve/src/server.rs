@@ -45,6 +45,12 @@ use std::time::{Duration, Instant};
 use tydi_lang::ArtifactCache;
 use tydi_obs::metrics;
 
+/// Stack size of a job thread: the 8 MiB a CLI's main thread gets, so
+/// a deeply nested design that compiles in-process also compiles on
+/// the daemon (a stack overflow aborts the whole process; no
+/// `catch_unwind` can isolate it).
+const JOB_STACK_SIZE: usize = 8 << 20;
+
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
@@ -316,7 +322,9 @@ fn dispatch(request: &JobRequest, state: &Arc<ServerState>) -> (JobResponse, boo
             (response, false)
         }
         JobKind::Shutdown => (JobResponse::new(request.id), true),
-        JobKind::Check | JobKind::Build | JobKind::Analyze => run_compile_job(request, state),
+        JobKind::Check | JobKind::Build | JobKind::Analyze | JobKind::Sim => {
+            run_compile_job(request, state)
+        }
     }
 }
 
@@ -356,40 +364,43 @@ fn run_compile_job(request: &JobRequest, state: &Arc<ServerState>) -> (JobRespon
     let job_state = Arc::clone(state);
     let job_request = request.clone();
     let job_scope = scope.clone();
-    std::thread::spawn(move || {
-        let outcome = {
-            // Lock the cache on the job thread, but catch panics
-            // *inside* the guard's scope: an unwinding compile then
-            // drops the guard normally instead of poisoning the mutex.
-            let mut cache = lock(&job_state.cache);
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                run_one_job(&job_request, &mut cache, &job_scope)
-            }));
-            // Persist after every job that changed the cache, so cold
-            // `tydic` runs and other daemons see this daemon's work;
-            // the dirty flag makes fully-warm jobs skip the disk.
-            if cache.is_dirty() {
-                if let Err(e) = cache.save(&job_state.cache_dir) {
-                    eprintln!(
-                        "warning: cannot persist cache to `{}`: {e}",
-                        job_state.cache_dir.display()
-                    );
+    std::thread::Builder::new()
+        .stack_size(JOB_STACK_SIZE)
+        .spawn(move || {
+            let outcome = {
+                // Lock the cache on the job thread, but catch panics
+                // *inside* the guard's scope: an unwinding compile then
+                // drops the guard normally instead of poisoning the mutex.
+                let mut cache = lock(&job_state.cache);
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    run_one_job(&job_request, &mut cache, &job_scope)
+                }));
+                // Persist after every job that changed the cache, so cold
+                // `tydic` runs and other daemons see this daemon's work;
+                // the dirty flag makes fully-warm jobs skip the disk.
+                if cache.is_dirty() {
+                    if let Err(e) = cache.save(&job_state.cache_dir) {
+                        eprintln!(
+                            "warning: cannot persist cache to `{}`: {e}",
+                            job_state.cache_dir.display()
+                        );
+                    }
                 }
+                outcome
+            };
+            if outcome.is_err() {
+                // The panic unwound past `run_job`'s own scrub; clear the
+                // request's metric namespace from here (this thread's
+                // scope guard is gone, so the prefix resolves globally).
+                metrics::clear_prefix(&job_scope);
             }
-            outcome
-        };
-        if outcome.is_err() {
-            // The panic unwound past `run_job`'s own scrub; clear the
-            // request's metric namespace from here (this thread's
-            // scope guard is gone, so the prefix resolves globally).
-            metrics::clear_prefix(&job_scope);
-        }
-        job_state.active.fetch_sub(1, Ordering::SeqCst);
-        metrics::counter_set("serve.jobs.active", job_state.active.load(Ordering::SeqCst));
-        // The dispatcher may have timed out and gone away; that only
-        // drops the result of an already-abandoned job.
-        let _ = sender.send(outcome);
-    });
+            job_state.active.fetch_sub(1, Ordering::SeqCst);
+            metrics::counter_set("serve.jobs.active", job_state.active.load(Ordering::SeqCst));
+            // The dispatcher may have timed out and gone away; that only
+            // drops the result of an already-abandoned job.
+            let _ = sender.send(outcome);
+        })
+        .expect("spawn a job thread");
 
     let outcome = match state.job_timeout {
         None => receiver

@@ -21,9 +21,9 @@
 //!   --no-cache          disable the on-disk artifact cache
 //!   --cache-dir <dir>   artifact cache location (default: .tydic-cache)
 //!   -o, --out-dir <dir> write output files instead of stdout
-//!   --daemon            route check/compile/build/analyze through the
-//!                       warm `tydic serve` daemon (spawned on demand;
-//!                       falls back in-process if unreachable)
+//!   --daemon            run the job on the warm `tydic serve` daemon
+//!                       (spawned on demand; falls back in-process if
+//!                       unreachable; not with --trace)
 //!
 //! check options:
 //!   --watch             stay resident: poll the input files' mtimes
@@ -37,7 +37,6 @@
 //!   --packets <n>       packets per boundary input (default: 64)
 //!   --max-cycles <n>    cycle budget per scenario (default: 100000)
 //!   --idle <n>          quiescence threshold in idle cycles
-//!   --polling           use the poll-everything cycle loop
 //!   --inject <spec>     inject faults (stall/jitter/freeze/drop clauses)
 //!   --inject-sweep <seeds>  rerun the fault plan per seed (comma list)
 //!
@@ -65,45 +64,9 @@ use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use tydi_lang::{compile_with_cache, ArtifactCache, CompileOptions, CompileOutput, Stage};
-use tydi_stdlib::{full_registry, stdlib_source, STDLIB_FILE_NAME};
-use tydi_vhdl::{generate_project_for_with, Backend, VhdlOptions};
-
-/// The output format of `tydic compile` (`--emit`). The accepted
-/// spellings, the usage string, and the dispatch all live here so
-/// they cannot drift apart.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EmitFormat {
-    /// Tydi-IR text (one `project.tir` file).
-    Ir,
-    /// VHDL via the netlist backend.
-    Vhdl,
-    /// SystemVerilog via the netlist backend.
-    Verilog,
-}
-
-impl EmitFormat {
-    /// The list shown in usage and error messages.
-    const ACCEPTED: &'static str = "ir|vhdl|verilog";
-
-    fn parse(text: &str) -> Option<EmitFormat> {
-        match text {
-            "ir" => Some(EmitFormat::Ir),
-            "vhdl" => Some(EmitFormat::Vhdl),
-            "verilog" | "sv" | "systemverilog" => Some(EmitFormat::Verilog),
-            _ => None,
-        }
-    }
-
-    /// The RTL backend, for the two netlist-based formats.
-    fn backend(&self) -> Option<Backend> {
-        match self {
-            EmitFormat::Ir => None,
-            EmitFormat::Vhdl => Some(Backend::Vhdl),
-            EmitFormat::Verilog => Some(Backend::SystemVerilog),
-        }
-    }
-}
+use tydi_lang::ArtifactCache;
+use tydi_serve::execute::{self, EMIT_FORMATS};
+use tydi_serve::protocol::{JobKind, JobRequest, JobResponse};
 
 const USAGE: &str = "\
 usage: tydic <check|compile|build|sim|analyze|serve> <file.td>... [options]
@@ -143,7 +106,8 @@ options:
   --daemon          route the job through the warm `tydic serve`
                     daemon for this cache directory, spawning it on
                     demand; falls back to an in-process compile when
-                    the daemon cannot be reached
+                    the daemon cannot be reached (not with --trace:
+                    the job runs in the daemon's process)
   -h, --help        print this help
   -V, --version     print the version
 
@@ -159,8 +123,6 @@ sim options:
   --packets <n>     packets per boundary input (default: 64)
   --max-cycles <n>  cycle budget per scenario (default: 100000)
   --idle <n>        quiescence threshold in idle cycles (default: 64)
-  --polling         use the poll-everything cycle loop instead of the
-                    event-driven scheduler (for comparison)
   --inject <spec>   inject faults; <spec> is `;`-separated clauses:
                     stall(ch,from,n|*), jitter(ch,seed,max),
                     freeze(comp,at), drop(ch,n)
@@ -216,42 +178,14 @@ impl CliError {
             code: 1,
         }
     }
-
-    /// A nonzero exit whose output has already been written (daemon
-    /// responses carry the job's stdout/stderr verbatim).
-    fn already_reported(code: u8) -> Self {
-        CliError {
-            message: String::new(),
-            code,
-        }
-    }
 }
 
-/// Parsed command line.
+/// Parsed command line: the job itself plus the flags that only the
+/// command-line front end acts on.
 struct Options {
     command: String,
-    emit: EmitFormat,
-    out_dir: Option<PathBuf>,
-    include_std: bool,
-    sugaring: bool,
-    timings: bool,
-    files: Vec<String>,
-    /// `sim`: top-level implementation name.
-    top: Option<String>,
-    /// `sim`: number of stimulus scenarios.
-    scenarios: usize,
-    /// `sim`: packets per boundary input.
-    packets: u64,
-    /// `sim`: per-scenario cycle budget.
-    max_cycles: u64,
-    /// `sim`: quiescence threshold override.
-    idle_threshold: Option<u64>,
-    /// `sim`: use the polling cycle loop.
-    polling: bool,
-    /// `sim`: fault-injection plan (parsed `--inject` spec).
-    inject: Option<tydi_sim::FaultPlan>,
-    /// `sim`: rerun each scenario once per sweep seed.
-    inject_sweep: Option<Vec<u64>>,
+    /// The job every command but `serve` runs.
+    request: JobRequest,
     /// Disable the on-disk artifact cache.
     no_cache: bool,
     /// Artifact cache directory override.
@@ -262,19 +196,13 @@ struct Options {
     poll_ms: u64,
     /// `check --watch`: exit after this many compiles (testing hook).
     watch_runs: Option<usize>,
-    /// `analyze`: emit the machine-readable JSON report.
-    json: bool,
-    /// `analyze`: fail when a hazard at/above this severity exists.
-    deny: Option<tydi_analyze::Severity>,
-    /// `analyze`: clock frequency in MHz for Hz-scaled bounds.
-    clock_mhz: Option<f64>,
     /// Chrome trace-event output file.
     trace: Option<PathBuf>,
     /// Include fine-grained spans in the trace.
     trace_fine: bool,
     /// Metrics-snapshot JSON output file.
     timings_json: Option<PathBuf>,
-    /// Route check/compile/build/analyze through the warm daemon.
+    /// Run the job on the warm daemon.
     daemon: bool,
     /// `serve`: speak LSP on stdio instead of the job socket.
     lsp: bool,
@@ -290,7 +218,7 @@ struct Options {
     idle_timeout_ms: Option<u64>,
 }
 
-fn parse_count<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, CliError> {
+fn parse_count<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, CliError> {
     value
         .ok_or_else(|| CliError::usage(format!("{flag} needs a value")))?
         .parse::<T>()
@@ -311,43 +239,34 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, CliError> {
     let Some((command, rest)) = args.split_first() else {
         return Err(CliError::usage(USAGE));
     };
-    let known = ["check", "compile", "build", "sim", "analyze", "serve"];
-    if !known.contains(&command.as_str()) {
-        return Err(CliError::usage(format!(
-            "unknown command `{command}` (expected `check`, `compile`, `build`, `sim`, \
-             `analyze` or `serve`)\n{USAGE}"
-        )));
-    }
+    let kind = match command.as_str() {
+        "check" => JobKind::Check,
+        "compile" | "build" => JobKind::Build,
+        "analyze" => JobKind::Analyze,
+        "sim" => JobKind::Sim,
+        // `serve` runs no job of its own.
+        "serve" => JobKind::Status,
+        _ => {
+            return Err(CliError::usage(format!(
+                "unknown command `{command}` (expected `check`, `compile`, `build`, `sim`, \
+                 `analyze` or `serve`)\n{USAGE}"
+            )))
+        }
+    };
 
+    let mut request = JobRequest::new(kind);
+    // `build` is `compile` for users who want RTL out of the box.
+    if command == "compile" {
+        request.emit = "ir".to_string();
+    }
     let mut options = Options {
         command: command.clone(),
-        // `build` is `compile` for users who want RTL out of the box.
-        emit: if command == "build" {
-            EmitFormat::Vhdl
-        } else {
-            EmitFormat::Ir
-        },
-        out_dir: None,
-        include_std: true,
-        sugaring: true,
-        timings: false,
-        files: Vec::new(),
-        top: None,
-        scenarios: 4,
-        packets: 64,
-        max_cycles: 100_000,
-        idle_threshold: None,
-        polling: false,
-        inject: None,
-        inject_sweep: None,
+        request,
         no_cache: false,
         cache_dir: None,
         watch: false,
         poll_ms: 200,
         watch_runs: None,
-        json: false,
-        deny: None,
-        clock_mhz: None,
         trace: None,
         trace_fine: false,
         timings_json: None,
@@ -359,98 +278,46 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, CliError> {
         max_jobs: None,
         idle_timeout_ms: None,
     };
+    let request = &mut options.request;
     let mut iter = rest.iter();
     while let Some(arg) = iter.next() {
+        let mut value = |what: &str| {
+            iter.next()
+                .cloned()
+                .ok_or_else(|| CliError::usage(format!("{arg} needs {what}")))
+        };
         match arg.as_str() {
-            "--emit" => {
-                let value = iter.next().ok_or_else(|| {
-                    CliError::usage(format!("--emit needs a value ({})", EmitFormat::ACCEPTED))
-                })?;
-                options.emit = EmitFormat::parse(value).ok_or_else(|| {
-                    CliError::usage(format!(
-                        "unknown --emit format `{value}` (expected {})",
-                        EmitFormat::ACCEPTED
-                    ))
-                })?;
-            }
-            flag @ ("-o" | "--out-dir") => {
-                let dir = iter
-                    .next()
-                    .cloned()
-                    .ok_or_else(|| CliError::usage(format!("{flag} needs a directory")))?;
-                options.out_dir = Some(PathBuf::from(dir));
-            }
-            "--no-std" => options.include_std = false,
-            "--no-sugar" => options.sugaring = false,
-            "--timings" => options.timings = true,
-            "--timings-json" => {
-                let file = iter
-                    .next()
-                    .cloned()
-                    .ok_or_else(|| CliError::usage("--timings-json needs a file"))?;
-                options.timings_json = Some(PathBuf::from(file));
-            }
-            "--trace" => {
-                let file = iter
-                    .next()
-                    .cloned()
-                    .ok_or_else(|| CliError::usage("--trace needs a file"))?;
-                options.trace = Some(PathBuf::from(file));
-            }
+            "--emit" => request.emit = value(&format!("a value ({EMIT_FORMATS})"))?,
+            "-o" | "--out-dir" => request.out_dir = Some(value("a directory")?),
+            "--no-std" => request.include_std = false,
+            "--no-sugar" => request.sugaring = false,
+            "--timings" => request.timings = true,
+            "--timings-json" => options.timings_json = Some(value("a file")?.into()),
+            "--trace" => options.trace = Some(value("a file")?.into()),
             "--trace-fine" => options.trace_fine = true,
             "--no-cache" => options.no_cache = true,
-            "--cache-dir" => {
-                let dir = iter
-                    .next()
-                    .cloned()
-                    .ok_or_else(|| CliError::usage("--cache-dir needs a directory"))?;
-                options.cache_dir = Some(PathBuf::from(dir));
-            }
+            "--cache-dir" => options.cache_dir = Some(value("a directory")?.into()),
             "--watch" => options.watch = true,
-            "--poll-ms" => options.poll_ms = parse_count("--poll-ms", iter.next().cloned())?,
-            "--watch-runs" => {
-                options.watch_runs = Some(parse_count("--watch-runs", iter.next().cloned())?)
-            }
-            "--top" => {
-                options.top = Some(
-                    iter.next()
-                        .cloned()
-                        .ok_or_else(|| CliError::usage("--top needs an implementation name"))?,
-                );
-            }
-            "--scenarios" => options.scenarios = parse_count("--scenarios", iter.next().cloned())?,
-            "--packets" => options.packets = parse_count("--packets", iter.next().cloned())?,
-            "--max-cycles" => {
-                options.max_cycles = parse_count("--max-cycles", iter.next().cloned())?
-            }
-            "--idle" => options.idle_threshold = Some(parse_count("--idle", iter.next().cloned())?),
-            "--polling" => options.polling = true,
-            "--inject" => {
-                let spec = iter
-                    .next()
-                    .ok_or_else(|| CliError::usage("--inject needs a fault spec"))?;
-                options.inject = Some(
-                    tydi_sim::FaultPlan::parse(spec)
-                        .map_err(|e| CliError::usage(format!("--inject: {e}")))?,
-                );
-            }
+            "--poll-ms" => options.poll_ms = parse_count(arg, iter.next())?,
+            "--watch-runs" => options.watch_runs = Some(parse_count(arg, iter.next())?),
+            "--top" => request.top = Some(value("an implementation name")?),
+            "--scenarios" => request.scenarios = parse_count(arg, iter.next())?,
+            "--packets" => request.packets = parse_count(arg, iter.next())?,
+            "--max-cycles" => request.max_cycles = parse_count(arg, iter.next())?,
+            "--idle" => request.idle = Some(parse_count(arg, iter.next())?),
+            "--inject" => request.inject = Some(value("a fault spec")?),
             "--inject-sweep" => {
-                let seeds = iter
-                    .next()
-                    .ok_or_else(|| CliError::usage("--inject-sweep needs comma-separated seeds"))?;
+                let seeds = value("comma-separated seeds")?;
                 let parsed: Result<Vec<u64>, _> =
                     seeds.split(',').map(|s| s.trim().parse::<u64>()).collect();
-                options.inject_sweep = Some(parsed.map_err(|_| {
+                request.inject_sweep = Some(parsed.map_err(|_| {
                     CliError::usage(format!(
                         "--inject-sweep needs comma-separated seeds, got `{seeds}`"
                     ))
                 })?);
             }
             "--format" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| CliError::usage("--format needs a value (text|json)"))?;
-                options.json = match value.as_str() {
+                request.json = match value("a value (text|json)")?.as_str() {
                     "json" => true,
                     "text" => false,
                     other => {
@@ -460,59 +327,27 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, CliError> {
                     }
                 };
             }
-            "--deny" => {
-                let value = iter.next().ok_or_else(|| {
-                    CliError::usage("--deny needs a severity (info|warning|error)")
-                })?;
-                options.deny = Some(tydi_analyze::Severity::parse(value).ok_or_else(|| {
-                    CliError::usage(format!(
-                        "unknown --deny severity `{value}` (expected info|warning|error)"
-                    ))
-                })?);
-            }
-            "--clock-mhz" => {
-                options.clock_mhz = Some(parse_count("--clock-mhz", iter.next().cloned())?)
-            }
+            "--deny" => request.deny = Some(value("a severity (info|warning|error)")?),
+            "--clock-mhz" => request.clock_mhz = Some(parse_count(arg, iter.next())?),
             "--daemon" => options.daemon = true,
             "--lsp" => options.lsp = true,
-            "--socket" => {
-                let path = iter
-                    .next()
-                    .cloned()
-                    .ok_or_else(|| CliError::usage("--socket needs a path"))?;
-                options.socket = Some(PathBuf::from(path));
-            }
-            "--max-requests" => {
-                options.max_requests = Some(parse_count("--max-requests", iter.next().cloned())?)
-            }
-            "--job-timeout" => {
-                options.job_timeout_ms = Some(parse_count("--job-timeout", iter.next().cloned())?)
-            }
-            "--max-jobs" => {
-                options.max_jobs = Some(parse_count("--max-jobs", iter.next().cloned())?)
-            }
-            "--idle-timeout" => {
-                options.idle_timeout_ms = Some(parse_count("--idle-timeout", iter.next().cloned())?)
-            }
+            "--socket" => options.socket = Some(value("a path")?.into()),
+            "--max-requests" => options.max_requests = Some(parse_count(arg, iter.next())?),
+            "--job-timeout" => options.job_timeout_ms = Some(parse_count(arg, iter.next())?),
+            "--max-jobs" => options.max_jobs = Some(parse_count(arg, iter.next())?),
+            "--idle-timeout" => options.idle_timeout_ms = Some(parse_count(arg, iter.next())?),
             other if other.starts_with('-') => {
                 return Err(CliError::usage(format!("unknown option `{other}`")));
             }
-            file => options.files.push(file.to_string()),
+            file => request.files.push(file.to_string()),
         }
     }
-    if options.files.is_empty() && options.command != "serve" {
-        return Err(CliError::usage("no input files"));
-    }
-    if options.command == "sim" && options.top.is_none() {
-        return Err(CliError::usage(
-            "sim needs --top <impl> (the implementation to simulate)",
-        ));
-    }
-    if options.inject_sweep.is_some() && options.inject.is_none() {
-        return Err(CliError::usage("--inject-sweep needs --inject <spec>"));
-    }
-    if options.inject.is_some() && options.command != "sim" {
-        return Err(CliError::usage("--inject is only supported with `sim`"));
+    if options.command == "serve" {
+        if options.daemon {
+            return Err(CliError::usage("--daemon is not supported with `serve`"));
+        }
+    } else {
+        execute::validate(&options.request).map_err(CliError::usage)?;
     }
     if options.watch && options.command != "check" {
         return Err(CliError::usage("--watch is only supported with `check`"));
@@ -523,28 +358,12 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, CliError> {
     if options.lsp && options.command != "serve" {
         return Err(CliError::usage("--lsp is only supported with `serve`"));
     }
-    if options.daemon && matches!(options.command.as_str(), "sim" | "serve") {
-        return Err(CliError::usage(format!(
-            "--daemon is not supported with `{}`",
-            options.command
-        )));
+    if options.daemon && options.trace.is_some() {
+        return Err(CliError::usage(
+            "--trace is not supported with --daemon (the job runs in the daemon's process)",
+        ));
     }
     Ok(Some(options))
-}
-
-/// Reads the input files (the standard library is implicit unless
-/// `--no-std`).
-fn load_sources(options: &Options) -> Result<Vec<(String, String)>, CliError> {
-    let mut sources: Vec<(String, String)> = Vec::new();
-    if options.include_std {
-        sources.push((STDLIB_FILE_NAME.to_string(), stdlib_source().to_string()));
-    }
-    for file in &options.files {
-        let text = fs::read_to_string(file)
-            .map_err(|e| CliError::usage(format!("cannot read `{file}`: {e}")))?;
-        sources.push((file.clone(), text));
-    }
-    Ok(sources)
 }
 
 fn cache_dir(options: &Options) -> PathBuf {
@@ -552,98 +371,6 @@ fn cache_dir(options: &Options) -> PathBuf {
         .cache_dir
         .clone()
         .unwrap_or_else(|| PathBuf::from(tydi_lang::CACHE_DIR_NAME))
-}
-
-/// Compiles through the artifact cache, printing diagnostics and the
-/// summary/timings lines.
-fn compile_once(options: &Options, cache: &mut ArtifactCache) -> Result<CompileOutput, CliError> {
-    let sources = load_sources(options)?;
-    let refs: Vec<(&str, &str)> = sources
-        .iter()
-        .map(|(n, t)| (n.as_str(), t.as_str()))
-        .collect();
-    let compile_options = CompileOptions {
-        project_name: "tydic_out".to_string(),
-        enable_sugaring: options.sugaring,
-        run_drc: true,
-    };
-    let output = compile_with_cache(&refs, &compile_options, cache)
-        .map_err(|failure| CliError::failure(failure.render()))?;
-    tydi_lang::publish_compile_metrics(&output);
-    for d in &output.diagnostics {
-        eprint!("{}", d.render(&output.files));
-    }
-    let stats = output.project.stats();
-    eprintln!(
-        "ok: {} streamlet(s), {} implementation(s), {} connection(s) in {:?}",
-        stats.streamlets, stats.implementations, stats.connections, output.timings.wall
-    );
-    // `analyze` records its own stage first, then prints the timings
-    // itself so the analyze column is populated.
-    if options.timings && options.command != "analyze" {
-        print_timings(&output);
-    }
-    Ok(output)
-}
-
-/// The `--timings` report: per-stage *self* times, then the self-time
-/// sum and the wall-clock window as separate totals (summing stage
-/// times double-counts when stage work overlaps on the thread pool),
-/// then per-stage cache reuse counts.
-fn print_timings(output: &CompileOutput) {
-    let t = output.timings;
-    eprintln!(
-        "stages: parse {:?}, elaborate {:?}, sugar {:?}, drc {:?}, analyze {:?} (self times)",
-        t.parse, t.elaborate, t.sugar, t.drc, t.analyze
-    );
-    eprintln!("totals: self {:?}, wall {:?}", t.total(), t.wall);
-    let mut reused = [0usize; 4];
-    let mut recomputed = [0usize; 4];
-    for record in &output.stage_records {
-        let slot = match record.stage {
-            Stage::Parse => 0,
-            Stage::Elaborate => 1,
-            Stage::Sugar => 2,
-            Stage::Drc => 3,
-            // Analysis runs after the compile and is never served from
-            // the artifact cache; it has no reuse column.
-            Stage::Analyze => continue,
-        };
-        reused[slot] += record.reused;
-        recomputed[slot] += record.recomputed;
-    }
-    eprintln!(
-        "cache: parse {} reused / {} recomputed, elaborate {}/{}, sugar {}/{}, drc {}/{}",
-        reused[0],
-        recomputed[0],
-        reused[1],
-        recomputed[1],
-        reused[2],
-        recomputed[2],
-        reused[3],
-        recomputed[3],
-    );
-    // Type-store and parallel-elaboration statistics, read back from
-    // the metrics registry ([`tydi_lang::publish_compile_metrics`]
-    // runs right after every compile) so the printed report and
-    // `--timings-json` can never disagree.
-    let snap = tydi_obs::metrics::snapshot();
-    eprintln!(
-        "types: {} distinct node(s) interned, {} dedup hit(s) ({:.0}% hit rate); \
-         expansions: {} reused / {} computed",
-        snap.counter("types.distinct").unwrap_or(0),
-        snap.counter("types.intern_hits").unwrap_or(0),
-        snap.gauge("types.intern_hit_rate_pct").unwrap_or(0.0),
-        snap.counter("types.expansions_reused").unwrap_or(0),
-        snap.counter("types.expansions_computed").unwrap_or(0),
-    );
-    let levels = snap.text("par.level_packages").unwrap_or("");
-    eprintln!(
-        "par: {} thread(s), packages per level [{}], {} shard contention event(s)",
-        snap.counter("par.threads").unwrap_or(0),
-        if levels.is_empty() { "-" } else { levels },
-        snap.counter("types.shard_contention").unwrap_or(0),
-    );
 }
 
 /// Loads the persistent cache (an empty, never-saved one under
@@ -671,6 +398,45 @@ fn persist_cache(options: &Options, cache: &mut ArtifactCache) {
     }
 }
 
+/// Runs the job once — on the daemon when `--daemon` reaches one,
+/// otherwise in-process through the same executor — then writes its
+/// output, its `--timings-json` file, and returns its exit code. The
+/// in-process cache is loaded on first use and kept across `--watch`
+/// iterations.
+fn run_once(options: &Options, cache: &mut Option<ArtifactCache>) -> u8 {
+    let remote = match options.daemon.then(|| run_daemon_job(options)) {
+        Some(Ok(response)) => Some(response),
+        // The fallback path: the daemon could not be reached (or
+        // spawned); run in-process exactly as without `--daemon`, so
+        // the flag never makes a build fail.
+        Some(Err(e)) => {
+            eprintln!("warning: daemon unavailable ({e}); compiling in-process");
+            None
+        }
+        None => None,
+    };
+    let response = remote.unwrap_or_else(|| {
+        let cache = cache.get_or_insert_with(|| load_cache(options));
+        let response = execute::run_job(&options.request, cache, "");
+        persist_cache(options, cache);
+        response
+    });
+    // Stdout write failures are broken pipes (e.g. piping into
+    // `head`), ignored like everywhere else in this binary.
+    let _ = write!(std::io::stdout(), "{}", response.stdout);
+    let _ = std::io::stdout().flush();
+    eprint!("{}", response.stderr);
+    if let Some(path) = &options.timings_json {
+        if let Err(e) = fs::write(path, format!("{}\n", response.metrics_json)) {
+            eprintln!(
+                "warning: cannot write timings JSON to `{}`: {e}",
+                path.display()
+            );
+        }
+    }
+    response.exit_code.clamp(0, 255) as u8
+}
+
 /// `tydic check --watch`: compile, then poll the input files and
 /// recompile through the persistent artifact cache whenever something
 /// changes. Compile failures are reported and watching continues.
@@ -680,38 +446,24 @@ fn persist_cache(options: &Options, cache: &mut ArtifactCache) {
 /// of this cache), and only the change detection runs here. A daemon
 /// that becomes unreachable mid-watch degrades to in-process compiles
 /// for that iteration.
-fn run_watch(options: &Options) -> Result<(), CliError> {
-    let mut cache = load_cache(options);
+fn run_watch(options: &Options) {
+    let files = &options.request.files;
     eprintln!(
         "watching {} file(s); recompiling on change (ctrl-c to stop)",
-        options.files.len()
+        files.len()
     );
-    let mut stamps = WatchStamps::capture(&options.files);
+    let mut cache = None;
+    let mut stamps = WatchStamps::capture(files);
     let mut runs = 0usize;
     loop {
         runs += 1;
-        let mut compiled_remotely = false;
-        if options.daemon {
-            match run_daemon_job(options) {
-                Ok(_code) => compiled_remotely = true, // output already replayed
-                Err(e) => {
-                    eprintln!("warning: daemon unavailable ({e}); compiling in-process")
-                }
-            }
-        }
-        if !compiled_remotely {
-            match compile_once(options, &mut cache) {
-                Ok(_) => {}
-                Err(e) => eprintln!("{}", e.message.trim_end_matches('\n')),
-            }
-            persist_cache(options, &mut cache);
-        }
+        run_once(options, &mut cache);
         if options.watch_runs.is_some_and(|limit| runs >= limit) {
-            return Ok(());
+            return;
         }
         loop {
             std::thread::sleep(std::time::Duration::from_millis(options.poll_ms.max(10)));
-            if stamps.refresh(&options.files) {
+            if stamps.refresh(files) {
                 eprintln!("change detected, recompiling...");
                 break;
             }
@@ -793,7 +545,7 @@ fn run_serve(options: &Options) -> Result<(), CliError> {
         return tydi_serve::lsp::run_stdio(cache_dir)
             .map_err(|e| CliError::failure(format!("lsp server failed: {e}")));
     }
-    match options.files.first().map(String::as_str) {
+    match options.request.files.first().map(String::as_str) {
         Some("status") => return run_serve_status(options, &dir),
         Some(other) => {
             return Err(CliError::usage(format!(
@@ -876,65 +628,32 @@ fn run_serve(options: &Options) -> Result<(), CliError> {
     ))
 }
 
-/// `--daemon`: sends this invocation as one job to the daemon owning
-/// the cache directory (spawning it on demand), replays the job's
-/// stdout/stderr verbatim, and returns its exit code. Any I/O error
-/// here makes the caller fall back to an in-process compile.
+/// `--daemon`: sends the job to the daemon owning the cache directory
+/// (spawning it on demand) and returns its response. Any I/O error
+/// here makes the caller fall back to an in-process run.
 #[cfg(unix)]
-fn run_daemon_job(options: &Options) -> Result<u8, std::io::Error> {
-    let kind = match options.command.as_str() {
-        "check" => tydi_serve::protocol::JobKind::Check,
-        "compile" | "build" => tydi_serve::protocol::JobKind::Build,
-        "analyze" => tydi_serve::protocol::JobKind::Analyze,
-        other => {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                format!("`{other}` cannot run on the daemon"),
-            ))
-        }
-    };
-    let mut request = tydi_serve::protocol::JobRequest::new(kind);
+fn run_daemon_job(options: &Options) -> Result<JobResponse, std::io::Error> {
+    let mut request = options.request.clone();
     request.id = std::process::id() as u64;
     // The daemon's working directory is wherever it was first
     // spawned; every path in the job must be absolute.
-    request.files = options
-        .files
-        .iter()
-        .map(|f| absolute_path(std::path::Path::new(f)).display().to_string())
-        .collect();
-    request.include_std = options.include_std;
-    request.sugaring = options.sugaring;
-    request.emit = match options.emit {
-        EmitFormat::Ir => "ir".to_string(),
-        EmitFormat::Vhdl => "vhdl".to_string(),
-        EmitFormat::Verilog => "verilog".to_string(),
+    let absolute = |path: &str| {
+        absolute_path(std::path::Path::new(path))
+            .display()
+            .to_string()
     };
-    request.out_dir = options
-        .out_dir
-        .as_ref()
-        .map(|dir| absolute_path(dir).display().to_string());
-    request.top = options.top.clone();
-    request.deny = options.deny.map(|severity| severity.name().to_string());
-    request.json = options.json;
-    request.clock_mhz = options.clock_mhz;
-
+    request.files = request.files.iter().map(|f| absolute(f)).collect();
+    request.out_dir = request.out_dir.as_deref().map(absolute);
     let dir = absolute_path(&cache_dir(options));
     let exe = std::env::current_exe()?;
     let mut client = tydi_serve::client::connect_or_spawn(&dir, options.socket.as_deref(), &exe)?;
     // A saturated daemon answers `busy`; retry with capped backoff
     // before surfacing the failure.
-    let response = client.request_with_retry(&request)?;
-    // Replay the job's output exactly where an in-process run would
-    // have put it (stdout write failures are broken pipes, ignored
-    // like everywhere else in this binary).
-    let _ = write!(std::io::stdout(), "{}", response.stdout);
-    eprint!("{}", response.stderr);
-    let _ = std::io::stdout().flush();
-    Ok(response.exit_code.clamp(0, 255) as u8)
+    client.request_with_retry(&request)
 }
 
 #[cfg(not(unix))]
-fn run_daemon_job(_options: &Options) -> Result<u8, std::io::Error> {
+fn run_daemon_job(_options: &Options) -> Result<JobResponse, std::io::Error> {
     Err(std::io::Error::new(
         std::io::ErrorKind::Unsupported,
         "the daemon needs unix domain sockets",
@@ -953,391 +672,32 @@ fn absolute_path(path: &std::path::Path) -> PathBuf {
     }
 }
 
-fn run(options: &Options) -> Result<(), CliError> {
+fn run(options: &Options) -> Result<u8, CliError> {
     if options.command == "serve" {
-        return run_serve(options);
+        return run_serve(options).map(|()| 0);
     }
     if options.watch {
-        return run_watch(options);
+        run_watch(options);
+        return Ok(0);
     }
-    if options.daemon {
-        match run_daemon_job(options) {
-            Ok(0) => return Ok(()),
-            Ok(code) => return Err(CliError::already_reported(code)),
-            // The fallback path: the daemon could not be reached (or
-            // spawned); compile in-process exactly as without
-            // `--daemon`, so the flag never makes a build fail.
-            Err(e) => eprintln!("warning: daemon unavailable ({e}); compiling in-process"),
-        }
-    }
-    let mut cache = load_cache(options);
-    let mut output = compile_once(options, &mut cache)?;
-    persist_cache(options, &mut cache);
-
-    if options.command == "check" {
-        return Ok(());
-    }
-    if options.command == "sim" {
-        return run_sim(options, &output.project);
-    }
-    if options.command == "analyze" {
-        return run_analyze(options, &mut output);
-    }
-
-    match options.emit.backend() {
-        None => {
-            let text = tydi_ir::text::emit_project(&output.project);
-            match &options.out_dir {
-                Some(dir) => {
-                    let path = dir.join("project.tir");
-                    fs::create_dir_all(dir)
-                        .and_then(|()| fs::write(&path, &text))
-                        .map_err(|e| CliError::failure(format!("write failed: {e}")))?;
-                    eprintln!("wrote {}", path.display());
-                }
-                None => {
-                    // Ignore broken pipes (e.g. piping into `head`).
-                    let _ = write!(std::io::stdout(), "{text}");
-                }
-            }
-        }
-        Some(backend) => {
-            let registry = full_registry();
-            tydi_fletcher::register_fletcher_rtl(&registry);
-            let generated = generate_project_for_with(
-                &output.project,
-                &output.index,
-                &registry,
-                &VhdlOptions::default(),
-                backend,
-            )
-            .map_err(|e| CliError::failure(format!("{backend} generation failed: {e}")))?;
-            match &options.out_dir {
-                Some(dir) => {
-                    fs::create_dir_all(dir).map_err(|e| {
-                        CliError::failure(format!("cannot create `{}`: {e}", dir.display()))
-                    })?;
-                    for file in &generated {
-                        fs::write(dir.join(&file.name), &file.contents)
-                            .map_err(|e| CliError::failure(format!("write failed: {e}")))?;
-                    }
-                    eprintln!("wrote {} file(s) to {}", generated.len(), dir.display());
-                }
-                None => {
-                    // Banner each file so concatenated stdout stays
-                    // splittable (e.g. `tydic compile ... | csplit`).
-                    let text = tydi_vhdl::files_to_string(&generated, backend);
-                    let _ = write!(std::io::stdout(), "{text}");
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// `tydic analyze`: static throughput/latency bounds and structural
-/// hazards over the elaborated design, without running the simulator.
-fn run_analyze(options: &Options, output: &mut CompileOutput) -> Result<(), CliError> {
-    let candidates = output.project.top_level_candidates();
-    let top = match options.top.as_deref() {
-        Some(top) => top.to_string(),
-        None => candidates
-            .first()
-            .map(|s| s.to_string())
-            .ok_or_else(|| CliError::failure("no top-level implementation candidate found"))?,
-    };
-    let analyze_options = tydi_analyze::AnalyzeOptions {
-        clock: options.clock_mhz.map(|mhz| {
-            tydi_spec::clock::PhysicalClock::new(
-                tydi_spec::ClockDomain::default_domain(),
-                mhz * 1e6,
-            )
-        }),
-        ..tydi_analyze::AnalyzeOptions::default()
-    };
-    let started = std::time::Instant::now();
-    let report = tydi_analyze::analyze(&output.project, &output.index, &top, &analyze_options)
-        .map_err(|e| CliError::failure(e.to_string()))?;
-    output.record_stage(Stage::Analyze, started.elapsed(), report.hazards.len());
-    // Republish so the analyze stage's time and hazard count reach the
-    // registry (and thus `--timings` and `--timings-json`).
-    tydi_lang::publish_compile_metrics(output);
-    tydi_obs::metrics::counter_set("analyze.hazards", report.hazards.len() as u64);
-    if options.timings {
-        print_timings(output);
-    }
-    if options.json {
-        let _ = write!(std::io::stdout(), "{}", report.to_json());
-    } else {
-        let _ = write!(std::io::stdout(), "{report}");
-    }
-    if let Some(deny) = options.deny {
-        let denied: Vec<&tydi_analyze::Hazard> = report.hazards_at_least(deny).collect();
-        if !denied.is_empty() {
-            // Each denied hazard renders through the compiler's
-            // diagnostic renderer, pointing at the declaration of the
-            // implementation at the hazard site when the elaborator
-            // recorded its span (cache-restored compiles carry no
-            // spans and fall back to the span-less form).
-            for hazard in &denied {
-                let span = hazard
-                    .impl_name
-                    .as_deref()
-                    .and_then(|name| output.elab_info.impl_span(name));
-                let diagnostic = tydi_lang::Diagnostic::error(
-                    "analyze",
-                    format!("{}: {}", hazard.kind.name(), hazard.message),
-                    span,
-                );
-                eprint!("{}", diagnostic.render(&output.files));
-            }
-            return Err(CliError::failure(format!(
-                "analyze: {} hazard(s) at or above `{}` in `{top}`",
-                denied.len(),
-                deny.name()
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// `tydic sim`: shard deterministic stimulus scenarios over the design
-/// and print the aggregated batch report.
-///
-/// Scenario `k` feeds every boundary input with `--packets` values
-/// offset by `k * 1000` and throttles every output to accept only
-/// every `1 + k % 4` cycles, so the batch covers free-running and
-/// increasingly backpressured schedules in one invocation.
-fn run_sim(options: &Options, project: &tydi_ir::Project) -> Result<(), CliError> {
-    use tydi_sim::{Packet, Scenario, SchedulerKind, SimBatch, Simulator};
-
-    let top = options.top.as_deref().expect("checked by parse_args");
-    let mut behaviors = tydi_sim::BehaviorRegistry::with_std();
-    tydi_fletcher::register_fletcher_behaviors(&mut behaviors, Default::default());
-    // One probe simulator just to discover the boundary ports.
-    let probe_sim = Simulator::new(project, top, &behaviors)
-        .map_err(|e| CliError::failure(format!("cannot build simulator: {e}")))?;
-    let input_ports = probe_sim.input_ports();
-    let output_ports = probe_sim.output_ports();
-    drop(probe_sim);
-
-    let make_scenario = |k: usize, name: String| {
-        let mut scenario = Scenario::new(name).with_max_cycles(options.max_cycles);
-        if let Some(idle) = options.idle_threshold {
-            scenario = scenario.with_idle_threshold(idle);
-        }
-        for port in &input_ports {
-            let base = k as i64 * 1000;
-            scenario = scenario.with_feed(
-                port,
-                (0..options.packets as i64).map(|v| Packet::data(base + v)),
-            );
-        }
-        for port in &output_ports {
-            scenario = scenario.with_backpressure(port, 1 + k as u64 % 4);
-        }
-        scenario
-    };
-    let count = options.scenarios.max(1);
-    let scenarios: Vec<Scenario> = match (&options.inject, &options.inject_sweep) {
-        (None, _) => (0..count)
-            .map(|k| make_scenario(k, format!("scenario-{k}")))
-            .collect(),
-        (Some(plan), None) => (0..count)
-            .map(|k| make_scenario(k, format!("scenario-{k}")).with_faults(plan.clone()))
-            .collect(),
-        // The sweep reruns every scenario once per seed; only the
-        // jitter faults actually vary with the seed, but the whole
-        // plan is reseeded so a sweep over a deterministic plan is a
-        // (cheap) replication check.
-        (Some(plan), Some(seeds)) => {
-            let make = &make_scenario;
-            seeds
-                .iter()
-                .flat_map(|&seed| {
-                    (0..count).map(move |k| {
-                        make(k, format!("scenario-{k}-seed-{seed}"))
-                            .with_faults(plan.reseeded(seed))
-                    })
-                })
-                .collect()
-        }
-    };
-
-    let kind = if options.polling {
-        SchedulerKind::Polling
-    } else {
-        SchedulerKind::EventDriven
-    };
-    let started = std::time::Instant::now();
-    let report = SimBatch::new(project, top, &behaviors)
-        .with_scheduler(kind)
-        .run(&scenarios)
-        .map_err(|e| CliError::failure(format!("simulation failed: {e}")))?;
-    let elapsed = started.elapsed();
-    publish_sim_metrics(&report);
-    tydi_obs::metrics::gauge_set("sim.elapsed_ms", elapsed.as_secs_f64() * 1e3);
-    let _ = write!(std::io::stdout(), "{report}");
-    if options.timings {
-        print_channel_stats(&report);
-    }
-    eprintln!(
-        "simulated {} scenario(s) over `{top}` in {elapsed:?} ({} scheduler, {} thread(s))",
-        report.scenarios.len(),
-        if options.polling {
-            "polling"
-        } else {
-            "event-driven"
-        },
-        rayon::current_num_threads(),
-    );
-    // Per-scenario failures are aggregated (every scenario ran), but
-    // they still fail the invocation.
-    if report.failed() > 0 {
-        return Err(CliError::failure(format!(
-            "simulation: {} of {} scenario(s) failed",
-            report.failed(),
-            scenarios.len()
-        )));
-    }
-    Ok(())
-}
-
-/// Publishes every scenario's per-channel counters under the `sim.`
-/// prefix, replacing any previous batch. The `--timings` channel
-/// report and `--timings-json` both read these entries back.
-fn publish_sim_metrics(report: &tydi_sim::BatchReport) {
-    use tydi_obs::metrics::counter_set;
-    tydi_obs::metrics::clear_prefix("sim.");
-    counter_set("sim.scenarios", report.scenarios.len() as u64);
-    counter_set("sim.scenarios_failed", report.failed() as u64);
-    let gated: u64 = report
-        .scenarios
-        .iter()
-        .map(|s| s.fault_stats.gated_cycles)
-        .sum();
-    let frozen: u64 = report
-        .scenarios
-        .iter()
-        .map(|s| s.fault_stats.frozen_ticks)
-        .sum();
-    if gated > 0 || frozen > 0 {
-        counter_set("sim.fault.gated_cycles", gated);
-        counter_set("sim.fault.frozen_ticks", frozen);
-    }
-    for scenario in &report.scenarios {
-        for c in &scenario.channels {
-            let key = format!("sim.channel.{}.{}", scenario.scenario, c.name);
-            counter_set(&format!("{key}.transferred"), c.transferred);
-            counter_set(&format!("{key}.max_occupancy"), c.max_occupancy as u64);
-            counter_set(&format!("{key}.capacity"), c.capacity as u64);
-            counter_set(&format!("{key}.refused"), c.refused_pushes);
-        }
-    }
-}
-
-/// One channel row of the `--timings` report, read back from the
-/// metrics registry.
-struct ChannelRow<'a> {
-    name: &'a str,
-    transferred: u64,
-    max_occupancy: u64,
-    capacity: u64,
-    refused: u64,
-}
-
-impl ChannelRow<'_> {
-    fn saturated(&self) -> bool {
-        self.max_occupancy >= self.capacity
-    }
-}
-
-/// `tydic sim --timings`: per-scenario channel occupancy and
-/// credit-stall counters, most refused pushes first, so saturated
-/// FIFOs (the backpressure front) are visible without re-running under
-/// a profiler. Every number comes from the metrics registry (the
-/// report only drives scenario/channel iteration order), so this
-/// output and `--timings-json` can never disagree.
-fn print_channel_stats(report: &tydi_sim::BatchReport) {
-    let snap = tydi_obs::metrics::snapshot();
-    for scenario in &report.scenarios {
-        let rows: Vec<ChannelRow<'_>> = scenario
-            .channels
-            .iter()
-            .map(|c| {
-                let key = format!("sim.channel.{}.{}", scenario.scenario, c.name);
-                let counter = |field: &str| snap.counter(&format!("{key}.{field}")).unwrap_or(0);
-                ChannelRow {
-                    name: &c.name,
-                    transferred: counter("transferred"),
-                    max_occupancy: counter("max_occupancy"),
-                    capacity: counter("capacity"),
-                    refused: counter("refused"),
-                }
-            })
-            .collect();
-        let mut stats: Vec<&ChannelRow<'_>> = rows
-            .iter()
-            .filter(|c| c.transferred > 0 || c.refused > 0)
-            .collect();
-        stats.sort_by(|a, b| {
-            (b.refused, b.max_occupancy, a.name).cmp(&(a.refused, a.max_occupancy, b.name))
-        });
-        eprintln!(
-            "channels [{}]: {} active of {} ({} saturated)",
-            scenario.scenario,
-            stats.len(),
-            rows.len(),
-            rows.iter().filter(|c| c.saturated()).count(),
-        );
-        eprintln!("  xfer   max/cap  refused  name");
-        for c in stats.iter().take(12) {
-            eprintln!(
-                "  {:<6} {:>3}/{:<4} {:>7}  {}{}",
-                c.transferred,
-                c.max_occupancy,
-                c.capacity,
-                c.refused,
-                c.name,
-                if c.saturated() { "  [saturated]" } else { "" },
-            );
-        }
-        if stats.len() > 12 {
-            eprintln!("  ... {} more", stats.len() - 12);
-        }
-    }
+    Ok(run_once(options, &mut None))
 }
 
 fn report(e: &CliError) -> ExitCode {
-    // Rendered compile failures are already newline-terminated; an
-    // empty message means the output was already written (daemon
-    // responses replay the job's stdout/stderr verbatim).
-    if !e.message.is_empty() {
-        eprintln!("{}", e.message.trim_end_matches('\n'));
-    }
+    // Rendered messages may already be newline-terminated.
+    eprintln!("{}", e.message.trim_end_matches('\n'));
     ExitCode::from(e.code)
 }
 
-/// Writes the `--trace` and `--timings-json` files. Runs after
-/// [`run`] regardless of its outcome, so a failing compile still
-/// leaves a trace of how far it got. Write failures are warnings: the
-/// run's own exit status has already been decided.
-fn write_observability_outputs(options: &Options) {
-    if let Some(path) = &options.trace {
-        tydi_obs::trace::set_level(tydi_obs::trace::Level::Off);
-        let json = tydi_obs::trace::export_chrome_trace();
-        if let Err(e) = fs::write(path, json) {
-            eprintln!("warning: cannot write trace to `{}`: {e}", path.display());
-        }
-    }
-    if let Some(path) = &options.timings_json {
-        let json = tydi_obs::metrics::snapshot().to_json();
-        if let Err(e) = fs::write(path, json) {
-            eprintln!(
-                "warning: cannot write timings JSON to `{}`: {e}",
-                path.display()
-            );
-        }
+/// Writes the `--trace` file. Runs after [`run`] regardless of its
+/// outcome, so a failing compile still leaves a trace of how far it
+/// got. A write failure is a warning: the run's own exit status has
+/// already been decided.
+fn write_trace(path: &std::path::Path) {
+    tydi_obs::trace::set_level(tydi_obs::trace::Level::Off);
+    let json = tydi_obs::trace::export_chrome_trace();
+    if let Err(e) = fs::write(path, json) {
+        eprintln!("warning: cannot write trace to `{}`: {e}", path.display());
     }
 }
 
@@ -1354,9 +714,11 @@ fn main() -> ExitCode {
                 });
             }
             let result = run(&options);
-            write_observability_outputs(&options);
+            if let Some(path) = &options.trace {
+                write_trace(path);
+            }
             match result {
-                Ok(()) => ExitCode::SUCCESS,
+                Ok(code) => ExitCode::from(code),
                 Err(e) => report(&e),
             }
         }

@@ -220,9 +220,71 @@ fn daemon_handles_concurrent_clients() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `tydic --daemon` vs plain `tydic`: diagnostics and artifacts must
-/// be byte-identical (the summary line embeds a wall time, so it is
-/// the one line allowed to differ).
+/// Stderr lines with every duration (`1.2ms`, `340µs`, `0ns`, ...)
+/// masked: the one thing a daemon run may print differently.
+fn without_timings(stderr: &[u8]) -> Vec<String> {
+    let is_duration = |word: &str| {
+        let word = word.trim_end_matches([',', ')']);
+        ["ns", "µs", "ms", "s"].iter().any(|unit| {
+            word.strip_suffix(unit)
+                .is_some_and(|n| !n.is_empty() && n.parse::<f64>().is_ok())
+        })
+    };
+    String::from_utf8_lossy(stderr)
+        .lines()
+        .map(|line| {
+            line.split(' ')
+                .map(|word| if is_duration(word) { "<t>" } else { word })
+                .collect::<Vec<_>>()
+                .join(" ")
+        })
+        .collect()
+}
+
+/// Runs one `tydic` invocation in-process and once through the
+/// daemon owning `cache`; asserts the two agree on the exit code,
+/// stdout and (timings masked) stderr, and that the daemon really
+/// served the job. Returns the in-process output.
+fn assert_daemon_matches(args: &[&str], cache: &Path) -> std::process::Output {
+    let plain = tydic()
+        .args(args)
+        .arg("--no-cache")
+        .output()
+        .expect("in-process run");
+    let delegated = tydic()
+        .args(args)
+        .arg("--daemon")
+        .arg("--cache-dir")
+        .arg(cache)
+        .env("TYDIC_NO_SPAWN", "1")
+        .output()
+        .expect("daemon run");
+    let stderr = String::from_utf8_lossy(&delegated.stderr);
+    assert!(
+        !stderr.contains("daemon unavailable"),
+        "{args:?} must run on the daemon: {stderr}"
+    );
+    assert_eq!(plain.status.code(), delegated.status.code(), "{args:?}");
+    assert!(plain.stdout == delegated.stdout, "{args:?}: stdout differs");
+    assert_eq!(
+        without_timings(&plain.stderr),
+        without_timings(&delegated.stderr),
+        "{args:?}: stderr differs apart from timings"
+    );
+    plain
+}
+
+fn cookbook(name: &str) -> String {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("cookbook")
+        .join(name)
+        .display()
+        .to_string()
+}
+
+/// `tydic --daemon` vs plain `tydic`: every job kind runs through the
+/// one executor, so exit code, stdout and stderr are byte-identical
+/// apart from the timing values.
 #[test]
 fn daemon_delegation_is_byte_identical_to_in_process() {
     let dir = workdir("identical");
@@ -232,66 +294,130 @@ fn daemon_delegation_is_byte_identical_to_in_process() {
     std::fs::write(&broken, BROKEN).unwrap();
     let cache = dir.join("cache");
     let daemon = Daemon::spawn(&cache);
-
-    // Failing compile: stderr is pure diagnostics, compare verbatim.
-    let plain = tydic()
-        .arg("check")
-        .arg(&broken)
-        .arg("--no-cache")
-        .output()
-        .expect("plain check");
-    let delegated = tydic()
-        .arg("check")
-        .arg(&broken)
-        .arg("--daemon")
-        .arg("--cache-dir")
-        .arg(&cache)
-        .output()
-        .expect("daemon check");
-    assert_eq!(plain.status.code(), Some(1));
-    assert_eq!(delegated.status.code(), Some(1));
-    assert_eq!(
-        String::from_utf8_lossy(&plain.stderr),
-        String::from_utf8_lossy(&delegated.stderr),
-        "failing diagnostics byte-identical"
+    let batch = cookbook("11_batch_sim.td");
+    let analyze = cookbook("13_analyze.td");
+    // First, while the daemon's cache is as cold as the in-process
+    // one: the `--timings` report includes the cache reuse counts.
+    let sim = assert_daemon_matches(&["sim", &batch, "--top", "pipeline_i", "--timings"], &cache);
+    assert!(sim.status.success() && !sim.stdout.is_empty());
+    let failed = assert_daemon_matches(&["check", &broken.display().to_string()], &cache);
+    assert_eq!(failed.status.code(), Some(1));
+    let ir = assert_daemon_matches(
+        &["build", &good.display().to_string(), "--emit", "ir"],
+        &cache,
     );
+    assert!(ir.status.success() && !ir.stdout.is_empty());
+    let sweep = assert_daemon_matches(
+        &[
+            "sim",
+            &analyze,
+            "--top",
+            "starved_i",
+            "--inject",
+            "jitter(top.drag.o => add.in1,7,3)",
+            "--inject-sweep",
+            "1,2",
+        ],
+        &cache,
+    );
+    assert!(String::from_utf8_lossy(&sweep.stdout).contains("seed-2"));
+    let json = assert_daemon_matches(&["analyze", &analyze, "--format", "json"], &cache);
+    assert!(json.status.success() && json.stdout.starts_with(b"{"));
+    let denied = assert_daemon_matches(
+        &["analyze", &analyze, "--top", "wedged_i", "--deny", "error"],
+        &cache,
+    );
+    assert_eq!(denied.status.code(), Some(1));
+    let verilog = assert_daemon_matches(&["build", &batch, "--emit", "verilog"], &cache);
+    assert!(String::from_utf8_lossy(&verilog.stdout).contains("module "));
+    // Usage errors share one parser, so they read the same either way.
+    let bad = assert_daemon_matches(
+        &["sim", &batch, "--top", "pipeline_i", "--inject", "x"],
+        &cache,
+    );
+    assert_eq!(bad.status.code(), Some(2));
 
-    // Successful build: emitted IR text on stdout is byte-identical;
-    // stderr matches apart from the timing in the summary line.
-    let plain = tydic()
-        .arg("build")
-        .arg(&good)
-        .arg("--emit")
-        .arg("ir")
-        .arg("--no-cache")
-        .output()
-        .expect("plain build");
-    let delegated = tydic()
-        .arg("build")
-        .arg(&good)
-        .arg("--emit")
-        .arg("ir")
-        .arg("--daemon")
-        .arg("--cache-dir")
-        .arg(&cache)
-        .output()
-        .expect("daemon build");
-    assert!(plain.status.success() && delegated.status.success());
-    assert_eq!(plain.stdout, delegated.stdout, "emitted IR byte-identical");
-    let strip_timing = |stderr: &[u8]| -> Vec<String> {
-        String::from_utf8_lossy(stderr)
-            .lines()
-            .map(|line| match line.split_once(" in ") {
-                Some((head, _)) if line.starts_with("ok: ") => head.to_string(),
-                _ => line.to_string(),
-            })
-            .collect()
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Daemon jobs get the CLI's stack: nesting the in-process compile
+/// survives must not kill the daemon (a stack overflow aborts the
+/// whole process, taking every client's warm cache with it).
+#[test]
+fn deeply_nested_designs_compile_on_the_daemon_like_in_process() {
+    let dir = workdir("deep");
+    let cache = dir.join("cache");
+    let daemon = Daemon::spawn(&cache);
+    // Deep enough to overflow a default 2 MiB thread stack in a debug
+    // build, shallow enough for the 8 MiB main thread.
+    let deep = dir.join("deep.td");
+    let parens = ("(".repeat(300), ")".repeat(300));
+    std::fs::write(
+        &deep,
+        format!("package deep;\nconst x = {}1{};\n", parens.0, parens.1),
+    )
+    .unwrap();
+    let chain = dir.join("chain.td");
+    std::fs::write(
+        &chain,
+        format!("package chain;\nconst x = 1{};\n", " + 1".repeat(3000)),
+    )
+    .unwrap();
+    for file in [&deep, &chain] {
+        let out = assert_daemon_matches(&["check", &file.display().to_string()], &cache);
+        assert!(out.status.success(), "{file:?} compiles in-process");
+    }
+    let status = daemon
+        .client()
+        .request(&JobRequest::new(JobKind::Status))
+        .expect("the daemon still answers")
+        .status
+        .expect("status payload");
+    assert_eq!(status.requests, 2, "{status:?}");
+
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--daemon` honours the observability flags: `--timings-json`
+/// writes the job's own metrics, and `--trace` (which would record the
+/// client process, not the job) is a usage error. `--timings` is
+/// pinned in `tests/timing_report.rs`.
+#[test]
+fn daemon_honours_the_observability_flags() {
+    let dir = workdir("obs");
+    let good = dir.join("good.td");
+    std::fs::write(&good, GOOD).unwrap();
+    let cache = dir.join("cache");
+    let daemon = Daemon::spawn(&cache);
+    let run = |flag: &str, file: &Path| {
+        tydic()
+            .arg("check")
+            .arg(&good)
+            .args(["--daemon", flag])
+            .arg(file)
+            .arg("--cache-dir")
+            .arg(&cache)
+            .output()
+            .expect("run tydic")
     };
-    assert_eq!(
-        strip_timing(&plain.stderr),
-        strip_timing(&delegated.stderr),
-        "stderr identical apart from the wall time"
-    );
+
+    let json_path = dir.join("metrics.json");
+    assert!(run("--timings-json", &json_path).status.success());
+    let text = std::fs::read_to_string(&json_path).expect("timings json written");
+    let metrics = tydi_obs::json::parse(&text).expect("valid JSON");
+    for key in [
+        "timings.wall_ms",
+        "types.distinct",
+        "cache.stage.parse.reused",
+    ] {
+        assert!(metrics.get(key).is_some(), "`{key}` missing: {text}");
+    }
+
+    let trace = dir.join("trace.json");
+    assert_eq!(run("--trace", &trace).status.code(), Some(2));
+    assert!(!trace.exists(), "no empty trace written");
 
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

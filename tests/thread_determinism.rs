@@ -11,8 +11,10 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-fn workdir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("tydic-threads-test-{}", std::process::id()));
+/// A fresh scratch directory per test: tests run on parallel threads
+/// of one process, so a shared directory would race.
+fn workdir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("tydic-threads-test-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create workdir");
     dir
@@ -53,7 +55,7 @@ fn compile_stdout(files: &[PathBuf], emit: &str, threads: &str) -> Vec<u8> {
 
 #[test]
 fn emitted_artifacts_are_byte_identical_across_thread_counts() {
-    let dir = workdir();
+    let dir = workdir("artifacts");
     let files = write_dag(&dir);
     for emit in ["ir", "vhdl", "verilog"] {
         let sequential = compile_stdout(&files, emit, "1");
@@ -73,7 +75,7 @@ fn emitted_artifacts_are_byte_identical_across_thread_counts() {
 
 #[test]
 fn diagnostics_are_stable_across_thread_counts() {
-    let dir = workdir();
+    let dir = workdir("diagnostics");
     let mut files = write_dag(&dir);
     // A design with a deliberate DRC error: the dangling port must be
     // reported identically (same text, same order) on every thread
@@ -117,7 +119,7 @@ fn persisted_cache_replays_identically_after_parallel_populate() {
     // Populate the on-disk cache with an 8-thread compile, then
     // replay it on one thread: the binary `.tirb` artifact must
     // restore the exact project the parallel elaboration produced.
-    let dir = workdir();
+    let dir = workdir("replay");
     let files = write_dag(&dir);
     let cache_dir = dir.join("cache");
     let run = |threads: &str| {

@@ -11,8 +11,10 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-fn workdir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("tydic-timing-test-{}", std::process::id()));
+/// A fresh scratch directory per test: tests run on parallel threads
+/// of one process, so a shared directory would race.
+fn workdir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("tydic-timing-test-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create workdir");
     dir
@@ -56,7 +58,7 @@ fn stage_line<'a>(stderr: &'a str, prefix: &str) -> &'a str {
 
 #[test]
 fn report_separates_self_times_from_the_wall_total() {
-    let dir = workdir();
+    let dir = workdir("self-wall");
     let stderr = check_with_timings(&dir, &["--no-cache"]);
 
     // Per-stage line names every stage and labels them as self times.
@@ -111,7 +113,7 @@ fn report_separates_self_times_from_the_wall_total() {
 
 #[test]
 fn report_includes_parallel_elaboration_line() {
-    let dir = workdir();
+    let dir = workdir("par-line");
     let stderr = check_with_timings(&dir, &["--no-cache"]);
     // The `par:` line reports how elaboration fanned out: worker
     // threads, package counts per import-DAG level, and type-store
@@ -128,7 +130,7 @@ fn report_includes_parallel_elaboration_line() {
 
 #[test]
 fn parallel_line_pins_the_thread_override() {
-    let dir = workdir();
+    let dir = workdir("par-override");
     let design = dir.join("t.td");
     std::fs::write(&design, DESIGN).expect("write design");
     let out = tydic()
@@ -153,7 +155,7 @@ fn parallel_line_pins_the_thread_override() {
 
 #[test]
 fn warm_cache_run_reports_stage_reuse() {
-    let dir = workdir();
+    let dir = workdir("warm");
     let cold = check_with_timings(&dir, &[]);
     assert!(
         stage_line(&cold, "cache: ").contains("elaborate 0/1"),
@@ -181,7 +183,7 @@ fn warm_cache_run_reports_stage_reuse() {
 
 #[test]
 fn watch_mode_recompiles_on_edit_and_reports_reuse() {
-    let dir = workdir();
+    let dir = workdir("watch");
     let design = dir.join("w.td");
     std::fs::write(&design, DESIGN).expect("write design");
     // Spawn the watcher limited to two compiles, append a comment
@@ -225,5 +227,72 @@ fn watch_mode_recompiles_on_edit_and_reports_reuse() {
         2,
         "exactly two compiles:\n{stderr}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--daemon` prints the same report: the daemon renders it from the
+/// job's own scoped metrics, so the cache and type-store lines match an
+/// in-process run over an equally warm cache. (`--timings-json` and
+/// `--trace` through the daemon are pinned in `tests/serve_protocol.rs`.)
+#[test]
+#[cfg(unix)]
+fn daemon_run_prints_the_same_report() {
+    let dir = workdir("daemon");
+    let design = dir.join("t.td");
+    std::fs::write(&design, DESIGN).expect("write design");
+    let daemon_cache = dir.join("daemon-cache");
+    // The idle timeout retires the daemon even if an assertion below
+    // fails before the kill.
+    let mut daemon = tydic()
+        .arg("serve")
+        .arg("--cache-dir")
+        .arg(&daemon_cache)
+        .args(["--idle-timeout", "30000"])
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn daemon");
+    let run = |cache_args: &[&std::ffi::OsStr]| {
+        let out = tydic()
+            .arg("check")
+            .arg(&design)
+            .arg("--timings")
+            .args(cache_args)
+            .env("TYDIC_NO_SPAWN", "1")
+            .output()
+            .expect("run tydic");
+        assert!(out.status.success());
+        String::from_utf8_lossy(&out.stderr).to_string()
+    };
+    let local_cache = dir.join("local-cache");
+    let local_args = ["--cache-dir".as_ref(), local_cache.as_os_str()];
+    let daemon_args = [
+        "--daemon".as_ref(),
+        "--cache-dir".as_ref(),
+        daemon_cache.as_os_str(),
+    ];
+    for _ in 0..500 {
+        if daemon_cache.join("serve.sock").exists() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    // An elaboration restored from disk carries no fan-out record (the
+    // daemon's in-memory one does), so `par:` compares cold only.
+    for lines in [
+        &["cache: ", "types: ", "par: "][..],
+        &["cache: ", "types: "],
+    ] {
+        let local = run(&local_args);
+        let remote = run(&daemon_args);
+        assert!(!remote.contains("daemon unavailable"), "{remote}");
+        for prefix in ["stages: ", "totals: ", "par: "] {
+            stage_line(&remote, prefix);
+        }
+        for prefix in lines {
+            assert_eq!(stage_line(&local, prefix), stage_line(&remote, prefix));
+        }
+    }
+    let _ = daemon.kill();
+    let _ = daemon.wait();
     let _ = std::fs::remove_dir_all(&dir);
 }

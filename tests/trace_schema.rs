@@ -8,7 +8,8 @@
 //!   on every event;
 //! * `B`/`E` events nest with stack discipline per thread track;
 //! * a compile records all four pipeline stages and spans from at
-//!   least four crates;
+//!   least four crates, and a build checks each implementation's
+//!   design rules once;
 //! * the coarse span multiset is identical at `TYDI_THREADS=1` and
 //!   `8` — only thread ids and timestamps may differ;
 //! * at `TYDI_THREADS=8` the per-package elaboration spans land on
@@ -181,6 +182,18 @@ fn build_trace_covers_stages_and_crates_at_any_thread_count() {
         assert!(
             names.iter().any(|n| n.starts_with("emit:")),
             "per-module emission spans missing"
+        );
+        // The compile runs the design-rule checks; emitting RTL must
+        // not run them a second time.
+        let mut drc: BTreeMap<&str, usize> = BTreeMap::new();
+        for event in events.iter().filter(|e| e.ph == "B") {
+            if event.name.starts_with("drc:") {
+                *drc.entry(&event.name).or_default() += 1;
+            }
+        }
+        assert!(
+            !drc.is_empty() && drc.values().all(|&n| n == 1),
+            "one drc span per implementation: {drc:?}"
         );
     }
 
