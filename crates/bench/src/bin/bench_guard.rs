@@ -1,22 +1,22 @@
 //! `bench_guard` — the CI perf-regression gate.
 //!
-//! Compares a freshly produced `BENCH_*.json` against a committed
-//! baseline and fails (non-zero exit) when a higher-is-better headline
+//! Compares a freshly produced `BENCH_*.json` against the committed
+//! copy and fails (non-zero exit) when a higher-is-better headline
 //! metric regressed by more than the allowed fraction:
 //!
 //! ```text
-//! bench_guard <baseline.json> <fresh.json> \
+//! bench_guard <committed.json> <fresh.json> \
 //!     [--metric headline_speedup] [--max-regression 0.30]
 //! ```
 //!
 //! Improvements always pass (and are reported, so a PR that moves the
-//! number up knows to refresh the committed baseline).
+//! number up knows to refresh the committed copy).
 
 use std::process::ExitCode;
 use tydi_bench::read_metric;
 
 struct Args {
-    baseline: String,
+    committed: String,
     fresh: String,
     metric: String,
     max_regression: f64,
@@ -47,10 +47,10 @@ fn parse_args() -> Result<Args, String> {
             other => positional.push(other.to_string()),
         }
     }
-    let [baseline, fresh] = <[String; 2]>::try_from(positional)
-        .map_err(|_| "usage: bench_guard <baseline.json> <fresh.json> [options]".to_string())?;
+    let [committed, fresh] = <[String; 2]>::try_from(positional)
+        .map_err(|_| "usage: bench_guard <committed.json> <fresh.json> [options]".to_string())?;
     Ok(Args {
-        baseline,
+        committed,
         fresh,
         metric,
         max_regression,
@@ -70,7 +70,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let baseline = match load_metric(&args.baseline, &args.metric) {
+    let committed = match load_metric(&args.committed, &args.metric) {
         Ok(v) => v,
         Err(message) => {
             eprintln!("bench_guard: {message}");
@@ -84,9 +84,9 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let floor = baseline * (1.0 - args.max_regression);
+    let floor = committed * (1.0 - args.max_regression);
     println!(
-        "bench_guard: {} baseline {baseline:.3}, fresh {fresh:.3}, \
+        "bench_guard: {} committed {committed:.3}, fresh {fresh:.3}, \
          floor {floor:.3} (-{:.0}%)",
         args.metric,
         args.max_regression * 100.0
@@ -94,16 +94,16 @@ fn main() -> ExitCode {
     if fresh < floor {
         eprintln!(
             "bench_guard: FAIL — `{}` regressed more than {:.0}% \
-             ({baseline:.3} -> {fresh:.3})",
+             ({committed:.3} -> {fresh:.3})",
             args.metric,
             args.max_regression * 100.0
         );
         return ExitCode::FAILURE;
     }
-    if fresh > baseline {
+    if fresh > committed {
         println!(
-            "bench_guard: `{}` improved ({baseline:.3} -> {fresh:.3}); \
-             consider refreshing the committed baseline",
+            "bench_guard: `{}` improved ({committed:.3} -> {fresh:.3}); \
+             consider refreshing the committed copy",
             args.metric
         );
     }

@@ -3,7 +3,7 @@
 //! Every bench target writes a `BENCH_<name>.json` file at the
 //! repository root next to the human-readable console output, so the
 //! performance trajectory is tracked PR-over-PR: the committed
-//! `BENCH_elab_scaling.json` is the baseline the CI perf-regression
+//! `BENCH_*.json` files are what the CI perf-regression
 //! guard (`bench_guard`) compares fresh runs against.
 //!
 //! The format is deliberately flat — a single JSON object of string

@@ -39,8 +39,7 @@
 //! and [`ELAB_CAPACITY`] elaboration artifacts, both FIFO-evicted.
 //! On save, artifact files already on disk are not rewritten (their
 //! names are content hashes), and artifact files no longer referenced
-//! by the manifest — including `.tir` files left behind by the legacy
-//! text schema — are removed, so a long `--watch` session does
+//! by the manifest are removed, so a long `--watch` session does
 //! bounded work per persist instead of rewriting its whole history.
 //!
 //! # Process safety
@@ -110,11 +109,6 @@ const LOCK_STALE_AGE: Duration = Duration::from_secs(30);
 
 /// Extension of persisted elaboration artifacts (binary Tydi-IR).
 const ARTIFACT_EXT: &str = "tirb";
-
-/// Artifact extensions the garbage collector sweeps: the current
-/// binary format plus the legacy text format, so upgrading a cache
-/// directory also cleans up its orphaned `.tir` files.
-const SWEPT_EXTS: &[&str] = &[ARTIFACT_EXT, "tir"];
 
 /// Cache key of one parsed source file: its slot in the session file
 /// table (spans index into that table, so an artifact is only valid
@@ -383,24 +377,22 @@ impl ArtifactCache {
         std::fs::write(&tmp, manifest)?;
         std::fs::rename(&tmp, dir.join(MANIFEST_NAME))?;
         // Garbage-collect artifact files evicted from (or never in)
-        // the manifest — including legacy `.tir` text artifacts, which
-        // the binary schema never references — so the directory stays
-        // bounded across format migrations. The sweep runs *after* the
-        // rename: a crash between the two leaves orphan files (cleaned
-        // by the next save), never a manifest referencing missing ones.
+        // the manifest so the directory stays bounded. The sweep runs
+        // *after* the rename: a crash between the two leaves orphan
+        // files (cleaned by the next save), never a manifest
+        // referencing missing ones.
         if let Ok(entries) = std::fs::read_dir(dir) {
             for entry in entries.flatten() {
                 let name = entry.file_name().to_string_lossy().to_string();
                 let Some((stem, ext)) = name.rsplit_once('.') else {
                     continue;
                 };
-                if !SWEPT_EXTS.contains(&ext) {
+                if ext != ARTIFACT_EXT {
                     continue;
                 }
-                let referenced = ext == ARTIFACT_EXT
-                    && Fingerprint::parse(stem)
-                        .map(|key| self.elab.contains_key(&key))
-                        .unwrap_or(false);
+                let referenced = Fingerprint::parse(stem)
+                    .map(|key| self.elab.contains_key(&key))
+                    .unwrap_or(false);
                 if !referenced {
                     let _ = std::fs::remove_file(entry.path());
                 }
@@ -471,34 +463,14 @@ impl Drop for CacheLock {
     }
 }
 
-/// True when the lock file's holder provably no longer exists — the
-/// PID is gone from `/proc`, or it is back with a different
-/// `/proc/<pid>/comm` (the PID was recycled by an unrelated process;
-/// without the comm check a recycled PID would hold the lock forever)
-/// — or the holder cannot be probed and the file is old enough to
-/// presume abandoned. A just-created lock whose PID has not been
-/// written yet reads as empty and is *not* stale (its mtime is fresh).
+/// True when the lock file's holder provably no longer exists (see
+/// [`holder_is_live`]) or, when the holder cannot be probed, the file
+/// is old enough to presume abandoned. A just-created lock whose PID
+/// has not been written yet reads as empty and is *not* stale (its
+/// mtime is fresh).
 fn lock_is_stale(path: &Path) -> bool {
-    if let Ok(text) = std::fs::read_to_string(path) {
-        let mut fields = text.split_whitespace();
-        if let Some(Ok(pid)) = fields.next().map(str::parse::<u32>) {
-            let proc_root = Path::new("/proc");
-            if proc_root.is_dir() {
-                let proc_dir = proc_root.join(pid.to_string());
-                if !proc_dir.exists() {
-                    return true;
-                }
-                if let (Some(recorded), Ok(current)) = (
-                    fields.next(),
-                    std::fs::read_to_string(proc_dir.join("comm")),
-                ) {
-                    return current.trim() != recorded;
-                }
-                // Old single-field lock, or comm unreadable: the pid
-                // being alive is all we can verify.
-                return false;
-            }
-        }
+    if let Some(live) = holder_is_live(path) {
+        return !live;
     }
     // No PID to probe (unwritten or foreign lock, or no procfs):
     // fall back to age.
@@ -513,9 +485,39 @@ fn lock_is_stale(path: &Path) -> bool {
     }
 }
 
-/// This process's `comm` name (what `/proc/<pid>/comm` reports),
-/// recorded in lock files so staleness checks survive pid recycling.
-fn self_comm() -> String {
+/// Whether the process named by a `<pid> <comm>` holder record (the
+/// cache lock file, the daemon's pid file) still runs. `Some(false)`
+/// when the PID is gone from `/proc`, or is back with a different
+/// `/proc/<pid>/comm` (the PID was recycled by an unrelated process;
+/// without the comm check a recycled PID would hold on forever).
+/// `Some(true)` when it is alive and the comm matches, or no comm was
+/// recorded or readable. `None` when there is nothing to probe: the
+/// file is unreadable, holds no PID, or there is no procfs.
+pub fn holder_is_live(path: &Path) -> Option<bool> {
+    let text = std::fs::read_to_string(path).ok()?;
+    let mut fields = text.split_whitespace();
+    let pid: u32 = fields.next()?.parse().ok()?;
+    let proc_root = Path::new("/proc");
+    if !proc_root.is_dir() {
+        return None;
+    }
+    let proc_dir = proc_root.join(pid.to_string());
+    if !proc_dir.exists() {
+        return Some(false);
+    }
+    match (
+        fields.next(),
+        std::fs::read_to_string(proc_dir.join("comm")),
+    ) {
+        (Some(recorded), Ok(current)) => Some(current.trim() == recorded),
+        // Single-field record or comm unreadable: alive is all we know.
+        _ => Some(true),
+    }
+}
+
+/// This process's `comm` name (what `/proc/<pid>/comm` reports), for
+/// `<pid> <comm>` holder records; empty without procfs.
+pub fn self_comm() -> String {
     std::fs::read_to_string("/proc/self/comm")
         .map(|s| s.trim().to_string())
         .unwrap_or_default()
@@ -886,44 +888,6 @@ mod tests {
         // preserves insertion order semantics.
         let restored = ArtifactCache::load(&dir);
         assert_eq!(restored.elab_entries(), ELAB_CAPACITY);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn legacy_text_schema_cache_migrates_cleanly() {
-        // A cache directory written by the old text-schema build:
-        // foreign manifest header plus a `.tir` text artifact. The
-        // load must come up cold (no panic, no misread), and the next
-        // save must garbage-collect the orphaned legacy file.
-        let dir = std::env::temp_dir().join(format!("tydic-migrate-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let legacy_key = Fingerprint(0x0_1d);
-        std::fs::write(
-            dir.join(MANIFEST_NAME),
-            format!("tydic-cache 1111111111111111\nelab {legacy_key} 0 0 0 0 0 0 0\n"),
-        )
-        .unwrap();
-        let legacy = sample_elab();
-        std::fs::write(
-            dir.join(format!("{legacy_key}.tir")),
-            tydi_ir::text::emit_project(&legacy.project),
-        )
-        .unwrap();
-
-        let mut cache = ArtifactCache::load(&dir);
-        assert_eq!(cache.elab_entries(), 0, "legacy schema must load empty");
-        // A fresh compile repopulates and persists in the new format.
-        let key = Fingerprint::of_str("fresh");
-        cache.store_elab(key, sample_elab());
-        cache.save(&dir).unwrap();
-        assert!(dir.join(format!("{key}.{ARTIFACT_EXT}")).exists());
-        assert!(
-            !dir.join(format!("{legacy_key}.tir")).exists(),
-            "orphaned legacy .tir must be swept"
-        );
-        let restored = ArtifactCache::load(&dir);
-        assert!(restored.lookup_elab(key).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -19,13 +19,13 @@
 //!   produced once per cache miss from the store's cached text;
 //! * repeated references to the same instantiation cost a handful of
 //!   integer hashes regardless of how deep the argument types are;
-//! * IR ports of equal types share their `Arc`, which the DRC and the
-//!   fingerprinting layer exploit with pointer-equality fast paths.
+//! * IR ports of equal types share their `Arc`, which the DRC exploits
+//!   with a pointer-equality fast path.
 //!
 //! Declarations are stored as [`Arc<Decl>`] and resolved by cloning
-//! the handle — the seed-path behaviour of deep-cloning whole
-//! declaration trees per reference is preserved only in
-//! [`crate::baseline`] for benchmarking.
+//! the handle, never by deep-cloning whole declaration trees per
+//! reference. The elaborated IR of every cookbook design is pinned by
+//! `tests/golden/ir/`.
 
 use crate::ast::*;
 use crate::diagnostics::Diagnostic;

@@ -40,9 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod ast;
-#[cfg(feature = "baseline")]
-#[doc(hidden)]
-pub mod baseline;
 pub mod cache;
 pub mod diagnostics;
 pub mod eval;

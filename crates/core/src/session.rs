@@ -467,13 +467,6 @@ impl Session {
         Ok((project, info))
     }
 
-    /// The shared [`ProjectIndex`] built by the latest
-    /// [`Session::elaborate`] call (kept current by
-    /// [`Session::sugar`]), when one exists.
-    pub fn project_index(&self) -> Option<&ProjectIndex> {
-        self.index.as_ref()
-    }
-
     /// Stage 3: duplicator/voider insertion. Skipped (recording an
     /// empty stage) when the options disable sugaring.
     pub fn sugar(&mut self, project: &mut Project) -> SugarReport {

@@ -179,11 +179,6 @@ impl FlowGraph {
             boundary_outputs: graph.boundary_outputs.clone(),
         }
     }
-
-    /// The component indices whose path matches `path`.
-    pub fn component_by_path(&self, path: &str) -> Option<usize> {
-        self.components.iter().position(|c| c.path == path)
-    }
 }
 
 /// The optional `latency` template parameter shared by the builtin

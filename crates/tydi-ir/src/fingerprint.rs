@@ -9,26 +9,13 @@
 //! Structured data is hashed through a [`Fingerprinter`], which
 //! length-prefixes strings and tags fields so that adjacent values
 //! cannot alias (`("ab", "c")` and `("a", "bc")` hash differently).
-//! The IR-level entry points — [`streamlet_fingerprint`],
-//! [`implementation_fingerprint`] and [`project_fingerprint`] — hash
-//! definitions by *content* (names resolved, types via
-//! [`tydi_spec::structural_fingerprint`]), so two projects with
-//! identical definitions produce identical fingerprints regardless of
-//! interner state.
-//!
-//! Port types are hashed through [`shared_type_fingerprint`], a
-//! process-wide memo keyed by the type's `Arc` identity: the
-//! elaborator's hash-consed store hands every structurally equal port
-//! the *same* allocation, so fingerprinting a streamlet does not
-//! re-walk (or stringify) its type trees — it reuses the per-type
-//! hash computed the first time that allocation was seen.
+//! The frontend fingerprints source text, ASTs and options with it
+//! (`tydi_lang::fingerprint`); logical types have their own structural
+//! hash, [`tydi_spec::structural_fingerprint`]. The IR itself is not
+//! fingerprinted: artifacts are keyed by their inputs, not by the IR
+//! they produce.
 
-use crate::component::{ImplKind, Implementation, Streamlet};
-use crate::project::Project;
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock, Weak};
-use tydi_spec::LogicalType;
 
 /// A stable 64-bit content hash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -101,17 +88,6 @@ impl Fingerprinter {
         self.write_bytes(text.as_bytes())
     }
 
-    /// Hashes an optional string (distinguishing `None` from `""`).
-    pub fn write_opt_str(&mut self, text: Option<&str>) -> &mut Self {
-        match text {
-            Some(t) => {
-                self.write_u64(1);
-                self.write_str(t)
-            }
-            None => self.write_u64(0),
-        }
-    }
-
     /// Hashes a boolean.
     pub fn write_bool(&mut self, value: bool) -> &mut Self {
         self.write_u64(u64::from(value))
@@ -128,215 +104,9 @@ impl Fingerprinter {
     }
 }
 
-/// The stable structural fingerprint of a shared type, memoized
-/// process-wide by `Arc` identity.
-///
-/// The memo entry stores a [`Weak`] next to the hash; a lookup only
-/// counts when upgrading the weak yields the *same* `Arc`, which
-/// makes address reuse after deallocation (the classic pointer-memo
-/// ABA hazard) impossible to observe. Stale entries are purged when
-/// the table grows.
-pub fn shared_type_fingerprint(ty: &Arc<LogicalType>) -> u64 {
-    type Memo = Mutex<HashMap<usize, (Weak<LogicalType>, u64)>>;
-    static MEMO: OnceLock<Memo> = OnceLock::new();
-    let memo = MEMO.get_or_init(|| Mutex::new(HashMap::new()));
-    let key = Arc::as_ptr(ty) as usize;
-    {
-        let map = memo.lock().expect("type fingerprint memo poisoned");
-        if let Some((weak, hash)) = map.get(&key) {
-            if let Some(live) = weak.upgrade() {
-                if Arc::ptr_eq(&live, ty) {
-                    return *hash;
-                }
-            }
-        }
-    }
-    let hash = tydi_spec::structural_fingerprint(ty);
-    let mut map = memo.lock().expect("type fingerprint memo poisoned");
-    if map.len() >= 65_536 {
-        map.retain(|_, (weak, _)| weak.strong_count() > 0);
-    }
-    map.insert(key, (Arc::downgrade(ty), hash));
-    hash
-}
-
-/// The content fingerprint of a streamlet: name, documentation and
-/// every port (name, direction, clock domain, the logical type's
-/// structural fingerprint, declaration origin).
-pub fn streamlet_fingerprint(streamlet: &Streamlet) -> Fingerprint {
-    let mut fp = Fingerprinter::new();
-    fp.write_str("streamlet");
-    fp.write_str(&streamlet.name);
-    fp.write_str(&streamlet.doc);
-    fp.write_u64(streamlet.ports.len() as u64);
-    for port in &streamlet.ports {
-        fp.write_str(&port.name);
-        fp.write_str(match port.direction {
-            crate::component::PortDirection::In => "in",
-            crate::component::PortDirection::Out => "out",
-        });
-        fp.write_str(port.clock.name());
-        fp.write_u64(shared_type_fingerprint(&port.ty));
-        fp.write_opt_str(port.type_origin.as_deref());
-    }
-    fp.finish()
-}
-
-/// The content fingerprint of one implementation **in context**: its
-/// own definition, the streamlet it realizes, and — for structural
-/// bodies — the name and streamlet signature of every instantiated
-/// child implementation (a child's port list shapes this module's
-/// port maps, so changing a child's interface must invalidate the
-/// parent's lowering).
-pub fn implementation_fingerprint(
-    project: &Project,
-    implementation: &Implementation,
-) -> Fingerprint {
-    let mut fp = Fingerprinter::new();
-    fp.write_str("impl");
-    fp.write_str(&implementation.name);
-    fp.write_str(&implementation.doc);
-    fp.write_u64(implementation.attributes.len() as u64);
-    for (key, value) in &implementation.attributes {
-        fp.write_str(key);
-        fp.write_str(value);
-    }
-    fp.write_str(&implementation.streamlet);
-    if let Some(streamlet) = project.streamlet(&implementation.streamlet) {
-        fp.write_fingerprint(streamlet_fingerprint(streamlet));
-    }
-    match &implementation.kind {
-        ImplKind::External {
-            builtin,
-            sim_source,
-        } => {
-            fp.write_str("external");
-            fp.write_opt_str(builtin.as_deref());
-            fp.write_opt_str(sim_source.as_deref());
-        }
-        ImplKind::Normal {
-            instances,
-            connections,
-        } => {
-            fp.write_str("normal");
-            fp.write_u64(instances.len() as u64);
-            for instance in instances {
-                fp.write_str(&instance.name);
-                fp.write_str(&instance.impl_name);
-                fp.write_str(&instance.doc);
-                // The child's interface shapes this module's port maps.
-                if let Some(child) = project.streamlet_of(&instance.impl_name) {
-                    fp.write_fingerprint(streamlet_fingerprint(child));
-                }
-            }
-            fp.write_u64(connections.len() as u64);
-            for connection in connections {
-                fp.write_opt_str(connection.source.instance.as_deref());
-                fp.write_str(&connection.source.port);
-                fp.write_opt_str(connection.sink.instance.as_deref());
-                fp.write_str(&connection.sink.port);
-                fp.write_bool(connection.relax_type_check);
-                fp.write_bool(connection.inserted_by_sugar);
-            }
-        }
-    }
-    fp.finish()
-}
-
-/// The content fingerprint of a whole project (name plus every
-/// definition in order).
-pub fn project_fingerprint(project: &Project) -> Fingerprint {
-    let mut fp = Fingerprinter::new();
-    fp.write_str("project");
-    fp.write_str(&project.name);
-    fp.write_u64(project.streamlets().len() as u64);
-    for streamlet in project.streamlets() {
-        fp.write_fingerprint(streamlet_fingerprint(streamlet));
-    }
-    fp.write_u64(project.implementations().len() as u64);
-    for implementation in project.implementations() {
-        fp.write_fingerprint(implementation_fingerprint(project, implementation));
-    }
-    fp.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::component::{Connection, EndpointRef, Instance, Port, PortDirection};
-    use tydi_spec::{LogicalType, StreamParams};
-
-    fn stream(width: u32) -> LogicalType {
-        LogicalType::stream(LogicalType::Bit(width), StreamParams::new())
-    }
-
-    fn sample_project(width: u32) -> Project {
-        let mut p = Project::new("demo");
-        p.add_streamlet(
-            Streamlet::new("pass_s")
-                .with_port(Port::new("i", PortDirection::In, stream(width)))
-                .with_port(Port::new("o", PortDirection::Out, stream(width))),
-        )
-        .unwrap();
-        p.add_implementation(
-            Implementation::external("leaf_i", "pass_s").with_builtin("std.passthrough"),
-        )
-        .unwrap();
-        let mut top = Implementation::normal("top_i", "pass_s");
-        top.add_instance(Instance::new("a", "leaf_i"));
-        top.add_connection(Connection::new(
-            EndpointRef::own("i"),
-            EndpointRef::instance("a", "i"),
-        ));
-        top.add_connection(Connection::new(
-            EndpointRef::instance("a", "o"),
-            EndpointRef::own("o"),
-        ));
-        p.add_implementation(top).unwrap();
-        p
-    }
-
-    #[test]
-    fn fingerprints_are_deterministic() {
-        let a = sample_project(8);
-        let b = sample_project(8);
-        assert_eq!(project_fingerprint(&a), project_fingerprint(&b));
-        for (x, y) in a.implementations().iter().zip(b.implementations()) {
-            assert_eq!(
-                implementation_fingerprint(&a, x),
-                implementation_fingerprint(&b, y)
-            );
-        }
-    }
-
-    #[test]
-    fn content_changes_change_fingerprints() {
-        let a = sample_project(8);
-        let b = sample_project(16);
-        assert_ne!(project_fingerprint(&a), project_fingerprint(&b));
-        // The leaf's own definition did not change textually, but its
-        // streamlet type did — its fingerprint must move too.
-        assert_ne!(
-            implementation_fingerprint(&a, a.implementation("leaf_i").unwrap()),
-            implementation_fingerprint(&b, b.implementation("leaf_i").unwrap()),
-        );
-    }
-
-    #[test]
-    fn child_interface_invalidates_parent() {
-        let mut a = sample_project(8);
-        let mut b = sample_project(8);
-        // Same top_i text; different child interface via pass_s width.
-        let top_a = implementation_fingerprint(&a, a.implementation("top_i").unwrap());
-        let _ = &mut a;
-        let streamlet = Streamlet::new("pass2_s")
-            .with_port(Port::new("i", PortDirection::In, stream(9)))
-            .with_port(Port::new("o", PortDirection::Out, stream(9)));
-        b.add_streamlet(streamlet).unwrap();
-        let top_b = implementation_fingerprint(&b, b.implementation("top_i").unwrap());
-        // Unrelated addition: parent fingerprint unchanged.
-        assert_eq!(top_a, top_b);
-    }
 
     #[test]
     fn strings_do_not_alias_across_boundaries() {
@@ -352,14 +122,5 @@ mod tests {
         let fp = Fingerprint::of_str("hello");
         assert_eq!(Fingerprint::parse(&fp.to_string()), Some(fp));
         assert_eq!(Fingerprint::parse("not hex"), None);
-    }
-
-    #[test]
-    fn option_none_differs_from_empty() {
-        let mut a = Fingerprinter::new();
-        a.write_opt_str(None);
-        let mut b = Fingerprinter::new();
-        b.write_opt_str(Some(""));
-        assert_ne!(a.finish(), b.finish());
     }
 }

@@ -56,16 +56,6 @@ impl ProjectIndex {
         index
     }
 
-    /// Number of streamlets indexed.
-    pub fn streamlets_indexed(&self) -> usize {
-        self.port_maps.len()
-    }
-
-    /// Number of implementations indexed.
-    pub fn implementations_indexed(&self) -> usize {
-        self.impl_streamlets.len()
-    }
-
     /// True when the index covers every definition of `project` — the
     /// invariant every pass relies on.
     pub fn covers(&self, project: &Project) -> bool {

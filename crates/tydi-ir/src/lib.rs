@@ -47,7 +47,7 @@ pub use component::{
     Connection, EndpointRef, ImplKind, Implementation, Instance, Port, PortDirection, Streamlet,
 };
 pub use error::IrError;
-pub use fingerprint::{shared_type_fingerprint, Fingerprint, Fingerprinter};
+pub use fingerprint::{Fingerprint, Fingerprinter};
 pub use index::ProjectIndex;
 pub use intern::{ImplId, Interner, StreamletId, Symbol};
 pub use project::Project;

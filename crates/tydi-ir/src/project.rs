@@ -113,12 +113,6 @@ impl Project {
             .map(|id| self.implementation_by_id(id))
     }
 
-    /// Mutable lookup of an implementation by name.
-    pub fn implementation_mut(&mut self, name: &str) -> Option<&mut Implementation> {
-        let id = self.implementation_id(name)?;
-        Some(&mut self.impls[id.index()])
-    }
-
     /// All streamlets in definition order.
     pub fn streamlets(&self) -> &[Streamlet] {
         &self.streamlets

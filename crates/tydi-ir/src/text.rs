@@ -358,16 +358,11 @@ impl<'a> TextParser<'a> {
     }
 }
 
-/// Parses `key "value"` (also tolerating the legacy value-less `key`
-/// form written by older emitters).
+/// Parses `key "value"`.
 fn parse_attr(s: &str) -> Option<(String, String)> {
-    match s.split_once(' ') {
-        Some((key, rest)) => {
-            let (value, _after) = read_quoted(rest)?;
-            Some((key.to_string(), value))
-        }
-        None => Some((s.to_string(), String::new())),
-    }
+    let (key, rest) = s.split_once(' ')?;
+    let (value, _after) = read_quoted(rest)?;
+    Some((key.to_string(), value))
 }
 
 fn parse_endpoint(s: &str) -> Option<EndpointRef> {
@@ -526,18 +521,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_valueless_attr_lines_still_parse() {
-        let text =
-            "project x {\n  streamlet s {\n  }\n  impl i of s {\n    attr NoStrictType;\n  }\n}\n";
-        let p = parse_project(text).unwrap();
-        assert!(p
-            .implementation("i")
-            .unwrap()
-            .attributes
-            .contains_key("NoStrictType"));
-    }
-
-    #[test]
     fn parse_rejects_garbage() {
         assert!(parse_project("").is_err());
         assert!(parse_project("project x {").is_err());
@@ -546,6 +529,11 @@ mod tests {
             parse_project("project x {\n streamlet s {\n port a sideways !d : Bit(1);\n }\n}")
                 .is_err()
         );
+        // An attribute needs a quoted value.
+        let valueless =
+            "project x {\n  streamlet s {\n  }\n  impl i of s {\n    attr NoStrictType;\n  }\n}\n";
+        let err = parse_project(valueless).unwrap_err().to_string();
+        assert!(err.contains("expected `attr <key> \"<value>\"`"), "{err}");
     }
 
     #[test]

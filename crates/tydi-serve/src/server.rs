@@ -42,6 +42,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
+use tydi_lang::cache::{holder_is_live, self_comm};
 use tydi_lang::ArtifactCache;
 use tydi_obs::metrics;
 
@@ -229,39 +230,10 @@ fn bind_socket(socket: &Path) -> io::Result<UnixListener> {
 
 /// Whether the pid file next to `socket` names a process that is both
 /// alive and still a tydic daemon. `None` when there is nothing to
-/// verify (no pid file, old single-field format with no procfs, or no
-/// procfs at all) — the caller falls back to the connect probe alone.
+/// verify (no pid file, no procfs) — the caller falls back to the
+/// connect probe alone.
 fn pid_file_is_live(socket: &Path) -> Option<bool> {
-    let pid_file = socket.parent()?.join(crate::PID_FILE_NAME);
-    let text = std::fs::read_to_string(pid_file).ok()?;
-    let mut fields = text.split_whitespace();
-    let pid: u32 = fields.next()?.parse().ok()?;
-    let recorded_comm = fields.next();
-    let proc_dir = Path::new("/proc").join(pid.to_string());
-    if !Path::new("/proc").is_dir() {
-        return None;
-    }
-    if !proc_dir.exists() {
-        return Some(false);
-    }
-    match (
-        recorded_comm,
-        std::fs::read_to_string(proc_dir.join("comm")),
-    ) {
-        // Comm mismatch: the pid was recycled by an unrelated process.
-        (Some(recorded), Ok(current)) => Some(current.trim() == recorded),
-        // Old-format pid file or unreadable comm: alive is all we know.
-        _ => Some(true),
-    }
-}
-
-/// This process's `comm` name (what `/proc/<pid>/comm` will report),
-/// recorded in lock and pid files so staleness checks survive pid
-/// recycling.
-fn self_comm() -> String {
-    std::fs::read_to_string("/proc/self/comm")
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|_| "tydic".to_string())
+    holder_is_live(&socket.parent()?.join(crate::PID_FILE_NAME))
 }
 
 fn handle_connection(stream: UnixStream, state: &Arc<ServerState>) -> io::Result<()> {
@@ -519,10 +491,5 @@ mod tests {
         std::fs::write(&pid_file, format!("{}\n", std::process::id())).unwrap();
         assert_eq!(pid_file_is_live(&socket), Some(true));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn self_comm_is_nonempty() {
-        assert!(!self_comm().is_empty());
     }
 }

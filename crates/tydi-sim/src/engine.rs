@@ -1614,7 +1614,7 @@ impl top_i of top_s {
 "#,
         );
         let registry = BehaviorRegistry::with_std();
-        let baseline = {
+        let unfaulted = {
             let mut sim = Simulator::new(&project, "top_i", &registry).unwrap();
             sim.feed("i", (0..8).map(Packet::data)).unwrap();
             assert!(sim.run(10_000).finished);
@@ -1630,10 +1630,10 @@ impl top_i of top_s {
         let out = sim.outputs("o").unwrap();
         assert_eq!(out.len(), 8);
         assert!(
-            out.last().unwrap().0 >= baseline + 20,
-            "stall must delay delivery: {} vs baseline {}",
+            out.last().unwrap().0 >= unfaulted + 20,
+            "stall must delay delivery: {} vs unfaulted {}",
             out.last().unwrap().0,
-            baseline
+            unfaulted
         );
     }
 

@@ -125,12 +125,6 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the plan-level seed.
-    pub fn with_seed(mut self, seed: u64) -> FaultPlan {
-        self.seed = seed;
-        self
-    }
-
     /// True when the plan injects nothing.
     pub fn is_empty(&self) -> bool {
         self.faults.is_empty()

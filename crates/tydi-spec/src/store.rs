@@ -423,11 +423,6 @@ impl TypeStore {
         self.node(id).contains_stream
     }
 
-    /// Whether the node itself is a `Stream`.
-    pub fn is_stream(&self, id: TypeId) -> bool {
-        matches!(&*self.node(id).canonical, LogicalType::Stream { .. })
-    }
-
     /// Whether the type carries no information.
     pub fn is_null(&self, id: TypeId) -> bool {
         self.node(id).is_null

@@ -8,13 +8,14 @@
 //! implementations get structural bodies (direct instantiation, one
 //! signal bundle per connection); external implementations get either
 //! a behavioral body from the builtin registry or a black-box stub.
+//!
+//! Generation keeps no state between builds: every build lowers and
+//! emits the whole project. Incremental builds reuse parses and
+//! elaborations (`tydi_lang::cache`), not generated files.
 
 use crate::builtin::BuiltinRegistry;
 use crate::error::VhdlError;
-use crate::lower::{
-    emit_netlist_cached, lower_project, lower_project_cached, lower_project_cached_with,
-    lower_project_with, CodegenCache,
-};
+use crate::lower::{lower_project, lower_project_with};
 use std::fmt::Write as _;
 use tydi_ir::{Project, ProjectIndex};
 use tydi_rtl::{emitter_for, Backend};
@@ -75,37 +76,6 @@ pub fn generate_project_for_with(
     Ok(emitter_for(backend).emit_netlist(&netlist)?)
 }
 
-/// Like [`generate_project_for`], but reusing per-module lowerings
-/// and emitted files from a [`CodegenCache`]: on a recompile, only
-/// implementations whose content fingerprint changed are re-lowered
-/// and re-rendered. The output is byte-identical to
-/// [`generate_project_for`] for the same project (pinned by the
-/// differential test-suite).
-pub fn generate_project_cached(
-    project: &Project,
-    registry: &BuiltinRegistry,
-    options: &VhdlOptions,
-    backend: Backend,
-    cache: &mut CodegenCache,
-) -> Result<Vec<VhdlFile>, VhdlError> {
-    let (netlist, keys) = lower_project_cached(project, registry, options, cache)?;
-    emit_netlist_cached(&netlist, &keys, backend, cache)
-}
-
-/// Like [`generate_project_cached`], but resolving references through
-/// the pipeline's shared [`ProjectIndex`].
-pub fn generate_project_cached_with(
-    project: &Project,
-    index: &ProjectIndex,
-    registry: &BuiltinRegistry,
-    options: &VhdlOptions,
-    backend: Backend,
-    cache: &mut CodegenCache,
-) -> Result<Vec<VhdlFile>, VhdlError> {
-    let (netlist, keys) = lower_project_cached_with(project, index, registry, options, cache)?;
-    emit_netlist_cached(&netlist, &keys, backend, cache)
-}
-
 /// Concatenates generated files into one string, each prefixed with a
 /// `<comment> file: <name>` banner so piped output stays splittable.
 pub fn files_to_string(files: &[VhdlFile], backend: Backend) -> String {
@@ -118,28 +88,6 @@ pub fn files_to_string(files: &[VhdlFile], backend: Backend) -> String {
     out
 }
 
-/// Generates the whole project as a single concatenated VHDL string,
-/// one `-- file: <name>` banner per generated file.
-pub fn generate_to_string(
-    project: &Project,
-    registry: &BuiltinRegistry,
-    options: &VhdlOptions,
-) -> Result<String, VhdlError> {
-    generate_to_string_for(project, registry, options, Backend::Vhdl)
-}
-
-/// Generates the whole project as a single concatenated string for
-/// any backend, with per-file banners.
-pub fn generate_to_string_for(
-    project: &Project,
-    registry: &BuiltinRegistry,
-    options: &VhdlOptions,
-    backend: Backend,
-) -> Result<String, VhdlError> {
-    let files = generate_project_for(project, registry, options, backend)?;
-    Ok(files_to_string(&files, backend))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,6 +98,13 @@ mod tests {
 
     fn stream8() -> LogicalType {
         LogicalType::stream(LogicalType::Bit(8), StreamParams::new())
+    }
+
+    /// Every generated file of `p` behind its `file:` banner.
+    fn render(p: &Project, options: &VhdlOptions, backend: Backend) -> String {
+        let files =
+            generate_project_for(p, &BuiltinRegistry::with_core(), options, backend).unwrap();
+        files_to_string(&files, backend)
     }
 
     /// in -> leaf a -> leaf b -> out, exercising all net cases.
@@ -277,8 +232,7 @@ mod tests {
             EndpointRef::own("o"),
         ));
         p.add_implementation(top).unwrap();
-        let text =
-            generate_to_string(&p, &BuiltinRegistry::with_core(), &VhdlOptions::default()).unwrap();
+        let text = render(&p, &VhdlOptions::default(), Backend::Vhdl);
         assert!(text.contains("o_valid <= i_valid;"));
         assert!(text.contains("o_data <= i_data;"));
         assert!(text.contains("i_ready <= o_ready;"));
@@ -318,17 +272,10 @@ mod tests {
     #[test]
     fn to_string_banners_every_file() {
         let p = chain_project();
-        let text =
-            generate_to_string(&p, &BuiltinRegistry::with_core(), &VhdlOptions::default()).unwrap();
+        let text = render(&p, &VhdlOptions::default(), Backend::Vhdl);
         assert!(text.contains("-- file: leaf_i.vhd\n"));
         assert!(text.contains("-- file: top_i.vhd\n"));
-        let sv = generate_to_string_for(
-            &p,
-            &BuiltinRegistry::with_core(),
-            &VhdlOptions::default(),
-            Backend::SystemVerilog,
-        )
-        .unwrap();
+        let sv = render(&p, &VhdlOptions::default(), Backend::SystemVerilog);
         assert!(sv.contains("// file: leaf_i.sv\n"));
         assert!(sv.contains("// file: top_i.sv\n"));
     }
@@ -340,7 +287,7 @@ mod tests {
             emit_comments: false,
             validate: true,
         };
-        let text = generate_to_string(&p, &BuiltinRegistry::with_core(), &opts).unwrap();
+        let text = render(&p, &opts, Backend::Vhdl);
         // Only the `-- file:` banners remain; the generated code
         // itself carries no comments.
         for line in text.lines() {

@@ -37,16 +37,12 @@ pub mod signals;
 pub mod testbench;
 
 pub use backend::{
-    files_to_string, generate_project, generate_project_cached, generate_project_cached_with,
-    generate_project_for, generate_project_for_with, generate_to_string, generate_to_string_for,
-    VhdlFile, VhdlOptions,
+    files_to_string, generate_project, generate_project_for, generate_project_for_with, VhdlFile,
+    VhdlOptions,
 };
 pub use builtin::BuiltinRegistry;
 pub use error::VhdlError;
 pub use loc::count_loc;
-pub use lower::{
-    lower_project, lower_project_cached, lower_project_cached_with, lower_project_with,
-    CodegenCache, CodegenStats,
-};
+pub use lower::{lower_project, lower_project_with};
 pub use testbench::generate_testbench;
 pub use tydi_rtl::Backend;

@@ -20,8 +20,7 @@ use crate::VhdlOptions;
 use rayon::prelude::*;
 use std::collections::HashMap;
 use tydi_ir::{
-    Connection, EndpointRef, Fingerprint, Fingerprinter, ImplId, ImplKind, Implementation, Project,
-    ProjectIndex, Streamlet,
+    Connection, EndpointRef, ImplId, ImplKind, Implementation, Project, ProjectIndex, Streamlet,
 };
 use tydi_rtl::names::{sanitize, NameAllocator};
 use tydi_rtl::netlist::{
@@ -105,216 +104,6 @@ fn allocate_module_names(project: &Project) -> HashMap<&str, String> {
         );
     }
     module_names
-}
-
-/// The codegen cache key of one implementation: its content
-/// fingerprint in context (see
-/// [`tydi_ir::fingerprint::implementation_fingerprint`]) plus
-/// everything else that shapes the lowered module — the allocated
-/// module name, the allocated names of instantiated children (name
-/// collisions elsewhere in the project can move them), the project
-/// name and the comment option.
-fn codegen_fingerprint(
-    project: &Project,
-    implementation: &Implementation,
-    module_names: &HashMap<&str, String>,
-    options: &VhdlOptions,
-) -> Fingerprint {
-    let mut fp = Fingerprinter::new();
-    fp.write_str("codegen");
-    fp.write_fingerprint(tydi_ir::fingerprint::implementation_fingerprint(
-        project,
-        implementation,
-    ));
-    fp.write_str(&project.name);
-    fp.write_bool(options.emit_comments);
-    fp.write_opt_str(
-        module_names
-            .get(implementation.name.as_str())
-            .map(|s| s.as_str()),
-    );
-    for instance in implementation.instances() {
-        fp.write_opt_str(
-            module_names
-                .get(instance.impl_name.as_str())
-                .map(|s| s.as_str()),
-        );
-    }
-    fp.finish()
-}
-
-/// Memoizes lowered modules and emitted files across compiles, keyed
-/// by implementation content fingerprints — the codegen half of the
-/// incremental pipeline. A cache instance is tied to one
-/// [`BuiltinRegistry`] configuration: registering new builtins into
-/// the registry after modules were cached does not invalidate them,
-/// so build the registry once and reuse it with the cache.
-#[derive(Debug, Default)]
-pub struct CodegenCache {
-    modules: HashMap<Fingerprint, Module>,
-    emitted: HashMap<(Fingerprint, Backend), crate::VhdlFile>,
-    stats: CodegenStats,
-}
-
-/// Cumulative reuse counters of a [`CodegenCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CodegenStats {
-    /// Modules served from the cache.
-    pub modules_reused: usize,
-    /// Modules lowered from scratch.
-    pub modules_recomputed: usize,
-    /// Emitted files served from the cache.
-    pub files_reused: usize,
-    /// Emitted files rendered from scratch.
-    pub files_recomputed: usize,
-}
-
-impl CodegenCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        CodegenCache::default()
-    }
-
-    /// Cumulative reuse counters.
-    pub fn stats(&self) -> CodegenStats {
-        self.stats
-    }
-
-    /// Number of memoized modules.
-    pub fn module_entries(&self) -> usize {
-        self.modules.len()
-    }
-}
-
-/// Like [`lower_project`], but reusing per-module lowerings from the
-/// cache. Only implementations whose codegen fingerprint is new are
-/// lowered (in parallel); the returned keys align with the netlist's
-/// modules and feed per-backend emission reuse.
-pub fn lower_project_cached(
-    project: &Project,
-    registry: &BuiltinRegistry,
-    options: &VhdlOptions,
-    cache: &mut CodegenCache,
-) -> Result<(Netlist, Vec<Fingerprint>), VhdlError> {
-    lower_project_cached_with(
-        project,
-        &ProjectIndex::build(project),
-        registry,
-        options,
-        cache,
-    )
-}
-
-/// Like [`lower_project_cached`], but resolving references through
-/// the pipeline's shared [`ProjectIndex`].
-pub fn lower_project_cached_with(
-    project: &Project,
-    index: &ProjectIndex,
-    registry: &BuiltinRegistry,
-    options: &VhdlOptions,
-    cache: &mut CodegenCache,
-) -> Result<(Netlist, Vec<Fingerprint>), VhdlError> {
-    if options.validate {
-        project
-            .validate_with(index)
-            .map_err(VhdlError::InvalidProject)?;
-    }
-    let module_names = allocate_module_names(project);
-    let impls: Vec<(ImplId, &Implementation)> = project.implementations_with_ids().collect();
-    let keys: Vec<Fingerprint> = impls
-        .iter()
-        .map(|(_, implementation)| {
-            codegen_fingerprint(project, implementation, &module_names, options)
-        })
-        .collect();
-    let missing: Vec<usize> = keys
-        .iter()
-        .enumerate()
-        .filter(|(_, key)| !cache.modules.contains_key(key))
-        .map(|(position, _)| position)
-        .collect();
-    let lowered: Vec<(usize, Result<Module, VhdlError>)> = missing
-        .par_iter()
-        .map(|&position| {
-            let (impl_id, implementation) = impls[position];
-            let _span = tydi_obs::trace::span_named("tydi-vhdl", || {
-                format!("lower:{}", implementation.name)
-            });
-            (
-                position,
-                lower_implementation(
-                    project,
-                    index,
-                    registry,
-                    &module_names,
-                    impl_id,
-                    implementation,
-                    options,
-                ),
-            )
-        })
-        .collect();
-    cache.stats.modules_reused += keys.len() - missing.len();
-    cache.stats.modules_recomputed += missing.len();
-    for (position, result) in lowered {
-        cache.modules.insert(keys[position], result?);
-    }
-    let modules: Vec<Module> = keys.iter().map(|key| cache.modules[key].clone()).collect();
-    Ok((
-        Netlist {
-            name: project.name.clone(),
-            emit_comments: options.emit_comments,
-            modules,
-        },
-        keys,
-    ))
-}
-
-/// Renders a netlist produced by [`lower_project_cached`] for one
-/// backend, reusing per-module emitted files keyed by the module's
-/// codegen fingerprint.
-pub fn emit_netlist_cached(
-    netlist: &Netlist,
-    keys: &[Fingerprint],
-    backend: Backend,
-    cache: &mut CodegenCache,
-) -> Result<Vec<crate::VhdlFile>, VhdlError> {
-    assert_eq!(
-        netlist.modules.len(),
-        keys.len(),
-        "keys must come from the lowering that built this netlist"
-    );
-    let emitter = tydi_rtl::emitter_for(backend);
-    let missing: Vec<usize> = keys
-        .iter()
-        .enumerate()
-        .filter(|(_, key)| !cache.emitted.contains_key(&(**key, backend)))
-        .map(|(index, _)| index)
-        .collect();
-    let rendered: Vec<(usize, Result<crate::VhdlFile, tydi_rtl::EmitError>)> = missing
-        .par_iter()
-        .map(|&index| {
-            let module = &netlist.modules[index];
-            let _span =
-                tydi_obs::trace::span_named("tydi-vhdl", || format!("emit:{}", module.name));
-            let result = emitter
-                .emit_module(netlist, module)
-                .map(|contents| crate::VhdlFile {
-                    name: emitter.file_name(module),
-                    contents,
-                });
-            (index, result)
-        })
-        .collect();
-    cache.stats.files_reused += keys.len() - missing.len();
-    cache.stats.files_recomputed += missing.len();
-    for (index, result) in rendered {
-        cache.emitted.insert((keys[index], backend), result?);
-    }
-    Ok(keys
-        .iter()
-        .map(|key| cache.emitted[&(*key, backend)].clone())
-        .collect())
 }
 
 fn lower_implementation(
@@ -759,78 +548,6 @@ mod tests {
                 .iter()
                 .any(|i| matches!(i, PortItem::Comment(_))));
         }
-    }
-
-    #[test]
-    fn cached_lowering_matches_uncached_and_reuses() {
-        let p = chain_project();
-        let registry = BuiltinRegistry::with_core();
-        let options = VhdlOptions::default();
-        let plain = lower_project(&p, &registry, &options).unwrap();
-        let mut cache = CodegenCache::new();
-        let (first, keys) = lower_project_cached(&p, &registry, &options, &mut cache).unwrap();
-        assert_eq!(first, plain);
-        assert_eq!(cache.stats().modules_recomputed, 2);
-        assert_eq!(cache.stats().modules_reused, 0);
-        // Second compile of the identical project: everything reuses.
-        let (second, keys2) = lower_project_cached(&p, &registry, &options, &mut cache).unwrap();
-        assert_eq!(second, plain);
-        assert_eq!(keys, keys2);
-        assert_eq!(cache.stats().modules_reused, 2);
-        // Emission reuse, per backend.
-        for backend in Backend::ALL {
-            let plain_files = tydi_rtl::emitter_for(backend).emit_netlist(&plain).unwrap();
-            let a = emit_netlist_cached(&second, &keys2, backend, &mut cache).unwrap();
-            let b = emit_netlist_cached(&second, &keys2, backend, &mut cache).unwrap();
-            assert_eq!(a, plain_files);
-            assert_eq!(a, b);
-        }
-        assert_eq!(cache.stats().files_recomputed, 2 * Backend::ALL.len());
-        assert_eq!(cache.stats().files_reused, 2 * Backend::ALL.len());
-    }
-
-    #[test]
-    fn editing_one_impl_relowers_only_its_dirty_cone() {
-        let p = chain_project();
-        let registry = BuiltinRegistry::with_core();
-        let options = VhdlOptions::default();
-        let mut cache = CodegenCache::new();
-        lower_project_cached(&p, &registry, &options, &mut cache).unwrap();
-        // Rebuild the project with an extra connection comment-free
-        // change in top_i only: leaf_i must reuse.
-        let mut edited = Project::new("chain");
-        edited
-            .add_streamlet(
-                Streamlet::new("pass_s")
-                    .with_port(Port::new("i", PortDirection::In, stream8()))
-                    .with_port(Port::new("o", PortDirection::Out, stream8())),
-            )
-            .unwrap();
-        edited
-            .add_implementation(
-                Implementation::external("leaf_i", "pass_s").with_builtin("std.passthrough"),
-            )
-            .unwrap();
-        let mut top = Implementation::normal("top_i", "pass_s");
-        top.add_instance(IrInstance::new("a", "leaf_i"));
-        top.add_connection(Connection::new(
-            EndpointRef::own("i"),
-            EndpointRef::instance("a", "i"),
-        ));
-        top.add_connection(Connection::new(
-            EndpointRef::instance("a", "o"),
-            EndpointRef::own("o"),
-        ));
-        edited.add_implementation(top).unwrap();
-        let before = cache.stats();
-        lower_project_cached(&edited, &registry, &options, &mut cache).unwrap();
-        let after = cache.stats();
-        assert_eq!(after.modules_reused - before.modules_reused, 1, "leaf_i");
-        assert_eq!(
-            after.modules_recomputed - before.modules_recomputed,
-            1,
-            "top_i changed shape"
-        );
     }
 
     #[test]

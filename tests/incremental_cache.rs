@@ -19,10 +19,7 @@ use tydi::lang::{
     compile, compile_with_cache, ArtifactCache, CompileOptions, CompileOutput, Stage,
 };
 use tydi::stdlib::{full_registry, stdlib_source, STDLIB_FILE_NAME};
-use tydi::vhdl::{
-    generate_project_cached, generate_project_for, Backend, BuiltinRegistry, CodegenCache,
-    VhdlOptions,
-};
+use tydi::vhdl::{generate_project_for, Backend, BuiltinRegistry, VhdlOptions};
 
 fn cookbook_files() -> Vec<String> {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("cookbook");
@@ -271,56 +268,4 @@ fn persisted_cache_round_trips_and_matches_cold() {
         assert_differential(file, &edited, &warm2);
     }
     let _ = fs::remove_dir_all(&dir);
-}
-
-/// The per-module codegen cache is differential too: cached lowering
-/// and emission match the uncached path for every cookbook design,
-/// and a second pass reuses every module.
-#[test]
-fn codegen_cache_matches_uncached_for_every_design() {
-    let registry = registry();
-    let mut cache = CodegenCache::new();
-    for file in cookbook_files() {
-        let text = cookbook_text(&file);
-        let cold = compile_cold(&file, &text);
-        for backend in Backend::ALL {
-            let plain =
-                generate_project_for(&cold.project, &registry, &VhdlOptions::default(), backend)
-                    .unwrap();
-            let cached = generate_project_cached(
-                &cold.project,
-                &registry,
-                &VhdlOptions::default(),
-                backend,
-                &mut cache,
-            )
-            .unwrap();
-            assert_eq!(plain, cached, "{file}/{backend}: cached codegen drifted");
-        }
-        // Second pass over the same project: modules and files reuse.
-        let before = cache.stats();
-        for backend in Backend::ALL {
-            let again = generate_project_cached(
-                &cold.project,
-                &registry,
-                &VhdlOptions::default(),
-                backend,
-                &mut cache,
-            )
-            .unwrap();
-            let plain =
-                generate_project_for(&cold.project, &registry, &VhdlOptions::default(), backend)
-                    .unwrap();
-            assert_eq!(again, plain, "{file}/{backend}: reuse pass drifted");
-        }
-        let after = cache.stats();
-        assert_eq!(
-            after.modules_recomputed, before.modules_recomputed,
-            "{file}: second pass must not re-lower"
-        );
-        assert_eq!(
-            after.files_recomputed, before.files_recomputed,
-            "{file}: second pass must not re-emit"
-        );
-    }
 }
