@@ -1,17 +1,12 @@
 //! Codegen throughput: Tydi-IR → netlist lowering and netlist →
-//! text emission, sequential vs parallel, VHDL vs SystemVerilog.
+//! text emission, VHDL vs SystemVerilog.
 //!
 //! The fixture is the template-scaling design (N distinct constant
 //! sources), which produces one behavioral module per instantiation
-//! plus the structural top — enough modules for the per-module
-//! fan-out to matter. Besides timing, the bench asserts cross-backend
+//! plus the structural top. Besides timing, the bench asserts cross-backend
 //! parity (same file count, structurally clean output from one shared
 //! lowering), so a backend regression fails the bench-smoke CI job
 //! rather than just printing slower numbers.
-//!
-//! The seq/par comparison is meaningful on multi-core hosts only: on
-//! a single-core machine the rayon shim falls back to sequential
-//! execution and `par` merely measures the fallback overhead.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -22,14 +17,6 @@ use tydi_vhdl::check::check_vhdl;
 use tydi_vhdl::{lower_project, BuiltinRegistry, VhdlOptions};
 
 const MODULES: usize = 256;
-
-/// Runs `f` with the rayon shim forced sequential (`TYDI_THREADS=1`).
-fn sequential<R>(f: impl FnOnce() -> R) -> R {
-    std::env::set_var("TYDI_THREADS", "1");
-    let result = f();
-    std::env::remove_var("TYDI_THREADS");
-    result
-}
 
 fn registry() -> BuiltinRegistry {
     tydi_stdlib::full_registry()
@@ -117,20 +104,7 @@ fn bench(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("codegen");
     group.sample_size(20);
-    group.bench_function("lower/seq", |b| {
-        b.iter(|| {
-            sequential(|| {
-                let n = lower_project(
-                    black_box(&compiled.project),
-                    &registry,
-                    &VhdlOptions::default(),
-                )
-                .expect("lowering");
-                black_box(n.modules.len())
-            })
-        });
-    });
-    group.bench_function("lower/par", |b| {
+    group.bench_function("lower", |b| {
         b.iter(|| {
             let n = lower_project(
                 black_box(&compiled.project),
@@ -143,15 +117,7 @@ fn bench(c: &mut Criterion) {
     });
     for backend in Backend::ALL {
         let emitter = emitter_for(backend);
-        group.bench_function(format!("emit/{backend}/seq"), |b| {
-            b.iter(|| {
-                sequential(|| {
-                    let files = emitter.emit_netlist(black_box(&netlist)).expect("emit");
-                    black_box(files.len())
-                })
-            });
-        });
-        group.bench_function(format!("emit/{backend}/par"), |b| {
+        group.bench_function(format!("emit/{backend}"), |b| {
             b.iter(|| {
                 let files = emitter.emit_netlist(black_box(&netlist)).expect("emit");
                 black_box(files.len())

@@ -179,8 +179,8 @@ pub fn template_scaling_source(n: usize) -> String {
 }
 
 /// A synthetic multi-package project shaped as a 4-level import DAG,
-/// the workload for the package-parallel elaboration bench and the
-/// thread-count determinism test:
+/// the workload of the thread-count determinism, trace and
+/// observability tests:
 ///
 /// ```text
 /// level 0   base                 (pass_s<n> / pass_i<n> templates)
@@ -190,7 +190,7 @@ pub fn template_scaling_source(n: usize) -> String {
 /// ```
 ///
 /// With `width = 10` that is 17 packages, 10 of which share no import
-/// edge and elaborate concurrently. Every package instantiates the
+/// edge. Every package instantiates the
 /// base templates at a distinct bit width, so each elaborates real
 /// work (template expansion, type interning, connections) instead of
 /// an empty namespace.
@@ -307,20 +307,10 @@ mod tests {
         std::env::set_var("TYDI_THREADS", "1");
         let (out_seq, text_seq) = compile_package_dag(10);
         std::env::set_var("TYDI_THREADS", "8");
-        let (out_par, text_par) = compile_package_dag(10);
+        let (_, text_par) = compile_package_dag(10);
         std::env::remove_var("TYDI_THREADS");
         assert_eq!(text_seq, text_par, "IR must not depend on thread count");
         assert!(out_seq.project.implementation("m0").is_some());
-        // Level-1 packages really elaborate in one wide level.
-        let widest = out_par
-            .elab_info
-            .parallel
-            .level_packages
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(0);
-        assert!(widest >= 10, "import DAG should have a 10-wide level");
     }
 
     #[test]

@@ -16,6 +16,9 @@ pub struct EvalError {
     pub message: String,
     /// Where.
     pub span: Span,
+    /// The cause already has a diagnostic: the error still fails the
+    /// enclosing evaluation, but must not be reported again.
+    reported: bool,
 }
 
 impl EvalError {
@@ -24,7 +27,27 @@ impl EvalError {
         EvalError {
             message: message.into(),
             span,
+            reported: false,
         }
+    }
+
+    /// A failure whose cause has already been reported.
+    pub fn reported(span: Span) -> Self {
+        EvalError {
+            message: String::new(),
+            span,
+            reported: true,
+        }
+    }
+
+    /// Whether the cause has already been reported.
+    pub fn is_reported(&self) -> bool {
+        self.reported
+    }
+
+    /// The same error, pointing at `span`.
+    pub fn at(self, span: Span) -> Self {
+        EvalError { span, ..self }
     }
 }
 

@@ -5,7 +5,9 @@
 //! lazily evaluating constants and types, instantiating streamlet and
 //! implementation templates on demand, expanding `for`/`if` generative
 //! statements and port/instance arrays, and emitting a
-//! [`tydi_ir::Project`] directly.
+//! [`tydi_ir::Project`] directly. It runs on one thread: packages
+//! elaborate in input order straight into the final project, sharing
+//! one set of template caches and one [`TypeStore`].
 //!
 //! ## Hash-consed types and O(1) template identity
 //!
@@ -33,7 +35,6 @@ use crate::eval::{eval_expr, EvalError, Resolver};
 use crate::scope::ScopeFrames;
 use crate::span::Span;
 use crate::value::{ImplValue, TypeValue, Value};
-use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use tydi_ir::{
@@ -68,20 +69,6 @@ pub struct ElabInfo {
     /// Hash-consing statistics of the session type store: distinct
     /// nodes interned, dedup hits, cached-expansion reuse.
     pub type_store: TypeStoreStats,
-    /// How elaboration fanned out across packages.
-    pub parallel: ParallelStats,
-}
-
-/// How the elaboration stage fanned out across the import DAG.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ParallelStats {
-    /// Worker threads used for the widest import level (1 = the
-    /// sequential fallback).
-    pub threads: usize,
-    /// Number of packages elaborated at each import-DAG level, root
-    /// level first. Packages within one level share no `use` edge and
-    /// elaborate concurrently.
-    pub level_packages: Vec<usize>,
 }
 
 impl ElabInfo {
@@ -135,99 +122,37 @@ impl ElabInfo {
         let key = self.span_keys.get(impl_name)?;
         self.impl_spans.get(&key).copied()
     }
-
-    /// Folds a worker's info into this one: spans are re-interned
-    /// against this info's key table, counters are summed.
-    fn merge_from(&mut self, other: &ElabInfo) {
-        for ((impl_sym, conn_sym), span) in &other.connection_spans {
-            let key = (
-                self.span_keys.intern(other.span_keys.resolve(*impl_sym)),
-                self.span_keys.intern(other.span_keys.resolve(*conn_sym)),
-            );
-            self.connection_spans.insert(key, *span);
-        }
-        for (impl_sym, span) in &other.impl_spans {
-            let key = self.span_keys.intern(other.span_keys.resolve(*impl_sym));
-            self.impl_spans.insert(key, *span);
-        }
-        self.template_instantiations += other.template_instantiations;
-        self.template_cache_hits += other.template_cache_hits;
-    }
 }
 
-/// Elaborates merged packages into an IR project.
-///
-/// Packages are partitioned by import-DAG level: a package's level is
-/// one past the deepest package it (transitively) `use`s, so packages
-/// within one level share no import edge and elaborate concurrently,
-/// one worker per package, over the shared sharded [`TypeStore`].
-/// The partitioning depends only on the program — never on the thread
-/// count — and workers are merged in (level, package) order, so output
-/// and diagnostics are byte-identical between `TYDI_THREADS=1` and
-/// any parallel run.
+/// Elaborates merged packages into an IR project: one package after
+/// the other in input order, each concrete impl and streamlet in
+/// declaration order, with templates instantiated on first reference.
 pub fn elaborate(
     packages: Vec<Package>,
     project_name: &str,
 ) -> (Project, ElabInfo, Vec<Diagnostic>) {
-    let (merged, package_index, mut diagnostics) = merge_packages(packages);
-    let levels = import_levels(&merged, &package_index);
-    let merged = Arc::new(merged);
-    let package_index = Arc::new(package_index);
-    let types = Arc::new(TypeStore::new());
-
-    let mut project = Project::new(project_name);
-    let mut info = ElabInfo::default();
-    let mut value_cache: HashMap<DeclId, Value> = HashMap::new();
-    let mut streamlet_cache: HashMap<(DeclId, Vec<ArgKey>), Arc<str>> = HashMap::new();
-    let mut impl_cache: HashMap<(DeclId, Vec<ArgKey>), ImplValue> = HashMap::new();
-    let mut merged_impl_prov: HashMap<String, (DeclId, Vec<ArgKey>)> = HashMap::new();
-    let mut level_packages = Vec::with_capacity(levels.len());
-    let mut threads = 1;
-
-    for level in levels {
-        level_packages.push(level.len());
-        threads = threads.max(rayon::planned_threads(level.len()));
-        // Every worker sees the caches as frozen at the level boundary;
-        // same-level workers may redo a template the serial pass would
-        // have shared, producing equal entities the merge dedups.
-        let workers: Vec<Elaborator> = level
-            .into_par_iter()
-            .map(|pkg_idx| {
-                let _span = tydi_obs::trace::span_named("core", || {
-                    format!("elab:{}", merged[pkg_idx].name)
-                });
-                let mut worker = Elaborator::worker(
-                    Arc::clone(&merged),
-                    Arc::clone(&package_index),
-                    Arc::clone(&types),
-                    value_cache.clone(),
-                    streamlet_cache.clone(),
-                    impl_cache.clone(),
-                );
-                worker.run_package(pkg_idx);
-                worker
-            })
-            .collect();
-        for worker in workers {
-            merge_worker(
-                &mut project,
-                &mut info,
-                &mut diagnostics,
-                &mut merged_impl_prov,
-                worker,
-                &mut value_cache,
-                &mut streamlet_cache,
-                &mut impl_cache,
-            );
-        }
-    }
-
-    info.type_store = types.stats();
-    info.parallel = ParallelStats {
-        threads,
-        level_packages,
+    let (packages, package_index, diagnostics) = merge_packages(packages);
+    let mut elab = Elaborator {
+        packages,
+        package_index,
+        project: Project::new(project_name),
+        info: ElabInfo::default(),
+        diagnostics,
+        types: TypeStore::new(),
+        value_cache: HashMap::new(),
+        evaluating: HashSet::new(),
+        streamlet_cache: HashMap::new(),
+        impl_cache: HashMap::new(),
+        locals: ScopeFrames::new(),
+        current_package: 0,
     };
-    (project, info, diagnostics)
+    for pkg_idx in 0..elab.packages.len() {
+        let _span =
+            tydi_obs::trace::span_named("core", || format!("elab:{}", elab.packages[pkg_idx].name));
+        elab.run_package(pkg_idx);
+    }
+    elab.info.type_store = elab.types.stats();
+    (elab.project, elab.info, elab.diagnostics)
 }
 
 /// Merges parsed packages by name (later files extend earlier ones),
@@ -277,91 +202,6 @@ fn merge_packages(
         }
     }
     (merged, package_index, diagnostics)
-}
-
-/// Assigns each package its import-DAG level: `1 + max(level of used
-/// packages)`, roots at 0. Computed by bounded relaxation; unknown
-/// imports are ignored (they diagnose during name resolution) and
-/// `use` cycles stop relaxing at the pass cap — correctness does not
-/// depend on level assignment, only cache reuse does.
-fn import_levels(packages: &[MergedPackage], index: &HashMap<String, usize>) -> Vec<Vec<usize>> {
-    let n = packages.len();
-    let mut level = vec![0usize; n];
-    for _ in 0..n {
-        let mut changed = false;
-        for (i, pkg) in packages.iter().enumerate() {
-            for used in &pkg.uses {
-                if let Some(&dep) = index.get(used) {
-                    if dep != i && level[i] <= level[dep] {
-                        level[i] = level[dep] + 1;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    let depth = level.iter().copied().max().map_or(0, |m| m + 1);
-    let mut levels = vec![Vec::new(); depth];
-    for (i, &l) in level.iter().enumerate() {
-        levels[l].push(i);
-    }
-    levels.retain(|group| !group.is_empty());
-    levels
-}
-
-/// Folds one finished worker into the final project, in deterministic
-/// (level, package) order. Entities two workers both elaborated merge
-/// by provenance: same declaration and template arguments → one copy,
-/// silently; same name from different declarations → the same
-/// duplicate-definition diagnostic the serial pass produced.
-#[allow(clippy::too_many_arguments)]
-fn merge_worker(
-    project: &mut Project,
-    info: &mut ElabInfo,
-    diagnostics: &mut Vec<Diagnostic>,
-    merged_impl_prov: &mut HashMap<String, (DeclId, Vec<ArgKey>)>,
-    worker: Elaborator,
-    value_cache: &mut HashMap<DeclId, Value>,
-    streamlet_cache: &mut HashMap<(DeclId, Vec<ArgKey>), Arc<str>>,
-    impl_cache: &mut HashMap<(DeclId, Vec<ArgKey>), ImplValue>,
-) {
-    for streamlet in worker.project.streamlets() {
-        // Mirrors the serial `streamlet().is_none()` guard: equal
-        // names always denote the same elaborated streamlet (the name
-        // is the template mangling), so the first copy wins silently.
-        if project.streamlet(&streamlet.name).is_none() {
-            project
-                .add_streamlet(streamlet.clone())
-                .expect("absence just checked");
-        }
-    }
-    for imp in worker.project.implementations() {
-        let prov = worker.impl_prov.get(imp.name.as_str());
-        if let Some(existing) = merged_impl_prov.get(imp.name.as_str()) {
-            if prov.is_some_and(|(key, _)| key == existing) {
-                continue; // same decl + args elaborated twice in parallel
-            }
-        }
-        match project.add_implementation(imp.clone()) {
-            Ok(_) => {
-                if let Some((key, _)) = prov {
-                    merged_impl_prov.insert(imp.name.clone(), key.clone());
-                }
-            }
-            Err(e) => {
-                let span = prov.map(|(_, span)| *span);
-                diagnostics.push(Diagnostic::error("evaluate", e.to_string(), span));
-            }
-        }
-    }
-    diagnostics.extend(worker.diagnostics);
-    info.merge_from(&worker.info);
-    value_cache.extend(worker.value_cache);
-    streamlet_cache.extend(worker.streamlet_cache);
-    impl_cache.extend(worker.impl_cache);
 }
 
 /// A declaration's identity: owning package plus index.
@@ -415,28 +255,26 @@ struct MergedPackage {
     index: HashMap<String, usize>,
 }
 
-/// One elaboration worker: owns a package's outputs (project slice,
-/// diagnostics, cache additions) while sharing the merged ASTs and the
-/// type store with every other worker of the run.
+/// The elaboration state of one compile: the merged ASTs, the project
+/// being built, the template caches and the session type store.
 struct Elaborator {
-    packages: Arc<Vec<MergedPackage>>,
-    package_index: Arc<HashMap<String, usize>>,
+    packages: Vec<MergedPackage>,
+    package_index: HashMap<String, usize>,
     project: Project,
     info: ElabInfo,
     diagnostics: Vec<Diagnostic>,
-    /// The session's hash-consed type store, shared across workers.
-    types: Arc<TypeStore>,
-    /// Evaluated global consts / types, keyed by declaration.
-    value_cache: HashMap<DeclId, Value>,
+    /// The session's hash-consed type store.
+    types: TypeStore,
+    /// Evaluated global consts / types, keyed by declaration; `None`
+    /// marks a failed evaluation whose error was already reported.
+    value_cache: HashMap<DeclId, Option<Value>>,
     /// Cycle detection for lazy global evaluation.
     evaluating: HashSet<DeclId>,
-    /// Elaborated streamlet templates: (decl, args) -> IR name.
-    streamlet_cache: HashMap<(DeclId, Vec<ArgKey>), Arc<str>>,
+    /// Elaborated streamlet templates: (decl, args) -> IR name, or
+    /// `None` when elaboration failed and was reported.
+    streamlet_cache: HashMap<(DeclId, Vec<ArgKey>), Option<Arc<str>>>,
     /// Elaborated implementations: (decl, args) -> value.
     impl_cache: HashMap<(DeclId, Vec<ArgKey>), ImplValue>,
-    /// Provenance of every implementation added to this worker's
-    /// project, for cross-worker dedup during the merge.
-    impl_prov: HashMap<String, ((DeclId, Vec<ArgKey>), Span)>,
     /// Local scope frames (template args, for-vars, local consts).
     locals: ScopeFrames,
     /// The package whose scope we are currently elaborating in.
@@ -448,37 +286,9 @@ struct Elaborator {
 const MAX_DEPTH: usize = 64;
 
 impl Elaborator {
-    /// A worker over the shared merged packages, seeded with the
-    /// caches as frozen at its import level's boundary.
-    fn worker(
-        packages: Arc<Vec<MergedPackage>>,
-        package_index: Arc<HashMap<String, usize>>,
-        types: Arc<TypeStore>,
-        value_cache: HashMap<DeclId, Value>,
-        streamlet_cache: HashMap<(DeclId, Vec<ArgKey>), Arc<str>>,
-        impl_cache: HashMap<(DeclId, Vec<ArgKey>), ImplValue>,
-    ) -> Self {
-        Elaborator {
-            packages,
-            package_index,
-            project: Project::new("worker"),
-            info: ElabInfo::default(),
-            diagnostics: Vec::new(),
-            types,
-            value_cache,
-            evaluating: HashSet::new(),
-            streamlet_cache,
-            impl_cache,
-            impl_prov: HashMap::new(),
-            locals: ScopeFrames::new(),
-            current_package: 0,
-        }
-    }
-
     /// Elaborates every concrete (non-template) impl and streamlet of
     /// one package, and checks its top-level asserts, in declaration
-    /// order. Cross-package references resolve through the shared ASTs
-    /// and land in this worker's project unless already cached.
+    /// order. Cross-package references are elaborated on first use.
     fn run_package(&mut self, pkg_idx: usize) {
         self.current_package = pkg_idx;
         for decl_idx in 0..self.packages[pkg_idx].decls.len() {
@@ -511,9 +321,12 @@ impl Elaborator {
             .push(Diagnostic::error("evaluate", message, Some(span)));
     }
 
+    /// Reports an evaluation error, unless its cause already was.
     fn eval_error(&mut self, e: EvalError) {
-        self.diagnostics
-            .push(Diagnostic::error("evaluate", e.message, Some(e.span)));
+        if !e.is_reported() {
+            self.diagnostics
+                .push(Diagnostic::error("evaluate", e.message, Some(e.span)));
+        }
     }
 
     // ---- name resolution ----------------------------------------------------
@@ -559,10 +372,11 @@ impl Elaborator {
         found
     }
 
-    /// Lazily evaluates a global declaration to a value.
+    /// Lazily evaluates a global declaration to a value. A failure is
+    /// reported and memoized once; later references fail silently.
     fn global_value(&mut self, id: DeclId, span: Span) -> Result<Value, EvalError> {
-        if let Some(v) = self.value_cache.get(&id) {
-            return Ok(v.clone());
+        if let Some(cached) = self.value_cache.get(&id) {
+            return cached.clone().ok_or_else(|| EvalError::reported(span));
         }
         if !self.evaluating.insert(id) {
             let name = self.packages[id.package].decls[id.decl]
@@ -589,7 +403,7 @@ impl Elaborator {
                 let qualified = format!("{}.{}", self.packages[id.package].name, name);
                 self.elaborate_type(ty, 0)
                     .map(|tv| Value::Type(tv.with_origin(qualified)))
-                    .map_err(|e| EvalError::new(e.message, *span))
+                    .map_err(|e| e.at(*span))
             }
             Decl::Group { name, fields, span } | Decl::Union { name, fields, span } => {
                 let qualified = format!("{}.{}", self.packages[id.package].name, name);
@@ -600,7 +414,7 @@ impl Elaborator {
                     match self.elaborate_type(field_ty, 0) {
                         Ok(tv) => out_fields.push((field_name.clone(), tv.id)),
                         Err(e) => {
-                            failed = Some(EvalError::new(e.message, *span));
+                            failed = Some(e.at(*span));
                             break;
                         }
                     }
@@ -622,13 +436,10 @@ impl Elaborator {
                     }
                 }
             }
-            Decl::Impl(i) if i.params.is_empty() => match self.elaborate_impl(id, i, &[], 0) {
-                Some(v) => Ok(Value::Impl(v)),
-                None => Err(EvalError::new(
-                    format!("implementation `{}` failed to elaborate", i.name),
-                    span,
-                )),
-            },
+            Decl::Impl(i) if i.params.is_empty() => self
+                .elaborate_impl(id, i, &[], 0)
+                .map(Value::Impl)
+                .ok_or_else(|| EvalError::reported(span)),
             Decl::Impl(i) => Err(EvalError::new(
                 format!("`{}` is a template and needs arguments", i.name),
                 span,
@@ -641,10 +452,17 @@ impl Elaborator {
         };
         self.current_package = saved_package;
         self.evaluating.remove(&id);
-        if let Ok(v) = &result {
-            self.value_cache.insert(id, v.clone());
+        match result {
+            Ok(v) => {
+                self.value_cache.insert(id, Some(v.clone()));
+                Ok(v)
+            }
+            Err(e) => {
+                self.eval_error(e);
+                self.value_cache.insert(id, None);
+                Err(EvalError::reported(span))
+            }
         }
-        result
     }
 
     fn check_var_kind(
@@ -942,13 +760,9 @@ impl Elaborator {
             ));
         };
         let bindings = self.bind_template_args(&r.name, &s.params, &r.args, r.span, depth)?;
-        match self.elaborate_streamlet(id, s, &bindings, depth) {
-            Some(ir_name) => Ok((ir_name, s.name.clone())),
-            None => Err(EvalError::new(
-                format!("streamlet `{}` failed to elaborate", r.name),
-                r.span,
-            )),
-        }
+        self.elaborate_streamlet(id, s, &bindings, depth)
+            .map(|ir_name| (ir_name, s.name.clone()))
+            .ok_or_else(|| EvalError::reported(r.span))
     }
 
     /// Resolves an implementation reference to an [`ImplValue`].
@@ -982,12 +796,8 @@ impl Elaborator {
             ));
         };
         let bindings = self.bind_template_args(&r.name, &i.params, &r.args, r.span, depth)?;
-        self.elaborate_impl(id, i, &bindings, depth).ok_or_else(|| {
-            EvalError::new(
-                format!("implementation `{}` failed to elaborate", r.name),
-                r.span,
-            )
-        })
+        self.elaborate_impl(id, i, &bindings, depth)
+            .ok_or_else(|| EvalError::reported(r.span))
     }
 
     /// Elaborates a streamlet with bound template arguments; returns
@@ -1000,9 +810,9 @@ impl Elaborator {
         depth: usize,
     ) -> Option<Arc<str>> {
         let key = (id, ArgKey::of_bindings(bindings));
-        if let Some(existing) = self.streamlet_cache.get(&key) {
+        if let Some(cached) = self.streamlet_cache.get(&key) {
             self.info.template_cache_hits += 1;
-            return Some(Arc::clone(existing));
+            return cached.clone();
         }
         if !bindings.is_empty() {
             self.info.template_instantiations += 1;
@@ -1117,17 +927,15 @@ impl Elaborator {
         self.locals.pop();
         self.current_package = saved_package;
 
-        if !ok {
-            return None;
-        }
-        if self.project.streamlet(&ir_name).is_none() {
+        if ok && self.project.streamlet(&ir_name).is_none() {
             if let Err(e) = self.project.add_streamlet(streamlet) {
                 self.error(e.to_string(), s.span);
-                return None;
+                ok = false;
             }
         }
-        self.streamlet_cache.insert(key, Arc::clone(&ir_name));
-        Some(ir_name)
+        let result = ok.then_some(ir_name);
+        self.streamlet_cache.insert(key, result.clone());
+        result
     }
 
     /// Elaborates an implementation with bound template arguments.
@@ -1248,12 +1056,8 @@ impl Elaborator {
         self.locals.pop();
         self.current_package = saved_package;
 
-        match self.project.add_implementation(implementation) {
-            Ok(_) => {
-                self.impl_prov
-                    .insert(ir_name.as_ref().to_string(), (key, i.span));
-            }
-            Err(e) => self.error(e.to_string(), i.span),
+        if let Err(e) = self.project.add_implementation(implementation) {
+            self.error(e.to_string(), i.span);
         }
         Some(value)
     }

@@ -2,8 +2,8 @@
 //! [`tydi_obs::metrics`] registry.
 //!
 //! Historically every statistic had its own struct and its own
-//! printer (`StageTimings`, `TypeStoreStats`, `ParallelStats`, the
-//! per-stage cache counts); this module folds them all into one named
+//! printer (`StageTimings`, `TypeStoreStats`, the per-stage cache
+//! counts); this module folds them all into one named
 //! snapshot so `tydic --timings`, `--timings-json` and the bench
 //! harness read identical values from identical names.
 //!
@@ -14,7 +14,6 @@
 //! | `timings.`  | per-stage self times and the wall window, in ms    |
 //! | `cache.`    | artifact-cache reuse (per stage and elab lookups)  |
 //! | `types.`    | type-store hash-consing and expansion-memo counts  |
-//! | `par.`      | parallel-elaboration fanout                        |
 //!
 //! Publication uses *set* semantics and clears its prefixes first, so
 //! a long-lived process (e.g. `tydic check --watch`) always reports
@@ -31,13 +30,12 @@ fn ms(duration: Duration) -> f64 {
     duration.as_secs_f64() * 1e3
 }
 
-/// Publishes one compile's timings, cache reuse, type-store and
-/// parallelism statistics, replacing any previous run's values.
+/// Publishes one compile's timings, cache reuse and type-store
+/// statistics, replacing any previous run's values.
 pub fn publish_compile_metrics(output: &CompileOutput) {
     metrics::clear_prefix("timings.");
     metrics::clear_prefix("cache.stage.");
     metrics::clear_prefix("types.");
-    metrics::clear_prefix("par.");
 
     let t = output.timings;
     metrics::gauge_set("timings.parse_ms", ms(t.parse));
@@ -67,20 +65,9 @@ pub fn publish_compile_metrics(output: &CompileOutput) {
     metrics::counter_set("types.distinct", ts.distinct_types as u64);
     metrics::counter_set("types.intern_hits", ts.intern_hits as u64);
     metrics::gauge_set("types.intern_hit_rate_pct", ts.hit_rate());
-    metrics::counter_set("types.shard_contention", ts.shard_contention as u64);
     let expansions = tydi_spec::expansion_cache_stats();
     metrics::counter_set("types.expansions_reused", expansions.hits);
     metrics::counter_set("types.expansions_computed", expansions.misses);
-
-    let par = &output.elab_info.parallel;
-    metrics::counter_set("par.threads", par.threads as u64);
-    let levels = par
-        .level_packages
-        .iter()
-        .map(|n| n.to_string())
-        .collect::<Vec<_>>()
-        .join("+");
-    metrics::text_set("par.level_packages", levels);
 }
 
 #[cfg(test)]
@@ -107,10 +94,5 @@ impl wire_i of wire_s { i => o, }
         assert_eq!(snap.counter("cache.stage.parse.reused"), Some(0));
         // The stale value was cleared, not merely overwritten by name.
         assert_ne!(snap.counter("types.distinct"), Some(999_999));
-        assert_eq!(
-            snap.counter("par.threads"),
-            Some(output.elab_info.parallel.threads as u64)
-        );
-        assert_eq!(snap.text("par.level_packages"), Some("1"));
     }
 }

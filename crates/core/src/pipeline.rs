@@ -47,9 +47,9 @@ impl Default for CompileOptions {
 /// Time spent per pipeline stage.
 ///
 /// The per-stage fields are **self times** — what each stage spent on
-/// its own work. When stage internals fan out over the thread pool,
-/// the self-time sum is not elapsed time, so the pipeline's
-/// wall-clock window is tracked separately in [`StageTimings::wall`];
+/// its own work. The self-time sum is not elapsed time, so the
+/// pipeline's wall-clock window is tracked separately in
+/// [`StageTimings::wall`];
 /// reports should present `wall` as "how long compilation took" and
 /// the self times as the per-stage breakdown. (Historically `tydic
 /// --timings` presented the sum as elapsed time, double-counting
@@ -165,8 +165,7 @@ impl std::error::Error for CompileFailure {}
 ///
 /// This is the one-call entry point; it drives a
 /// [`Session`](crate::session::Session) through the four Fig. 3
-/// stages. Per-file parsing and the per-implementation DRC run in
-/// parallel (with a sequential fallback on single-core machines).
+/// stages, one after the other on the calling thread.
 pub fn compile(
     sources: &[(&str, &str)],
     options: &CompileOptions,
@@ -193,7 +192,7 @@ pub fn compile(
 ///   memoized elaboration artifact, the elaborate, sugar and DRC
 ///   stages are all served from the cache — a comment-only edit
 ///   re-parses one file and reuses everything else;
-/// * changed units recompute in parallel exactly as in [`compile`].
+/// * changed units recompute exactly as in [`compile`].
 ///   Parse artifacts memoize the parser's exact output (diagnostics
 ///   included, which replay verbatim); elaboration artifacts are
 ///   stored only when the compile succeeds, so elaborate/DRC errors

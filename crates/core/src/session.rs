@@ -7,10 +7,10 @@
 //!
 //! ```text
 //! let mut session = Session::new(options);
-//! let packages            = session.parse(sources)?;     // parallel per file
+//! let packages            = session.parse(sources)?;
 //! let (project, elab)     = session.elaborate(packages)?;
 //! let report              = session.sugar(&mut project);
-//! session.drc(&project, &elab)?;                         // parallel per impl
+//! session.drc(&project, &elab)?;
 //! let output              = session.finish(project, report, elab);
 //! ```
 //!
@@ -19,11 +19,6 @@
 //! report stage behaviour uniformly instead of each stage hand-rolling
 //! its own timing. [`compile`](crate::compile) is a thin wrapper over
 //! this driver and remains the one-call entry point.
-//!
-//! Parsing fans out per file and the DRC fans out per implementation
-//! (via rayon, falling back to sequential execution on single-core
-//! machines); diagnostics order stays deterministic because per-unit
-//! results are spliced back in input order.
 
 use crate::ast::Package;
 use crate::cache::{ArtifactCache, ParseArtifact, ParseKey};
@@ -34,7 +29,6 @@ use crate::parser::parse_package;
 use crate::pipeline::{CompileFailure, CompileOptions, CompileOutput, StageTimings};
 use crate::span::{SourceFile, Span};
 use crate::sugar::{apply_sugaring_with, SugarReport};
-use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tydi_ir::{IrError, Project, ProjectIndex};
@@ -42,13 +36,13 @@ use tydi_ir::{IrError, Project, ProjectIndex};
 /// The pipeline stages of paper Fig. 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
-    /// Lexing + parsing (per file, parallel).
+    /// Lexing + parsing (per file).
     Parse,
     /// Evaluation, template instantiation, generative expansion.
     Elaborate,
     /// Duplicator/voider insertion.
     Sugar,
-    /// Design-rule checks (per implementation, parallel).
+    /// Design-rule checks (per implementation).
     Drc,
     /// Static throughput/backpressure analysis (`tydic analyze`),
     /// recorded by tools running the `tydi-analyze` pass on top of a
@@ -156,10 +150,9 @@ impl Session {
 
     /// Aggregated per-stage self times (summed when a stage ran
     /// twice), plus the pipeline's wall-clock window. The per-stage
-    /// fields are *self* times: their sum can exceed the wall time
-    /// when stage work overlaps on the thread pool, so reports must
-    /// never present the sum as elapsed time (that was the historic
-    /// `--timings` double-counting bug).
+    /// fields are *self* times; reports must never present their sum
+    /// as elapsed time (that was the historic `--timings`
+    /// double-counting bug).
     pub fn timings(&self) -> StageTimings {
         let mut t = StageTimings::default();
         for record in &self.records {
@@ -239,8 +232,8 @@ impl Session {
         }
     }
 
-    /// Stage 1: parses `(file name, text)` pairs into packages, one
-    /// file per rayon task.
+    /// Stage 1: parses `(file name, text)` pairs into packages, in
+    /// input order.
     pub fn parse(&mut self, sources: &[(&str, &str)]) -> Result<Vec<Package>, Box<CompileFailure>> {
         let packages = self.run_stage(Stage::Parse, |session| {
             // File ids continue across parse() calls: spans index into
@@ -251,22 +244,10 @@ impl Session {
                     .iter()
                     .map(|(name, text)| SourceFile::new(*name, *text)),
             );
-            // Files are independent: parse in parallel, then splice
-            // results back in input order so diagnostics stay stable.
-            let indexed: Vec<(usize, &str, &str)> = sources
-                .iter()
-                .enumerate()
-                .map(|(index, (name, text))| (base + index, *name, *text))
-                .collect();
-            let parsed: Vec<(Option<Package>, Vec<Diagnostic>)> = indexed
-                .into_par_iter()
-                .map(|(index, name, text)| {
-                    let _span = tydi_obs::trace::span_named("core", || format!("parse:{name}"));
-                    parse_package(index, text)
-                })
-                .collect();
             let mut packages = Vec::new();
-            for (package, mut file_diags) in parsed {
+            for (index, (name, text)) in sources.iter().enumerate() {
+                let _span = tydi_obs::trace::span_named("core", || format!("parse:{name}"));
+                let (package, mut file_diags) = parse_package(base + index, text);
                 session.diagnostics.append(&mut file_diags);
                 if let Some(p) = package {
                     packages.push(p);
@@ -282,7 +263,7 @@ impl Session {
     /// Stage 1, incremental: parses `(file name, text)` pairs through
     /// the artifact cache. Unchanged files (same name, same bytes,
     /// same slot in the file table) replay their memoized diagnostics
-    /// without re-parsing; changed files parse in parallel and refresh
+    /// without re-parsing; changed files are parsed and refresh
     /// their cache entries. Returns one [`ParsedUnit`] per file — the
     /// AST fingerprints feed the elaboration key, and the packages
     /// themselves stay in the cache until
@@ -326,20 +307,13 @@ impl Session {
                     None => missing.push((index, *text)),
                 }
             }
-            // Changed files are independent: parse in parallel.
-            let parsed: Vec<(usize, Option<Package>, Vec<Diagnostic>)> = missing
-                .par_iter()
-                .map(|&(index, text)| {
-                    let _span = tydi_obs::trace::span_named("core", || {
-                        format!("parse:{}", sources[index].0)
-                    });
-                    let (package, diags) = parse_package(base + index, text);
-                    (index, package, diags)
-                })
-                .collect();
-            let recomputed = parsed.len();
-            for (index, package, diags) in parsed {
-                let (name, text) = sources[index];
+            let recomputed = missing.len();
+            for (index, text) in missing {
+                let name = sources[index].0;
+                let (package, diags) = {
+                    let _span = tydi_obs::trace::span_named("core", || format!("parse:{name}"));
+                    parse_package(base + index, text)
+                };
                 let key = ParseKey {
                     slot: base + index,
                     source: source_fingerprint(name, text),
@@ -400,19 +374,14 @@ impl Session {
             .collect();
         if !rebuilt.is_empty() {
             self.run_stage(Stage::Parse, |session| {
-                let reparsed: Vec<(usize, Option<Package>)> = rebuilt
-                    .par_iter()
-                    .map(|&index| {
-                        let slot = units[index].key.slot;
-                        let _span = tydi_obs::trace::span_named("core", || {
-                            format!("parse:{}", session.files[slot].name)
-                        });
-                        let text = session.files[slot].text.clone();
-                        let (package, _diags) = parse_package(slot, &text);
-                        (index, package)
-                    })
-                    .collect();
-                for (index, package) in reparsed {
+                for &index in &rebuilt {
+                    let slot = units[index].key.slot;
+                    let package = {
+                        let file = &session.files[slot];
+                        let _span =
+                            tydi_obs::trace::span_named("core", || format!("parse:{}", file.name));
+                        parse_package(slot, &file.text).0
+                    };
                     if let Some(package) = package {
                         cache.attach_package(units[index].key, package);
                     }
@@ -500,8 +469,8 @@ impl Session {
         })
     }
 
-    /// Stage 4: design-rule checks, one implementation per rayon task
-    /// (inside [`Project::validate`]). Violations become diagnostics
+    /// Stage 4: design-rule checks (inside [`Project::validate`]),
+    /// one implementation after the other. Violations become diagnostics
     /// carrying the source span of the offending connection.
     pub fn drc(&mut self, project: &Project, info: &ElabInfo) -> Result<(), Box<CompileFailure>> {
         self.run_stage(Stage::Drc, |session| {
@@ -681,8 +650,7 @@ impl wire_i of wire_s { i => o, }
 
     #[test]
     fn many_files_parse_in_order() {
-        // More files than the parallel threshold; package/diagnostic
-        // order must match the sequential result.
+        // Package order must match input order.
         let sources: Vec<(String, String)> = (0..32)
             .map(|k| {
                 (

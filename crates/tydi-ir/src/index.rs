@@ -27,8 +27,7 @@ use std::collections::HashMap;
 /// All lookups are O(1): a hash over the queried name at most, plus
 /// array accesses. Accessors that return borrowed definitions take
 /// the project as an argument, so the index itself stays `'static`
-/// and can be shared (e.g. behind an `Arc`) across pipeline stages
-/// and worker threads.
+/// and can be shared (e.g. behind an `Arc`) across pipeline stages.
 #[derive(Debug, Clone, Default)]
 pub struct ProjectIndex {
     /// Port name → position in `streamlet.ports`, per [`StreamletId`].

@@ -13,17 +13,12 @@
 //! linearly. The pipeline builds that index once right after
 //! elaboration and passes it in via [`validate_project_with`];
 //! [`validate_project`] builds a fresh one for standalone callers.
-//! Implementations are independent of each other, which lets the
-//! per-implementation checks fan out across threads (rayon;
-//! sequential fallback on single-core machines) while keeping the
-//! error order deterministic.
 
 use crate::component::{Connection, EndpointRef, ImplKind, Implementation, PortDirection};
 use crate::error::IrError;
 use crate::index::ProjectIndex;
 use crate::intern::{ImplId, StreamletId};
 use crate::project::Project;
-use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
 use tydi_spec::{Complexity, LogicalType};
@@ -49,21 +44,10 @@ pub fn validate_project_with(project: &Project, index: &ProjectIndex) -> Vec<IrE
     for streamlet in project.streamlets() {
         validate_streamlet(streamlet, &mut errors);
     }
-    // Implementations are checked independently; fan out and splice
-    // the per-implementation errors back in definition order.
-    let impls: Vec<(ImplId, &Implementation)> = project.implementations_with_ids().collect();
-    let per_impl: Vec<Vec<IrError>> = impls
-        .par_iter()
-        .map(|&(impl_id, implementation)| {
-            let _span =
-                tydi_obs::trace::span_named("tydi-ir", || format!("drc:{}", implementation.name));
-            let mut errs = Vec::new();
-            validate_implementation(project, index, impl_id, implementation, &mut errs);
-            errs
-        })
-        .collect();
-    for errs in per_impl {
-        errors.extend(errs);
+    for (impl_id, implementation) in project.implementations_with_ids() {
+        let _span =
+            tydi_obs::trace::span_named("tydi-ir", || format!("drc:{}", implementation.name));
+        validate_implementation(project, index, impl_id, implementation, &mut errors);
     }
     errors
 }

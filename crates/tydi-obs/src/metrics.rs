@@ -1,10 +1,10 @@
-//! The process-wide metrics registry: named counters, gauges,
-//! histograms and text annotations behind one mutex, snapshotted into
+//! The process-wide metrics registry: named counters, gauges and
+//! histograms behind one mutex, snapshotted into
 //! one sorted, typed view with a single JSON serializer.
 //!
 //! The registry absorbs the pipeline's previously scattered statistics
 //! (stage timings, artifact-cache reuse counts, type-store hit rates,
-//! parallel-elaboration fanout, simulation channel counters) so every
+//! simulation channel counters) so every
 //! consumer — `tydic --timings`, `--timings-json`, the bench harness —
 //! reads the same names from the same place.
 //!
@@ -110,8 +110,6 @@ pub enum Metric {
     Gauge(f64),
     /// Sample distribution aggregate.
     Histogram(Histogram),
-    /// Free-form annotation (e.g. a fanout shape like `"2+14+1"`).
-    Text(String),
 }
 
 static REGISTRY: Mutex<BTreeMap<String, Metric>> = Mutex::new(BTreeMap::new());
@@ -149,15 +147,6 @@ pub fn gauge_set(name: &str, value: f64) {
     let name = scoped_name(name);
     with_registry(|registry| {
         registry.insert(name, Metric::Gauge(value));
-    });
-}
-
-/// Sets a text annotation.
-pub fn text_set(name: &str, value: impl Into<String>) {
-    let name = scoped_name(name);
-    let value = value.into();
-    with_registry(|registry| {
-        registry.insert(name, Metric::Text(value));
     });
 }
 
@@ -225,14 +214,6 @@ impl Snapshot {
         }
     }
 
-    /// The text annotation, when `name` is text.
-    pub fn text(&self, name: &str) -> Option<&str> {
-        match self.entries.get(name) {
-            Some(Metric::Text(value)) => Some(value.as_str()),
-            _ => None,
-        }
-    }
-
     /// The histogram aggregate, when `name` is a histogram.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
         match self.entries.get(name) {
@@ -261,8 +242,8 @@ impl Snapshot {
     }
 
     /// Serializes the snapshot as one flat, single-line JSON object,
-    /// names sorted. Counters and gauges serialize as numbers, text as
-    /// strings, histograms as `{"count":..,"sum":..,"min":..,"max":..}`.
+    /// names sorted. Counters and gauges serialize as numbers,
+    /// histograms as `{"count":..,"sum":..,"min":..,"max":..}`.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(32 + self.entries.len() * 48);
         out.push('{');
@@ -276,11 +257,6 @@ impl Snapshot {
             match metric {
                 Metric::Counter(value) => out.push_str(&value.to_string()),
                 Metric::Gauge(value) => out.push_str(&format_f64(*value)),
-                Metric::Text(value) => {
-                    out.push('"');
-                    crate::escape_json(value, &mut out);
-                    out.push('"');
-                }
                 Metric::Histogram(h) => {
                     out.push_str(&format!(
                         "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{}}}",
@@ -324,16 +300,14 @@ mod tests {
         reset();
         counter_add("cache.parse.reused", 3);
         counter_add("cache.parse.reused", 2);
-        counter_set("par.threads", 8);
+        counter_set("cache.parse.recomputed", 8);
         gauge_set("timings.wall_ms", 12.5);
-        text_set("par.level_packages", "2+14+1");
         histogram_record("parse.file_ms", 1.0);
         histogram_record("parse.file_ms", 3.0);
         let snap = snapshot();
         assert_eq!(snap.counter("cache.parse.reused"), Some(5));
-        assert_eq!(snap.counter("par.threads"), Some(8));
+        assert_eq!(snap.counter("cache.parse.recomputed"), Some(8));
         assert_eq!(snap.gauge("timings.wall_ms"), Some(12.5));
-        assert_eq!(snap.text("par.level_packages"), Some("2+14+1"));
         let h = snap.histogram("parse.file_ms").unwrap();
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, 4.0);
@@ -353,7 +327,7 @@ mod tests {
             let _scope = scoped("req.7.");
             counter_set("timings.wall", 2);
             gauge_set("timings.parse_ms", 1.5);
-            text_set("par.levels", "1+2");
+            counter_set("types.distinct", 5);
             histogram_record("parse.file_ms", 3.0);
             counter_add("cache.hits", 4);
             {
@@ -363,7 +337,7 @@ mod tests {
             // Nested scope restored to req.7.
             counter_set("nested.restored", 1);
             // A scoped clear only touches the scoped namespace.
-            clear_prefix("par.");
+            clear_prefix("types.");
         }
         let snap = snapshot();
         assert_eq!(snap.counter("timings.wall"), Some(1), "unscoped untouched");
@@ -376,7 +350,11 @@ mod tests {
             snap.histogram("req.7.parse.file_ms").map(|h| h.count),
             Some(1)
         );
-        assert_eq!(snap.text("req.7.par.levels"), None, "scoped clear applied");
+        assert_eq!(
+            snap.counter("req.7.types.distinct"),
+            None,
+            "scoped clear applied"
+        );
         let request = snap.within("req.7.");
         assert_eq!(request.counter("timings.wall"), Some(2), "prefix stripped");
         assert!(request.to_json().starts_with(r#"{"cache.hits":4,"#));
@@ -406,19 +384,22 @@ mod tests {
         reset();
         gauge_set("b.gauge", 2.0);
         counter_set("a.counter", 1);
-        text_set("c.text", "x\"y");
+        counter_set("c.escaped\"name", 3);
         histogram_record("d.hist", 1.5);
         let snap = snapshot();
         let text = snap.to_json();
         reset();
         let a = text.find("a.counter").unwrap();
         let b = text.find("b.gauge").unwrap();
-        let c = text.find("c.text").unwrap();
+        let c = text.find("c.escaped").unwrap();
         assert!(a < b && b < c, "sorted: {text}");
         let parsed = crate::json::parse(&text).expect("valid JSON");
         assert_eq!(parsed.get("a.counter").and_then(|v| v.as_f64()), Some(1.0));
         assert_eq!(parsed.get("b.gauge").and_then(|v| v.as_f64()), Some(2.0));
-        assert_eq!(parsed.get("c.text").and_then(|v| v.as_str()), Some("x\"y"));
+        assert_eq!(
+            parsed.get("c.escaped\"name").and_then(|v| v.as_f64()),
+            Some(3.0)
+        );
         assert_eq!(
             parsed
                 .get("d.hist")

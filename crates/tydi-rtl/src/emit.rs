@@ -1,13 +1,10 @@
 //! The emitter abstraction: netlist in, text files out.
 //!
 //! An [`Emitter`] renders one [`Module`] to one source file;
-//! [`Emitter::emit_netlist`] fans per-module emission out across the
-//! thread pool (modules are independent once lowered) while keeping
-//! the output in definition order.
+//! [`Emitter::emit_netlist`] renders every module in definition order.
 
 use crate::names::Backend;
 use crate::netlist::{Module, Netlist};
-use rayon::prelude::*;
 
 /// One generated source file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,9 +44,8 @@ impl std::error::Error for EmitError {}
 
 /// Renders netlist modules in one backend's syntax.
 ///
-/// Implementations must be [`Sync`]: [`Emitter::emit_netlist`] calls
-/// [`Emitter::emit_module`] from worker threads.
-pub trait Emitter: Sync {
+/// Renders netlist modules for one backend.
+pub trait Emitter {
     /// The backend this emitter renders.
     fn backend(&self) -> Backend;
 
@@ -62,11 +58,11 @@ pub trait Emitter: Sync {
     fn emit_module(&self, netlist: &Netlist, module: &Module) -> Result<String, EmitError>;
 
     /// Renders every module, one file per module, in definition
-    /// order. Modules are rendered in parallel.
+    /// order.
     fn emit_netlist(&self, netlist: &Netlist) -> Result<Vec<EmittedFile>, EmitError> {
-        let results: Vec<Result<EmittedFile, EmitError>> = netlist
+        netlist
             .modules
-            .par_iter()
+            .iter()
             .map(|module| {
                 let _span =
                     tydi_obs::trace::span_named("tydi-rtl", || format!("emit:{}", module.name));
@@ -75,8 +71,7 @@ pub trait Emitter: Sync {
                     contents: self.emit_module(netlist, module)?,
                 })
             })
-            .collect();
-        results.into_iter().collect()
+            .collect()
     }
 }
 

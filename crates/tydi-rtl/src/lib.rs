@@ -12,8 +12,7 @@
 //! per-backend text blocks produced by builtin generators), or
 //! *black-box*. Everything backend-specific lives behind the
 //! [`emit::Emitter`] trait, implemented by [`vhdl::VhdlEmitter`] and
-//! [`verilog::SystemVerilogEmitter`]; per-module emission fans out
-//! across a thread pool.
+//! [`verilog::SystemVerilogEmitter`].
 //!
 //! [`names`] centralizes identifier legalization with per-backend
 //! keyword tables and case-sensitivity rules (VHDL identifiers are

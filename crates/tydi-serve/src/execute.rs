@@ -179,11 +179,10 @@ fn load_sources(request: &JobRequest) -> Result<Vec<(String, String)>, String> {
 }
 
 /// The `--timings` report: per-stage *self* times, then the self-time
-/// sum and the wall-clock window as separate totals (summing stage
-/// times double-counts when stage work overlaps on the thread pool),
-/// then per-stage cache reuse counts. The type-store and parallelism
-/// lines read the job's own metrics back from the registry, so the
-/// report and `--timings-json` can never disagree.
+/// sum and the wall-clock window as separate totals, then per-stage
+/// cache reuse counts. The type-store line reads the job's own
+/// metrics back from the registry, so the report and
+/// `--timings-json` can never disagree.
 fn render_timings(output: &CompileOutput, scope: &str, err: &mut String) {
     let t = output.timings;
     let _ = writeln!(
@@ -229,14 +228,6 @@ fn render_timings(output: &CompileOutput, scope: &str, err: &mut String) {
         job.gauge("types.intern_hit_rate_pct").unwrap_or(0.0),
         job.counter("types.expansions_reused").unwrap_or(0),
         job.counter("types.expansions_computed").unwrap_or(0),
-    );
-    let levels = job.text("par.level_packages").unwrap_or("");
-    let _ = writeln!(
-        err,
-        "par: {} thread(s), packages per level [{}], {} shard contention event(s)",
-        job.counter("par.threads").unwrap_or(0),
-        if levels.is_empty() { "-" } else { levels },
-        job.counter("types.shard_contention").unwrap_or(0),
     );
 }
 
@@ -464,7 +455,7 @@ fn simulate(
         response.stderr,
         "simulated {} scenario(s) over `{top}` in {elapsed:?} (event-driven scheduler, {} thread(s))",
         report.scenarios.len(),
-        rayon::current_num_threads(),
+        tydi_sim::worker_threads(),
     );
     // Per-scenario failures are aggregated (every scenario ran), but
     // they still fail the job.

@@ -5,10 +5,9 @@
 //! Each accepted connection gets its own worker thread; a connection
 //! carries any number of requests, answered in order. Compile jobs
 //! serialize on the cache mutex (the cache is the shared warm state —
-//! letting two compiles interleave on it would trade determinism for
-//! nothing, since elaboration itself already fans out on the rayon
-//! pool), while `status` requests only touch cheap atomics plus a
-//! short cache lock for the entry counts.
+//! letting two compiles interleave on it would make what each one
+//! reuses depend on timing), while `status` requests only touch cheap
+//! atomics plus a short cache lock for the entry counts.
 //!
 //! Resilience: every compile job runs on its own thread under
 //! [`std::panic::catch_unwind`], so a crashing compile answers

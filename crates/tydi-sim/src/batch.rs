@@ -6,10 +6,11 @@
 //! [`BatchReport`]. The design is flattened once and shared immutably;
 //! each scenario clones the empty-channel graph into its own
 //! [`Simulator`], so scenarios share nothing mutable and shard across
-//! threads via the rayon shim's work-stealing `map_stealing` (workers
-//! pull the next unclaimed scenario, so one slow scenario never idles
-//! the rest); `TYDI_THREADS=1` forces the sequential fallback for
-//! debugging and benchmarking.
+//! [`worker_threads`] scoped threads that pull the next unclaimed
+//! scenario (so one slow scenario never idles the rest);
+//! `TYDI_THREADS=1` forces the sequential path for debugging and
+//! benchmarking. This is the toolchain's only worker pool: the
+//! compiler itself runs on one thread.
 
 use crate::behavior::BehaviorRegistry;
 use crate::channel::Packet;
@@ -19,6 +20,9 @@ use crate::graph::{flatten, SimGraph};
 use crate::report::{BottleneckReport, ChannelStats, PortBlockage};
 use std::collections::HashMap;
 use std::fmt;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use tydi_ir::Project;
 
 /// One stimulus scenario: what to feed, how hard to backpressure, and
@@ -312,8 +316,7 @@ impl<'a> SimBatch<'a> {
                 .unwrap_or_else(|| "<empty batch>".to_string()),
             error: SimError::Graph(e),
         })?;
-        let workers = rayon::current_num_threads().max(1);
-        let results = rayon::map_stealing(scenarios.len(), workers, |i| {
+        let results = map_stealing(scenarios.len(), worker_threads(), |i| {
             self.run_scenario(&graph, &scenarios[i])
         });
         let mut report = BatchReport::default();
@@ -369,11 +372,72 @@ impl<'a> SimBatch<'a> {
     }
 }
 
+/// Worker threads a [`SimBatch`] shards its scenarios over:
+/// `TYDI_THREADS=n` when set (`1` = sequential), else the machine's
+/// available parallelism.
+pub fn worker_threads() -> usize {
+    match std::env::var("TYDI_THREADS")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+    {
+        Some(n) => n.max(1),
+        None => std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
+    }
+}
+
+/// Work-stealing map over `0..len`: `workers` scoped threads pull the
+/// next unclaimed index from a shared atomic counter, so an uneven
+/// workload (one slow item) never idles the other workers the way
+/// fixed chunking does. Results come back in index order. Runs
+/// sequentially when `workers <= 1` or there is nothing to steal.
+fn map_stealing<R, F>(len: usize, workers: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let workers = workers.min(len).max(1);
+    if workers <= 1 {
+        return (0..len).map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Mutex<Option<R>>> = Vec::with_capacity(len);
+    slots.resize_with(len, || Mutex::new(None));
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= len {
+                    break;
+                }
+                let result = f(i);
+                *slots[i].lock().expect("steal slot poisoned") = Some(result);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("steal slot poisoned")
+                .expect("every index computed")
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use tydi_lang::{compile, CompileOptions};
     use tydi_stdlib::with_stdlib;
+
+    #[test]
+    fn map_stealing_preserves_order() {
+        let out = map_stealing(37, 4, |i| i * i);
+        assert_eq!(out, (0..37).map(|i| i * i).collect::<Vec<_>>());
+        // Sequential fallback produces the same thing.
+        assert_eq!(map_stealing(5, 1, |i| i * i), out[..5].to_vec());
+        assert!(map_stealing(0, 4, |i| i).is_empty());
+    }
 
     fn pipeline_project() -> Project {
         let source = r#"

@@ -43,7 +43,7 @@ pub mod interp;
 pub mod report;
 pub mod testbench_gen;
 
-pub use batch::{BatchError, BatchReport, Scenario, ScenarioReport, SimBatch};
+pub use batch::{worker_threads, BatchError, BatchReport, Scenario, ScenarioReport, SimBatch};
 pub use behavior::{Behavior, BehaviorRegistry, IoCtx, Wake};
 pub use channel::{Channel, Packet};
 pub use engine::{RunResult, SchedulerKind, SimError, Simulator, StopReason};

@@ -22,20 +22,12 @@
 //! on plain trees; structurally equal types share one allocation,
 //! which downstream consumers exploit with `Arc::ptr_eq` fast paths.
 //!
-//! # Concurrency
-//!
-//! The store is safe to share across elaboration workers: the intern
-//! map is split into [`SHARD_COUNT`] shards selected by the hash of
-//! the structural dedup key, each behind its own `RwLock`, and every
-//! method takes `&self`. A [`TypeId`] encodes `(slot << 4) | shard`;
-//! ids are assigned per shard in first-intern order, so their *raw
-//! values* may vary with thread interleaving, but everything the
-//! compiler emits is derived from the structural side tables (mangled
-//! text, canonical trees, fingerprints), which depend only on the
-//! type's structure — output stays byte-identical regardless of
-//! thread count. Lock contention is counted (see
-//! [`TypeStoreStats::shard_contention`]) so the `--timings` report can
-//! surface it.
+//! A store belongs to one elaboration, which runs on one thread: the
+//! intern map sits in a `RefCell` so every method takes `&self`, and a
+//! [`TypeId`] is the slot index of its node, assigned in first-intern
+//! order. Everything the compiler emits is derived from the
+//! structural side tables (mangled text, canonical trees,
+//! fingerprints), never from raw id values.
 //!
 //! Invariants maintained by construction (checked once per distinct
 //! node, never re-walked):
@@ -52,58 +44,33 @@
 //! The module also hosts a process-wide memo for
 //! [`lower`](crate::physical::lower) — [`lower_cached`] — used by the
 //! RTL backends, where ports arrive as plain `Arc<LogicalType>`
-//! without a store in scope. That memo is sharded the same way (by
-//! fingerprint, and by pointer for the `Arc`-identity fast path) so
-//! parallel lowering does not serialize on one mutex.
+//! without a store in scope. The memo sits behind a `Mutex` because
+//! concurrent daemon jobs share it.
 
 use crate::logical::{union_tag_width, Field, LogicalType};
 use crate::physical::PhysicalStream;
 use crate::stream::{Complexity, Direction, StreamParams, Synchronicity, Throughput};
 use crate::SpecError;
-use std::collections::hash_map::DefaultHasher;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{
-    Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError, Weak,
-};
-
-/// Number of independently locked intern-map shards.
-pub const SHARD_COUNT: usize = 16;
-const SHARD_BITS: u32 = 4;
-const SHARD_MASK: u32 = (SHARD_COUNT as u32) - 1;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 /// A compact handle to an interned logical type.
 ///
 /// Two ids from the *same* [`TypeStore`] are equal exactly when the
 /// types they denote are structurally equal; comparing ids from
 /// different stores is meaningless. Raw id values are only stable
-/// within one run (shard slots fill in first-intern order); all
-/// persisted artifacts use structural fingerprints instead.
+/// within one run (slots fill in first-intern order); all persisted
+/// artifacts use structural fingerprints instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TypeId(u32);
 
 impl TypeId {
-    /// The raw `(slot << 4) | shard` encoding of this id.
+    /// The slot index of this id.
     pub fn index(self) -> usize {
         self.0 as usize
-    }
-
-    fn shard(self) -> usize {
-        (self.0 & SHARD_MASK) as usize
-    }
-
-    fn slot(self) -> usize {
-        (self.0 >> SHARD_BITS) as usize
-    }
-
-    fn encode(shard: usize, slot: usize) -> TypeId {
-        let raw = u32::try_from(slot)
-            .ok()
-            .and_then(|s| s.checked_shl(SHARD_BITS))
-            .expect("type store shard overflow");
-        TypeId(raw | shard as u32)
     }
 }
 
@@ -127,19 +94,9 @@ enum NodeKey {
     },
 }
 
-impl NodeKey {
-    /// Which shard this key's node lives in.
-    fn shard(&self) -> usize {
-        let mut hasher = DefaultHasher::new();
-        self.hash(&mut hasher);
-        (hasher.finish() as usize) & (SHARD_COUNT - 1)
-    }
-}
-
-/// Cached per-node data. Immutable after interning (the lazily
-/// memoized expansion uses a lock-free [`OnceLock`]), so accessors
-/// can hand out clones of the containing `Arc` without holding any
-/// shard lock.
+/// Cached per-node data. Immutable after interning (except the lazily
+/// memoized expansion), so accessors can hand out clones of the
+/// containing `Arc` without holding the intern map borrowed.
 #[derive(Debug)]
 struct NodeData {
     /// Canonical deep tree; structurally equal ids share this `Arc`.
@@ -171,9 +128,6 @@ pub struct TypeStoreStats {
     pub expansion_hits: usize,
     /// Physical expansions actually computed.
     pub expansions_computed: usize,
-    /// Shard-lock acquisitions that found the lock held (contention
-    /// under concurrent interning; always 0 single-threaded).
-    pub shard_contention: usize,
 }
 
 impl TypeStoreStats {
@@ -188,25 +142,23 @@ impl TypeStoreStats {
     }
 }
 
-/// One intern-map shard: slot-indexed nodes plus the dedup table
-/// mapping structural keys to slots.
+/// The intern map: slot-indexed nodes plus the dedup table mapping
+/// structural keys to slots.
 #[derive(Debug, Default)]
-struct Shard {
+struct InternMap {
     nodes: Vec<Arc<NodeData>>,
     dedup: HashMap<NodeKey, u32>,
 }
 
 /// A hash-consing store for [`LogicalType`]s (see the module docs).
 ///
-/// All methods take `&self`; the store can be shared across threads
-/// (e.g. behind an `Arc`) and interned into concurrently.
+/// All methods take `&self`; the store is used from one thread.
 #[derive(Debug, Default)]
 pub struct TypeStore {
-    shards: [RwLock<Shard>; SHARD_COUNT],
-    intern_hits: AtomicUsize,
-    expansion_hits: AtomicUsize,
-    expansions_computed: AtomicUsize,
-    contention: AtomicUsize,
+    map: RefCell<InternMap>,
+    intern_hits: Cell<usize>,
+    expansion_hits: Cell<usize>,
+    expansions_computed: Cell<usize>,
 }
 
 impl TypeStore {
@@ -217,10 +169,7 @@ impl TypeStore {
 
     /// Number of distinct interned nodes.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("type store shard poisoned").nodes.len())
-            .sum()
+        self.map.borrow().nodes.len()
     }
 
     /// True when nothing has been interned.
@@ -232,10 +181,9 @@ impl TypeStore {
     pub fn stats(&self) -> TypeStoreStats {
         TypeStoreStats {
             distinct_types: self.len(),
-            intern_hits: self.intern_hits.load(Ordering::Relaxed),
-            expansion_hits: self.expansion_hits.load(Ordering::Relaxed),
-            expansions_computed: self.expansions_computed.load(Ordering::Relaxed),
-            shard_contention: self.contention.load(Ordering::Relaxed),
+            intern_hits: self.intern_hits.get(),
+            expansion_hits: self.expansion_hits.get(),
+            expansions_computed: self.expansions_computed.get(),
         }
     }
 
@@ -434,16 +382,15 @@ impl TypeStore {
     }
 
     /// The physical-stream expansion of the type, computed once per
-    /// distinct node and shared thereafter. Concurrent first calls may
-    /// race to compute; exactly one result wins and is shared.
+    /// distinct node and shared thereafter.
     pub fn expansion(&self, id: TypeId) -> Result<Arc<Vec<PhysicalStream>>, SpecError> {
         let node = self.node(id);
         if let Some(expansion) = node.expansion.get() {
-            self.expansion_hits.fetch_add(1, Ordering::Relaxed);
+            bump(&self.expansion_hits);
             return Ok(Arc::clone(expansion));
         }
         let computed = Arc::new(crate::physical::lower(&node.canonical)?);
-        self.expansions_computed.fetch_add(1, Ordering::Relaxed);
+        bump(&self.expansions_computed);
         Ok(Arc::clone(node.expansion.get_or_init(|| computed)))
     }
 
@@ -510,50 +457,23 @@ impl TypeStore {
         })
     }
 
-    /// The shared node behind an id (clones the `Arc` so no shard lock
-    /// outlives the call).
+    /// The shared node behind an id (clones the `Arc` so no borrow of
+    /// the intern map outlives the call).
     fn node(&self, id: TypeId) -> Arc<NodeData> {
-        Arc::clone(&self.read_shard(id.shard()).nodes[id.slot()])
-    }
-
-    fn read_shard(&self, idx: usize) -> RwLockReadGuard<'_, Shard> {
-        match self.shards[idx].try_read() {
-            Ok(guard) => guard,
-            Err(TryLockError::WouldBlock) => {
-                self.contention.fetch_add(1, Ordering::Relaxed);
-                self.shards[idx].read().expect("type store shard poisoned")
-            }
-            Err(TryLockError::Poisoned(_)) => panic!("type store shard poisoned"),
-        }
-    }
-
-    fn write_shard(&self, idx: usize) -> RwLockWriteGuard<'_, Shard> {
-        match self.shards[idx].try_write() {
-            Ok(guard) => guard,
-            Err(TryLockError::WouldBlock) => {
-                self.contention.fetch_add(1, Ordering::Relaxed);
-                self.shards[idx].write().expect("type store shard poisoned")
-            }
-            Err(TryLockError::Poisoned(_)) => panic!("type store shard poisoned"),
-        }
+        Arc::clone(&self.map.borrow().nodes[id.index()])
     }
 
     /// Dedup-or-insert: returns the existing id for `key` or builds
-    /// the node via `build` (which may read already-interned nodes —
-    /// it runs with **no** shard lock held, because child lookups can
-    /// land in this very shard).
+    /// the node via `build` (which may read already-interned nodes, so
+    /// it runs with the intern map not borrowed).
     fn insert(
         &self,
         key: NodeKey,
         build: impl FnOnce(&Self) -> NodeBuild,
     ) -> Result<TypeId, SpecError> {
-        let shard_idx = key.shard();
-        {
-            let shard = self.read_shard(shard_idx);
-            if let Some(&slot) = shard.dedup.get(&key) {
-                self.intern_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(TypeId::encode(shard_idx, slot as usize));
-            }
+        if let Some(&slot) = self.map.borrow().dedup.get(&key) {
+            bump(&self.intern_hits);
+            return Ok(TypeId(slot));
         }
         let built = build(self);
         let fingerprint = structural_fingerprint(&built.canonical);
@@ -567,20 +487,16 @@ impl TypeStore {
             node_count: built.node_count,
             expansion: OnceLock::new(),
         });
-        let mut shard = self.write_shard(shard_idx);
-        // Double-checked: another worker may have interned the same
-        // node while we were building; its id wins so structurally
-        // equal types keep sharing one allocation.
-        if let Some(&slot) = shard.dedup.get(&key) {
-            self.intern_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(TypeId::encode(shard_idx, slot as usize));
-        }
-        let slot = shard.nodes.len();
-        let id = TypeId::encode(shard_idx, slot);
-        shard.nodes.push(data);
-        shard.dedup.insert(key, slot as u32);
-        Ok(id)
+        let mut map = self.map.borrow_mut();
+        let slot = u32::try_from(map.nodes.len()).expect("type store overflow");
+        map.nodes.push(data);
+        map.dedup.insert(key, slot);
+        Ok(TypeId(slot))
     }
+}
+
+fn bump(counter: &Cell<usize>) {
+    counter.set(counter.get() + 1);
 }
 
 /// The data `insert` needs to materialize one new node.
@@ -698,15 +614,10 @@ struct ExpansionCache {
     stats: ExpansionCacheStats,
 }
 
-/// The value-keyed memo, sharded by fingerprint so concurrent
-/// backends do not serialize on one mutex.
-fn expansion_cache() -> &'static [Mutex<ExpansionCache>; SHARD_COUNT] {
-    static CACHE: OnceLock<[Mutex<ExpansionCache>; SHARD_COUNT]> = OnceLock::new();
+/// The value-keyed memo, shared by every job of the process.
+fn expansion_cache() -> &'static Mutex<ExpansionCache> {
+    static CACHE: OnceLock<Mutex<ExpansionCache>> = OnceLock::new();
     CACHE.get_or_init(Default::default)
-}
-
-fn expansion_shard(fingerprint: u64) -> &'static Mutex<ExpansionCache> {
-    &expansion_cache()[(fingerprint as usize) & (SHARD_COUNT - 1)]
 }
 
 /// Like [`lower`](crate::physical::lower) but memoized process-wide:
@@ -716,8 +627,7 @@ fn expansion_shard(fingerprint: u64) -> &'static Mutex<ExpansionCache> {
 /// are not memoized (failing types re-report on every attempt).
 pub fn lower_cached(ty: &LogicalType) -> Result<Arc<Vec<PhysicalStream>>, SpecError> {
     let fingerprint = structural_fingerprint(ty);
-    let shard = expansion_shard(fingerprint);
-    let mut cache = shard.lock().expect("expansion cache poisoned");
+    let mut cache = expansion_cache().lock().expect("expansion cache poisoned");
     if let Some(candidates) = cache.map.get(&fingerprint) {
         if let Some((_, expansion)) = candidates.iter().find(|(t, _)| t == ty) {
             let expansion = Arc::clone(expansion);
@@ -729,7 +639,7 @@ pub fn lower_cached(ty: &LogicalType) -> Result<Arc<Vec<PhysicalStream>>, SpecEr
     let _span =
         tydi_obs::trace::fine_span_named("tydi-spec", || format!("expand:{fingerprint:016x}"));
     let expansion = Arc::new(crate::physical::lower(ty)?);
-    let mut cache = shard.lock().expect("expansion cache poisoned");
+    let mut cache = expansion_cache().lock().expect("expansion cache poisoned");
     cache.stats.misses += 1;
     cache
         .map
@@ -739,15 +649,12 @@ pub fn lower_cached(ty: &LogicalType) -> Result<Arc<Vec<PhysicalStream>>, SpecEr
     Ok(expansion)
 }
 
-/// One shard of the pointer-identity memo behind [`lower_cached_arc`].
-type PtrMemoShard = Mutex<HashMap<usize, (Weak<LogicalType>, Arc<Vec<PhysicalStream>>)>>;
+/// The pointer-identity memo behind [`lower_cached_arc`].
+type PtrMemo = Mutex<HashMap<usize, (Weak<LogicalType>, Arc<Vec<PhysicalStream>>)>>;
 
-fn ptr_memo(key: usize) -> &'static PtrMemoShard {
-    static MEMO: OnceLock<[PtrMemoShard; SHARD_COUNT]> = OnceLock::new();
-    let shards = MEMO.get_or_init(Default::default);
-    // Arc allocations are word-aligned; shift the always-zero low bits
-    // out before picking a shard.
-    &shards[(key >> 4) & (SHARD_COUNT - 1)]
+fn ptr_memo() -> &'static PtrMemo {
+    static MEMO: OnceLock<PtrMemo> = OnceLock::new();
+    MEMO.get_or_init(Default::default)
 }
 
 /// Arc-identity fast path over [`lower_cached`].
@@ -763,7 +670,7 @@ fn ptr_memo(key: usize) -> &'static PtrMemoShard {
 /// [`lower_cached`].
 pub fn lower_cached_arc(ty: &Arc<LogicalType>) -> Result<Arc<Vec<PhysicalStream>>, SpecError> {
     let key = Arc::as_ptr(ty) as usize;
-    let memo = ptr_memo(key);
+    let memo = ptr_memo();
     {
         let map = memo.lock().expect("expansion ptr memo poisoned");
         if let Some((weak, expansion)) = map.get(&key) {
@@ -777,7 +684,7 @@ pub fn lower_cached_arc(ty: &Arc<LogicalType>) -> Result<Arc<Vec<PhysicalStream>
     }
     let expansion = lower_cached(ty)?;
     let mut map = memo.lock().expect("expansion ptr memo poisoned");
-    if map.len() >= 65_536 / SHARD_COUNT {
+    if map.len() >= 65_536 {
         map.retain(|_, (weak, _)| weak.strong_count() > 0);
     }
     map.insert(key, (Arc::downgrade(ty), Arc::clone(&expansion)));
@@ -790,12 +697,10 @@ static EXPANSION_PTR_HITS: AtomicU64 = AtomicU64::new(0);
 /// Counters of the process-wide expansion memo (both levels: the
 /// `Arc`-identity fast path and the value-keyed fallback).
 pub fn expansion_cache_stats() -> ExpansionCacheStats {
-    let mut stats = ExpansionCacheStats::default();
-    for shard in expansion_cache() {
-        let s = shard.lock().expect("expansion cache poisoned").stats;
-        stats.hits += s.hits;
-        stats.misses += s.misses;
-    }
+    let mut stats = expansion_cache()
+        .lock()
+        .expect("expansion cache poisoned")
+        .stats;
     stats.hits += EXPANSION_PTR_HITS.load(Ordering::Relaxed);
     stats
 }
@@ -911,44 +816,6 @@ mod tests {
                 ..
             })
         ));
-    }
-
-    #[test]
-    fn concurrent_interning_dedups_across_threads() {
-        // Hammer one store from several threads with overlapping type
-        // trees; every thread must see the same id per structure and
-        // the store must end up with exactly the sequential node set.
-        let store = TypeStore::new();
-        let expected = {
-            let reference = TypeStore::new();
-            for d in 0..6 {
-                reference.intern(&deep(d)).unwrap();
-            }
-            reference.len()
-        };
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for d in 0..6 {
-                        let a = store.intern(&deep(d)).unwrap();
-                        let b = store.intern(&deep(d)).unwrap();
-                        assert_eq!(a, b);
-                        assert_eq!(
-                            store.mangled(a).as_ref(),
-                            deep(d).to_string().replace(' ', "")
-                        );
-                    }
-                });
-            }
-        });
-        assert_eq!(store.len(), expected);
-        // Fingerprints stay structural regardless of interleaving.
-        let reference = TypeStore::new();
-        for d in 0..6 {
-            let id = store.intern(&deep(d)).unwrap();
-            let ref_id = reference.intern(&deep(d)).unwrap();
-            assert_eq!(store.fingerprint(id), reference.fingerprint(ref_id));
-        }
     }
 
     #[test]

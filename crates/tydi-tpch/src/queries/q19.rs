@@ -152,7 +152,7 @@ impl q19_i of q19_s {{
         // l_shipinstruct = 'DELIVER IN PERSON'
         instance instr_eq(eq_const_i<type lineitem_part_l_shipinstruct_t, {instr}>),
         rd.l_shipinstruct => instr_eq.i,
-        instance clause_and(and_n_i<7>),
+        instance clause_and(and_n_i<8>),
         brand_eq.o => clause_and.i[0],
         cont_or.o => clause_and.i[1],
         q_lo.o => clause_and.i[2],
@@ -160,6 +160,7 @@ impl q19_i of q19_s {{
         s_lo.o => clause_and.i[4],
         s_hi.o => clause_and.i[5],
         instr_eq.o => clause_and.i[6],
+        mode_or.o => clause_and.i[7],
         clause_and.o => clauses.i[c],
     }}
 {tail}}}
@@ -253,6 +254,7 @@ mod tests {
         let s = source(&p, 16);
         assert!(s.contains("const containers : [[int]]"));
         assert!(s.contains("containers[c][k]"));
-        assert!(s.contains("and_n_i<7>"));
+        assert!(s.contains("and_n_i<8>"));
+        assert!(s.contains("mode_or.o => clause_and.i[7]"));
     }
 }

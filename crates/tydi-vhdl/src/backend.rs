@@ -52,7 +52,7 @@ pub fn generate_project(
 }
 
 /// Generates one file per implementation for any backend: lower once,
-/// then render with that backend's emitter (modules in parallel).
+/// then render with that backend's emitter.
 pub fn generate_project_for(
     project: &Project,
     registry: &BuiltinRegistry,

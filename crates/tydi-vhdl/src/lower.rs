@@ -8,16 +8,11 @@
 //! wiring, a per-backend behavioral block from the
 //! [`crate::builtin::BuiltinRegistry`], or a black box. Emitters only
 //! render; they never consult Tydi-IR.
-//!
-//! Per-implementation module construction fans out across the thread
-//! pool: after entity names are allocated (a sequential, order-
-//! dependent step), implementations are independent.
 
 use crate::builtin::{BuiltinCtx, BuiltinRegistry};
 use crate::error::VhdlError;
 use crate::signals::{clock_signals, expand_port, expand_port_as, PortMode};
 use crate::VhdlOptions;
-use rayon::prelude::*;
 use std::collections::HashMap;
 use tydi_ir::{
     Connection, EndpointRef, ImplId, ImplKind, Implementation, Project, ProjectIndex, Streamlet,
@@ -64,12 +59,9 @@ pub fn lower_project_with(
     }
     let module_names = allocate_module_names(project);
 
-    // Implementations are independent once names are fixed; build
-    // their modules in parallel, preserving definition order.
-    let impls: Vec<(ImplId, &Implementation)> = project.implementations_with_ids().collect();
-    let results: Vec<Result<Module, VhdlError>> = impls
-        .par_iter()
-        .map(|&(impl_id, implementation)| {
+    let modules = project
+        .implementations_with_ids()
+        .map(|(impl_id, implementation)| {
             let _span = tydi_obs::trace::span_named("tydi-vhdl", || {
                 format!("lower:{}", implementation.name)
             });
@@ -83,8 +75,7 @@ pub fn lower_project_with(
                 options,
             )
         })
-        .collect();
-    let modules = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+        .collect::<Result<Vec<_>, _>>()?;
     Ok(Netlist {
         name: project.name.clone(),
         emit_comments: options.emit_comments,

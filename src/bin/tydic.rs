@@ -91,8 +91,8 @@ options:
                     and per-stage cache reuse counts
   --timings-json <file>
                     write the run's full metrics snapshot (timings,
-                    cache, type-store, parallelism, sim, analyze) as
-                    one flat JSON object
+                    cache, type-store, sim, analyze) as one flat
+                    JSON object
   --trace <file>    record a Chrome trace-event file (load it in
                     chrome://tracing or https://ui.perfetto.dev)
   --trace-fine      include fine-grained spans (per-expansion,

@@ -215,8 +215,8 @@ fn channel_names_agree_between_analyzer_and_simulator() {
 }
 
 /// The CLI JSON report is byte-identical whatever `TYDI_THREADS` says:
-/// the analysis itself is sequential and the parallel elaborator must
-/// not perturb channel ordering or rate values.
+/// the analysis and the compiler are sequential, so the worker count
+/// must not perturb channel ordering or rate values.
 #[test]
 fn analyze_json_is_stable_across_thread_counts() {
     for file in cookbook_files() {

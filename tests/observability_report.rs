@@ -1,8 +1,8 @@
 //! The `--timings` report and `--timings-json` must tell one story.
 //!
-//! The `types:`/`par:` lines and the sim channel table used to format
-//! their own private structs (`TypeStoreStats`, `ParallelStats`,
-//! `ChannelStats`); they now read the metrics registry, and these
+//! The `types:` line and the sim channel table used to format their
+//! own private structs (`TypeStoreStats`, `ChannelStats`); they now
+//! read the metrics registry, and these
 //! tests pin two things across that migration:
 //!
 //! * **format**: this file re-renders the report from the
@@ -10,7 +10,7 @@
 //!   templates, then requires the rebuilt text byte-for-byte in
 //!   stderr — a drifted template or a renamed metric fails here;
 //! * **coverage**: every namespace the report draws from
-//!   (`timings.`, `cache.`, `types.`, `par.`, `sim.`) is present in
+//!   (`timings.`, `cache.`, `types.`, `sim.`) is present in
 //!   the JSON file.
 
 use std::collections::BTreeMap;
@@ -64,12 +64,6 @@ fn gauge(doc: &Json, key: &str) -> f64 {
         .unwrap_or_else(|| panic!("missing gauge `{key}`"))
 }
 
-fn text<'a>(doc: &'a Json, key: &str) -> &'a str {
-    doc.get(key)
-        .and_then(Json::as_str)
-        .unwrap_or_else(|| panic!("missing text `{key}`"))
-}
-
 #[test]
 fn compile_report_lines_render_from_the_snapshot() {
     let dir = workdir("check");
@@ -102,19 +96,6 @@ fn compile_report_lines_render_from_the_snapshot() {
     assert!(
         stderr.lines().any(|l| l == expected_types),
         "stderr must carry the registry-rendered line\n  {expected_types}\nin:\n{stderr}"
-    );
-
-    // Rebuild the `par:` line.
-    let levels = text(&doc, "par.level_packages");
-    let expected_par = format!(
-        "par: {} thread(s), packages per level [{}], {} shard contention event(s)",
-        counter(&doc, "par.threads"),
-        if levels.is_empty() { "-" } else { levels },
-        counter(&doc, "types.shard_contention"),
-    );
-    assert!(
-        stderr.lines().any(|l| l == expected_par),
-        "stderr must carry the registry-rendered line\n  {expected_par}\nin:\n{stderr}"
     );
 
     // Every compile-side namespace lands in the JSON file.

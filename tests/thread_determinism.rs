@@ -1,12 +1,11 @@
 //! Thread-count determinism of the whole pipeline, end to end.
 //!
-//! Package-parallel elaboration shards type interning 16 ways and
-//! fans packages out across worker threads, but type ids are assigned
-//! deterministically, so everything downstream — IR text, VHDL,
-//! SystemVerilog — must be byte-identical whether the compiler runs
-//! on one thread (`TYDI_THREADS=1`) or eight. These tests drive the
-//! real `tydic` binary over a 17-package import DAG wide enough (ten
-//! packages on one level) to genuinely exercise the parallel path.
+//! The compiler runs on one thread; `TYDI_THREADS` only sizes the
+//! batch simulator's worker pool. Everything the compiler emits — IR
+//! text, VHDL, SystemVerilog, diagnostics, cached artifacts — must
+//! therefore be byte-identical under `TYDI_THREADS=1` and eight. These
+//! tests drive the real `tydic` binary over a 17-package import DAG,
+//! so a thread-count dependence anywhere in the pipeline fails here.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -118,7 +117,7 @@ fn diagnostics_are_stable_across_thread_counts() {
 fn persisted_cache_replays_identically_after_parallel_populate() {
     // Populate the on-disk cache with an 8-thread compile, then
     // replay it on one thread: the binary `.tirb` artifact must
-    // restore the exact project the parallel elaboration produced.
+    // restore the exact project the 8-thread compile produced.
     let dir = workdir("replay");
     let files = write_dag(&dir);
     let cache_dir = dir.join("cache");

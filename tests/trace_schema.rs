@@ -12,8 +12,6 @@
 //!   design rules once;
 //! * the coarse span multiset is identical at `TYDI_THREADS=1` and
 //!   `8` — only thread ids and timestamps may differ;
-//! * at `TYDI_THREADS=8` the per-package elaboration spans land on
-//!   distinct worker-thread tracks;
 //! * emitted artifacts are byte-identical with tracing off, coarse,
 //!   and fine.
 
@@ -203,23 +201,6 @@ fn build_trace_covers_stages_and_crates_at_any_thread_count() {
         span_multiset(&single),
         span_multiset(&parallel),
         "coarse trace content must not depend on TYDI_THREADS"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn parallel_elaboration_lands_on_distinct_thread_tracks() {
-    let dir = workdir("tracks");
-    let events = traced_dag_build(&dir, "8");
-    let elab_tids: BTreeSet<u64> = events
-        .iter()
-        .filter(|e| e.ph == "B" && e.name.starts_with("elab:"))
-        .map(|e| e.tid)
-        .collect();
-    assert!(
-        elab_tids.len() >= 2,
-        "8 independent packages at TYDI_THREADS=8 must elaborate on \
-         more than one worker track: {elab_tids:?}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
