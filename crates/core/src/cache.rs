@@ -36,7 +36,9 @@
 //! faithfully on every attempt.
 //!
 //! The cache is bounded: at most [`PARSE_CAPACITY`] parse artifacts
-//! and [`ELAB_CAPACITY`] elaboration artifacts, both FIFO-evicted.
+//! and [`ELAB_CAPACITY`] elaboration artifacts, both evicted least
+//! recently used first (a lookup refreshes its entry, so the stdlib
+//! every compile reads is never the one a new text pushes out).
 //! On save, artifact files already on disk are not rewritten (their
 //! names are content hashes), and artifact files no longer referenced
 //! by the manifest are removed, so a long `--watch` session does
@@ -52,13 +54,20 @@
 //! * every load and save holds an exclusive [`CacheLock`] (an
 //!   `O_CREAT|O_EXCL` lock file carrying the holder's PID, with
 //!   stale-lock takeover when the holder died), so a reader never
-//!   observes a half-swept directory;
+//!   observes a half-swept directory. A load takes it even before the
+//!   first manifest exists, so it waits for a writer that holds the
+//!   lock to create one; the daemon takes the lock *before* it replies
+//!   and persists after, so a reader that starts after a reply sees
+//!   that reply's work;
 //! * [`ArtifactCache::save`] *merges* before it writes: still under
-//!   the lock it re-loads the on-disk state and adopts every entry it
-//!   does not already have (as the oldest, so this process's own
-//!   entries win FIFO eviction), so two processes persisting
-//!   different artifacts union their work instead of the garbage
-//!   collector deleting each other's files;
+//!   the lock it re-reads the manifest and adopts, by manifest key,
+//!   every entry it does not already have (as the least recently used,
+//!   so this process's own entries win eviction), so two processes
+//!   persisting different artifacts union their work instead of the
+//!   garbage collector deleting each other's files. Only the `.tirb`
+//!   files of adopted entries that survive the capacity trim are
+//!   decoded: a save by a process whose cache is full of its own
+//!   entries decodes nothing;
 //! * the manifest is written to a temporary file in the same
 //!   directory and atomically renamed into place, so a crash mid-write
 //!   (or a reader that raced past a stale lock) sees either the old
@@ -72,6 +81,7 @@ use crate::span::Span;
 use crate::sugar::SugarReport;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -80,12 +90,12 @@ use tydi_ir::Project;
 /// Default name of the on-disk cache directory.
 pub const CACHE_DIR_NAME: &str = ".tydic-cache";
 
-/// Maximum number of memoized elaboration artifacts (FIFO eviction).
+/// Maximum number of memoized elaboration artifacts (LRU eviction).
 /// Each artifact is a full elaborated project; a watch session only
 /// ever ping-pongs between a handful of recent states.
 pub const ELAB_CAPACITY: usize = 16;
 
-/// Maximum number of memoized parse artifacts (FIFO eviction). Parse
+/// Maximum number of memoized parse artifacts (LRU eviction). Parse
 /// artifacts are per file *and* per text, so a long watch session
 /// accumulates one per edit; the cap bounds that history while
 /// leaving plenty of room for many files (or many designs sharing
@@ -149,15 +159,93 @@ pub struct ElabArtifact {
     pub diagnostics: Vec<Diagnostic>,
 }
 
+/// A map of at most `CAP` entries, evicted least recently used first:
+/// a lookup or a store makes its key the newest.
+#[derive(Debug)]
+struct Lru<K, V, const CAP: usize> {
+    map: HashMap<K, V>,
+    /// The keys of `map`, least recently used first.
+    order: Vec<K>,
+}
+
+impl<K, V, const CAP: usize> Default for Lru<K, V, CAP> {
+    fn default() -> Self {
+        Lru {
+            map: HashMap::new(),
+            order: Vec::new(),
+        }
+    }
+}
+
+impl<K: Copy + Eq + Hash, V, const CAP: usize> Lru<K, V, CAP> {
+    fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    fn contains(&self, key: &K) -> bool {
+        self.map.contains_key(key)
+    }
+
+    /// Looks `key` up and makes it the most recently used entry.
+    fn get(&mut self, key: K) -> Option<&V> {
+        if self.map.contains_key(&key) {
+            self.refresh(key);
+        }
+        self.map.get(&key)
+    }
+
+    /// Stores `value` under `key` as the most recently used entry,
+    /// evicting the least recently used beyond `CAP`.
+    fn insert(&mut self, key: K, value: V) {
+        if self.map.insert(key, value).is_some() {
+            self.refresh(key);
+        } else {
+            self.order.push(key);
+        }
+        self.trim();
+    }
+
+    /// Adopts the `entries` (oldest first) whose keys are not held, as
+    /// the least recently used, then trims back to `CAP`.
+    fn adopt_oldest(&mut self, entries: impl IntoIterator<Item = (K, V)>) {
+        let mut order = Vec::new();
+        for (key, value) in entries {
+            if let Entry::Vacant(slot) = self.map.entry(key) {
+                slot.insert(value);
+                order.push(key);
+            }
+        }
+        order.append(&mut self.order);
+        self.order = order;
+        self.trim();
+    }
+
+    /// The entries, least recently used first.
+    fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.order.iter().map(|key| (key, &self.map[key]))
+    }
+
+    fn refresh(&mut self, key: K) {
+        // Hits cluster on recent keys, so search from the newest end.
+        if let Some(at) = self.order.iter().rposition(|k| *k == key) {
+            let key = self.order.remove(at);
+            self.order.push(key);
+        }
+    }
+
+    fn trim(&mut self) {
+        let excess = self.order.len().saturating_sub(CAP);
+        for key in self.order.drain(..excess) {
+            self.map.remove(&key);
+        }
+    }
+}
+
 /// The in-memory artifact cache with disk persistence.
 #[derive(Debug, Default)]
 pub struct ArtifactCache {
-    parse: HashMap<ParseKey, ParseArtifact>,
-    /// Insertion order of `parse` keys, for FIFO eviction.
-    parse_order: Vec<ParseKey>,
-    elab: HashMap<Fingerprint, ElabArtifact>,
-    /// Insertion order of `elab` keys, for FIFO eviction.
-    elab_order: Vec<Fingerprint>,
+    parse: Lru<ParseKey, ParseArtifact, PARSE_CAPACITY>,
+    elab: Lru<Fingerprint, ElabArtifact, ELAB_CAPACITY>,
     dirty: bool,
 }
 
@@ -182,48 +270,38 @@ impl ArtifactCache {
         self.dirty
     }
 
-    /// Looks up the parse artifact for a source file.
-    pub fn lookup_parse(&self, key: ParseKey) -> Option<&ParseArtifact> {
-        self.parse.get(&key)
+    /// Looks up the parse artifact for a source file, making it the
+    /// most recently used.
+    pub fn lookup_parse(&mut self, key: ParseKey) -> Option<&ParseArtifact> {
+        self.parse.get(key)
     }
 
-    /// Stores the parse artifact for a source file, evicting the
-    /// oldest entries beyond [`PARSE_CAPACITY`] (re-parsing an
+    /// Stores the parse artifact for a source file, evicting the least
+    /// recently used entries beyond [`PARSE_CAPACITY`] (re-parsing an
     /// evicted text is cheap).
     pub fn store_parse(&mut self, key: ParseKey, artifact: ParseArtifact) {
         self.dirty = true;
-        if self.parse.insert(key, artifact).is_none() {
-            self.parse_order.push(key);
-        }
-        while self.parse_order.len() > PARSE_CAPACITY {
-            let evicted = self.parse_order.remove(0);
-            self.parse.remove(&evicted);
-        }
+        self.parse.insert(key, artifact);
     }
 
     /// Re-attaches a materialized AST to a disk-restored parse entry.
     pub fn attach_package(&mut self, key: ParseKey, package: Package) {
-        if let Some(entry) = self.parse.get_mut(&key) {
+        if let Some(entry) = self.parse.map.get_mut(&key) {
             entry.package = Some(package);
         }
     }
 
-    /// Looks up an elaboration artifact.
-    pub fn lookup_elab(&self, key: Fingerprint) -> Option<&ElabArtifact> {
-        self.elab.get(&key)
+    /// Looks up an elaboration artifact, making it the most recently
+    /// used.
+    pub fn lookup_elab(&mut self, key: Fingerprint) -> Option<&ElabArtifact> {
+        self.elab.get(key)
     }
 
-    /// Stores an elaboration artifact, evicting the oldest entries
-    /// beyond [`ELAB_CAPACITY`].
+    /// Stores an elaboration artifact, evicting the least recently
+    /// used entries beyond [`ELAB_CAPACITY`].
     pub fn store_elab(&mut self, key: Fingerprint, artifact: ElabArtifact) {
         self.dirty = true;
-        if self.elab.insert(key, artifact).is_none() {
-            self.elab_order.push(key);
-        }
-        while self.elab_order.len() > ELAB_CAPACITY {
-            let evicted = self.elab_order.remove(0);
-            self.elab.remove(&evicted);
-        }
+        self.elab.insert(key, artifact);
     }
 
     // ---- persistence ----------------------------------------------------
@@ -234,90 +312,84 @@ impl ArtifactCache {
     /// being misread.
     ///
     /// The read happens under the directory's [`CacheLock`] so it can
-    /// never observe another process mid-persist; if the lock cannot
+    /// never observe another process mid-persist — including the very
+    /// first persist, before any manifest exists. If the lock cannot
     /// be acquired (timeout, unwritable directory) the load degrades
     /// to a best-effort unlocked read, which the atomic manifest
     /// rename keeps safe against torn manifests (a mid-sweep artifact
     /// deletion then at worst reads as a cold cache).
     pub fn load(dir: &Path) -> ArtifactCache {
-        if !dir.join(MANIFEST_NAME).exists() {
+        // Without a directory there is no lock to wait for (and a load
+        // must not create one).
+        if !dir.is_dir() {
             return ArtifactCache::new();
         }
         let _lock = CacheLock::acquire(dir).ok();
-        Self::load_unlocked(dir)
-    }
-
-    /// The raw manifest read, for callers already holding the lock.
-    fn load_unlocked(dir: &Path) -> ArtifactCache {
-        let Ok(manifest) = std::fs::read_to_string(dir.join(MANIFEST_NAME)) else {
+        let Some(manifest) = Manifest::read(dir) else {
             return ArtifactCache::new();
         };
-        parse_manifest(&manifest, dir).unwrap_or_default()
+        let _span = tydi_obs::trace::span_named("core", || {
+            format!("cache:load decoded={}", manifest.elab.len())
+        });
+        let decoded: Option<Vec<_>> = manifest
+            .elab
+            .into_iter()
+            .map(|record| record.decode(dir))
+            .collect();
+        // One unreadable artifact invalidates the whole cache.
+        let Some(elab) = decoded else {
+            return ArtifactCache::new();
+        };
+        let mut cache = ArtifactCache::new();
+        cache.parse.adopt_oldest(manifest.parse);
+        cache.elab.adopt_oldest(elab);
+        cache
     }
 
-    /// Persists the cache under `dir` (creating it).
-    ///
-    /// The whole operation runs under the directory's exclusive
-    /// [`CacheLock`]: the on-disk state is re-loaded and merged into
-    /// this cache first (entries another process persisted since our
-    /// load are adopted as the oldest, so they survive unless FIFO
-    /// capacity genuinely evicts them), then artifacts and the
-    /// manifest are written (the manifest atomically, via a temp file
-    /// rename) and unreferenced artifact files are swept. On success
-    /// the dirty flag clears, so an unchanged cache skips the next
-    /// persist entirely.
+    /// Persists the cache under `dir` (creating it): acquires the
+    /// directory's [`CacheLock`], then [`ArtifactCache::save_locked`].
     pub fn save(&mut self, dir: &Path) -> io::Result<()> {
-        std::fs::create_dir_all(dir)?;
         let lock = CacheLock::acquire(dir)?;
-        self.absorb(Self::load_unlocked(dir));
+        self.save_locked(lock)
+    }
+
+    /// Persists the cache into the directory `lock` guards, releasing
+    /// the lock when done. Split from [`ArtifactCache::save`] so a
+    /// caller can take the lock early: the daemon takes it before it
+    /// replies and persists after.
+    ///
+    /// The on-disk manifest is re-read and merged into this cache
+    /// first: entries another process persisted since our load are
+    /// adopted as the least recently used, so they survive unless
+    /// capacity genuinely evicts them; only the artifact files of
+    /// adopted entries that survive are decoded. Then artifacts and
+    /// the manifest are written (the manifest atomically, via a temp
+    /// file rename) and unreferenced artifact files are swept. On
+    /// success the dirty flag clears, so an unchanged cache skips the
+    /// next persist entirely.
+    pub fn save_locked(&mut self, lock: CacheLock) -> io::Result<()> {
+        let dir = lock.dir.as_path();
+        let disk = Manifest::read(dir).unwrap_or_default();
+        self.parse.adopt_oldest(disk.parse);
+        // Adopted entries are the least recently used, so only the
+        // newest `room` keys this cache lacks survive the trim.
+        let room = ELAB_CAPACITY.saturating_sub(self.elab.len());
+        let mut adopted: Vec<ElabRecord> = disk
+            .elab
+            .into_iter()
+            .filter(|record| !self.elab.contains(&record.key))
+            .collect();
+        adopted.drain(..adopted.len().saturating_sub(room));
+        let _span =
+            tydi_obs::trace::span_named("core", || format!("cache:save decoded={}", adopted.len()));
+        // An artifact that no longer decodes is not adopted (and its
+        // file is swept below).
+        self.elab
+            .adopt_oldest(adopted.into_iter().filter_map(|record| record.decode(dir)));
         self.write_locked(dir)?;
         drop(lock);
         self.dirty = false;
         Ok(())
-    }
-
-    /// Adopts every entry of `disk` this cache does not already have,
-    /// as the *oldest* entries (they predate this save), then trims
-    /// back to capacity. Our own entries win ties: a merged-in entry
-    /// is evicted before anything this process computed.
-    fn absorb(&mut self, disk: ArtifactCache) {
-        let ArtifactCache {
-            mut parse,
-            parse_order,
-            mut elab,
-            elab_order,
-            ..
-        } = disk;
-        let mut merged: Vec<ParseKey> = Vec::new();
-        for key in parse_order {
-            if let Some(artifact) = parse.remove(&key) {
-                if let Entry::Vacant(slot) = self.parse.entry(key) {
-                    slot.insert(artifact);
-                    merged.push(key);
-                }
-            }
-        }
-        merged.append(&mut self.parse_order);
-        self.parse_order = merged;
-        while self.parse_order.len() > PARSE_CAPACITY {
-            let evicted = self.parse_order.remove(0);
-            self.parse.remove(&evicted);
-        }
-        let mut merged: Vec<Fingerprint> = Vec::new();
-        for key in elab_order {
-            if let Some(artifact) = elab.remove(&key) {
-                if let Entry::Vacant(slot) = self.elab.entry(key) {
-                    slot.insert(artifact);
-                    merged.push(key);
-                }
-            }
-        }
-        merged.append(&mut self.elab_order);
-        self.elab_order = merged;
-        while self.elab_order.len() > ELAB_CAPACITY {
-            let evicted = self.elab_order.remove(0);
-            self.elab.remove(&evicted);
-        }
     }
 
     /// Writes artifacts, the manifest, and runs the sweep. The caller
@@ -326,11 +398,9 @@ impl ArtifactCache {
         use std::fmt::Write as _;
         let mut manifest = String::new();
         let _ = writeln!(manifest, "tydic-cache {}", schema_fingerprint());
-        // Deterministic order keeps the manifest diffable.
-        let mut parse_keys: Vec<&ParseKey> = self.parse.keys().collect();
-        parse_keys.sort_by_key(|k| (k.slot, k.source));
-        for key in parse_keys {
-            let artifact = &self.parse[key];
+        // Both levels persist least recently used first, so eviction
+        // order survives a round trip.
+        for (key, artifact) in self.parse.iter() {
             let _ = writeln!(
                 manifest,
                 "parse {} {} {} {}",
@@ -343,10 +413,7 @@ impl ArtifactCache {
                 let _ = writeln!(manifest, "{}", diag_line(diag));
             }
         }
-        // Elaboration artifacts persist in insertion order so FIFO
-        // eviction survives a round trip.
-        for key in &self.elab_order {
-            let artifact = &self.elab[key];
+        for (key, artifact) in self.elab.iter() {
             let _ = writeln!(
                 manifest,
                 "elab {} {} {} {} {} {} {} {}",
@@ -391,7 +458,7 @@ impl ArtifactCache {
                     continue;
                 }
                 let referenced = Fingerprint::parse(stem)
-                    .map(|key| self.elab.contains_key(&key))
+                    .map(|key| self.elab.contains(&key))
                     .unwrap_or(false);
                 if !referenced {
                     let _ = std::fs::remove_file(entry.path());
@@ -414,7 +481,8 @@ impl ArtifactCache {
 /// guard removes the file.
 #[derive(Debug)]
 pub struct CacheLock {
-    path: PathBuf,
+    /// The locked cache directory.
+    dir: PathBuf,
 }
 
 impl CacheLock {
@@ -434,7 +502,9 @@ impl CacheLock {
                     // `<pid> <comm>`: the comm lets staleness checks
                     // tell a recycled pid from the live holder.
                     let _ = write!(file, "{} {}", std::process::id(), self_comm());
-                    return Ok(CacheLock { path });
+                    return Ok(CacheLock {
+                        dir: dir.to_path_buf(),
+                    });
                 }
                 Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
                     if lock_is_stale(&path) {
@@ -459,7 +529,7 @@ impl CacheLock {
 
 impl Drop for CacheLock {
     fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
+        let _ = std::fs::remove_file(self.dir.join(LOCK_NAME));
     }
 }
 
@@ -586,82 +656,111 @@ fn static_stage(label: &str) -> &'static str {
     }
 }
 
-fn parse_manifest(manifest: &str, dir: &Path) -> Option<ArtifactCache> {
-    let mut lines = manifest.lines().peekable();
-    let header = lines.next()?;
-    let schema = header.strip_prefix("tydic-cache ")?;
-    if Fingerprint::parse(schema)? != schema_fingerprint() {
-        return None;
+/// A persisted manifest as read from disk, both levels least recently
+/// used first. Elaboration records carry everything but their project,
+/// which stays in its `.tirb` file until [`ElabRecord::decode`]: a load
+/// decodes every record, a save only the ones it adopts.
+#[derive(Debug, Default)]
+struct Manifest {
+    parse: Vec<(ParseKey, ParseArtifact)>,
+    elab: Vec<ElabRecord>,
+}
+
+/// One `elab` manifest record, its project not yet decoded.
+#[derive(Debug)]
+struct ElabRecord {
+    key: Fingerprint,
+    info: ElabInfo,
+    sugar_report: SugarReport,
+    diagnostics: Vec<Diagnostic>,
+}
+
+impl ElabRecord {
+    /// Reads and decodes the record's artifact file; `None` when it is
+    /// missing or does not decode.
+    fn decode(self, dir: &Path) -> Option<(Fingerprint, ElabArtifact)> {
+        let bytes = std::fs::read(dir.join(format!("{}.{ARTIFACT_EXT}", self.key))).ok()?;
+        let project = tydi_ir::binary::decode_project(&bytes).ok()?;
+        Some((
+            self.key,
+            ElabArtifact {
+                project,
+                info: self.info,
+                sugar_report: self.sugar_report,
+                diagnostics: self.diagnostics,
+            },
+        ))
     }
-    let mut cache = ArtifactCache::new();
-    while let Some(line) = lines.next() {
-        if let Some(rest) = line.strip_prefix("parse ") {
-            let mut parts = rest.split(' ');
-            let key = ParseKey {
-                slot: parts.next()?.parse().ok()?,
-                source: Fingerprint::parse(parts.next()?)?,
-            };
-            let ast = Fingerprint::parse(parts.next()?)?;
-            let ndiags: usize = parts.next()?.parse().ok()?;
-            let mut diagnostics = Vec::with_capacity(ndiags);
-            for _ in 0..ndiags {
-                diagnostics.push(parse_diag_line(lines.next()?)?);
-            }
-            if cache
-                .parse
-                .insert(
+}
+
+impl Manifest {
+    /// Reads `dir`'s manifest; `None` when it is missing, unreadable,
+    /// from another schema, or malformed.
+    fn read(dir: &Path) -> Option<Manifest> {
+        Manifest::parse(&std::fs::read_to_string(dir.join(MANIFEST_NAME)).ok()?)
+    }
+
+    fn parse(manifest: &str) -> Option<Manifest> {
+        let mut lines = manifest.lines();
+        let header = lines.next()?;
+        let schema = header.strip_prefix("tydic-cache ")?;
+        if Fingerprint::parse(schema)? != schema_fingerprint() {
+            return None;
+        }
+        let mut out = Manifest::default();
+        while let Some(line) = lines.next() {
+            if let Some(rest) = line.strip_prefix("parse ") {
+                let mut parts = rest.split(' ');
+                let key = ParseKey {
+                    slot: parts.next()?.parse().ok()?,
+                    source: Fingerprint::parse(parts.next()?)?,
+                };
+                let ast = Fingerprint::parse(parts.next()?)?;
+                let diagnostics = parse_diag_lines(parts.next()?, &mut lines)?;
+                out.parse.push((
                     key,
                     ParseArtifact {
                         package: None,
                         ast,
                         diagnostics,
                     },
-                )
-                .is_none()
-            {
-                cache.parse_order.push(key);
-            }
-        } else if let Some(rest) = line.strip_prefix("elab ") {
-            let mut parts = rest.split(' ');
-            let key = Fingerprint::parse(parts.next()?)?;
-            let sugar_report = SugarReport {
-                duplicators: parts.next()?.parse().ok()?,
-                voiders: parts.next()?.parse().ok()?,
-            };
-            let mut info = ElabInfo::with_template_counts(
-                parts.next()?.parse().ok()?,
-                parts.next()?.parse().ok()?,
-            );
-            info.type_store.distinct_types = parts.next()?.parse().ok()?;
-            info.type_store.intern_hits = parts.next()?.parse().ok()?;
-            let ndiags: usize = parts.next()?.parse().ok()?;
-            let mut diagnostics = Vec::with_capacity(ndiags);
-            for _ in 0..ndiags {
-                diagnostics.push(parse_diag_line(lines.next()?)?);
-            }
-            let bytes = std::fs::read(dir.join(format!("{key}.{ARTIFACT_EXT}"))).ok()?;
-            let project = tydi_ir::binary::decode_project(&bytes).ok()?;
-            if cache
-                .elab
-                .insert(
+                ));
+            } else if let Some(rest) = line.strip_prefix("elab ") {
+                let mut parts = rest.split(' ');
+                let key = Fingerprint::parse(parts.next()?)?;
+                let sugar_report = SugarReport {
+                    duplicators: parts.next()?.parse().ok()?,
+                    voiders: parts.next()?.parse().ok()?,
+                };
+                let mut info = ElabInfo::with_template_counts(
+                    parts.next()?.parse().ok()?,
+                    parts.next()?.parse().ok()?,
+                );
+                info.type_store.distinct_types = parts.next()?.parse().ok()?;
+                info.type_store.intern_hits = parts.next()?.parse().ok()?;
+                let diagnostics = parse_diag_lines(parts.next()?, &mut lines)?;
+                out.elab.push(ElabRecord {
                     key,
-                    ElabArtifact {
-                        project,
-                        info,
-                        sugar_report,
-                        diagnostics,
-                    },
-                )
-                .is_none()
-            {
-                cache.elab_order.push(key);
+                    info,
+                    sugar_report,
+                    diagnostics,
+                });
+            } else if !line.trim().is_empty() {
+                // Unknown record kind: treat the whole cache as foreign.
+                return None;
             }
-        } else if !line.trim().is_empty() {
-            // Unknown record kind: treat the whole cache as foreign.
-            return None;
         }
+        Some(out)
     }
-    Some(cache)
+}
+
+/// Reads the `count` diagnostic lines that follow a record.
+fn parse_diag_lines<'a>(
+    count: &str,
+    lines: &mut impl Iterator<Item = &'a str>,
+) -> Option<Vec<Diagnostic>> {
+    let count: usize = count.parse().ok()?;
+    (0..count).map(|_| parse_diag_line(lines.next()?)).collect()
 }
 
 #[cfg(test)]
@@ -708,7 +807,7 @@ mod tests {
         assert!(cache.is_dirty());
         cache.save(&dir).unwrap();
 
-        let restored = ArtifactCache::load(&dir);
+        let mut restored = ArtifactCache::load(&dir);
         assert_eq!(restored.parse_entries(), 1);
         assert_eq!(restored.elab_entries(), 1);
         let parse = restored.lookup_parse(parse_key).unwrap();
@@ -761,11 +860,56 @@ mod tests {
             "b's save must not delete a's artifact"
         );
         assert!(dir.join(format!("{key_b}.{ARTIFACT_EXT}")).exists());
-        let restored = ArtifactCache::load(&dir);
+        let mut restored = ArtifactCache::load(&dir);
         assert!(restored.lookup_elab(key_a).is_some());
         assert!(restored.lookup_elab(key_b).is_some());
         // The merge also flows back into the saving cache.
         assert!(b.lookup_elab(key_a).is_some());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn save_decodes_only_the_entries_it_adopts() {
+        let dir = std::env::temp_dir().join(format!("tydic-adopt-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let key_a = Fingerprint::of_str("held-by-a");
+        let key_b = Fingerprint::of_str("new-in-b");
+        let mut a = ArtifactCache::new();
+        a.store_elab(key_a, sample_elab());
+        a.save(&dir).unwrap();
+        let mut b = ArtifactCache::load(&dir);
+        // A's in-memory key no longer decodes on disk; a save that
+        // re-decoded it would reject the whole disk state.
+        std::fs::write(dir.join(format!("{key_a}.{ARTIFACT_EXT}")), b"garbage").unwrap();
+        b.store_elab(key_b, sample_elab());
+        b.save(&dir).unwrap();
+        a.save(&dir).unwrap();
+        assert!(
+            a.lookup_elab(key_b).is_some(),
+            "a adopts b's entry without decoding its own"
+        );
+        let manifest = std::fs::read_to_string(dir.join(MANIFEST_NAME)).unwrap();
+        assert!(manifest.contains(&format!("elab {key_b} ")), "{manifest}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn load_waits_for_the_lock_before_the_first_manifest() {
+        // A writer holds the lock on a directory with no manifest yet
+        // (the daemon between its first reply and its first persist):
+        // a load must wait for the persist, not read an empty cache.
+        let dir = std::env::temp_dir().join(format!("tydic-first-load-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let lock = CacheLock::acquire(&dir).unwrap();
+        let reader = {
+            let dir = dir.clone();
+            std::thread::spawn(move || ArtifactCache::load(&dir).elab_entries())
+        };
+        std::thread::sleep(Duration::from_millis(100));
+        let mut writer = ArtifactCache::new();
+        writer.store_elab(Fingerprint::of_str("first"), sample_elab());
+        writer.save_locked(lock).unwrap();
+        assert_eq!(reader.join().unwrap(), 1, "the load saw the first persist");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -849,15 +993,20 @@ mod tests {
     }
 
     #[test]
-    fn elab_entries_evict_fifo_beyond_capacity() {
+    fn elab_entries_evict_lru_beyond_capacity() {
         let mut cache = ArtifactCache::new();
         let artifact = sample_elab();
-        for k in 0..(ELAB_CAPACITY + 3) {
+        for k in 0..ELAB_CAPACITY {
+            cache.store_elab(Fingerprint(k as u64 + 1), artifact.clone());
+        }
+        // A lookup refreshes the oldest entry, so the next-oldest go.
+        assert!(cache.lookup_elab(Fingerprint(1)).is_some());
+        for k in ELAB_CAPACITY..(ELAB_CAPACITY + 3) {
             cache.store_elab(Fingerprint(k as u64 + 1), artifact.clone());
         }
         assert_eq!(cache.elab_entries(), ELAB_CAPACITY);
-        // The three oldest are gone, the newest survive.
-        for k in 0..3 {
+        assert!(cache.lookup_elab(Fingerprint(1)).is_some(), "refreshed");
+        for k in 1..4 {
             assert!(cache.lookup_elab(Fingerprint(k as u64 + 1)).is_none());
         }
         assert!(cache
@@ -925,14 +1074,14 @@ mod tests {
         let key = Fingerprint::of_str("binary");
         cache.store_elab(key, artifact);
         cache.save(&dir).unwrap();
-        let restored = ArtifactCache::load(&dir);
+        let mut restored = ArtifactCache::load(&dir);
         let loaded = restored.lookup_elab(key).unwrap();
         assert_eq!(tydi_ir::text::emit_project(&loaded.project), canonical);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn parse_entries_evict_fifo_beyond_capacity() {
+    fn parse_entries_evict_lru_beyond_capacity() {
         let mut cache = ArtifactCache::new();
         let artifact = ParseArtifact {
             package: None,
@@ -943,12 +1092,36 @@ mod tests {
             slot: 1,
             source: Fingerprint(k as u64 + 1),
         };
+        // Key 0 stands for the stdlib: looked up before every store.
         for k in 0..(PARSE_CAPACITY + 5) {
+            cache.lookup_parse(key(0));
             cache.store_parse(key(k), artifact.clone());
         }
         assert_eq!(cache.parse_entries(), PARSE_CAPACITY);
-        assert!(cache.lookup_parse(key(0)).is_none(), "oldest evicted");
+        assert!(cache.lookup_parse(key(0)).is_some(), "refreshed on lookup");
+        for k in 1..6 {
+            assert!(cache.lookup_parse(key(k)).is_none(), "least recent evicted");
+        }
+        assert!(cache.lookup_parse(key(6)).is_some());
         assert!(cache.lookup_parse(key(PARSE_CAPACITY + 4)).is_some());
+    }
+
+    #[test]
+    fn lru_order_survives_a_round_trip() {
+        let dir = std::env::temp_dir().join(format!("tydic-lru-order-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let artifact = sample_elab();
+        let mut cache = ArtifactCache::new();
+        for k in 0..ELAB_CAPACITY {
+            cache.store_elab(Fingerprint(k as u64 + 1), artifact.clone());
+        }
+        cache.lookup_elab(Fingerprint(1));
+        cache.save(&dir).unwrap();
+        let mut restored = ArtifactCache::load(&dir);
+        restored.store_elab(Fingerprint(0xabc), artifact);
+        assert!(restored.lookup_elab(Fingerprint(1)).is_some());
+        assert!(restored.lookup_elab(Fingerprint(2)).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -355,22 +355,25 @@ impl Session {
 
     /// Materializes the package ASTs behind [`ParsedUnit`]s, cloning
     /// memoized trees and re-parsing entries whose AST was dropped by
-    /// disk persistence (recorded as additional parse work). Called
-    /// only when the elaboration artifact missed.
+    /// disk persistence or evicted (recorded as additional parse
+    /// work). A re-parsed tree is used directly, whether or not the
+    /// cache still holds an entry to attach it to. Called only when
+    /// the elaboration artifact missed.
     pub fn materialize_packages(
         &mut self,
         units: &[ParsedUnit],
         cache: &mut ArtifactCache,
     ) -> Result<Vec<Package>, Box<CompileFailure>> {
-        let rebuilt: Vec<usize> = units
+        let mut packages: Vec<Option<Package>> = units
             .iter()
-            .enumerate()
-            .filter(|(_, unit)| {
+            .map(|unit| {
                 cache
                     .lookup_parse(unit.key)
-                    .is_none_or(|artifact| artifact.package.is_none())
+                    .and_then(|artifact| artifact.package.clone())
             })
-            .map(|(index, _)| index)
+            .collect();
+        let rebuilt: Vec<usize> = (0..units.len())
+            .filter(|&index| packages[index].is_none())
             .collect();
         if !rebuilt.is_empty() {
             self.run_stage(Stage::Parse, |session| {
@@ -383,23 +386,21 @@ impl Session {
                         parse_package(slot, &file.text).0
                     };
                     if let Some(package) = package {
-                        cache.attach_package(units[index].key, package);
+                        cache.attach_package(units[index].key, package.clone());
+                        packages[index] = Some(package);
                     }
                 }
                 session.set_stage_counts(0, rebuilt.len());
             });
         }
-        let mut packages = Vec::with_capacity(units.len());
-        for unit in units {
-            let package = cache
-                .lookup_parse(unit.key)
-                .and_then(|artifact| artifact.package.clone());
+        let mut out = Vec::with_capacity(units.len());
+        for (unit, package) in units.iter().zip(packages) {
             match package {
-                Some(package) => packages.push(package),
+                Some(package) => out.push(package),
                 None => {
-                    // The persisted fingerprint no longer matches what
-                    // the text parses to — a corrupt cache. Fail soft:
-                    // report and let the caller wipe the cache.
+                    // The text no longer parses to a tree at all — a
+                    // corrupt cache. Fail soft: report and let the
+                    // caller wipe the cache.
                     self.diagnostics.push(Diagnostic::error(
                         "parse",
                         format!(
@@ -416,7 +417,7 @@ impl Session {
                 }
             }
         }
-        Ok(packages)
+        Ok(out)
     }
 
     /// Stage 2: evaluates and expands packages into an IR project.

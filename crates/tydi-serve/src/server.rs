@@ -21,16 +21,21 @@
 //! `serve.jobs.*` counters through [`tydi_obs::metrics`], and the
 //! `status` job renders them back to clients.
 //!
+//! Persistence: a job that changed the cache persists it (merge-on-save
+//! through the cross-process [`CacheLock`]) *after* its reply is sent,
+//! still holding the cache mutex, so the daemon's next job waits for
+//! it. The job thread takes the directory lock before it replies, so a
+//! cold `tydic` started after the reply waits for that persist instead
+//! of reading the older disk state.
+//!
 //! Lifecycle: the socket lives under the cache directory
 //! ([`crate::socket_path`]), so one daemon serves one cache. On
-//! `shutdown` the daemon answers the request, persists the cache
-//! (merge-on-save through the cross-process [`CacheLock`]), removes
-//! its socket and pid files, and exits; [`ServeOptions::idle_timeout`]
-//! does the same unprompted once the daemon has sat idle long enough.
+//! `shutdown` the daemon answers the request, persists the cache,
+//! removes its socket and pid files, and exits;
+//! [`ServeOptions::idle_timeout`] does the same unprompted once the
+//! daemon has sat idle long enough.
 //! A daemon killed without `shutdown` leaves a stale socket behind;
 //! the next `serve` detects it by failing to connect and rebinds.
-//!
-//! [`CacheLock`]: tydi_lang::CacheLock
 
 use crate::execute;
 use crate::protocol::{JobKind, JobRequest, JobResponse, StatusInfo};
@@ -42,7 +47,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 use tydi_lang::cache::{holder_is_live, self_comm};
-use tydi_lang::ArtifactCache;
+use tydi_lang::{ArtifactCache, CacheLock};
 use tydi_obs::metrics;
 
 /// Stack size of a job thread: the 8 MiB a CLI's main thread gets, so
@@ -338,38 +343,44 @@ fn run_compile_job(request: &JobRequest, state: &Arc<ServerState>) -> (JobRespon
     std::thread::Builder::new()
         .stack_size(JOB_STACK_SIZE)
         .spawn(move || {
-            let outcome = {
-                // Lock the cache on the job thread, but catch panics
-                // *inside* the guard's scope: an unwinding compile then
-                // drops the guard normally instead of poisoning the mutex.
-                let mut cache = lock(&job_state.cache);
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    run_one_job(&job_request, &mut cache, &job_scope)
-                }));
-                // Persist after every job that changed the cache, so cold
-                // `tydic` runs and other daemons see this daemon's work;
-                // the dirty flag makes fully-warm jobs skip the disk.
-                if cache.is_dirty() {
-                    if let Err(e) = cache.save(&job_state.cache_dir) {
-                        eprintln!(
-                            "warning: cannot persist cache to `{}`: {e}",
-                            job_state.cache_dir.display()
-                        );
-                    }
-                }
-                outcome
-            };
+            // Lock the cache on the job thread, but catch panics
+            // *inside* the guard's scope: an unwinding compile then
+            // drops the guard normally instead of poisoning the mutex.
+            let mut cache = lock(&job_state.cache);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                run_one_job(&job_request, &mut cache, &job_scope)
+            }));
             if outcome.is_err() {
                 // The panic unwound past `run_job`'s own scrub; clear the
                 // request's metric namespace from here (this thread's
                 // scope guard is gone, so the prefix resolves globally).
                 metrics::clear_prefix(&job_scope);
             }
-            job_state.active.fetch_sub(1, Ordering::SeqCst);
-            metrics::counter_set("serve.jobs.active", job_state.active.load(Ordering::SeqCst));
+            // Persist every job that changed the cache, so cold `tydic`
+            // runs and other daemons see this daemon's work (the dirty
+            // flag makes fully-warm jobs skip the disk), but off the
+            // reply path: take the directory lock, reply, then merge
+            // and write. A reader that starts after the reply waits on
+            // the lock and sees this persist.
+            let persist = cache
+                .is_dirty()
+                .then(|| CacheLock::acquire(&job_state.cache_dir));
             // The dispatcher may have timed out and gone away; that only
             // drops the result of an already-abandoned job.
             let _ = sender.send(outcome);
+            let persisted = match persist {
+                Some(held) => held.and_then(|held| cache.save_locked(held)),
+                None => Ok(()),
+            };
+            if let Err(e) = persisted {
+                eprintln!(
+                    "warning: cannot persist cache to `{}`: {e}",
+                    job_state.cache_dir.display()
+                );
+            }
+            drop(cache);
+            job_state.active.fetch_sub(1, Ordering::SeqCst);
+            metrics::counter_set("serve.jobs.active", job_state.active.load(Ordering::SeqCst));
         })
         .expect("spawn a job thread");
 

@@ -9,7 +9,10 @@
 //! merging. With the cross-process cache lock, atomic rename, and
 //! merge-on-save, any number of `tydic` processes can share one cache
 //! directory: every manifest-referenced artifact exists, and the
-//! compiled output is byte-identical to a serial run.
+//! compiled output is byte-identical to a serial run. That includes a
+//! `tydic serve` daemon, which persists after it replies (holding the
+//! cache lock from before the reply) while CLI processes load and save
+//! the same directory.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -210,5 +213,112 @@ fn same_design_hammered_from_many_processes_converges() {
         assert_eq!(reference, other, "process {index} produced different IR");
     }
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One daemon serving `--daemon` builds while plain CLI processes
+/// build the same designs on the same cache directory: the daemon's
+/// reply-then-persist interleaves with the CLI loads and saves, and
+/// still loses no artifact and changes no output byte.
+#[cfg(unix)]
+#[test]
+fn daemon_and_cli_builds_share_one_cache() {
+    use tydi_serve::client::Client;
+    use tydi_serve::protocol::{JobKind, JobRequest};
+
+    let dir = workdir("daemon");
+    let cache = dir.join("cache");
+    let designs = write_designs(&dir, 4);
+    for (index, design) in designs.iter().enumerate() {
+        let out = spawn_build(design, &dir.join(format!("serial{index}")), None)
+            .wait_with_output()
+            .expect("wait serial");
+        assert!(out.status.success(), "serial build {index}");
+    }
+
+    /// Kills the daemon if an assertion fails before its shutdown.
+    struct KillOnDrop(std::process::Child);
+    impl Drop for KillOnDrop {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    let mut daemon = KillOnDrop(
+        tydic()
+            .arg("serve")
+            .arg("--cache-dir")
+            .arg(&cache)
+            .stdin(std::process::Stdio::null())
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("spawn daemon"),
+    );
+    let socket = cache.join("serve.sock");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while Client::connect(&socket).is_err() {
+        assert!(std::time::Instant::now() < deadline, "daemon never bound");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+
+    for wave in 0..2 {
+        let mut children = Vec::new();
+        for (index, design) in designs.iter().enumerate() {
+            let mut via_daemon = tydic();
+            via_daemon
+                .arg("build")
+                .arg(design)
+                .arg("--emit")
+                .arg("ir")
+                .arg("-o")
+                .arg(dir.join(format!("daemon{wave}_{index}")))
+                .arg("--daemon")
+                .arg("--cache-dir")
+                .arg(&cache)
+                .env("TYDIC_NO_SPAWN", "1")
+                .stdout(std::process::Stdio::piped())
+                .stderr(std::process::Stdio::piped());
+            children.push(("daemon", via_daemon.spawn().expect("spawn daemon build")));
+            let out = dir.join(format!("cli{wave}_{index}"));
+            children.push(("cli", spawn_build(design, &out, Some(&cache))));
+        }
+        for (index, (kind, child)) in children.into_iter().enumerate() {
+            let out = child.wait_with_output().expect("wait build");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                out.status.success(),
+                "wave {wave} {kind} build {index}: {stderr}"
+            );
+            assert!(
+                !stderr.contains("cannot persist cache") && !stderr.contains("daemon unavailable"),
+                "wave {wave} {kind} build {index}: {stderr}"
+            );
+        }
+    }
+
+    let response = Client::connect(&socket)
+        .expect("connect")
+        .request(&JobRequest::new(JobKind::Shutdown))
+        .expect("shutdown response");
+    assert!(response.ok);
+    assert!(daemon.0.wait().expect("daemon exit").success());
+
+    assert_manifest_closed(&cache);
+    for index in 0..designs.len() {
+        let serial =
+            std::fs::read(dir.join(format!("serial{index}/project.tir"))).expect("serial IR");
+        for wave in 0..2 {
+            for kind in ["daemon", "cli"] {
+                let shared = std::fs::read(dir.join(format!("{kind}{wave}_{index}/project.tir")))
+                    .expect("shared-cache IR");
+                assert_eq!(
+                    serial, shared,
+                    "design {index} {kind} wave {wave} diverged from the serial build"
+                );
+            }
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

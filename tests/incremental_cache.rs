@@ -269,3 +269,23 @@ fn persisted_cache_round_trips_and_matches_cold() {
     }
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// More distinct texts than the parse cache holds, each compiled with
+/// the stdlib through one cache: the stdlib entry every compile looks
+/// up must never be the one a new text evicts (an insertion-order
+/// cache dropped it after 256 texts, and the compile failed with
+/// "could not be rebuilt").
+#[test]
+fn parse_cache_eviction_never_fails_a_compile() {
+    let mut cache = ArtifactCache::new();
+    for k in 0..300 {
+        let file = format!("edit{k}.td");
+        let text = format!(
+            "package p{k};\ntype B = Stream(Bit({}));\n\
+             streamlet s {{ i : B in, o : B out, }}\nimpl x of s {{ i => o, }}\n",
+            k + 1
+        );
+        let warm = compile_warm(&file, &text, &mut cache);
+        assert!(warm.project.implementation("x").is_some(), "{file}");
+    }
+}

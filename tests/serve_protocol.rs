@@ -569,6 +569,48 @@ fn panicking_job_is_isolated_and_counted() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The daemon persists after it replies, but takes the cache lock
+/// before: a cold `tydic` started the moment a `build` reply arrives
+/// waits for that persist and reuses its elaboration — including the
+/// very first persist, into a directory with no manifest yet.
+#[test]
+fn cold_cli_right_after_a_daemon_reply_sees_its_persist() {
+    let dir = workdir("reply-persist");
+    let cache = dir.join("cache");
+    let daemon = Daemon::spawn(&cache);
+    assert!(!cache.join("manifest.txt").exists(), "starts empty");
+    let mut client = daemon.client();
+    for round in 0..4 {
+        let file = dir.join(format!("design{round}.td"));
+        std::fs::write(
+            &file,
+            GOOD.replace("Bit(8)", &format!("Bit({})", 8 + round)),
+        )
+        .unwrap();
+        let mut build = JobRequest::new(JobKind::Build);
+        build.files = vec![file.display().to_string()];
+        build.emit = "ir".to_string();
+        let reply = client.request(&build).expect("build reply");
+        assert!(reply.ok, "round {round}: {}", reply.stderr);
+        let check = tydic()
+            .arg("check")
+            .arg(&file)
+            .arg("--timings")
+            .arg("--cache-dir")
+            .arg(&cache)
+            .output()
+            .expect("cold check");
+        let stderr = String::from_utf8_lossy(&check.stderr);
+        assert!(check.status.success(), "round {round}: {stderr}");
+        assert!(
+            stderr.contains("elaborate 1/0"),
+            "round {round}: the cold check must reuse the daemon's build: {stderr}"
+        );
+    }
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn idle_shutdown_exits_cleanly_and_persists_the_cache() {
     let dir = workdir("idle");

@@ -13,7 +13,9 @@
 //! * the coarse span multiset is identical at `TYDI_THREADS=1` and
 //!   `8` — only thread ids and timestamps may differ;
 //! * emitted artifacts are byte-identical with tracing off, coarse,
-//!   and fine.
+//!   and fine;
+//! * a cached build traces its persist layer (`cache:load` and
+//!   `cache:save`, named with the number of artifacts decoded).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -290,6 +292,55 @@ fn analyze_trace_records_analysis_spans() {
     assert!(
         events.iter().any(|e| e.name.starts_with("analyze:")),
         "per-top analysis span missing"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// With a cache directory, the persist layer shows up in the trace:
+/// `cache:load` and `cache:save` spans named with how many artifacts
+/// each decoded. A save whose cache already holds every entry on disk
+/// decodes none.
+#[test]
+fn cached_build_trace_shows_the_persist_layer() {
+    let dir = workdir("persist");
+    let cache = dir.join("cache");
+    let traced_build = |design: &str, tag: &str| {
+        let trace = dir.join(format!("{tag}.json"));
+        let out = tydic()
+            .arg("build")
+            .arg(cookbook(design))
+            .arg("--cache-dir")
+            .arg(&cache)
+            .arg("-o")
+            .arg(dir.join(tag))
+            .arg("--trace")
+            .arg(&trace)
+            .output()
+            .expect("run tydic build");
+        assert!(
+            out.status.success(),
+            "tydic build failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let events = load_events(&trace);
+        assert_balanced(&events);
+        events
+            .into_iter()
+            .filter(|e| e.ph == "B" && e.name.starts_with("cache:"))
+            .map(|e| e.name)
+            .collect::<Vec<_>>()
+    };
+    // First build: nothing on disk to load, one entry to persist.
+    assert_eq!(
+        traced_build("01_variables.td", "first"),
+        ["cache:save decoded=0"]
+    );
+    // Second build of another design: the load decodes the first
+    // build's artifact, and the save, already holding it, decodes
+    // nothing.
+    assert_eq!(
+        traced_build("04_generative.td", "second"),
+        ["cache:load decoded=1", "cache:save decoded=0"]
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
