@@ -7,25 +7,19 @@
 //! guard (`bench_guard`) compares fresh runs against.
 //!
 //! The format is deliberately flat — a single JSON object of string
-//! and number fields — so the guard (and any future dashboard) can
-//! read it without a JSON library: `"key": value` pairs, one per
-//! line, numbers printed with enough precision to diff ratios.
+//! and number fields, printed by [`tydi_obs::json`] in its indented
+//! form so diffs stay readable. Metrics are rounded to 4 decimals when
+//! they are recorded, which keeps ratios precise enough to compare.
 
-use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
+use tydi_obs::json::{self, Json};
 
 /// A flat metric report for one benchmark target.
 #[derive(Debug, Clone, Default)]
 pub struct BenchReport {
     name: String,
-    fields: Vec<(String, Field)>,
-}
-
-#[derive(Debug, Clone)]
-enum Field {
-    Number(f64),
-    Text(String),
+    fields: Vec<(String, Json)>,
 }
 
 impl BenchReport {
@@ -45,40 +39,25 @@ impl BenchReport {
     }
 
     /// Records a numeric metric through a mutable reference (for
-    /// benches that accumulate metrics across helper functions).
+    /// benches that accumulate metrics across helper functions),
+    /// rounded to 4 decimals.
     pub fn add_metric(&mut self, key: impl Into<String>, value: f64) {
-        self.fields.push((key.into(), Field::Number(value)));
+        let rounded = (value * 1e4).round() / 1e4;
+        self.fields.push((key.into(), rounded.into()));
     }
 
     /// Records a string annotation (units, configuration notes).
     pub fn text(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.fields.push((key.into(), Field::Text(value.into())));
+        self.fields.push((key.into(), value.into().into()));
         self
     }
 
-    /// Renders the JSON document.
+    /// Renders the JSON document: the `bench` name, then the fields
+    /// in recording order.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"bench\": {:?},", self.name);
-        for (i, (key, field)) in self.fields.iter().enumerate() {
-            let comma = if i + 1 == self.fields.len() { "" } else { "," };
-            match field {
-                Field::Number(v) => {
-                    // Up to 4 decimals, trailing zeros trimmed, so
-                    // diffs stay readable and ratios keep precision.
-                    let mut text = format!("{v:.4}");
-                    while text.contains('.') && (text.ends_with('0') || text.ends_with('.')) {
-                        text.pop();
-                    }
-                    let _ = writeln!(out, "  {key:?}: {text}{comma}");
-                }
-                Field::Text(v) => {
-                    let _ = writeln!(out, "  {key:?}: {v:?}{comma}");
-                }
-            }
-        }
-        out.push_str("}\n");
-        out
+        let mut members = vec![("bench".to_string(), Json::from(&self.name))];
+        members.extend(self.fields.iter().cloned());
+        format!("{:#}\n", Json::Object(members))
     }
 
     /// Writes `BENCH_<name>.json` at the repository root, returning
@@ -96,22 +75,11 @@ pub fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-/// Reads a numeric field out of a flat `BENCH_*.json` document
-/// without a JSON parser (the format is line-oriented; see the
-/// module docs). Returns `None` when the key is missing or not a
-/// number.
+/// Reads a numeric field out of a `BENCH_*.json` document. Returns
+/// `None` when the document does not parse, or the key is missing or
+/// not a number.
 pub fn read_metric(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    for line in json.lines() {
-        let trimmed = line.trim();
-        if let Some(rest) = trimmed.strip_prefix(&needle) {
-            let value = rest.trim().trim_end_matches(',').trim();
-            if let Ok(v) = value.parse::<f64>() {
-                return Some(v);
-            }
-        }
-    }
-    None
+    json::parse(json).ok()?.get(key)?.as_f64()
 }
 
 #[cfg(test)]
@@ -136,10 +104,12 @@ mod tests {
     }
 
     #[test]
-    fn numbers_trim_trailing_zeros() {
+    fn metrics_round_to_four_decimals() {
         let json = BenchReport::new("demo").metric("x", 2.0).to_json();
         assert!(json.contains("\"x\": 2\n"), "{json}");
         let json = BenchReport::new("demo").metric("x", 0.125).to_json();
         assert!(json.contains("\"x\": 0.125"), "{json}");
+        let json = BenchReport::new("demo").metric("x", 2.0 / 3.0).to_json();
+        assert_eq!(read_metric(&json, "x"), Some(0.6667), "{json}");
     }
 }

@@ -2,13 +2,12 @@
 //! per-output bounds, a human-readable rendering, and a
 //! machine-readable JSON document.
 //!
-//! The JSON follows the repository's hand-rolled convention (see
-//! `tydi_bench::BenchReport`): string values are emitted with Rust's
-//! debug escaping, which is JSON-compatible for the identifier-like
-//! names that appear here, so no JSON library is needed.
+//! The JSON document is a [`tydi_obs::json`] value printed in its
+//! indented form, with numbers at full precision; the text rendering
+//! rounds rates to 4 decimals.
 
 use std::fmt;
-use std::fmt::Write as _;
+use tydi_obs::json::{self, Json};
 
 /// Diagnostic severity, ordered so `Error > Warning > Info`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -190,112 +189,64 @@ impl AnalysisReport {
         self.stall_cones.iter().find(|c| c.port == port)
     }
 
-    /// Renders the machine-readable JSON document.
+    /// Renders the machine-readable JSON document (indented, with a
+    /// trailing newline).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"top\": {:?},", self.top);
-        let _ = writeln!(out, "  \"confidence\": {:?},", self.confidence.name());
-        let _ = writeln!(out, "  \"converged\": {},", self.converged);
-        let _ = writeln!(out, "  \"components\": {},", self.components);
-        out.push_str("  \"outputs\": [\n");
-        for (i, o) in self.outputs.iter().enumerate() {
-            let comma = if i + 1 == self.outputs.len() { "" } else { "," };
-            let _ = write!(
-                out,
-                "    {{\"port\": {:?}, \"channel\": {:?}, \"elements_per_cycle\": {}",
-                o.port,
-                o.channel,
-                num(o.elements_per_cycle)
-            );
-            if let Some(hz) = o.throughput_hz {
-                let _ = write!(out, ", \"throughput_hz\": {}", num(hz));
-            }
-            if let Some(lat) = o.min_latency_cycles {
-                let _ = write!(out, ", \"min_latency_cycles\": {lat}");
-            }
-            if let Some(peak) = o.declared_peak {
-                let _ = write!(out, ", \"declared_peak\": {}", num(peak));
-            }
-            if let Some(min) = o.declared_min {
-                let _ = write!(out, ", \"declared_min\": {}", num(min));
-            }
-            let _ = writeln!(out, "}}{comma}");
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"channels\": [\n");
-        for (i, c) in self.channels.iter().enumerate() {
-            let comma = if i + 1 == self.channels.len() {
-                ""
-            } else {
-                ","
-            };
-            let _ = write!(
-                out,
-                "    {{\"name\": {:?}, \"capacity\": {}, \"elements_per_cycle\": {}",
-                c.name,
-                c.capacity,
-                num(c.elements_per_cycle)
-            );
-            if let Some(lat) = c.min_latency {
-                let _ = write!(out, ", \"min_latency\": {lat}");
-            }
-            let _ = writeln!(out, "}}{comma}");
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"hazards\": [\n");
-        for (i, h) in self.hazards.iter().enumerate() {
-            let comma = if i + 1 == self.hazards.len() { "" } else { "," };
-            let _ = write!(
-                out,
-                "    {{\"kind\": {:?}, \"severity\": {:?}",
-                h.kind.name(),
-                h.severity.name()
-            );
-            if let Some(site) = &h.component {
-                let _ = write!(out, ", \"at\": {site:?}");
-            }
-            if let Some(impl_name) = &h.impl_name {
-                let _ = write!(out, ", \"impl\": {impl_name:?}");
-            }
-            let _ = write!(out, ", \"channels\": [");
-            for (j, ch) in h.channels.iter().enumerate() {
-                let inner = if j + 1 == h.channels.len() { "" } else { ", " };
-                let _ = write!(out, "{ch:?}{inner}");
-            }
-            let _ = writeln!(out, "], \"message\": {:?}}}{comma}", h.message);
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"stall_cones\": [\n");
-        for (i, cone) in self.stall_cones.iter().enumerate() {
-            let comma = if i + 1 == self.stall_cones.len() {
-                ""
-            } else {
-                ","
-            };
-            let _ = write!(out, "    {{\"port\": {:?}, \"channels\": [", cone.port);
-            for (j, ch) in cone.channels.iter().enumerate() {
-                let inner = if j + 1 == cone.channels.len() {
-                    ""
-                } else {
-                    ", "
-                };
-                let _ = write!(out, "{ch:?}{inner}");
-            }
-            let _ = writeln!(out, "]}}{comma}");
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let outputs = self.outputs.iter().map(|o| {
+            let mut fields = json::object([
+                ("port", o.port.as_str().into()),
+                ("channel", o.channel.as_str().into()),
+                ("elements_per_cycle", o.elements_per_cycle.into()),
+            ]);
+            fields.push_some("throughput_hz", o.throughput_hz);
+            fields.push_some("min_latency_cycles", o.min_latency_cycles);
+            fields.push_some("declared_peak", o.declared_peak);
+            fields.push_some("declared_min", o.declared_min);
+            fields
+        });
+        let channels = self.channels.iter().map(|c| {
+            let mut fields = json::object([
+                ("name", c.name.as_str().into()),
+                ("capacity", c.capacity.into()),
+                ("elements_per_cycle", c.elements_per_cycle.into()),
+            ]);
+            fields.push_some("min_latency", c.min_latency);
+            fields
+        });
+        let hazards = self.hazards.iter().map(|h| {
+            let mut fields = json::object([
+                ("kind", h.kind.name().into()),
+                ("severity", h.severity.name().into()),
+            ]);
+            fields.push_some("at", h.component.as_ref());
+            fields.push_some("impl", h.impl_name.as_ref());
+            fields.push("channels", h.channels.iter().collect::<Json>());
+            fields.push("message", &h.message);
+            fields
+        });
+        let stall_cones = self.stall_cones.iter().map(|cone| {
+            json::object([
+                ("port", cone.port.as_str().into()),
+                ("channels", cone.channels.iter().collect()),
+            ])
+        });
+        let report = json::object([
+            ("top", self.top.as_str().into()),
+            ("confidence", self.confidence.name().into()),
+            ("converged", self.converged.into()),
+            ("components", self.components.into()),
+            ("outputs", outputs.collect()),
+            ("channels", channels.collect()),
+            ("hazards", hazards.collect()),
+            ("stall_cones", stall_cones.collect()),
+        ]);
+        format!("{report:#}\n")
     }
 }
 
-/// Renders a float compactly: up to 4 decimals, trailing zeros
-/// trimmed, matching the bench-report convention.
-fn num(value: f64) -> String {
-    let mut text = format!("{value:.4}");
-    while text.contains('.') && (text.ends_with('0') || text.ends_with('.')) {
-        text.pop();
-    }
-    text
+/// A rate rounded to 4 decimals, as the text rendering shows it.
+fn round4(value: f64) -> f64 {
+    (value * 1e4).round() / 1e4
 }
 
 impl fmt::Display for AnalysisReport {
@@ -314,10 +265,10 @@ impl fmt::Display for AnalysisReport {
                 f,
                 "    {:<12} <= {} elements/cycle",
                 o.port,
-                num(o.elements_per_cycle)
+                round4(o.elements_per_cycle)
             )?;
             if let Some(hz) = o.throughput_hz {
-                write!(f, " ({} Hz)", num(hz))?;
+                write!(f, " ({} Hz)", round4(hz))?;
             }
             match o.min_latency_cycles {
                 Some(lat) => writeln!(f, ", first element after >= {lat} cycles")?,
@@ -407,14 +358,16 @@ mod tests {
         let json = sample().to_json();
         assert!(json.starts_with("{\n"));
         assert!(json.ends_with("}\n"));
-        assert!(json.contains("\"top\": \"top_i\""));
-        assert!(json.contains("\"confidence\": \"exact\""));
-        assert!(json.contains("\"kind\": \"fan-in-contention\""));
-        assert!(json.contains("\"elements_per_cycle\": 0.25"));
+        let report = json::parse(&json).expect("valid JSON");
+        let field = |value: &Json, key: &str| value.get(key).cloned();
+        assert_eq!(field(&report, "top"), Some("top_i".into()));
+        assert_eq!(field(&report, "confidence"), Some("exact".into()));
+        let hazard = &report.get("hazards").and_then(Json::as_array).unwrap()[0];
+        assert_eq!(field(hazard, "kind"), Some("fan-in-contention".into()));
+        let output = &report.get("outputs").and_then(Json::as_array).unwrap()[0];
+        assert_eq!(field(output, "elements_per_cycle"), Some(0.25.into()));
+        assert_eq!(field(output, "throughput_hz"), Some(25_000_000.0.into()));
         assert!(json.contains("\"throughput_hz\": 25000000"));
-        // Balanced braces and brackets.
-        assert_eq!(json.matches('{').count(), json.matches('}').count(),);
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
     #[test]

@@ -1,11 +1,28 @@
-//! A minimal JSON reader, just enough to load back what this crate
-//! writes (trace files, metric snapshots) in tests and tools, with no
+//! The workspace's one JSON representation: [`Json`] values, the
+//! reader ([`parse`]) and the writer (`impl Display for Json`), with no
 //! dependency outside `std`.
 //!
-//! Supports the full JSON value grammar: objects, arrays, strings
-//! (with escapes, including `\uXXXX` and surrogate pairs), numbers,
-//! booleans and `null`. Numbers are read as `f64`, which is lossless
-//! for every value this workspace serializes.
+//! Every JSON document the toolchain writes — the daemon protocol,
+//! metric snapshots, Chrome traces, analysis and bench reports, LSP
+//! messages — is built as a [`Json`] value and printed through
+//! [`Display`](std::fmt::Display), so they all share one number rule
+//! and one escape rule:
+//!
+//! * Numbers: finite integral values below 1e15 print without a
+//!   fraction (`3`, not `3.0`), other finite values as Rust's shortest
+//!   round-trip decimal, and non-finite values as `null`.
+//! * Strings: `"`, `\\`, `\n`, `\r` and `\t` take their short escapes,
+//!   other control characters `\u00XX`; everything else is verbatim.
+//!
+//! `{}` prints the compact form (no whitespace); `{:#}` indents by two
+//! spaces, for the files people read and diff.
+//!
+//! The reader supports the full JSON value grammar: objects, arrays,
+//! strings (with escapes, including `\uXXXX` and surrogate pairs),
+//! numbers, booleans and `null`. Numbers are `f64`, which is lossless
+//! for every value this workspace serializes (integers below 2^53).
+
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,6 +84,160 @@ impl Json {
             _ => None,
         }
     }
+
+    /// Appends a member when this is an object (a no-op otherwise):
+    /// the builder step after [`object`].
+    pub fn push(&mut self, key: &str, value: impl Into<Json>) {
+        if let Json::Object(members) = self {
+            members.push((key.to_string(), value.into()));
+        }
+    }
+
+    /// [`Json::push`] for an optional member: `None` adds nothing.
+    pub fn push_some(&mut self, key: &str, value: Option<impl Into<Json>>) {
+        if let Some(value) = value {
+            self.push(key, value);
+        }
+    }
+}
+
+/// An object with the given members, in order.
+pub fn object<'a>(members: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+    Json::Object(
+        members
+            .into_iter()
+            .map(|(key, value)| (key.to_string(), value))
+            .collect(),
+    )
+}
+
+macro_rules! json_from {
+    ($($ty:ty => |$value:ident| $json:expr),* $(,)?) => {$(
+        impl From<$ty> for Json {
+            fn from($value: $ty) -> Json {
+                $json
+            }
+        }
+    )*};
+}
+
+json_from! {
+    bool => |value| Json::Bool(value),
+    f64 => |value| Json::Number(value),
+    u32 => |value| Json::Number(value.into()),
+    i32 => |value| Json::Number(value.into()),
+    u64 => |value| Json::Number(value as f64),
+    usize => |value| Json::Number(value as f64),
+    &str => |value| Json::String(value.to_string()),
+    &String => |value| Json::String(value.clone()),
+    String => |value| Json::String(value),
+}
+
+impl<T: Clone + Into<Json>> From<&[T]> for Json {
+    fn from(items: &[T]) -> Json {
+        items.iter().cloned().collect()
+    }
+}
+
+impl<T: Into<Json>> FromIterator<T> for Json {
+    /// Collects into an array.
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Json {
+        Json::Array(items.into_iter().map(Into::into).collect())
+    }
+}
+
+impl fmt::Display for Json {
+    /// Compact with `{}`, indented by two spaces with `{:#}`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let indent = f.alternate().then_some(0);
+        write_value(self, indent, f)
+    }
+}
+
+/// Writes `value`; `indent` is the current depth in the indented form,
+/// `None` in the compact form.
+fn write_value(value: &Json, indent: Option<usize>, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    match value {
+        Json::Null => f.write_str("null"),
+        Json::Bool(flag) => f.write_str(if *flag { "true" } else { "false" }),
+        Json::Number(n) => write_number(*n, f),
+        Json::String(text) => write_string(text, f),
+        Json::Array(items) => write_sequence(('[', ']'), items, indent, f, |item, f| {
+            write_value(item, indent.map(|depth| depth + 1), f)
+        }),
+        Json::Object(members) => {
+            write_sequence(('{', '}'), members, indent, f, |(key, member), f| {
+                write_string(key, f)?;
+                f.write_str(if indent.is_some() { ": " } else { ":" })?;
+                write_value(member, indent.map(|depth| depth + 1), f)
+            })
+        }
+    }
+}
+
+/// Writes a bracketed, comma-separated sequence; the indented form puts
+/// each element on its own line and keeps empty sequences as `[]`/`{}`.
+fn write_sequence<T>(
+    (open, close): (char, char),
+    items: &[T],
+    indent: Option<usize>,
+    f: &mut fmt::Formatter<'_>,
+    mut write_item: impl FnMut(&T, &mut fmt::Formatter<'_>) -> fmt::Result,
+) -> fmt::Result {
+    f.write_char(open)?;
+    for (index, item) in items.iter().enumerate() {
+        if index > 0 {
+            f.write_char(',')?;
+        }
+        if let Some(depth) = indent {
+            write!(f, "\n{:width$}", "", width = 2 * (depth + 1))?;
+        }
+        write_item(item, f)?;
+    }
+    if let (Some(depth), false) = (indent, items.is_empty()) {
+        write!(f, "\n{:width$}", "", width = 2 * depth)?;
+    }
+    f.write_char(close)
+}
+
+/// The one number rule (see the module docs).
+fn write_number(value: f64, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    if !value.is_finite() {
+        f.write_str("null")
+    } else if value == value.trunc() && value.abs() < 1e15 {
+        write!(f, "{}", value as i64)
+    } else {
+        write!(f, "{value}")
+    }
+}
+
+/// The one escape rule (see the module docs).
+fn write_string(text: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    f.write_char('"')?;
+    escape_json(text, f)?;
+    f.write_char('"')
+}
+
+fn escape_json(text: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    // Every escaped character is ASCII, so the unescaped runs between
+    // them are char-boundary slices written in one call each.
+    let mut start = 0;
+    for (index, byte) in text.bytes().enumerate() {
+        if byte != b'"' && byte != b'\\' && byte >= 0x20 {
+            continue;
+        }
+        f.write_str(&text[start..index])?;
+        match byte {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            _ => write!(f, "\\u{byte:04x}")?,
+        }
+        start = index + 1;
+    }
+    f.write_str(&text[start..])
 }
 
 /// Parses one JSON document; trailing whitespace is allowed, trailing
@@ -250,11 +421,11 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Copy one UTF-8 scalar (input is a &str, so bytes are
-                // valid UTF-8; find the scalar's byte length).
+                // Copy the run up to the next quote or backslash at once:
+                // both are ASCII, so the run ends on a char boundary of
+                // the (valid UTF-8) input.
                 let start = *pos;
-                *pos += 1;
-                while *pos < bytes.len() && (bytes[*pos] & 0xC0) == 0x80 {
+                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
                     *pos += 1;
                 }
                 out.push_str(std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?);
@@ -332,5 +503,48 @@ mod tests {
         assert_eq!(members[0].0, "z");
         assert_eq!(members[1].0, "a");
         assert_eq!(value.get("a").and_then(|v| v.as_f64()), Some(2.0));
+    }
+
+    #[test]
+    fn writer_prints_compact_and_indented_forms() {
+        let mut value = object([
+            ("a", [1.0, 2.5].into_iter().collect()),
+            ("b", object([("c", true.into()), ("d", Json::Null)])),
+            ("e", Json::Array(Vec::new())),
+        ]);
+        value.push("f", "x");
+        assert_eq!(
+            value.to_string(),
+            r#"{"a":[1,2.5],"b":{"c":true,"d":null},"e":[],"f":"x"}"#
+        );
+        assert_eq!(
+            format!("{value:#}"),
+            "{\n  \"a\": [\n    1,\n    2.5\n  ],\n  \"b\": {\n    \"c\": true,\n    \"d\": null\n  },\n  \"e\": [],\n  \"f\": \"x\"\n}"
+        );
+        for text in [value.to_string(), format!("{value:#}")] {
+            assert_eq!(parse(&text), Ok(value.clone()));
+        }
+    }
+
+    #[test]
+    fn writer_has_one_number_rule() {
+        let print = |n: f64| Json::Number(n).to_string();
+        assert_eq!(print(0.0), "0");
+        assert_eq!(print(-3.0), "-3");
+        assert_eq!(print(1e14), "100000000000000");
+        assert_eq!(print(0.1 + 0.2), "0.30000000000000004");
+        assert_eq!(print(1e15), "1000000000000000");
+        assert_eq!(print(f64::NAN), "null");
+        assert_eq!(print(f64::INFINITY), "null");
+    }
+
+    #[test]
+    fn writer_escapes_specials_only() {
+        let text = Json::from("a\"b\\c\nd\re\tf\u{1}g\u{1f}é😀").to_string();
+        assert_eq!(text, "\"a\\\"b\\\\c\\nd\\re\\tf\\u0001g\\u001fé😀\"");
+        assert_eq!(
+            parse(&text).unwrap().as_str(),
+            Some("a\"b\\c\nd\re\tf\u{1}g\u{1f}é😀")
+        );
     }
 }

@@ -12,15 +12,14 @@
 //!   default), a span is a relaxed atomic load and nothing else — no
 //!   allocation, no clock read, no buffer push. The `tydic --trace`
 //!   flag flips the atomic for the whole process.
-//! * [`metrics`] — named monotonic counters, gauges, histograms and
-//!   text annotations in one global registry, so the pipeline's
-//!   scattered statistics (stage timings, type-store hit rates, cache
-//!   reuse, simulation channel counters) land in a single typed
-//!   snapshot with a single JSON serializer.
+//! * [`metrics`] — named counters and gauges in one global registry,
+//!   so the pipeline's scattered statistics (stage timings, type-store
+//!   hit rates, cache reuse, simulation channel counters) land in a
+//!   single typed snapshot.
 //!
-//! [`json`] is a minimal JSON reader used by the trace schema tests
-//! (and available to any consumer that needs to load the files this
-//! crate writes back in).
+//! [`json`] is the workspace's one JSON representation, reader and
+//! writer: the trace exporter, the metrics snapshot and every other
+//! JSON document the toolchain writes print through it.
 //!
 //! # Span taxonomy
 //!
@@ -52,34 +51,8 @@ macro_rules! span {
     };
 }
 
-/// Escapes a string for embedding in a JSON string literal (used by
-/// the trace exporter, the metrics serializer, and protocol writers
-/// like `tydi-serve` that emit JSON without a serde dependency).
-pub fn escape_json(text: &str, out: &mut String) {
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    #[test]
-    fn escape_json_handles_specials() {
-        let mut out = String::new();
-        super::escape_json("a\"b\\c\nd\te\u{1}", &mut out);
-        assert_eq!(out, "a\\\"b\\\\c\\nd\\te\\u0001");
-    }
-
     #[test]
     fn span_macro_formats_lazily() {
         // Disabled: the format must not run (a panicking closure would

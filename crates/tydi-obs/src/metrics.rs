@@ -1,6 +1,6 @@
-//! The process-wide metrics registry: named counters, gauges and
-//! histograms behind one mutex, snapshotted into
-//! one sorted, typed view with a single JSON serializer.
+//! The process-wide metrics registry: named counters and gauges behind
+//! one mutex, snapshotted into one sorted, typed view that prints
+//! through [`crate::json`].
 //!
 //! The registry absorbs the pipeline's previously scattered statistics
 //! (stage timings, artifact-cache reuse counts, type-store hit rates,
@@ -28,6 +28,8 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
+
+use crate::json::{self, Json};
 
 thread_local! {
     /// The active name prefix for this thread's metric mutations.
@@ -65,42 +67,6 @@ fn scoped_name(name: &str) -> String {
     })
 }
 
-/// One histogram's aggregate state.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Histogram {
-    /// Number of recorded samples.
-    pub count: u64,
-    /// Sum of all samples.
-    pub sum: f64,
-    /// Smallest sample (0 when empty).
-    pub min: f64,
-    /// Largest sample (0 when empty).
-    pub max: f64,
-}
-
-impl Histogram {
-    fn record(&mut self, sample: f64) {
-        if self.count == 0 {
-            self.min = sample;
-            self.max = sample;
-        } else {
-            self.min = self.min.min(sample);
-            self.max = self.max.max(sample);
-        }
-        self.count += 1;
-        self.sum += sample;
-    }
-
-    /// Mean sample (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
-
 /// A typed metric value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Metric {
@@ -108,8 +74,6 @@ pub enum Metric {
     Counter(u64),
     /// Point-in-time measurement.
     Gauge(f64),
-    /// Sample distribution aggregate.
-    Histogram(Histogram),
 }
 
 static REGISTRY: Mutex<BTreeMap<String, Metric>> = Mutex::new(BTreeMap::new());
@@ -147,24 +111,6 @@ pub fn gauge_set(name: &str, value: f64) {
     let name = scoped_name(name);
     with_registry(|registry| {
         registry.insert(name, Metric::Gauge(value));
-    });
-}
-
-/// Records one histogram sample.
-pub fn histogram_record(name: &str, sample: f64) {
-    let name = scoped_name(name);
-    with_registry(|registry| {
-        let entry = registry
-            .entry(name)
-            .or_insert(Metric::Histogram(Histogram::default()));
-        match entry {
-            Metric::Histogram(h) => h.record(sample),
-            other => {
-                let mut h = Histogram::default();
-                h.record(sample);
-                *other = Metric::Histogram(h);
-            }
-        }
     });
 }
 
@@ -214,14 +160,6 @@ impl Snapshot {
         }
     }
 
-    /// The histogram aggregate, when `name` is a histogram.
-    pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        match self.entries.get(name) {
-            Some(Metric::Histogram(h)) => Some(*h),
-            _ => None,
-        }
-    }
-
     /// Entries under a dotted prefix, e.g. `prefixed("sim.channel.")`.
     pub fn prefixed<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = (&'a str, &'a Metric)> {
         self.entries
@@ -242,47 +180,16 @@ impl Snapshot {
     }
 
     /// Serializes the snapshot as one flat, single-line JSON object,
-    /// names sorted. Counters and gauges serialize as numbers,
-    /// histograms as `{"count":..,"sum":..,"min":..,"max":..}`.
+    /// names sorted, every value a number.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(32 + self.entries.len() * 48);
-        out.push('{');
-        for (index, (name, metric)) in self.entries.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            crate::escape_json(name, &mut out);
-            out.push_str("\":");
-            match metric {
-                Metric::Counter(value) => out.push_str(&value.to_string()),
-                Metric::Gauge(value) => out.push_str(&format_f64(*value)),
-                Metric::Histogram(h) => {
-                    out.push_str(&format!(
-                        "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{}}}",
-                        h.count,
-                        format_f64(h.sum),
-                        format_f64(h.min),
-                        format_f64(h.max)
-                    ));
-                }
-            }
-        }
-        out.push('}');
-        out
-    }
-}
-
-/// `f64` as JSON: finite values verbatim (with a `.0` suffix for
-/// integral ones so they read back as floats), non-finite as `null`.
-fn format_f64(value: f64) -> String {
-    if !value.is_finite() {
-        return "null".to_string();
-    }
-    if value == value.trunc() && value.abs() < 1e15 {
-        format!("{value:.1}")
-    } else {
-        format!("{value}")
+        let members = self.entries.iter().map(|(name, metric)| {
+            let value = match metric {
+                Metric::Counter(value) => Json::from(*value),
+                Metric::Gauge(value) => Json::from(*value),
+            };
+            (name.as_str(), value)
+        });
+        json::object(members).to_string()
     }
 }
 
@@ -295,25 +202,17 @@ mod tests {
     }
 
     #[test]
-    fn counters_gauges_text_and_histograms_round_trip() {
+    fn counters_and_gauges_round_trip() {
         let _serial = serial();
         reset();
         counter_add("cache.parse.reused", 3);
         counter_add("cache.parse.reused", 2);
         counter_set("cache.parse.recomputed", 8);
         gauge_set("timings.wall_ms", 12.5);
-        histogram_record("parse.file_ms", 1.0);
-        histogram_record("parse.file_ms", 3.0);
         let snap = snapshot();
         assert_eq!(snap.counter("cache.parse.reused"), Some(5));
         assert_eq!(snap.counter("cache.parse.recomputed"), Some(8));
         assert_eq!(snap.gauge("timings.wall_ms"), Some(12.5));
-        let h = snap.histogram("parse.file_ms").unwrap();
-        assert_eq!(h.count, 2);
-        assert_eq!(h.sum, 4.0);
-        assert_eq!(h.min, 1.0);
-        assert_eq!(h.max, 3.0);
-        assert_eq!(h.mean(), 2.0);
         reset();
         assert!(snapshot().entries.is_empty());
     }
@@ -328,7 +227,6 @@ mod tests {
             counter_set("timings.wall", 2);
             gauge_set("timings.parse_ms", 1.5);
             counter_set("types.distinct", 5);
-            histogram_record("parse.file_ms", 3.0);
             counter_add("cache.hits", 4);
             {
                 let _inner = scoped("req.8.");
@@ -346,10 +244,6 @@ mod tests {
         assert_eq!(snap.gauge("req.7.timings.parse_ms"), Some(1.5));
         assert_eq!(snap.counter("req.7.cache.hits"), Some(4));
         assert_eq!(snap.counter("req.7.nested.restored"), Some(1));
-        assert_eq!(
-            snap.histogram("req.7.parse.file_ms").map(|h| h.count),
-            Some(1)
-        );
         assert_eq!(
             snap.counter("req.7.types.distinct"),
             None,
@@ -385,7 +279,6 @@ mod tests {
         gauge_set("b.gauge", 2.0);
         counter_set("a.counter", 1);
         counter_set("c.escaped\"name", 3);
-        histogram_record("d.hist", 1.5);
         let snap = snapshot();
         let text = snap.to_json();
         reset();
@@ -399,13 +292,6 @@ mod tests {
         assert_eq!(
             parsed.get("c.escaped\"name").and_then(|v| v.as_f64()),
             Some(3.0)
-        );
-        assert_eq!(
-            parsed
-                .get("d.hist")
-                .and_then(|v| v.get("count"))
-                .and_then(|v| v.as_f64()),
-            Some(1.0)
         );
     }
 }

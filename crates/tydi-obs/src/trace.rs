@@ -31,6 +31,8 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::json;
+
 /// Recording level, stored in a process-wide atomic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd)]
 #[repr(u8)]
@@ -83,11 +85,11 @@ pub enum Phase {
 }
 
 impl Phase {
-    fn code(self) -> char {
+    fn code(self) -> &'static str {
         match self {
-            Phase::Begin => 'B',
-            Phase::End => 'E',
-            Phase::Instant => 'i',
+            Phase::Begin => "B",
+            Phase::End => "E",
+            Phase::Instant => "i",
         }
     }
 }
@@ -248,39 +250,30 @@ pub fn take_events() -> Vec<Event> {
 }
 
 /// Serializes events as Chrome trace-event JSON (the `traceEvents`
-/// object form Perfetto and `about:tracing` load directly).
-/// Timestamps are microseconds with nanosecond precision; all events
-/// share `pid` 1.
+/// object form Perfetto and `about:tracing` load directly), one line
+/// plus a newline. Timestamps are microseconds with nanosecond
+/// precision; all events share `pid` 1.
 pub fn chrome_trace(events: &[Event]) -> String {
-    let mut out = String::with_capacity(64 + events.len() * 96);
-    out.push_str("{\"traceEvents\":[");
-    for (index, event) in events.iter().enumerate() {
-        if index > 0 {
-            out.push(',');
-        }
-        out.push_str("\n{\"ph\":\"");
-        out.push(event.phase.code());
-        out.push_str("\",\"cat\":\"");
-        crate::escape_json(event.cat, &mut out);
-        out.push_str("\",\"name\":\"");
-        crate::escape_json(&event.name, &mut out);
-        out.push_str("\",\"ts\":");
-        out.push_str(&format!(
-            "{}.{:03}",
-            event.ts_ns / 1_000,
-            event.ts_ns % 1_000
-        ));
-        out.push_str(",\"pid\":1,\"tid\":");
-        out.push_str(&event.tid.to_string());
-        if event.phase == Phase::Instant {
-            // Thread-scoped instants render as thin markers on the
-            // emitting thread's track.
-            out.push_str(",\"s\":\"t\"");
-        }
-        out.push('}');
-    }
-    out.push_str("\n]}\n");
-    out
+    let events = events
+        .iter()
+        .map(|event| {
+            let mut fields = json::object([
+                ("ph", event.phase.code().into()),
+                ("cat", event.cat.into()),
+                ("name", event.name.as_str().into()),
+                ("ts", (event.ts_ns as f64 / 1e3).into()),
+                ("pid", 1u32.into()),
+                ("tid", event.tid.into()),
+            ]);
+            if event.phase == Phase::Instant {
+                // Thread-scoped instants render as thin markers on the
+                // emitting thread's track.
+                fields.push("s", "t");
+            }
+            fields
+        })
+        .collect();
+    format!("{}\n", json::object([("traceEvents", events)]))
 }
 
 /// Serializes a full take: flushes, drains and formats in one call.
@@ -417,8 +410,9 @@ mod tests {
         let text = chrome_trace(&events);
         assert!(text.starts_with("{\"traceEvents\":["));
         assert!(text.contains("\"ph\":\"B\""));
-        assert!(text.contains("\"ts\":1.500"));
-        assert!(text.contains("\"ts\":2.750"));
+        assert!(text.contains("\"ts\":1.5,"));
+        assert!(text.contains("\"ts\":2.75,"));
+        assert!(text.contains("\"ts\":3,"));
         assert!(text.contains("\"s\":\"t\""));
         assert!(text.contains("cache \\\"hit\\\""));
         // Parses back with the crate's own reader.

@@ -26,7 +26,8 @@
 //!   mapped from the compiler's spans, and `hover` resolves the
 //!   logical type behind the symbol under the cursor.
 //! * [`protocol`] — the job request/response types and their JSON
-//!   codec (hand-rolled, per the workspace's no-external-deps policy).
+//!   codec, built on [`tydi_obs::json`], the workspace's one JSON
+//!   reader and writer.
 //!
 //! [`ArtifactCache`]: tydi_lang::ArtifactCache
 

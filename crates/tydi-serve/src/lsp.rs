@@ -24,7 +24,6 @@
 //! [`ArtifactCache`]: tydi_lang::ArtifactCache
 //! [`SourceFile::line_col`]: tydi_lang::SourceFile::line_col
 
-use crate::protocol::{json_to_string, push_str};
 use std::collections::HashMap;
 use std::io::{self, BufRead, Write};
 use std::path::Path;
@@ -76,11 +75,18 @@ pub fn serve_lsp(
         let params = message.get("params");
         match method {
             "initialize" => {
-                let result = r#"{"capabilities":{"textDocumentSync":1,"hoverProvider":true},"serverInfo":{"name":"tydic"}}"#;
+                let capabilities = json::object([
+                    ("textDocumentSync", 1u32.into()),
+                    ("hoverProvider", true.into()),
+                ]);
+                let result = json::object([
+                    ("capabilities", capabilities),
+                    ("serverInfo", json::object([("name", "tydic".into())])),
+                ]);
                 respond(writer, id, result)?;
             }
             "initialized" => {}
-            "shutdown" => respond(writer, id, "null")?,
+            "shutdown" => respond(writer, id, Json::Null)?,
             "exit" => break,
             "textDocument/didOpen" => {
                 let uri = text_document_field(params, "uri");
@@ -121,7 +127,7 @@ pub fn serve_lsp(
             "textDocument/didClose" => {
                 if let Some(uri) = text_document_field(params, "uri") {
                     documents.remove(&uri);
-                    publish_diagnostics(writer, &uri, "[]")?;
+                    publish_diagnostics(writer, &uri, Json::Array(Vec::new()))?;
                 }
             }
             "textDocument/hover" => {
@@ -129,18 +135,23 @@ pub fn serve_lsp(
                 let result = uri
                     .and_then(|uri| documents.get(&uri))
                     .and_then(|document| hover(document, params))
-                    .unwrap_or_else(|| "null".to_string());
-                respond(writer, id, &result)?;
+                    .unwrap_or(Json::Null);
+                respond(writer, id, result)?;
             }
             _ => {
                 // Unknown *requests* get a MethodNotFound error;
                 // unknown notifications are ignored per the spec.
                 if let Some(id) = id {
-                    let error = format!(
-                        r#"{{"jsonrpc":"2.0","id":{},"error":{{"code":-32601,"message":"method not found"}}}}"#,
-                        json_to_string(id)
-                    );
-                    write_message(writer, &error)?;
+                    let error = json::object([
+                        ("code", (-32601i32).into()),
+                        ("message", "method not found".into()),
+                    ]);
+                    let reply = json::object([
+                        ("jsonrpc", "2.0".into()),
+                        ("id", id.clone()),
+                        ("error", error),
+                    ]);
+                    write_message(writer, &reply)?;
                 }
             }
         }
@@ -178,7 +189,7 @@ fn check_and_publish(
         }
         Err(failure) => diagnostics_json(&failure.diagnostics, &failure.files, &document.path),
     };
-    publish_diagnostics(writer, uri, &payload)
+    publish_diagnostics(writer, uri, payload)
 }
 
 /// The document-relevant diagnostics as an LSP `Diagnostic[]` JSON
@@ -189,69 +200,69 @@ fn diagnostics_json(
     diagnostics: &[Diagnostic],
     files: &[tydi_lang::SourceFile],
     path: &str,
-) -> String {
-    let mut out = String::from("[");
-    let mut first = true;
-    for diagnostic in diagnostics {
-        let location = diagnostic
-            .span
-            .and_then(|span| files.get(span.file).map(|file| (span, file)));
-        let range = match location {
-            Some((span, file)) => {
-                if &*file.name != path {
-                    continue;
+) -> Json {
+    diagnostics
+        .iter()
+        .filter_map(|diagnostic| {
+            let location = diagnostic
+                .span
+                .and_then(|span| files.get(span.file).map(|file| (span, file)));
+            let range = match location {
+                Some((span, file)) => {
+                    if &*file.name != path {
+                        return None;
+                    }
+                    let (start_line, start_col) = file.line_col(span.start);
+                    let (end_line, end_col) = file.line_col(span.end);
+                    range(start_line, start_col, end_line, end_col)
                 }
-                let (start_line, start_col) = file.line_col(span.start);
-                let (end_line, end_col) = file.line_col(span.end);
-                format_range(start_line, start_col, end_line, end_col)
-            }
-            None => format_range(1, 1, 1, 1),
-        };
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            r#"{{"range":{range},"severity":{},"source":"tydic/{}","message":"#,
-            match diagnostic.severity {
+                None => range(1, 1, 1, 1),
+            };
+            let severity: u32 = match diagnostic.severity {
                 Severity::Error => 1,
                 Severity::Warning => 2,
                 Severity::Note => 3,
-            },
-            diagnostic.stage,
-        ));
-        push_str(&mut out, &diagnostic.message);
-        out.push('}');
-    }
-    out.push(']');
-    out
+            };
+            Some(json::object([
+                ("range", range),
+                ("severity", severity.into()),
+                ("source", format!("tydic/{}", diagnostic.stage).into()),
+                ("message", diagnostic.message.as_str().into()),
+            ]))
+        })
+        .collect()
 }
 
 /// 1-based compiler line/col to a 0-based LSP range.
-fn format_range(start_line: usize, start_col: usize, end_line: usize, end_col: usize) -> String {
-    format!(
-        r#"{{"start":{{"line":{},"character":{}}},"end":{{"line":{},"character":{}}}}}"#,
-        start_line.saturating_sub(1),
-        start_col.saturating_sub(1),
-        end_line.saturating_sub(1),
-        end_col.saturating_sub(1),
-    )
+fn range(start_line: usize, start_col: usize, end_line: usize, end_col: usize) -> Json {
+    let position = |line: usize, col: usize| {
+        json::object([
+            ("line", line.saturating_sub(1).into()),
+            ("character", col.saturating_sub(1).into()),
+        ])
+    };
+    json::object([
+        ("start", position(start_line, start_col)),
+        ("end", position(end_line, end_col)),
+    ])
 }
 
 /// Answers a hover request from the document's last good compile.
-fn hover(document: &Document, params: Option<&Json>) -> Option<String> {
+fn hover(document: &Document, params: Option<&Json>) -> Option<Json> {
     let output = document.last_good.as_ref()?;
     let position = params?.get("position")?;
     let line = position.get("line")?.as_f64()? as usize;
     let character = position.get("character")?.as_f64()? as usize;
     let (word, start, end) = word_at(&document.text, line, character)?;
     let text = resolve_symbol(output, &word)?;
-    let mut result = String::from(r#"{"contents":{"kind":"markdown","value":"#);
-    push_str(&mut result, &format!("```tydi\n{text}\n```"));
-    result.push_str(r#"},"range":"#);
-    result.push_str(&format_range(line + 1, start + 1, line + 1, end + 1));
-    result.push('}');
-    Some(result)
+    let contents = json::object([
+        ("kind", "markdown".into()),
+        ("value", format!("```tydi\n{text}\n```").into()),
+    ]);
+    Some(json::object([
+        ("contents", contents),
+        ("range", range(line + 1, start + 1, line + 1, end + 1)),
+    ]))
 }
 
 /// The identifier under a 0-based line/character position, with its
@@ -362,33 +373,31 @@ fn read_message(reader: &mut impl BufRead) -> io::Result<Option<String>> {
     Ok(Some(String::from_utf8_lossy(&body).into_owned()))
 }
 
-fn write_message(writer: &mut impl Write, body: &str) -> io::Result<()> {
+fn write_message(writer: &mut impl Write, message: &Json) -> io::Result<()> {
+    let body = message.to_string();
     write!(writer, "Content-Length: {}\r\n\r\n{body}", body.len())?;
     writer.flush()
 }
 
 /// Writes a JSON-RPC response; the id is echoed verbatim (numbers and
 /// strings both occur in the wild).
-fn respond(writer: &mut impl Write, id: Option<&Json>, result: &str) -> io::Result<()> {
-    let id = id.map(json_to_string).unwrap_or_else(|| "null".to_string());
-    write_message(
-        writer,
-        &format!(r#"{{"jsonrpc":"2.0","id":{id},"result":{result}}}"#),
-    )
+fn respond(writer: &mut impl Write, id: Option<&Json>, result: Json) -> io::Result<()> {
+    let message = json::object([
+        ("jsonrpc", "2.0".into()),
+        ("id", id.cloned().unwrap_or(Json::Null)),
+        ("result", result),
+    ]);
+    write_message(writer, &message)
 }
 
-fn publish_diagnostics(writer: &mut impl Write, uri: &str, diagnostics: &str) -> io::Result<()> {
-    let mut params = String::from(r#"{"uri":"#);
-    push_str(&mut params, uri);
-    params.push_str(r#","diagnostics":"#);
-    params.push_str(diagnostics);
-    params.push('}');
-    write_message(
-        writer,
-        &format!(
-            r#"{{"jsonrpc":"2.0","method":"textDocument/publishDiagnostics","params":{params}}}"#
-        ),
-    )
+fn publish_diagnostics(writer: &mut impl Write, uri: &str, diagnostics: Json) -> io::Result<()> {
+    let params = json::object([("uri", uri.into()), ("diagnostics", diagnostics)]);
+    let message = json::object([
+        ("jsonrpc", "2.0".into()),
+        ("method", "textDocument/publishDiagnostics".into()),
+        ("params", params),
+    ]);
+    write_message(writer, &message)
 }
 
 #[cfg(test)]
@@ -415,23 +424,21 @@ mod tests {
     }
 
     fn did_open(uri: &str, text: &str) -> Vec<u8> {
-        let mut escaped = String::new();
-        tydi_obs::escape_json(text, &mut escaped);
+        let text = Json::from(text);
         notification(
             "textDocument/didOpen",
             &format!(
-                r#"{{"textDocument":{{"uri":"{uri}","languageId":"tydi","version":1,"text":"{escaped}"}}}}"#
+                r#"{{"textDocument":{{"uri":"{uri}","languageId":"tydi","version":1,"text":{text}}}}}"#
             ),
         )
     }
 
     fn did_change(uri: &str, text: &str) -> Vec<u8> {
-        let mut escaped = String::new();
-        tydi_obs::escape_json(text, &mut escaped);
+        let text = Json::from(text);
         notification(
             "textDocument/didChange",
             &format!(
-                r#"{{"textDocument":{{"uri":"{uri}","version":2}},"contentChanges":[{{"text":"{escaped}"}}]}}"#
+                r#"{{"textDocument":{{"uri":"{uri}","version":2}},"contentChanges":[{{"text":{text}}}]}}"#
             ),
         )
     }

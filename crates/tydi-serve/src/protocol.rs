@@ -2,10 +2,10 @@
 //!
 //! One connection carries any number of requests; each request is a
 //! single line holding one JSON object, answered by a single response
-//! line. The codec is hand-rolled over [`tydi_obs::escape_json`] and
-//! [`tydi_obs::json::parse`] (the workspace has no serde), and every
-//! field is optional on the wire with a defined default, so old
-//! clients keep working against newer daemons.
+//! line. The codec builds and reads [`tydi_obs::json`] values, the
+//! workspace's one JSON writer and reader, and every field is optional
+//! on the wire with a defined default, so old clients keep working
+//! against newer daemons.
 
 use tydi_obs::json::{self, Json};
 
@@ -142,82 +142,33 @@ impl JobRequest {
     /// Fields at their defaults are omitted, so a request that uses no
     /// newer option reads the same to an older daemon.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128);
-        out.push('{');
-        push_key(&mut out, "v");
-        out.push_str(&PROTOCOL_VERSION.to_string());
-        push_sep_key(&mut out, "id");
-        out.push_str(&self.id.to_string());
-        push_sep_key(&mut out, "kind");
-        push_str(&mut out, self.kind.name());
-        push_sep_key(&mut out, "files");
-        out.push('[');
-        for (index, file) in self.files.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            push_str(&mut out, file);
-        }
-        out.push(']');
-        push_sep_key(&mut out, "include_std");
-        out.push_str(if self.include_std { "true" } else { "false" });
-        push_sep_key(&mut out, "sugaring");
-        out.push_str(if self.sugaring { "true" } else { "false" });
-        push_sep_key(&mut out, "emit");
-        push_str(&mut out, &self.emit);
-        push_sep_key(&mut out, "json");
-        out.push_str(if self.json { "true" } else { "false" });
-        if let Some(dir) = &self.out_dir {
-            push_sep_key(&mut out, "out_dir");
-            push_str(&mut out, dir);
-        }
-        if let Some(top) = &self.top {
-            push_sep_key(&mut out, "top");
-            push_str(&mut out, top);
-        }
-        if let Some(deny) = &self.deny {
-            push_sep_key(&mut out, "deny");
-            push_str(&mut out, deny);
-        }
-        if let Some(mhz) = self.clock_mhz {
-            push_sep_key(&mut out, "clock_mhz");
-            out.push_str(&format_number(mhz));
-        }
+        let mut out = json::object([
+            ("v", PROTOCOL_VERSION.into()),
+            ("id", self.id.into()),
+            ("kind", self.kind.name().into()),
+            ("files", self.files.iter().collect()),
+            ("include_std", self.include_std.into()),
+            ("sugaring", self.sugaring.into()),
+            ("emit", self.emit.as_str().into()),
+            ("json", self.json.into()),
+        ]);
+        out.push_some("out_dir", self.out_dir.as_ref());
+        out.push_some("top", self.top.as_ref());
+        out.push_some("deny", self.deny.as_ref());
+        out.push_some("clock_mhz", self.clock_mhz);
         let defaults = JobRequest::new(self.kind);
         let differs = |value: u64, default: u64| (value != default).then_some(value);
-        let numbers = [
-            (
-                "scenarios",
-                differs(self.scenarios as u64, defaults.scenarios as u64),
-            ),
-            ("packets", differs(self.packets, defaults.packets)),
-            ("max_cycles", differs(self.max_cycles, defaults.max_cycles)),
-            ("idle", self.idle),
-            ("test_sleep_ms", self.test_sleep_ms),
-        ];
-        for (key, value) in numbers {
-            if let Some(n) = value {
-                push_sep_key(&mut out, key);
-                out.push_str(&n.to_string());
-            }
-        }
-        for (key, flag) in [("timings", self.timings), ("test_panic", self.test_panic)] {
-            if flag {
-                push_sep_key(&mut out, key);
-                out.push_str("true");
-            }
-        }
-        if let Some(spec) = &self.inject {
-            push_sep_key(&mut out, "inject");
-            push_str(&mut out, spec);
-        }
-        if let Some(seeds) = &self.inject_sweep {
-            let seeds: Vec<String> = seeds.iter().map(u64::to_string).collect();
-            push_sep_key(&mut out, "inject_sweep");
-            out.push_str(&format!("[{}]", seeds.join(",")));
-        }
-        out.push('}');
-        out
+        let scenarios = differs(self.scenarios as u64, defaults.scenarios as u64);
+        out.push_some("scenarios", scenarios);
+        out.push_some("packets", differs(self.packets, defaults.packets));
+        out.push_some("max_cycles", differs(self.max_cycles, defaults.max_cycles));
+        out.push_some("idle", self.idle);
+        out.push_some("test_sleep_ms", self.test_sleep_ms);
+        out.push_some("timings", self.timings.then_some(true));
+        out.push_some("test_panic", self.test_panic.then_some(true));
+        out.push_some("inject", self.inject.as_ref());
+        out.push_some("inject_sweep", self.inject_sweep.as_deref());
+        out.to_string()
     }
 
     /// Parses one request line.
@@ -237,37 +188,29 @@ impl JobRequest {
             JobKind::parse(kind_name).ok_or_else(|| format!("unknown job kind `{kind_name}`"))?;
         let mut request = JobRequest::new(kind);
         request.id = get_u64(&value, "id").unwrap_or(0);
-        if let Some(files) = value.get("files").and_then(Json::as_array) {
-            request.files = files
-                .iter()
-                .filter_map(|f| f.as_str().map(str::to_string))
-                .collect();
-        }
+        request.files = get_strings(&value, "files");
         if let Some(flag) = get_bool(&value, "include_std") {
             request.include_std = flag;
         }
         if let Some(flag) = get_bool(&value, "sugaring") {
             request.sugaring = flag;
         }
-        if let Some(emit) = value.get("emit").and_then(Json::as_str) {
-            request.emit = emit.to_string();
+        if let Some(emit) = get_str(&value, "emit") {
+            request.emit = emit;
         }
         if let Some(flag) = get_bool(&value, "json") {
             request.json = flag;
         }
-        request.out_dir = value
-            .get("out_dir")
-            .and_then(Json::as_str)
-            .map(String::from);
-        request.top = value.get("top").and_then(Json::as_str).map(String::from);
-        request.deny = value.get("deny").and_then(Json::as_str).map(String::from);
+        request.out_dir = get_str(&value, "out_dir");
+        request.top = get_str(&value, "top");
+        request.deny = get_str(&value, "deny");
         request.clock_mhz = value.get("clock_mhz").and_then(Json::as_f64);
         request.timings = get_bool(&value, "timings").unwrap_or(false);
         request.scenarios = get_u64(&value, "scenarios").map_or(request.scenarios, |n| n as usize);
         request.packets = get_u64(&value, "packets").unwrap_or(request.packets);
         request.max_cycles = get_u64(&value, "max_cycles").unwrap_or(request.max_cycles);
         request.idle = get_u64(&value, "idle");
-        request.inject = value.get("inject").and_then(Json::as_str).map(String::from);
+        request.inject = get_str(&value, "inject");
         request.inject_sweep = value
             .get("inject_sweep")
             .and_then(Json::as_array)
@@ -412,92 +355,48 @@ impl JobResponse {
 
     /// Serializes the response as one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.stdout.len() + self.stderr.len());
-        out.push('{');
-        push_key(&mut out, "v");
-        out.push_str(&PROTOCOL_VERSION.to_string());
-        push_sep_key(&mut out, "id");
-        out.push_str(&self.id.to_string());
-        push_sep_key(&mut out, "ok");
-        out.push_str(if self.ok { "true" } else { "false" });
-        push_sep_key(&mut out, "exit_code");
-        out.push_str(&self.exit_code.to_string());
-        push_sep_key(&mut out, "stdout");
-        push_str(&mut out, &self.stdout);
-        push_sep_key(&mut out, "stderr");
-        push_str(&mut out, &self.stderr);
-        push_sep_key(&mut out, "artifacts");
-        out.push('[');
-        for (index, path) in self.artifacts.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            push_str(&mut out, path);
-        }
-        out.push(']');
-        push_sep_key(&mut out, "diagnostics");
-        out.push('[');
-        for (index, d) in self.diagnostics.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            push_key(&mut out, "severity");
-            push_str(&mut out, &d.severity);
-            push_sep_key(&mut out, "stage");
-            push_str(&mut out, &d.stage);
-            push_sep_key(&mut out, "message");
-            push_str(&mut out, &d.message);
-            push_sep_key(&mut out, "file");
-            push_str(&mut out, &d.file);
-            push_sep_key(&mut out, "line");
-            out.push_str(&d.line.to_string());
-            push_sep_key(&mut out, "col");
-            out.push_str(&d.col.to_string());
-            out.push('}');
-        }
-        out.push(']');
-        push_sep_key(&mut out, "warm");
-        out.push_str(if self.warm { "true" } else { "false" });
-        push_sep_key(&mut out, "elapsed_ms");
-        out.push_str(&format_number(self.elapsed_ms));
-        push_sep_key(&mut out, "metrics");
-        out.push_str(if self.metrics_json.trim().is_empty() {
-            "{}"
-        } else {
-            self.metrics_json.trim()
+        let diagnostics = self.diagnostics.iter().map(|d| {
+            json::object([
+                ("severity", d.severity.as_str().into()),
+                ("stage", d.stage.as_str().into()),
+                ("message", d.message.as_str().into()),
+                ("file", d.file.as_str().into()),
+                ("line", d.line.into()),
+                ("col", d.col.into()),
+            ])
         });
-        if let Some(kind) = &self.error_kind {
-            push_sep_key(&mut out, "error");
-            push_str(&mut out, kind);
-        }
+        // The metrics text comes from this crate's own writer; anything
+        // that does not parse travels as an empty object.
+        let metrics = json::parse(&self.metrics_json).unwrap_or(Json::Object(Vec::new()));
+        let mut out = json::object([
+            ("v", PROTOCOL_VERSION.into()),
+            ("id", self.id.into()),
+            ("ok", self.ok.into()),
+            ("exit_code", self.exit_code.into()),
+            ("stdout", self.stdout.as_str().into()),
+            ("stderr", self.stderr.as_str().into()),
+            ("artifacts", self.artifacts.iter().collect()),
+            ("diagnostics", diagnostics.collect()),
+            ("warm", self.warm.into()),
+            ("elapsed_ms", self.elapsed_ms.into()),
+            ("metrics", metrics),
+        ]);
+        out.push_some("error", self.error_kind.as_ref());
         if let Some(status) = &self.status {
-            push_sep_key(&mut out, "status");
-            out.push('{');
-            push_key(&mut out, "pid");
-            out.push_str(&status.pid.to_string());
-            push_sep_key(&mut out, "uptime_ms");
-            out.push_str(&format_number(status.uptime_ms));
-            push_sep_key(&mut out, "requests");
-            out.push_str(&status.requests.to_string());
-            push_sep_key(&mut out, "parse_entries");
-            out.push_str(&status.parse_entries.to_string());
-            push_sep_key(&mut out, "elab_entries");
-            out.push_str(&status.elab_entries.to_string());
-            push_sep_key(&mut out, "jobs_active");
-            out.push_str(&status.jobs_active.to_string());
-            push_sep_key(&mut out, "jobs_timed_out");
-            out.push_str(&status.jobs_timed_out.to_string());
-            push_sep_key(&mut out, "jobs_panicked");
-            out.push_str(&status.jobs_panicked.to_string());
-            if let Some(ms) = status.idle_deadline_ms {
-                push_sep_key(&mut out, "idle_deadline_ms");
-                out.push_str(&format_number(ms));
-            }
-            out.push('}');
+            let mut fields = json::object([
+                ("pid", status.pid.into()),
+                ("uptime_ms", status.uptime_ms.into()),
+                ("requests", status.requests.into()),
+                ("parse_entries", status.parse_entries.into()),
+                ("elab_entries", status.elab_entries.into()),
+                ("jobs_active", status.jobs_active.into()),
+                ("jobs_timed_out", status.jobs_timed_out.into()),
+                ("jobs_panicked", status.jobs_panicked.into()),
+            ]);
+            fields.push_some("idle_deadline_ms", status.idle_deadline_ms);
+            out.push("status", fields);
         }
-        out.push('}');
-        out
+        out.to_string()
     }
 
     /// Parses one response line.
@@ -506,30 +405,17 @@ impl JobResponse {
         let mut response = JobResponse::new(get_u64(&value, "id").unwrap_or(0));
         response.ok = get_bool(&value, "ok").unwrap_or(false);
         response.exit_code = get_u64(&value, "exit_code").unwrap_or(1) as i32;
-        response.stdout = value
-            .get("stdout")
-            .and_then(Json::as_str)
-            .unwrap_or("")
-            .to_string();
-        response.stderr = value
-            .get("stderr")
-            .and_then(Json::as_str)
-            .unwrap_or("")
-            .to_string();
-        if let Some(paths) = value.get("artifacts").and_then(Json::as_array) {
-            response.artifacts = paths
-                .iter()
-                .filter_map(|p| p.as_str().map(str::to_string))
-                .collect();
-        }
+        response.stdout = get_str(&value, "stdout").unwrap_or_default();
+        response.stderr = get_str(&value, "stderr").unwrap_or_default();
+        response.artifacts = get_strings(&value, "artifacts");
         if let Some(diagnostics) = value.get("diagnostics").and_then(Json::as_array) {
             response.diagnostics = diagnostics
                 .iter()
                 .map(|d| DiagnosticInfo {
-                    severity: get_str(d, "severity"),
-                    stage: get_str(d, "stage"),
-                    message: get_str(d, "message"),
-                    file: get_str(d, "file"),
+                    severity: get_str(d, "severity").unwrap_or_default(),
+                    stage: get_str(d, "stage").unwrap_or_default(),
+                    message: get_str(d, "message").unwrap_or_default(),
+                    file: get_str(d, "file").unwrap_or_default(),
                     line: get_u64(d, "line").unwrap_or(0),
                     col: get_u64(d, "col").unwrap_or(0),
                 })
@@ -541,9 +427,9 @@ impl JobResponse {
             .and_then(Json::as_f64)
             .unwrap_or(0.0);
         if let Some(metrics) = value.get("metrics") {
-            response.metrics_json = json_to_string(metrics);
+            response.metrics_json = metrics.to_string();
         }
-        response.error_kind = value.get("error").and_then(Json::as_str).map(String::from);
+        response.error_kind = get_str(&value, "error");
         response.status = value.get("status").map(|s| StatusInfo {
             pid: get_u64(s, "pid").unwrap_or(0),
             uptime_ms: s.get("uptime_ms").and_then(Json::as_f64).unwrap_or(0.0),
@@ -559,76 +445,6 @@ impl JobResponse {
     }
 }
 
-/// Re-serializes a parsed [`Json`] value (used to round-trip the
-/// embedded metrics object, and by the LSP server to echo request
-/// ids that may be numbers or strings).
-pub fn json_to_string(value: &Json) -> String {
-    let mut out = String::new();
-    write_json(value, &mut out);
-    out
-}
-
-fn write_json(value: &Json, out: &mut String) {
-    match value {
-        Json::Null => out.push_str("null"),
-        Json::Bool(true) => out.push_str("true"),
-        Json::Bool(false) => out.push_str("false"),
-        Json::Number(n) => out.push_str(&format_number(*n)),
-        Json::String(s) => push_str(out, s),
-        Json::Array(items) => {
-            out.push('[');
-            for (index, item) in items.iter().enumerate() {
-                if index > 0 {
-                    out.push(',');
-                }
-                write_json(item, out);
-            }
-            out.push(']');
-        }
-        Json::Object(members) => {
-            out.push('{');
-            for (index, (key, member)) in members.iter().enumerate() {
-                if index > 0 {
-                    out.push(',');
-                }
-                push_str(out, key);
-                out.push(':');
-                write_json(member, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
-/// A JSON number: integral values without the float suffix (so ids
-/// round-trip as integers), non-finite as `null`.
-pub(crate) fn format_number(value: f64) -> String {
-    if !value.is_finite() {
-        return "null".to_string();
-    }
-    if value == value.trunc() && value.abs() < 1e15 {
-        format!("{}", value as i64)
-    } else {
-        format!("{value}")
-    }
-}
-
-pub(crate) fn push_str(out: &mut String, text: &str) {
-    out.push('"');
-    tydi_obs::escape_json(text, out);
-    out.push('"');
-}
-
-fn push_key(out: &mut String, key: &str) {
-    push_str(out, key);
-    out.push(':');
-}
-
-fn push_sep_key(out: &mut String, key: &str) {
-    out.push(',');
-    push_key(out, key);
-}
-
 fn get_u64(value: &Json, key: &str) -> Option<u64> {
     value.get(key).and_then(Json::as_f64).map(|n| n as u64)
 }
@@ -640,12 +456,18 @@ fn get_bool(value: &Json, key: &str) -> Option<bool> {
     }
 }
 
-fn get_str(value: &Json, key: &str) -> String {
-    value
-        .get(key)
-        .and_then(Json::as_str)
-        .unwrap_or("")
-        .to_string()
+fn get_str(value: &Json, key: &str) -> Option<String> {
+    value.get(key).and_then(Json::as_str).map(String::from)
+}
+
+/// The string elements of an array member; empty when it is missing.
+fn get_strings(value: &Json, key: &str) -> Vec<String> {
+    let items = value.get(key).and_then(Json::as_array).unwrap_or_default();
+    items
+        .iter()
+        .filter_map(Json::as_str)
+        .map(String::from)
+        .collect()
 }
 
 #[cfg(test)]
@@ -832,5 +654,74 @@ mod tests {
         assert_eq!(response.stderr, "no input files\n");
         assert_eq!(response.exit_code, 2);
         assert!(!response.ok);
+    }
+
+    /// Full request and response lines, as literals: old clients and
+    /// daemons read these bytes, so a change to the JSON writer must
+    /// not move them.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        let mut request = JobRequest::new(JobKind::Sim);
+        request.id = 17;
+        request.files = vec!["a.td".to_string(), "dir/b \"q\".td".to_string()];
+        request.include_std = false;
+        request.sugaring = false;
+        request.emit = "verilog".to_string();
+        request.out_dir = Some("out".to_string());
+        request.top = Some("top_i".to_string());
+        request.deny = Some("warning".to_string());
+        request.json = true;
+        request.clock_mhz = Some(250.5);
+        request.timings = true;
+        (request.scenarios, request.packets, request.max_cycles) = (2, 8, 500);
+        request.idle = Some(16);
+        request.inject = Some("stall(a,0,*)".to_string());
+        request.inject_sweep = Some(vec![1, 2, 3]);
+        request.test_sleep_ms = Some(1500);
+        request.test_panic = true;
+        assert_eq!(
+            request.to_json(),
+            r#"{"v":1,"id":17,"kind":"sim","files":["a.td","dir/b \"q\".td"],"include_std":false,"sugaring":false,"emit":"verilog","json":true,"out_dir":"out","top":"top_i","deny":"warning","clock_mhz":250.5,"scenarios":2,"packets":8,"max_cycles":500,"idle":16,"test_sleep_ms":1500,"timings":true,"test_panic":true,"inject":"stall(a,0,*)","inject_sweep":[1,2,3]}"#
+        );
+        assert_eq!(
+            JobRequest::new(JobKind::Check).to_json(),
+            r#"{"v":1,"id":0,"kind":"check","files":[],"include_std":true,"sugaring":true,"emit":"ir","json":false}"#
+        );
+
+        let mut response =
+            JobResponse::resilience_failure(3, "timeout", "error: \"x\"\t[parse]\u{1}");
+        response.stdout = "line1\nline2\\\r\n".to_string();
+        response.artifacts = vec!["out/top.vhd".to_string()];
+        response.diagnostics = vec![DiagnosticInfo {
+            severity: "error".to_string(),
+            stage: "parse".to_string(),
+            message: "expected expression".to_string(),
+            file: "a.td".to_string(),
+            line: 3,
+            col: 11,
+        }];
+        response.warm = true;
+        response.elapsed_ms = 1.25;
+        response.metrics_json =
+            r#"{"cache.stage.parse.reused":2,"timings.wall_ms":1.5}"#.to_string();
+        response.status = Some(StatusInfo {
+            pid: 42,
+            uptime_ms: 1000.0,
+            requests: 7,
+            parse_entries: 2,
+            elab_entries: 1,
+            jobs_active: 1,
+            jobs_timed_out: 3,
+            jobs_panicked: 2,
+            idle_deadline_ms: Some(250.5),
+        });
+        assert_eq!(
+            response.to_json(),
+            r#"{"v":1,"id":3,"ok":false,"exit_code":124,"stdout":"line1\nline2\\\r\n","stderr":"error: \"x\"\t[parse]\u0001\n","artifacts":["out/top.vhd"],"diagnostics":[{"severity":"error","stage":"parse","message":"expected expression","file":"a.td","line":3,"col":11}],"warm":true,"elapsed_ms":1.25,"metrics":{"cache.stage.parse.reused":2,"timings.wall_ms":1.5},"error":"timeout","status":{"pid":42,"uptime_ms":1000,"requests":7,"parse_entries":2,"elab_entries":1,"jobs_active":1,"jobs_timed_out":3,"jobs_panicked":2,"idle_deadline_ms":250.5}}"#
+        );
+        assert_eq!(
+            JobResponse::new(0).to_json(),
+            r#"{"v":1,"id":0,"ok":true,"exit_code":0,"stdout":"","stderr":"","artifacts":[],"diagnostics":[],"warm":false,"elapsed_ms":0,"metrics":{}}"#
+        );
     }
 }

@@ -17,9 +17,9 @@
 //! and scrubs its metric scope when it eventually finishes). An
 //! admission gate ([`ServeOptions::max_jobs`]) answers `busy` instead
 //! of queueing unboundedly; clients retry with capped exponential
-//! backoff. All of it is observable: the daemon publishes
-//! `serve.jobs.*` counters through [`tydi_obs::metrics`], and the
-//! `status` job renders them back to clients.
+//! backoff. All of it is observable: the daemon counts active,
+//! timed-out and panicked jobs in atomics, and the `status` job
+//! renders them back to clients.
 //!
 //! Persistence: a job that changed the cache persists it (merge-on-save
 //! through the cross-process [`CacheLock`]) *after* its reply is sent,
@@ -102,6 +102,10 @@ struct ServerState {
     sequence: AtomicU64,
     /// Compile jobs currently in flight (admission-gate slot count).
     active: AtomicU64,
+    /// Jobs answered `timeout`.
+    timed_out: AtomicU64,
+    /// Jobs answered `internal_error` (a panic, or a vanished job).
+    panicked: AtomicU64,
     /// When the daemon last heard from a client (idle-shutdown clock).
     last_activity: Mutex<Instant>,
     job_timeout: Option<Duration>,
@@ -153,6 +157,8 @@ pub fn serve(options: &ServeOptions) -> io::Result<()> {
         requests: AtomicU64::new(0),
         sequence: AtomicU64::new(0),
         active: AtomicU64::new(0),
+        timed_out: AtomicU64::new(0),
+        panicked: AtomicU64::new(0),
         last_activity: Mutex::new(Instant::now()),
         job_timeout: options.job_timeout,
         max_jobs: options.max_jobs,
@@ -278,9 +284,6 @@ fn dispatch(request: &JobRequest, state: &Arc<ServerState>) -> (JobResponse, boo
                 let cache = lock(&state.cache);
                 (cache.parse_entries() as u64, cache.elab_entries() as u64)
             };
-            // The resilience counters render from the tydi-obs
-            // registry — the same numbers `tydi-obs` exports.
-            let snapshot = metrics::snapshot();
             let mut response = JobResponse::new(request.id);
             response.status = Some(StatusInfo {
                 pid: std::process::id() as u64,
@@ -288,11 +291,9 @@ fn dispatch(request: &JobRequest, state: &Arc<ServerState>) -> (JobResponse, boo
                 requests: state.requests.load(Ordering::SeqCst),
                 parse_entries,
                 elab_entries,
-                jobs_active: snapshot
-                    .counter("serve.jobs.active")
-                    .unwrap_or_else(|| state.active.load(Ordering::SeqCst)),
-                jobs_timed_out: snapshot.counter("serve.jobs.timed_out").unwrap_or(0),
-                jobs_panicked: snapshot.counter("serve.jobs.panicked").unwrap_or(0),
+                jobs_active: state.active.load(Ordering::SeqCst),
+                jobs_timed_out: state.timed_out.load(Ordering::SeqCst),
+                jobs_panicked: state.panicked.load(Ordering::SeqCst),
                 idle_deadline_ms: state.idle_deadline_ms(),
             });
             (response, false)
@@ -321,7 +322,6 @@ fn run_compile_job(request: &JobRequest, state: &Arc<ServerState>) -> (JobRespon
         }
     };
     if !admitted {
-        metrics::counter_add("serve.jobs.busy", 1);
         let max = state.max_jobs.unwrap_or(0);
         return (
             JobResponse::resilience_failure(
@@ -332,8 +332,6 @@ fn run_compile_job(request: &JobRequest, state: &Arc<ServerState>) -> (JobRespon
             false,
         );
     }
-    metrics::counter_set("serve.jobs.active", state.active.load(Ordering::SeqCst));
-
     let sequence = state.sequence.fetch_add(1, Ordering::SeqCst);
     let scope = format!("req.{sequence}.");
     let (sender, receiver) = mpsc::channel();
@@ -380,7 +378,6 @@ fn run_compile_job(request: &JobRequest, state: &Arc<ServerState>) -> (JobRespon
             }
             drop(cache);
             job_state.active.fetch_sub(1, Ordering::SeqCst);
-            metrics::counter_set("serve.jobs.active", job_state.active.load(Ordering::SeqCst));
         })
         .expect("spawn a job thread");
 
@@ -393,11 +390,10 @@ fn run_compile_job(request: &JobRequest, state: &Arc<ServerState>) -> (JobRespon
     let response = match outcome {
         Ok(Ok(response)) => {
             state.requests.fetch_add(1, Ordering::SeqCst);
-            metrics::counter_set("serve.jobs.served", state.requests.load(Ordering::SeqCst));
             response
         }
         Ok(Err(_panic)) => {
-            metrics::counter_add("serve.jobs.panicked", 1);
+            state.panicked.fetch_add(1, Ordering::SeqCst);
             JobResponse::resilience_failure(
                 request.id,
                 "internal_error",
@@ -405,7 +401,7 @@ fn run_compile_job(request: &JobRequest, state: &Arc<ServerState>) -> (JobRespon
             )
         }
         Err(mpsc::RecvTimeoutError::Timeout) => {
-            metrics::counter_add("serve.jobs.timed_out", 1);
+            state.timed_out.fetch_add(1, Ordering::SeqCst);
             let limit = state.job_timeout.unwrap_or_default();
             JobResponse::resilience_failure(
                 request.id,
@@ -419,7 +415,7 @@ fn run_compile_job(request: &JobRequest, state: &Arc<ServerState>) -> (JobRespon
         // The job thread died without reporting — only possible if the
         // send itself failed; account it like a panic.
         Err(mpsc::RecvTimeoutError::Disconnected) => {
-            metrics::counter_add("serve.jobs.panicked", 1);
+            state.panicked.fetch_add(1, Ordering::SeqCst);
             JobResponse::resilience_failure(
                 request.id,
                 "internal_error",

@@ -258,9 +258,12 @@ fn analyze_json_is_stable_across_thread_counts() {
             "{file}: analyze JSON differs between TYDI_THREADS=1 and 8"
         );
         let text = String::from_utf8(legs[0].clone()).expect("utf-8 json");
+        let report = tydi_obs::json::parse(&text)
+            .unwrap_or_else(|e| panic!("{file}: analyze JSON does not parse: {e}"));
+        let outputs = report.get("outputs").and_then(|o| o.as_array());
         assert!(
-            text.contains("\"outputs\""),
-            "{file}: JSON report misses the outputs section"
+            outputs.is_some_and(|o| !o.is_empty()),
+            "{file}: JSON report has no outputs"
         );
     }
 }

@@ -391,11 +391,14 @@ fn daemon_honours_the_observability_flags() {
     std::fs::write(&good, GOOD).unwrap();
     let cache = dir.join("cache");
     let daemon = Daemon::spawn(&cache);
-    let run = |flag: &str, file: &Path| {
-        tydic()
-            .arg("check")
-            .arg(&good)
-            .args(["--daemon", flag])
+    let run = |daemon: bool, flag: &str, file: &Path| {
+        let mut command = tydic();
+        command.arg("check").arg(&good);
+        if daemon {
+            command.arg("--daemon");
+        }
+        command
+            .arg(flag)
             .arg(file)
             .arg("--cache-dir")
             .arg(&cache)
@@ -403,20 +406,34 @@ fn daemon_honours_the_observability_flags() {
             .expect("run tydic")
     };
 
-    let json_path = dir.join("metrics.json");
-    assert!(run("--timings-json", &json_path).status.success());
-    let text = std::fs::read_to_string(&json_path).expect("timings json written");
-    let metrics = tydi_obs::json::parse(&text).expect("valid JSON");
-    for key in [
-        "timings.wall_ms",
-        "types.distinct",
-        "cache.stage.parse.reused",
-    ] {
-        assert!(metrics.get(key).is_some(), "`{key}` missing: {text}");
+    // In-process and through the daemon, the metrics file is exactly
+    // what the one JSON writer prints for its own parse: both sides
+    // format every number the same way.
+    for (daemon, mode) in [(true, "daemon"), (false, "in-process")] {
+        let json_path = dir.join(format!("metrics-{mode}.json"));
+        let out = run(daemon, "--timings-json", &json_path);
+        assert!(out.status.success(), "{mode}: {out:?}");
+        let text = std::fs::read_to_string(&json_path).expect("timings json written");
+        let metrics = tydi_obs::json::parse(&text).expect("valid JSON");
+        for key in [
+            "timings.wall_ms",
+            "types.distinct",
+            "cache.stage.parse.reused",
+        ] {
+            assert!(
+                metrics.get(key).is_some(),
+                "{mode}: `{key}` missing: {text}"
+            );
+        }
+        assert_eq!(
+            text,
+            format!("{metrics}\n"),
+            "{mode}: not a print fixed point"
+        );
     }
 
     let trace = dir.join("trace.json");
-    assert_eq!(run("--trace", &trace).status.code(), Some(2));
+    assert_eq!(run(true, "--trace", &trace).status.code(), Some(2));
     assert!(!trace.exists(), "no empty trace written");
 
     daemon.shutdown();
