@@ -7,6 +7,7 @@
 
 use crate::sim_ast::SimBlock;
 use crate::span::Span;
+use std::sync::Arc;
 
 /// Binary operators, lowest precedence first in the parser.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -532,8 +533,9 @@ pub struct Package {
     pub name: String,
     /// Imported package names (`use x;`).
     pub uses: Vec<String>,
-    /// Declarations in order.
-    pub decls: Vec<Decl>,
+    /// Declarations in order. Shared, so handing a cached package to
+    /// elaboration copies one pointer per declaration, not the tree.
+    pub decls: Vec<Arc<Decl>>,
     /// Source range of the header.
     pub span: Span,
 }

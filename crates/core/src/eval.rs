@@ -468,7 +468,7 @@ mod tests {
         let (pkg, diags) = parse_package(0, &src);
         assert!(diags.is_empty(), "parse diags for `{expr_text}`: {diags:?}");
         let pkg = pkg.unwrap();
-        let crate::ast::Decl::Const(c) = &pkg.decls[0] else {
+        let crate::ast::Decl::Const(c) = &*pkg.decls[0] else {
             panic!()
         };
         let mut resolver = |name: &str, span: Span| match name {

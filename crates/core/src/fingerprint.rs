@@ -3,9 +3,10 @@
 //! The frontend keys memoized artifacts by stable content hashes
 //! (see [`tydi_ir::fingerprint`] for the primitive): source files by
 //! their registered name and raw text, parsed packages by their
-//! canonical pretty-printed form ([`crate::pretty`]) — which makes
-//! the fingerprint independent of whitespace, comments and spans —
-//! and option sets by every field that can change compilation output.
+//! canonical pretty-printed form ([`crate::pretty`]), streamed into
+//! the hasher without building the string — which makes the
+//! fingerprint independent of whitespace, comments and spans — and
+//! option sets by every field that can change compilation output.
 //!
 //! The dependency chain is:
 //!
@@ -20,12 +21,13 @@
 
 use crate::ast::Package;
 use crate::pipeline::CompileOptions;
-use crate::pretty::print_package;
+use crate::pretty::write_package;
+use std::fmt;
 pub use tydi_ir::fingerprint::{Fingerprint, Fingerprinter};
 
 /// Bump when the on-disk artifact-cache layout changes; stale caches
 /// then self-invalidate on load.
-const CACHE_FORMAT: &str = "tydic-artifact-cache-v2";
+const CACHE_FORMAT: &str = "tydic-artifact-cache-v3";
 
 /// The fingerprint of one registered source file (name + raw text).
 pub fn source_fingerprint(name: &str, text: &str) -> Fingerprint {
@@ -37,12 +39,36 @@ pub fn source_fingerprint(name: &str, text: &str) -> Fingerprint {
 }
 
 /// The fingerprint of a parsed package: hashes the canonical printed
-/// form, so formatting and comment edits do not move it.
+/// form, so formatting and comment edits do not move it. The printer
+/// streams straight into the hasher; the byte count follows the
+/// printed bytes, so the framing stays unambiguous without a length
+/// prefix.
 pub fn ast_fingerprint(package: &Package) -> Fingerprint {
     let mut fp = Fingerprinter::new();
     fp.write_str("ast");
-    fp.write_str(&print_package(package));
+    let mut sink = Streamed {
+        fp: &mut fp,
+        bytes: 0,
+    };
+    write_package(&mut sink, package).expect("hashing cannot fail");
+    let bytes = sink.bytes;
+    fp.write_u64(bytes);
     fp.finish()
+}
+
+/// A [`fmt::Write`] sink that hashes the printed bytes unframed and
+/// counts them for the trailing length.
+struct Streamed<'a> {
+    fp: &'a mut Fingerprinter,
+    bytes: u64,
+}
+
+impl fmt::Write for Streamed<'_> {
+    fn write_str(&mut self, text: &str) -> fmt::Result {
+        self.fp.write_bytes(text.as_bytes());
+        self.bytes += text.len() as u64;
+        Ok(())
+    }
 }
 
 /// The fingerprint of every compile option that can change output.
@@ -122,6 +148,48 @@ mod tests {
     fn real_edits_move_the_ast_fingerprint() {
         let edited = WIRE.replace("Bit(8)", "Bit(16)");
         assert_ne!(ast_of(WIRE), ast_of(&edited));
+    }
+
+    /// The streamed fingerprint equals hashing the printed string by
+    /// hand (tag, printed bytes, byte count), so the printer alone
+    /// decides what the fingerprint ignores.
+    fn assert_streamed_matches_printed(text: &str) {
+        let (package, diags) = parse_package(0, text);
+        assert!(!crate::diagnostics::has_errors(&diags), "{diags:?}");
+        let package = package.expect("package parses");
+        let printed = crate::pretty::print_package(&package);
+        let mut by_hand = Fingerprinter::new();
+        by_hand.write_str("ast");
+        by_hand.write_bytes(printed.as_bytes());
+        by_hand.write_u64(printed.len() as u64);
+        assert_eq!(ast_fingerprint(&package), by_hand.finish());
+    }
+
+    #[test]
+    fn streamed_fingerprint_hashes_the_printed_form() {
+        let cookbook = concat!(env!("CARGO_MANIFEST_DIR"), "/../../cookbook");
+        let mut designs: Vec<_> = std::fs::read_dir(cookbook)
+            .expect("cookbook directory")
+            .map(|entry| entry.expect("cookbook entry").path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "td"))
+            .collect();
+        designs.sort();
+        assert!(designs.len() >= 13, "cookbook designs: {designs:?}");
+        for design in designs {
+            assert_streamed_matches_printed(&std::fs::read_to_string(design).expect("read design"));
+        }
+        // A 20 000-term chain. Parsing, printing and dropping recurse
+        // once per term, and unoptimized test builds have large
+        // frames, so it runs on a roomy stack.
+        std::thread::Builder::new()
+            .stack_size(64 << 20)
+            .spawn(|| {
+                let chain = vec!["1"; 20_000].join(" + ");
+                assert_streamed_matches_printed(&format!("package p;\nconst x = {chain};\n"));
+            })
+            .expect("spawn chain thread")
+            .join()
+            .expect("chain thread");
     }
 
     #[test]

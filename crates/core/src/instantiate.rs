@@ -198,7 +198,7 @@ fn merge_packages(
                 }
                 target.index.insert(name.to_string(), target.decls.len());
             }
-            target.decls.push(Arc::new(decl));
+            target.decls.push(decl);
         }
     }
     (merged, package_index, diagnostics)

@@ -13,6 +13,7 @@ use crate::lexer::lex;
 use crate::sim_ast::*;
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
+use std::sync::Arc;
 
 /// Parses one source file into a [`Package`]. On unrecoverable errors
 /// the package may be `None`; all problems are reported as
@@ -210,7 +211,7 @@ impl Parser<'_> {
             }
             let before = self.pos;
             match self.decl() {
-                Some(decl) => decls.push(decl),
+                Some(decl) => decls.push(Arc::new(decl)),
                 None => {
                     if self.pos == before {
                         self.synchronize();
@@ -1444,7 +1445,7 @@ mod tests {
         );
         assert_eq!(p.uses, vec!["std"]);
         assert_eq!(p.decls.len(), 3);
-        match &p.decls[1] {
+        match &*p.decls[1] {
             Decl::Const(c) => {
                 assert_eq!(c.kind, Some(VarKind::Array(Box::new(VarKind::Str))));
             }
@@ -1458,8 +1459,8 @@ mod tests {
             "package t;\ntype Byte = Stream(Bit(8));\nGroup AdderInput { data0: Bit(32), data1: Bit(32), }\nUnion U { a: Bit(2), b: Bit(3) }",
         );
         assert_eq!(p.decls.len(), 3);
-        assert!(matches!(p.decls[0], Decl::TypeAlias { .. }));
-        match &p.decls[1] {
+        assert!(matches!(*p.decls[0], Decl::TypeAlias { .. }));
+        match &*p.decls[1] {
             Decl::Group { fields, .. } => assert_eq!(fields.len(), 2),
             other => panic!("{other:?}"),
         }
@@ -1468,7 +1469,7 @@ mod tests {
     #[test]
     fn stream_type_with_args() {
         let p = parse_ok("package t;\ntype T = Stream(Bit(8), d=2, t=2.0, c=7, r=Reverse, x=Flatten, u=Bit(1), keep);");
-        match &p.decls[0] {
+        match &*p.decls[0] {
             Decl::TypeAlias {
                 ty: TypeExpr::Stream { args, .. },
                 ..
@@ -1483,7 +1484,7 @@ mod tests {
     fn expression_precedence() {
         let p = parse_ok("package t;\nconst x = 1 + 2 * 3 ^ 2;");
         // 1 + (2 * (3 ^ 2))
-        match &p.decls[0] {
+        match &*p.decls[0] {
             Decl::Const(c) => match &c.value {
                 Expr::Binary {
                     op: BinOp::Add,
@@ -1510,7 +1511,7 @@ mod tests {
         // Bit(ceil(log2(10^15 - 1))) from paper §IV-A.
         let p = parse_ok("package t;\ntype D = Bit(ceil(log2(10 ^ 15 - 1)));");
         assert!(matches!(
-            &p.decls[0],
+            &*p.decls[0],
             Decl::TypeAlias {
                 ty: TypeExpr::Bit(..),
                 ..
@@ -1523,7 +1524,7 @@ mod tests {
         let p = parse_ok(
             "package t;\nstreamlet parallelize_s<in_t: type, out_t: type, n: int> {\n  input : in_t in,\n  output : out_t out [n],\n  mem : Stream(Bit(8)) in !mem_clock,\n}",
         );
-        match &p.decls[0] {
+        match &*p.decls[0] {
             Decl::Streamlet(s) => {
                 assert_eq!(s.params.len(), 3);
                 assert_eq!(s.ports.len(), 3);
@@ -1554,7 +1555,7 @@ impl parallelize_i<t_in: type, pu: impl of process_unit_s, channel: int> of para
 }
 "#;
         let p = parse_ok(src);
-        match &p.decls[0] {
+        match &*p.decls[0] {
             Decl::Impl(i) => {
                 assert_eq!(i.params.len(), 3);
                 assert!(
@@ -1576,7 +1577,7 @@ impl parallelize_i<t_in: type, pu: impl of process_unit_s, channel: int> of para
         let p = parse_ok(
             "package t;\nimpl top of s {\n  instance x(parallelize_i<type Input, type Result, impl adder_32, 8>),\n}",
         );
-        match &p.decls[0] {
+        match &*p.decls[0] {
             Decl::Impl(i) => {
                 let ImplBody::Normal(stmts) = &i.body else {
                     panic!()
@@ -1600,7 +1601,7 @@ impl parallelize_i<t_in: type, pu: impl of process_unit_s, channel: int> of para
         let p = parse_ok(
             "package t;\n@builtin(\"std.duplicator\")\nimpl dup_i<T: type, n: int> of dup_s<type T, n> external;",
         );
-        match &p.decls[0] {
+        match &*p.decls[0] {
             Decl::Impl(i) => {
                 assert_eq!(i.attributes.len(), 1);
                 assert_eq!(i.attributes[0].name, "builtin");
@@ -1631,7 +1632,7 @@ impl adder_ext of adder_s external {
 }
 "#;
         let p = parse_ok(src);
-        match &p.decls[0] {
+        match &*p.decls[0] {
             Decl::Impl(i) => match &i.body {
                 ImplBody::External {
                     simulation: Some(sim),
@@ -1673,7 +1674,7 @@ impl adder_ext of adder_s external {
         let p = parse_ok(
             "package t;\nimpl x of s {\n  a => b,\n  a[0] => inst.p,\n  inst[1].q[2] => c,\n}",
         );
-        match &p.decls[0] {
+        match &*p.decls[0] {
             Decl::Impl(i) => {
                 let ImplBody::Normal(stmts) = &i.body else {
                     panic!()
@@ -1696,7 +1697,7 @@ impl adder_ext of adder_s external {
     #[test]
     fn clockdomain_expression() {
         let p = parse_ok("package t;\nconst cd : clockdomain = clockdomain(\"mem\");");
-        match &p.decls[0] {
+        match &*p.decls[0] {
             Decl::Const(c) => assert!(matches!(&c.value, Expr::Clock(n, _) if n == "mem")),
             other => panic!("{other:?}"),
         }
@@ -1705,7 +1706,7 @@ impl adder_ext of adder_s external {
     #[test]
     fn range_with_step() {
         let p = parse_ok("package t;\nconst r = (0..10 step 2);");
-        match &p.decls[0] {
+        match &*p.decls[0] {
             Decl::Const(c) => assert!(matches!(&c.value, Expr::Range { step: Some(_), .. })),
             other => panic!("{other:?}"),
         }
@@ -1725,7 +1726,7 @@ impl adder_ext of adder_s external {
     fn top_level_assert() {
         let p = parse_ok("package t;\nassert(1 + 1 == 2, \"math is broken\");");
         assert!(matches!(
-            &p.decls[0],
+            &*p.decls[0],
             Decl::Assert {
                 message: Some(_),
                 ..

@@ -224,7 +224,10 @@ pub fn compile_with_cache(
     }
     tydi_obs::trace::instant("core", "elab-cache-miss");
     tydi_obs::metrics::counter_add("cache.elab.lookup_misses", 1);
-    let packages = session.materialize_packages(&units, cache)?;
+    let packages = {
+        let _span = tydi_obs::trace::span("core", "materialize");
+        session.materialize_packages(&units, cache)?
+    };
     let diags_before = session.diagnostics().len();
     let (mut project, elab_info) = session.elaborate(packages)?;
     let sugar_report = session.sugar(&mut project);

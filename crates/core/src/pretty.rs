@@ -1,13 +1,16 @@
 //! A canonical pretty-printer for the Tydi-lang AST.
 //!
-//! [`print_package`] renders a parsed [`Package`] back to surface
-//! syntax in one deterministic layout. Two uses:
+//! `write_package` renders a parsed [`Package`] back to surface
+//! syntax in one deterministic layout, into any [`fmt::Write`] sink,
+//! and [`print_package`] runs it over a `String`. Every helper appends
+//! to the sink instead of returning a `String` of its own, so printing
+//! an n-term expression chain is O(n). Two uses:
 //!
 //! * **AST fingerprints** for the incremental pipeline
-//!   ([`crate::fingerprint`]): the printed form is independent of
-//!   spans, whitespace and (non-doc) comments, so a comment-only edit
-//!   produces the same fingerprint and reuses every downstream
-//!   artifact;
+//!   ([`crate::fingerprint`]), which stream the printed form straight
+//!   into the hasher: it is independent of spans, whitespace and
+//!   (non-doc) comments, so a comment-only edit produces the same
+//!   fingerprint and reuses every downstream artifact;
 //! * **round-trip testing**: parse → print → re-parse must reach a
 //!   fixed point (`print(parse(print(ast))) == print(ast)`), which
 //!   pins parser and printer against each other.
@@ -17,102 +20,125 @@
 //! are not represented in the AST, so this is still a fixed point.
 
 use crate::ast::*;
-use std::fmt::Write as _;
+use std::fmt::{self, Write};
 
 /// Renders a package to canonical surface syntax.
 pub fn print_package(package: &Package) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "package {};", package.name);
-    for used in &package.uses {
-        let _ = writeln!(out, "use {used};");
-    }
-    for decl in &package.decls {
-        print_decl(&mut out, decl);
-    }
+    write_package(&mut out, package).expect("writing to a String cannot fail");
     out
 }
 
-fn print_decl(out: &mut String, decl: &Decl) {
+/// Writes a package's canonical surface syntax into `out`.
+pub(crate) fn write_package(out: &mut impl Write, package: &Package) -> fmt::Result {
+    writeln!(out, "package {};", package.name)?;
+    for used in &package.uses {
+        writeln!(out, "use {used};")?;
+    }
+    for decl in &package.decls {
+        print_decl(out, decl)?;
+    }
+    Ok(())
+}
+
+fn print_decl(out: &mut impl Write, decl: &Decl) -> fmt::Result {
     match decl {
         Decl::Const(c) => {
-            let _ = writeln!(out, "const {};", const_body(c));
+            out.write_str("const ")?;
+            const_body(out, c)?;
+            out.write_str(";\n")
         }
         Decl::TypeAlias { name, ty, .. } => {
-            let _ = writeln!(out, "type {name} = {};", type_expr(ty));
+            write!(out, "type {name} = ")?;
+            type_expr(out, ty)?;
+            out.write_str(";\n")
         }
         Decl::Group { name, fields, .. } => print_composite(out, "Group", name, fields),
         Decl::Union { name, fields, .. } => print_composite(out, "Union", name, fields),
         Decl::Streamlet(s) => {
-            print_attributes(out, &s.attributes);
-            let _ = writeln!(out, "streamlet {}{} {{", s.name, template_params(&s.params));
+            print_attributes(out, &s.attributes)?;
+            write!(out, "streamlet {}", s.name)?;
+            template_params(out, &s.params)?;
+            out.write_str(" {\n")?;
             for port in &s.ports {
-                let _ = writeln!(out, "    {},", port_decl(port));
+                out.write_str("    ")?;
+                port_decl(out, port)?;
+                out.write_str(",\n")?;
             }
-            let _ = writeln!(out, "}}");
+            out.write_str("}\n")
         }
         Decl::Impl(i) => print_impl(out, i),
         Decl::Assert { expr, message, .. } => {
-            let _ = writeln!(out, "assert({});", assert_args(expr, message));
+            out.write_str("assert(")?;
+            assert_args(out, expr, message)?;
+            out.write_str(");\n")
         }
     }
 }
 
-fn print_composite(out: &mut String, keyword: &str, name: &str, fields: &[(String, TypeExpr)]) {
-    let _ = writeln!(out, "{keyword} {name} {{");
+fn print_composite(
+    out: &mut impl Write,
+    keyword: &str,
+    name: &str,
+    fields: &[(String, TypeExpr)],
+) -> fmt::Result {
+    writeln!(out, "{keyword} {name} {{")?;
     for (field, ty) in fields {
-        let _ = writeln!(out, "    {field} : {},", type_expr(ty));
+        write!(out, "    {field} : ")?;
+        type_expr(out, ty)?;
+        out.write_str(",\n")?;
     }
-    let _ = writeln!(out, "}}");
+    out.write_str("}\n")
 }
 
-fn print_attributes(out: &mut String, attributes: &[Attribute]) {
+fn print_attributes(out: &mut impl Write, attributes: &[Attribute]) -> fmt::Result {
     for attr in attributes {
-        match &attr.arg {
-            Some(arg) => {
-                let _ = writeln!(out, "@{}({})", attr.name, expr(arg));
-            }
-            None => {
-                let _ = writeln!(out, "@{}", attr.name);
-            }
+        write!(out, "@{}", attr.name)?;
+        if let Some(arg) = &attr.arg {
+            out.write_char('(')?;
+            expr(out, arg)?;
+            out.write_char(')')?;
         }
+        out.write_char('\n')?;
     }
+    Ok(())
 }
 
-fn print_impl(out: &mut String, i: &ImplDecl) {
-    print_attributes(out, &i.attributes);
-    let head = format!(
-        "impl {}{} of {}",
-        i.name,
-        template_params(&i.params),
-        named_ref(&i.streamlet)
-    );
+fn print_impl(out: &mut impl Write, i: &ImplDecl) -> fmt::Result {
+    print_attributes(out, &i.attributes)?;
+    write!(out, "impl {}", i.name)?;
+    template_params(out, &i.params)?;
+    out.write_str(" of ")?;
+    named_ref(out, &i.streamlet)?;
     match &i.body {
-        ImplBody::External { simulation: None } => {
-            let _ = writeln!(out, "{head} external;");
-        }
+        ImplBody::External { simulation: None } => out.write_str(" external;\n"),
         ImplBody::External {
             simulation: Some(sim),
         } => {
             // The simulation body is preserved verbatim: the parser
             // captures (and trims) the raw text between the braces.
-            let _ = writeln!(out, "{head} external {{");
-            let _ = writeln!(out, "simulation {{");
-            let _ = writeln!(out, "{}", sim.source);
-            let _ = writeln!(out, "}}");
-            let _ = writeln!(out, "}}");
+            writeln!(out, " external {{\nsimulation {{\n{}\n}}\n}}", sim.source)
         }
         ImplBody::Normal(stmts) => {
-            let _ = writeln!(out, "{head} {{");
+            out.write_str(" {\n")?;
             for stmt in stmts {
-                print_stmt(out, stmt, 1);
+                print_stmt(out, stmt, 1)?;
             }
-            let _ = writeln!(out, "}}");
+            out.write_str("}\n")
         }
     }
 }
 
-fn print_stmt(out: &mut String, stmt: &Stmt, depth: usize) {
-    let pad = "    ".repeat(depth);
+/// Writes `depth` levels of four-space indentation.
+fn indent(out: &mut impl Write, depth: usize) -> fmt::Result {
+    for _ in 0..depth {
+        out.write_str("    ")?;
+    }
+    Ok(())
+}
+
+fn print_stmt(out: &mut impl Write, stmt: &Stmt, depth: usize) -> fmt::Result {
+    indent(out, depth)?;
     match stmt {
         Stmt::Instance {
             name,
@@ -120,14 +146,21 @@ fn print_stmt(out: &mut String, stmt: &Stmt, depth: usize) {
             array,
             ..
         } => {
-            let _ = write!(out, "{pad}instance {name}({})", named_ref(impl_ref));
+            write!(out, "instance {name}(")?;
+            named_ref(out, impl_ref)?;
+            out.write_char(')')?;
             if let Some(n) = array {
-                let _ = write!(out, " [{}]", expr(n));
+                out.write_str(" [")?;
+                expr(out, n)?;
+                out.write_char(']')?;
             }
-            let _ = writeln!(out, ",");
+            out.write_str(",\n")
         }
         Stmt::Connect { src, dst, .. } => {
-            let _ = writeln!(out, "{pad}{} => {},", endpoint(src), endpoint(dst));
+            endpoint(out, src)?;
+            out.write_str(" => ")?;
+            endpoint(out, dst)?;
+            out.write_str(",\n")
         }
         Stmt::For {
             var,
@@ -135,30 +168,36 @@ fn print_stmt(out: &mut String, stmt: &Stmt, depth: usize) {
             body,
             ..
         } => {
-            let _ = writeln!(out, "{pad}for {var} in {} {{", expr(iterable));
+            write!(out, "for {var} in ")?;
+            expr(out, iterable)?;
+            out.write_str(" {\n")?;
             for s in body {
-                print_stmt(out, s, depth + 1);
+                print_stmt(out, s, depth + 1)?;
             }
-            let _ = writeln!(out, "{pad}}}");
+            indent(out, depth)?;
+            out.write_str("}\n")
         }
         Stmt::If { .. } => print_if(out, stmt, depth),
         Stmt::Assert {
             expr: e, message, ..
         } => {
-            let _ = writeln!(out, "{pad}assert({}),", assert_args(e, message));
+            out.write_str("assert(")?;
+            assert_args(out, e, message)?;
+            out.write_str("),\n")
         }
         Stmt::Const(c) => {
-            let _ = writeln!(out, "{pad}const {},", const_body(c));
+            out.write_str("const ")?;
+            const_body(out, c)?;
+            out.write_str(",\n")
         }
     }
 }
 
 /// Prints an `if` chain, folding a single nested `if` in the else
-/// branch back into `else if` (the shape the parser builds).
-fn print_if(out: &mut String, stmt: &Stmt, depth: usize) {
-    let pad = "    ".repeat(depth);
+/// branch back into `else if` (the shape the parser builds). The
+/// caller has already indented the first line.
+fn print_if(out: &mut impl Write, stmt: &Stmt, depth: usize) -> fmt::Result {
     let mut current = stmt;
-    let _ = write!(out, "{pad}");
     loop {
         let Stmt::If {
             cond,
@@ -169,199 +208,260 @@ fn print_if(out: &mut String, stmt: &Stmt, depth: usize) {
         else {
             unreachable!("print_if called on a non-if statement");
         };
-        let _ = writeln!(out, "if ({}) {{", expr(cond));
+        out.write_str("if (")?;
+        expr(out, cond)?;
+        out.write_str(") {\n")?;
         for s in body {
-            print_stmt(out, s, depth + 1);
+            print_stmt(out, s, depth + 1)?;
         }
+        indent(out, depth)?;
         match else_body.as_slice() {
-            [] => {
-                let _ = writeln!(out, "{pad}}}");
-                return;
-            }
+            [] => return out.write_str("}\n"),
             [nested @ Stmt::If { .. }] => {
-                let _ = write!(out, "{pad}}} else ");
+                out.write_str("} else ")?;
                 current = nested;
             }
             stmts => {
-                let _ = writeln!(out, "{pad}}} else {{");
+                out.write_str("} else {\n")?;
                 for s in stmts {
-                    print_stmt(out, s, depth + 1);
+                    print_stmt(out, s, depth + 1)?;
                 }
-                let _ = writeln!(out, "{pad}}}");
-                return;
+                indent(out, depth)?;
+                return out.write_str("}\n");
             }
         }
     }
 }
 
-fn const_body(c: &ConstDecl) -> String {
-    let mut s = c.name.clone();
+fn const_body(out: &mut impl Write, c: &ConstDecl) -> fmt::Result {
+    out.write_str(&c.name)?;
     if let Some(kind) = &c.kind {
-        let _ = write!(s, " : {}", var_kind(kind));
+        out.write_str(" : ")?;
+        var_kind(out, kind)?;
     }
-    let _ = write!(s, " = {}", expr(&c.value));
-    s
+    out.write_str(" = ")?;
+    expr(out, &c.value)
 }
 
-fn var_kind(kind: &VarKind) -> String {
+fn var_kind(out: &mut impl Write, kind: &VarKind) -> fmt::Result {
     match kind {
-        VarKind::Int => "int".to_string(),
-        VarKind::Float => "float".to_string(),
-        VarKind::Str => "string".to_string(),
-        VarKind::Bool => "bool".to_string(),
-        VarKind::Clock => "clockdomain".to_string(),
-        VarKind::Array(inner) => format!("[{}]", var_kind(inner)),
-    }
-}
-
-fn assert_args(e: &Expr, message: &Option<Expr>) -> String {
-    match message {
-        Some(m) => format!("{}, {}", expr(e), expr(m)),
-        None => expr(e),
-    }
-}
-
-fn template_params(params: &[TemplateParam]) -> String {
-    if params.is_empty() {
-        return String::new();
-    }
-    let rendered: Vec<String> = params
-        .iter()
-        .map(|p| {
-            let kind = match &p.kind {
-                TemplateParamKind::Int => "int".to_string(),
-                TemplateParamKind::Float => "float".to_string(),
-                TemplateParamKind::Str => "string".to_string(),
-                TemplateParamKind::Bool => "bool".to_string(),
-                TemplateParamKind::Clock => "clockdomain".to_string(),
-                TemplateParamKind::Type => "type".to_string(),
-                TemplateParamKind::ImplOf(s) => format!("impl of {s}"),
-            };
-            format!("{}: {kind}", p.name)
-        })
-        .collect();
-    format!("<{}>", rendered.join(", "))
-}
-
-fn named_ref(r: &NamedRef) -> String {
-    if r.args.is_empty() {
-        return r.name.clone();
-    }
-    let args: Vec<String> = r
-        .args
-        .iter()
-        .map(|arg| match arg {
-            TemplateArgExpr::Value(e) => expr(e),
-            TemplateArgExpr::Type(t) => format!("type {}", type_expr(t)),
-            TemplateArgExpr::Impl(i) => format!("impl {}", named_ref(i)),
-        })
-        .collect();
-    format!("{}<{}>", r.name, args.join(", "))
-}
-
-fn port_decl(port: &PortDecl) -> String {
-    let mut s = format!(
-        "{} : {} {}",
-        port.name,
-        type_expr(&port.ty),
-        match port.direction {
-            PortDir::In => "in",
-            PortDir::Out => "out",
+        VarKind::Int => out.write_str("int"),
+        VarKind::Float => out.write_str("float"),
+        VarKind::Str => out.write_str("string"),
+        VarKind::Bool => out.write_str("bool"),
+        VarKind::Clock => out.write_str("clockdomain"),
+        VarKind::Array(inner) => {
+            out.write_char('[')?;
+            var_kind(out, inner)?;
+            out.write_char(']')
         }
-    );
+    }
+}
+
+fn assert_args(out: &mut impl Write, e: &Expr, message: &Option<Expr>) -> fmt::Result {
+    expr(out, e)?;
+    if let Some(m) = message {
+        out.write_str(", ")?;
+        expr(out, m)?;
+    }
+    Ok(())
+}
+
+/// Writes `items` separated by `", "`.
+fn comma_separated<W: Write, T>(
+    out: &mut W,
+    items: &[T],
+    mut item: impl FnMut(&mut W, &T) -> fmt::Result,
+) -> fmt::Result {
+    for (k, x) in items.iter().enumerate() {
+        if k > 0 {
+            out.write_str(", ")?;
+        }
+        item(out, x)?;
+    }
+    Ok(())
+}
+
+fn template_params(out: &mut impl Write, params: &[TemplateParam]) -> fmt::Result {
+    if params.is_empty() {
+        return Ok(());
+    }
+    out.write_char('<')?;
+    comma_separated(out, params, |out, p| {
+        write!(out, "{}: ", p.name)?;
+        match &p.kind {
+            TemplateParamKind::Int => out.write_str("int"),
+            TemplateParamKind::Float => out.write_str("float"),
+            TemplateParamKind::Str => out.write_str("string"),
+            TemplateParamKind::Bool => out.write_str("bool"),
+            TemplateParamKind::Clock => out.write_str("clockdomain"),
+            TemplateParamKind::Type => out.write_str("type"),
+            TemplateParamKind::ImplOf(s) => write!(out, "impl of {s}"),
+        }
+    })?;
+    out.write_char('>')
+}
+
+fn named_ref(out: &mut impl Write, r: &NamedRef) -> fmt::Result {
+    out.write_str(&r.name)?;
+    if r.args.is_empty() {
+        return Ok(());
+    }
+    out.write_char('<')?;
+    comma_separated(out, &r.args, |out, arg| match arg {
+        TemplateArgExpr::Value(e) => expr(out, e),
+        TemplateArgExpr::Type(t) => {
+            out.write_str("type ")?;
+            type_expr(out, t)
+        }
+        TemplateArgExpr::Impl(i) => {
+            out.write_str("impl ")?;
+            named_ref(out, i)
+        }
+    })?;
+    out.write_char('>')
+}
+
+fn port_decl(out: &mut impl Write, port: &PortDecl) -> fmt::Result {
+    write!(out, "{} : ", port.name)?;
+    type_expr(out, &port.ty)?;
+    out.write_str(match port.direction {
+        PortDir::In => " in",
+        PortDir::Out => " out",
+    })?;
     if let Some(n) = &port.array {
-        let _ = write!(s, " [{}]", expr(n));
+        out.write_str(" [")?;
+        expr(out, n)?;
+        out.write_char(']')?;
     }
     match &port.clock {
-        Some(ClockSpec::Named(name, _)) => {
-            let _ = write!(s, " !{name}");
-        }
+        Some(ClockSpec::Named(name, _)) => write!(out, " !{name}"),
         Some(ClockSpec::Expr(e)) => {
-            let _ = write!(s, " !({})", expr(e));
+            out.write_str(" !(")?;
+            expr(out, e)?;
+            out.write_char(')')
         }
-        None => {}
+        None => Ok(()),
     }
-    s
 }
 
-fn endpoint(e: &EndpointExpr) -> String {
-    let mut s = String::new();
+fn endpoint(out: &mut impl Write, e: &EndpointExpr) -> fmt::Result {
     if let Some((instance, index)) = &e.instance {
-        let _ = write!(s, "{instance}");
+        out.write_str(instance)?;
         if let Some(i) = index {
-            let _ = write!(s, "[{}]", expr(i));
+            out.write_char('[')?;
+            expr(out, i)?;
+            out.write_char(']')?;
         }
-        s.push('.');
+        out.write_char('.')?;
     }
-    let _ = write!(s, "{}", e.port);
+    out.write_str(&e.port)?;
     if let Some(i) = &e.port_index {
-        let _ = write!(s, "[{}]", expr(i));
+        out.write_char('[')?;
+        expr(out, i)?;
+        out.write_char(']')?;
     }
-    s
+    Ok(())
 }
 
-/// Renders a type expression.
-pub fn type_expr(ty: &TypeExpr) -> String {
+/// Writes a type expression.
+fn type_expr(out: &mut impl Write, ty: &TypeExpr) -> fmt::Result {
     match ty {
-        TypeExpr::Null(_) => "Null".to_string(),
-        TypeExpr::Bit(width, _) => format!("Bit({})", expr(width)),
-        TypeExpr::Ref(name, _) => name.clone(),
+        TypeExpr::Null(_) => out.write_str("Null"),
+        TypeExpr::Bit(width, _) => {
+            out.write_str("Bit(")?;
+            expr(out, width)?;
+            out.write_char(')')
+        }
+        TypeExpr::Ref(name, _) => out.write_str(name),
         TypeExpr::Stream { element, args, .. } => {
-            let mut s = format!("Stream({}", type_expr(element));
+            out.write_str("Stream(")?;
+            type_expr(out, element)?;
             for arg in args {
-                let rendered = match arg {
-                    StreamArg::Dimension(e) => format!("d={}", expr(e)),
-                    StreamArg::Throughput(e) => format!("t={}", expr(e)),
-                    StreamArg::Complexity(e) => format!("c={}", expr(e)),
-                    StreamArg::Direction(name, _) => format!("r={name}"),
-                    StreamArg::Synchronicity(name, _) => format!("x={name}"),
-                    StreamArg::User(t) => format!("u={}", type_expr(t)),
-                    StreamArg::Keep(e) => format!("keep={}", expr(e)),
-                };
-                let _ = write!(s, ", {rendered}");
+                match arg {
+                    StreamArg::Dimension(e) => {
+                        out.write_str(", d=")?;
+                        expr(out, e)?;
+                    }
+                    StreamArg::Throughput(e) => {
+                        out.write_str(", t=")?;
+                        expr(out, e)?;
+                    }
+                    StreamArg::Complexity(e) => {
+                        out.write_str(", c=")?;
+                        expr(out, e)?;
+                    }
+                    StreamArg::Direction(name, _) => write!(out, ", r={name}")?,
+                    StreamArg::Synchronicity(name, _) => write!(out, ", x={name}")?,
+                    StreamArg::User(t) => {
+                        out.write_str(", u=")?;
+                        type_expr(out, t)?;
+                    }
+                    StreamArg::Keep(e) => {
+                        out.write_str(", keep=")?;
+                        expr(out, e)?;
+                    }
+                }
             }
-            s.push(')');
-            s
+            out.write_char(')')
         }
     }
 }
 
-/// Renders an expression, fully parenthesizing compound forms.
-pub fn expr(e: &Expr) -> String {
+/// Writes an expression, fully parenthesizing compound forms.
+fn expr(out: &mut impl Write, e: &Expr) -> fmt::Result {
     match e {
         Expr::Int(v, _) => {
             if *v < 0 {
                 // `-N` lexes as unary minus; parenthesize so the
                 // printed form stays one expression in any context.
-                format!("({v})")
+                write!(out, "({v})")
             } else {
-                v.to_string()
+                write!(out, "{v}")
             }
         }
         // `{:?}` always keeps a `.0` or exponent, so the token
         // re-lexes as a float.
-        Expr::Float(v, _) => format!("{v:?}"),
-        Expr::Str(s, _) => quote(s),
-        Expr::Bool(v, _) => v.to_string(),
-        Expr::Clock(name, _) => format!("clockdomain({})", quote(name)),
-        Expr::Ident(name, _) => name.clone(),
+        Expr::Float(v, _) => write!(out, "{v:?}"),
+        Expr::Str(s, _) => quote(out, s),
+        Expr::Bool(v, _) => write!(out, "{v}"),
+        Expr::Clock(name, _) => {
+            out.write_str("clockdomain(")?;
+            quote(out, name)?;
+            out.write_char(')')
+        }
+        Expr::Ident(name, _) => out.write_str(name),
         Expr::Array(items, _) => {
-            let items: Vec<String> = items.iter().map(expr).collect();
-            format!("[{}]", items.join(", "))
+            out.write_char('[')?;
+            comma_separated(out, items, |out, item| expr(out, item))?;
+            out.write_char(']')
         }
         Expr::Range {
             start, end, step, ..
-        } => match step {
-            Some(s) => format!("({}..{} step {})", expr(start), expr(end), expr(s)),
-            None => format!("({}..{})", expr(start), expr(end)),
-        },
-        Expr::Index { base, index, .. } => format!("{}[{}]", expr(base), expr(index)),
+        } => {
+            out.write_char('(')?;
+            expr(out, start)?;
+            out.write_str("..")?;
+            expr(out, end)?;
+            if let Some(s) = step {
+                out.write_str(" step ")?;
+                expr(out, s)?;
+            }
+            out.write_char(')')
+        }
+        Expr::Index { base, index, .. } => {
+            expr(out, base)?;
+            out.write_char('[')?;
+            expr(out, index)?;
+            out.write_char(']')
+        }
         Expr::Unary { op, operand, .. } => {
-            let op = match op {
-                UnaryOp::Neg => "-",
-                UnaryOp::Not => "!",
-            };
-            format!("({op}{})", expr(operand))
+            out.write_str(match op {
+                UnaryOp::Neg => "(-",
+                UnaryOp::Not => "(!",
+            })?;
+            expr(out, operand)?;
+            out.write_char(')')
         }
         Expr::Binary { op, lhs, rhs, .. } => {
             let op = match op {
@@ -380,30 +480,33 @@ pub fn expr(e: &Expr) -> String {
                 BinOp::Rem => "%",
                 BinOp::Pow => "^",
             };
-            format!("({} {op} {})", expr(lhs), expr(rhs))
+            out.write_char('(')?;
+            expr(out, lhs)?;
+            write!(out, " {op} ")?;
+            expr(out, rhs)?;
+            out.write_char(')')
         }
         Expr::Call { name, args, .. } => {
-            let args: Vec<String> = args.iter().map(expr).collect();
-            format!("{name}({})", args.join(", "))
+            write!(out, "{name}(")?;
+            comma_separated(out, args, |out, arg| expr(out, arg))?;
+            out.write_char(')')
         }
     }
 }
 
 /// Quotes a string literal using only the escapes the lexer accepts.
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
+fn quote(out: &mut impl Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
     for c in s.chars() {
         match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            other => out.push(other),
+            '\\' => out.write_str("\\\\")?,
+            '"' => out.write_str("\\\"")?,
+            '\n' => out.write_str("\\n")?,
+            '\t' => out.write_str("\\t")?,
+            other => out.write_char(other)?,
         }
     }
-    out.push('"');
-    out
+    out.write_char('"')
 }
 
 #[cfg(test)]

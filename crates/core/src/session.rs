@@ -285,7 +285,7 @@ impl Session {
             // order below, so warm and cold compiles report in the
             // same order regardless of which files hit the cache.
             let mut diags_by_file: Vec<Vec<Diagnostic>> = vec![Vec::new(); sources.len()];
-            let mut missing: Vec<(usize, &str)> = Vec::new();
+            let mut missing: Vec<(usize, ParseKey)> = Vec::new();
             let mut reused = 0usize;
             for (index, (name, text)) in sources.iter().enumerate() {
                 let key = ParseKey {
@@ -304,24 +304,25 @@ impl Session {
                             ast: artifact.ast,
                         });
                     }
-                    None => missing.push((index, *text)),
+                    None => missing.push((index, key)),
                 }
             }
             let recomputed = missing.len();
-            for (index, text) in missing {
-                let name = sources[index].0;
+            for (index, key) in missing {
+                let (name, text) = sources[index];
                 let (package, diags) = {
                     let _span = tydi_obs::trace::span_named("core", || format!("parse:{name}"));
                     parse_package(base + index, text)
                 };
-                let key = ParseKey {
-                    slot: base + index,
-                    source: source_fingerprint(name, text),
-                };
                 diags_by_file[index] = diags.clone();
                 match package {
                     Some(package) => {
-                        let ast = ast_fingerprint(&package);
+                        let ast = {
+                            let _span = tydi_obs::trace::span_named("core", || {
+                                format!("fingerprint:{name}")
+                            });
+                            ast_fingerprint(&package)
+                        };
                         units[index] = Some(ParsedUnit { key, ast });
                         cache.store_parse(
                             key,
@@ -353,10 +354,10 @@ impl Session {
         Ok(units)
     }
 
-    /// Materializes the package ASTs behind [`ParsedUnit`]s, cloning
-    /// memoized trees and re-parsing entries whose AST was dropped by
-    /// disk persistence or evicted (recorded as additional parse
-    /// work). A re-parsed tree is used directly, whether or not the
+    /// Materializes the package ASTs behind [`ParsedUnit`]s, sharing
+    /// the declarations of memoized trees and re-parsing entries whose
+    /// AST was dropped by disk persistence or evicted (recorded as
+    /// additional parse work). A re-parsed tree is used directly, whether or not the
     /// cache still holds an entry to attach it to. Called only when
     /// the elaboration artifact missed.
     pub fn materialize_packages(
@@ -635,6 +636,26 @@ impl wire_i of wire_s { i => o, }
         let packages = second.materialize_packages(&units, &mut cache).unwrap();
         assert_eq!(packages.len(), 1);
         assert_eq!(packages[0].name, "demo");
+    }
+
+    #[test]
+    fn materialized_packages_share_decls_with_the_cache() {
+        use crate::cache::ArtifactCache;
+        let mut cache = ArtifactCache::new();
+        let mut session = Session::new(CompileOptions::default());
+        let units = session
+            .parse_incremental(&[("wire.td", WIRE)], &mut cache)
+            .unwrap();
+        let packages = session.materialize_packages(&units, &mut cache).unwrap();
+        let cached = cache
+            .lookup_parse(units[0].key)
+            .and_then(|artifact| artifact.package.as_ref())
+            .expect("the parse cache holds the tree");
+        assert_eq!(packages[0].decls.len(), 3);
+        assert_eq!(cached.decls.len(), packages[0].decls.len());
+        for (shared, original) in packages[0].decls.iter().zip(&cached.decls) {
+            assert!(Arc::ptr_eq(shared, original));
+        }
     }
 
     #[test]

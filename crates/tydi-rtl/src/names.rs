@@ -13,6 +13,7 @@
 //! available through [`sanitize_for`] and [`NameAllocator::for_backend`].
 
 use std::collections::HashSet;
+use std::sync::OnceLock;
 
 /// A supported RTL backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -415,9 +416,24 @@ const VERILOG_RESERVED: &[&str] = &[
 ];
 
 /// True if `word` is reserved in *any* supported backend (the neutral
-/// rule used when one name must serve every emitter).
+/// rule used when one name must serve every emitter). Every keyword is
+/// lower-case, so a name without upper-case ASCII is one lookup in the
+/// union of the tables, and a name with it can only match VHDL's
+/// case-insensitive rule.
 fn is_reserved_anywhere(word: &str) -> bool {
-    Backend::ALL.iter().any(|b| b.is_reserved(word))
+    static ALL_RESERVED: OnceLock<HashSet<&'static str>> = OnceLock::new();
+    if word.bytes().any(|b| b.is_ascii_uppercase()) {
+        return Backend::Vhdl.is_reserved(word);
+    }
+    ALL_RESERVED
+        .get_or_init(|| {
+            VHDL_RESERVED
+                .iter()
+                .chain(VERILOG_RESERVED)
+                .copied()
+                .collect()
+        })
+        .contains(word)
 }
 
 /// Sanitizes an arbitrary string into an identifier legal in every
@@ -544,6 +560,18 @@ mod tests {
     #[test]
     fn fixes_leading_digit() {
         assert_eq!(sanitize("8bit"), "v8bit");
+    }
+
+    #[test]
+    fn union_lookup_agrees_with_every_backend_table() {
+        let words = VHDL_RESERVED.iter().chain(VERILOG_RESERVED);
+        for word in words.chain(&["adder", "u_top", "Top"]) {
+            let capitalized = format!("{}{}", word[..1].to_ascii_uppercase(), &word[1..]);
+            for variant in [word.to_string(), word.to_ascii_uppercase(), capitalized] {
+                let per_backend = Backend::ALL.iter().any(|b| b.is_reserved(&variant));
+                assert_eq!(is_reserved_anywhere(&variant), per_backend, "{variant}");
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //! * emitted artifacts are byte-identical with tracing off, coarse,
 //!   and fine;
 //! * a cached build traces its persist layer (`cache:load` and
-//!   `cache:save`, named with the number of artifacts decoded).
+//!   `cache:save`, named with the number of artifacts decoded);
+//! * every parsed file has a `fingerprint:<file>` span and a cache
+//!   miss hands packages to elaboration under `materialize`; a build
+//!   served from the parse cache has neither.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -342,6 +345,64 @@ fn cached_build_trace_shows_the_persist_layer() {
         traced_build("04_generative.td", "second"),
         ["cache:load decoded=1", "cache:save decoded=0"]
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The AST fingerprint and the package hand-off to elaboration are
+/// layers of their own: a cold build hashes every file it parsed under
+/// a `fingerprint:<file>` span and hands the packages over under
+/// `materialize`; a build whose files all hit the parse cache (and
+/// whose elaboration hits too) has neither.
+#[test]
+fn fingerprint_spans_follow_parse_cache_misses() {
+    let dir = workdir("fingerprint");
+    let traced_check = |tag: &str| {
+        let trace = dir.join(format!("{tag}.json"));
+        let out = tydic()
+            .arg("check")
+            .arg(cookbook("04_generative.td"))
+            .arg("--cache-dir")
+            .arg(dir.join("cache"))
+            .arg("--trace")
+            .arg(&trace)
+            .output()
+            .expect("run tydic check");
+        assert!(
+            out.status.success(),
+            "tydic check failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let events = load_events(&trace);
+        assert_balanced(&events);
+        let opened = |prefix: &str| -> Vec<String> {
+            let mut names: Vec<String> = events
+                .iter()
+                .filter(|e| e.ph == "B" && e.name.starts_with(prefix))
+                .map(|e| e.name[prefix.len()..].to_string())
+                .collect();
+            names.sort();
+            names
+        };
+        (
+            opened("parse:"),
+            opened("fingerprint:"),
+            opened("materialize"),
+        )
+    };
+    let (parsed, fingerprinted, materialized) = traced_check("cold");
+    assert!(parsed.len() >= 2, "stdlib and design parse: {parsed:?}");
+    assert_eq!(
+        fingerprinted, parsed,
+        "one fingerprint span per parsed file"
+    );
+    assert_eq!(materialized.len(), 1, "one package hand-off");
+    let (parsed, fingerprinted, materialized) = traced_check("warm");
+    assert!(
+        parsed.is_empty(),
+        "every file hits the parse cache: {parsed:?}"
+    );
+    assert!(fingerprinted.is_empty(), "{fingerprinted:?}");
+    assert!(materialized.is_empty(), "{materialized:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
