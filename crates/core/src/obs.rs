@@ -11,7 +11,7 @@
 //!
 //! | prefix      | contents                                           |
 //! |-------------|----------------------------------------------------|
-//! | `timings.`  | per-stage self times and the wall window, in ms    |
+//! | `timings.`  | per-stage and codegen self times, the wall, in ms  |
 //! | `cache.`    | artifact-cache reuse (per stage and elab lookups)  |
 //! | `types.`    | type-store hash-consing and expansion-memo counts  |
 //!
@@ -43,6 +43,9 @@ pub fn publish_compile_metrics(output: &CompileOutput) {
     metrics::gauge_set("timings.sugar_ms", ms(t.sugar));
     metrics::gauge_set("timings.drc_ms", ms(t.drc));
     metrics::gauge_set("timings.analyze_ms", ms(t.analyze));
+    metrics::gauge_set("timings.lower_ms", ms(t.lower));
+    metrics::gauge_set("timings.emit_ms", ms(t.emit));
+    metrics::gauge_set("timings.write_ms", ms(t.write));
     metrics::gauge_set("timings.total_self_ms", ms(t.total()));
     metrics::gauge_set("timings.wall_ms", ms(t.wall));
 

@@ -68,8 +68,16 @@ pub struct StageTimings {
     /// the `tydi-analyze` pass and recorded it via
     /// [`CompileOutput::record_stage`]).
     pub analyze: Duration,
+    /// Lowering to the RTL netlist (zero unless a tool generated code
+    /// and recorded it via [`CompileOutput::record_codegen`]).
+    pub lower: Duration,
+    /// Rendering generated files (netlist emission or IR text).
+    pub emit: Duration,
+    /// Writing generated files to disk.
+    pub write: Duration,
     /// Wall-clock window from the start of the first stage to the end
-    /// of the last one (zero when no stage ran).
+    /// of the last one, extended over any stage or code generation
+    /// recorded afterwards (zero when no stage ran).
     pub wall: Duration,
 }
 
@@ -77,7 +85,14 @@ impl StageTimings {
     /// Sum of the per-stage self times. This is *not* elapsed time;
     /// use [`StageTimings::wall`] for that.
     pub fn total(&self) -> Duration {
-        self.parse + self.elaborate + self.sugar + self.drc + self.analyze
+        self.parse
+            + self.elaborate
+            + self.sugar
+            + self.drc
+            + self.analyze
+            + self.lower
+            + self.emit
+            + self.write
     }
 }
 
@@ -130,6 +145,24 @@ impl CompileOutput {
             reused: 0,
             recomputed: 1,
         });
+    }
+
+    /// Records the code generation a tool ran on this finished compile
+    /// (`tydic build`): the self times of lowering, emission and file
+    /// writes, and `window`, the elapsed time from the end of the
+    /// compile through the last write, by which the wall-clock window
+    /// grows.
+    pub fn record_codegen(
+        &mut self,
+        lower: Duration,
+        emit: Duration,
+        write: Duration,
+        window: Duration,
+    ) {
+        self.timings.lower += lower;
+        self.timings.emit += emit;
+        self.timings.write += write;
+        self.timings.wall += window;
     }
 }
 

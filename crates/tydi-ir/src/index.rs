@@ -140,9 +140,14 @@ impl ProjectIndex {
         self.streamlet_of_impl(project.implementation_id(impl_name)?)
     }
 
+    /// The position of the named port in streamlet `id`'s port list.
+    pub fn port_position(&self, id: StreamletId, name: &str) -> Option<usize> {
+        self.port_maps[id.index()].get(name).copied()
+    }
+
     /// A port of streamlet `id` by name.
     pub fn port<'p>(&self, project: &'p Project, id: StreamletId, name: &str) -> Option<&'p Port> {
-        let position = *self.port_maps[id.index()].get(name)?;
+        let position = self.port_position(id, name)?;
         Some(&project.streamlet_by_id(id).ports[position])
     }
 
@@ -199,6 +204,8 @@ mod tests {
         let sid = p.streamlet_id("pass_s").unwrap();
         assert_eq!(index.port(&p, sid, "i").unwrap().name, "i");
         assert_eq!(index.port(&p, sid, "ghost"), None);
+        assert_eq!(index.port_position(sid, "o"), Some(1));
+        assert_eq!(index.port_position(sid, "ghost"), None);
         let top = p.implementation_id("top_i").unwrap();
         assert_eq!(index.streamlet_of_impl(top), Some(sid));
         assert_eq!(index.streamlet_of_impl_name(&p, "leaf_i"), Some(sid));

@@ -20,6 +20,7 @@
 
 use crate::names::Backend;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Direction of a module port, from the module's own perspective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,6 +85,40 @@ pub enum AssignItem {
     },
 }
 
+/// Appends the name of signal `suffix` of the bundle `prefix` to
+/// `out`: `prefix_suffix`, or whichever of the two is non-empty.
+pub fn push_signal_name(out: &mut String, prefix: &str, suffix: &str) {
+    out.push_str(prefix);
+    if !prefix.is_empty() && !suffix.is_empty() {
+        out.push('_');
+    }
+    out.push_str(suffix);
+}
+
+/// The name of signal `suffix` of the bundle `prefix` (see
+/// [`push_signal_name`]).
+pub fn signal_name(prefix: &str, suffix: &str) -> String {
+    let mut name = String::with_capacity(prefix.len() + 1 + suffix.len());
+    push_signal_name(&mut name, prefix, suffix);
+    name
+}
+
+/// One bundle of an instance's port map, bound by prefix substitution:
+/// for every suffix `s`, the child's signal `formal_s` connects to the
+/// parent's signal `actual_s` (names joined by [`signal_name`]). A
+/// port's suffix list depends only on its type and direction, so every
+/// instance of a child shares it; a clock or reset binds alone with
+/// the single empty suffix.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PortBinding {
+    /// The child's bundle prefix (a port name, or a clock signal).
+    pub formal: Arc<str>,
+    /// The parent's bundle prefix (a port or net name, or a clock).
+    pub actual: Arc<str>,
+    /// The bundle's signal suffixes, in declaration order.
+    pub suffixes: Arc<[String]>,
+}
+
 /// One instantiation of another module of the same netlist.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Instance {
@@ -91,9 +126,22 @@ pub struct Instance {
     pub label: String,
     /// Emitted name of the instantiated module.
     pub module: String,
-    /// `(formal, actual)` pairs, in declaration order of the child's
-    /// ports (clocks first).
-    pub port_map: Vec<(String, String)>,
+    /// Port-map bundles, in declaration order of the child's ports
+    /// (clocks first).
+    pub bindings: Vec<PortBinding>,
+}
+
+impl Instance {
+    /// Every connected signal as `(formal prefix, actual prefix,
+    /// suffix)`, in port-map order.
+    pub fn signals(&self) -> impl Iterator<Item = (&str, &str, &str)> {
+        self.bindings.iter().flat_map(|binding| {
+            binding
+                .suffixes
+                .iter()
+                .map(|suffix| (&*binding.formal, &*binding.actual, &**suffix))
+        })
+    }
 }
 
 /// An opaque behavioral body for one backend: text produced by a
@@ -300,10 +348,60 @@ mod tests {
                     .map(|(k, child)| Instance {
                         label: format!("u{k}"),
                         module: (*child).into(),
-                        port_map: vec![],
+                        bindings: vec![],
                     })
                     .collect(),
             },
+        }
+    }
+
+    #[test]
+    fn signal_names_join_non_empty_parts() {
+        assert_eq!(signal_name("i", "chars_valid"), "i_chars_valid");
+        assert_eq!(signal_name("clk", ""), "clk");
+        assert_eq!(signal_name("", "valid"), "valid");
+    }
+
+    #[test]
+    fn instance_signals_substitute_prefixes_over_shared_suffixes() {
+        let suffixes: Arc<[String]> = vec!["valid".to_string(), "data".to_string()].into();
+        let instance = Instance {
+            label: "u_a".into(),
+            module: "leaf".into(),
+            bindings: vec![
+                PortBinding {
+                    formal: "clk".into(),
+                    actual: "clk_mem".into(),
+                    suffixes: vec![String::new()].into(),
+                },
+                PortBinding {
+                    formal: "i".into(),
+                    actual: "n0".into(),
+                    suffixes: suffixes.clone(),
+                },
+                PortBinding {
+                    formal: "o".into(),
+                    actual: "o".into(),
+                    suffixes,
+                },
+            ],
+        };
+        let pairs: Vec<(String, String)> = instance
+            .signals()
+            .map(|(formal, actual, suffix)| {
+                (signal_name(formal, suffix), signal_name(actual, suffix))
+            })
+            .collect();
+        let expected = [
+            ("clk", "clk_mem"),
+            ("i_valid", "n0_valid"),
+            ("i_data", "n0_data"),
+            ("o_valid", "o_valid"),
+            ("o_data", "o_data"),
+        ];
+        assert_eq!(pairs.len(), expected.len());
+        for ((formal, actual), (f, a)) in pairs.iter().zip(expected) {
+            assert_eq!((formal.as_str(), actual.as_str()), (f, a));
         }
     }
 

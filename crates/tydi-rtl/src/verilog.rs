@@ -7,7 +7,9 @@
 
 use crate::emit::{EmitError, Emitter};
 use crate::names::Backend;
-use crate::netlist::{AssignItem, Module, ModuleBody, NetItem, Netlist, PortDir, PortItem};
+use crate::netlist::{
+    push_signal_name, AssignItem, Module, ModuleBody, NetItem, Netlist, PortDir, PortItem,
+};
 use std::fmt::Write as _;
 
 /// Renders a bit width as a SystemVerilog type.
@@ -133,13 +135,14 @@ impl SystemVerilogEmitter {
                         let _ = writeln!(out);
                     }
                     let _ = writeln!(out, "  {} {} (", instance.module, instance.label);
-                    let maps: Vec<String> = instance
-                        .port_map
-                        .iter()
-                        .map(|(formal, actual)| format!("    .{formal} ({actual})"))
-                        .collect();
-                    let _ = writeln!(out, "{}", maps.join(",\n"));
-                    let _ = writeln!(out, "  );");
+                    for (k, (formal, actual, suffix)) in instance.signals().enumerate() {
+                        out.push_str(if k == 0 { "    ." } else { ",\n    ." });
+                        push_signal_name(out, formal, suffix);
+                        out.push_str(" (");
+                        push_signal_name(out, actual, suffix);
+                        out.push(')');
+                    }
+                    out.push_str("\n  );\n");
                 }
             }
         }
@@ -150,7 +153,7 @@ impl SystemVerilogEmitter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netlist::{BehavioralBody, Instance, ModulePort, NetDecl};
+    use crate::netlist::{BehavioralBody, Instance, ModulePort, NetDecl, PortBinding};
 
     #[test]
     fn sv_types() {
@@ -243,9 +246,17 @@ mod tests {
             instances: vec![Instance {
                 label: "u_a".into(),
                 module: "leaf".into(),
-                port_map: vec![
-                    ("clk".into(), "clk".into()),
-                    ("i_data".into(), "n0_data".into()),
+                bindings: vec![
+                    PortBinding {
+                        formal: "clk".into(),
+                        actual: "clk".into(),
+                        suffixes: vec![String::new()].into(),
+                    },
+                    PortBinding {
+                        formal: "i".into(),
+                        actual: "n0".into(),
+                        suffixes: vec!["data".to_string()].into(),
+                    },
                 ],
             }],
         });

@@ -8,7 +8,9 @@
 
 use crate::emit::{EmitError, Emitter};
 use crate::names::Backend;
-use crate::netlist::{AssignItem, Module, ModuleBody, NetItem, Netlist, PortDir, PortItem};
+use crate::netlist::{
+    push_signal_name, AssignItem, Module, ModuleBody, NetItem, Netlist, PortDir, PortItem,
+};
 use std::fmt::Write as _;
 
 /// Renders a bit width as a VHDL type.
@@ -152,14 +154,14 @@ impl VhdlEmitter {
                         "  {} : entity work.{}",
                         instance.label, instance.module
                     );
-                    let _ = writeln!(out, "    port map (");
-                    let maps: Vec<String> = instance
-                        .port_map
-                        .iter()
-                        .map(|(formal, actual)| format!("      {formal} => {actual}"))
-                        .collect();
-                    let _ = writeln!(out, "{}", maps.join(",\n"));
-                    let _ = writeln!(out, "    );");
+                    out.push_str("    port map (\n");
+                    for (k, (formal, actual, suffix)) in instance.signals().enumerate() {
+                        out.push_str(if k == 0 { "      " } else { ",\n      " });
+                        push_signal_name(out, formal, suffix);
+                        out.push_str(" => ");
+                        push_signal_name(out, actual, suffix);
+                    }
+                    out.push_str("\n    );\n");
                 }
                 let _ = writeln!(out, "end architecture structural;");
             }
@@ -172,7 +174,7 @@ impl VhdlEmitter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netlist::{BehavioralBody, ModulePort, NetDecl};
+    use crate::netlist::{BehavioralBody, ModulePort, NetDecl, PortBinding};
 
     #[test]
     fn vhdl_types() {
@@ -258,9 +260,17 @@ mod tests {
             instances: vec![crate::netlist::Instance {
                 label: "u_a".into(),
                 module: "leaf".into(),
-                port_map: vec![
-                    ("clk".into(), "clk".into()),
-                    ("i_data".into(), "n0_data".into()),
+                bindings: vec![
+                    PortBinding {
+                        formal: "clk".into(),
+                        actual: "clk".into(),
+                        suffixes: vec![String::new()].into(),
+                    },
+                    PortBinding {
+                        formal: "i".into(),
+                        actual: "n0".into(),
+                        suffixes: vec!["data".to_string()].into(),
+                    },
                 ],
             }],
         });

@@ -12,13 +12,14 @@
 
 use crate::protocol::{DiagnosticInfo, JobKind, JobRequest, JobResponse};
 use std::fmt::Write as _;
-use std::path::PathBuf;
-use std::time::Instant;
+use std::io::Read as _;
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 use tydi_lang::{compile_with_cache, ArtifactCache, CompileOptions, CompileOutput, Stage};
 use tydi_obs::metrics;
 use tydi_sim::{FaultPlan, Packet, Scenario, SimBatch, Simulator};
 use tydi_stdlib::{full_registry, stdlib_source, STDLIB_FILE_NAME};
-use tydi_vhdl::{generate_project_for_with, Backend, VhdlOptions};
+use tydi_vhdl::{emitter_for, lower_project_with, Backend, VhdlError, VhdlOptions};
 
 /// The `--emit` spellings, as usage and error messages list them.
 pub const EMIT_FORMATS: &str = "ir|vhdl|verilog";
@@ -132,6 +133,7 @@ fn run_validated(
             return response;
         }
     };
+    let compiled = Instant::now();
     tydi_lang::publish_compile_metrics(&output);
     for diagnostic in &output.diagnostics {
         response.stderr.push_str(&diagnostic.render(&output.files));
@@ -147,15 +149,36 @@ fn run_validated(
         .stage_records
         .iter()
         .any(|record| matches!(record.stage, Stage::Elaborate) && record.reused > 0);
-    // `analyze` records its own stage first, then renders the timings
-    // itself so the analyze column is populated.
-    if request.timings && request.kind != JobKind::Analyze {
-        render_timings(&output, scope, &mut response.stderr);
+    // `analyze` and `build` record their own work first, then render
+    // the timings themselves so their rows are populated.
+    if request.timings && !matches!(request.kind, JobKind::Analyze | JobKind::Build) {
+        render_timings(&output, scope, false, &mut response.stderr);
     }
 
     match request.kind {
         JobKind::Check => {}
-        JobKind::Build => emit(request, settings.backend, &output, &mut response),
+        JobKind::Build => {
+            let mut codegen = Codegen::default();
+            if let Err(message) = emit(
+                request,
+                settings.backend,
+                &output,
+                &mut codegen,
+                &mut response,
+            ) {
+                response.fail(1, message);
+            }
+            output.record_codegen(
+                codegen.lower,
+                codegen.emit,
+                codegen.write,
+                compiled.elapsed(),
+            );
+            tydi_lang::publish_compile_metrics(&output);
+            if request.timings {
+                render_timings(&output, scope, true, &mut response.stderr);
+            }
+        }
         JobKind::Analyze => analyze(request, settings.deny, &mut output, scope, &mut response),
         JobKind::Sim => simulate(request, &settings.faults, &output, scope, &mut response),
         JobKind::Status | JobKind::Shutdown => unreachable!("handled by the server"),
@@ -178,18 +201,26 @@ fn load_sources(request: &JobRequest) -> Result<Vec<(String, String)>, String> {
     Ok(sources)
 }
 
-/// The `--timings` report: per-stage *self* times, then the self-time
+/// The `--timings` report: per-stage *self* times (and, after code
+/// generation, the lower/emit/write self times), then the self-time
 /// sum and the wall-clock window as separate totals, then per-stage
 /// cache reuse counts. The type-store line reads the job's own
 /// metrics back from the registry, so the report and
 /// `--timings-json` can never disagree.
-fn render_timings(output: &CompileOutput, scope: &str, err: &mut String) {
+fn render_timings(output: &CompileOutput, scope: &str, codegen: bool, err: &mut String) {
     let t = output.timings;
     let _ = writeln!(
         err,
         "stages: parse {:?}, elaborate {:?}, sugar {:?}, drc {:?}, analyze {:?} (self times)",
         t.parse, t.elaborate, t.sugar, t.drc, t.analyze
     );
+    if codegen {
+        let _ = writeln!(
+            err,
+            "codegen: lower {:?}, emit {:?}, write {:?} (self times)",
+            t.lower, t.emit, t.write
+        );
+    }
     let _ = writeln!(err, "totals: self {:?}, wall {:?}", t.total(), t.wall);
     let mut reused = [0usize; 4];
     let mut recomputed = [0usize; 4];
@@ -231,59 +262,78 @@ fn render_timings(output: &CompileOutput, scope: &str, err: &mut String) {
     );
 }
 
+/// Self times of a `build` job's code generation layers.
+#[derive(Default)]
+struct Codegen {
+    lower: Duration,
+    emit: Duration,
+    write: Duration,
+}
+
+/// Runs `f`, adding its elapsed time to `slot`.
+fn timed<T>(slot: &mut Duration, f: impl FnOnce() -> T) -> T {
+    let started = Instant::now();
+    let out = f();
+    *slot += started.elapsed();
+    out
+}
+
 /// `compile`/`build`: emit IR text or RTL through the netlist backends.
+/// An error is the message the job fails with.
 fn emit(
     request: &JobRequest,
     backend: Option<Backend>,
     output: &CompileOutput,
+    times: &mut Codegen,
     response: &mut JobResponse,
-) {
+) -> Result<(), String> {
     let out_dir = request.out_dir.as_ref().map(PathBuf::from);
     let Some(backend) = backend else {
-        let text = tydi_ir::text::emit_project(&output.project);
+        let text = timed(&mut times.emit, || {
+            tydi_ir::text::emit_project(&output.project)
+        });
         match &out_dir {
             Some(dir) => {
                 let path = dir.join("project.tir");
-                if let Err(e) =
-                    std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, &text))
-                {
-                    return response.fail(1, format!("write failed: {e}"));
-                }
+                timed(&mut times.write, || {
+                    std::fs::create_dir_all(dir)
+                        .and_then(|()| write_if_changed(&path, text.as_bytes()))
+                })
+                .map_err(|e| format!("write failed: {e}"))?;
                 let _ = writeln!(response.stderr, "wrote {}", path.display());
                 response.artifacts.push(path.display().to_string());
             }
             None => response.stdout.push_str(&text),
         }
-        return;
+        return Ok(());
     };
-    let registry = full_registry();
-    tydi_fletcher::register_fletcher_rtl(&registry);
-    // The compile already ran the design-rule checks; lowering must
-    // not run them a second time.
-    let options = VhdlOptions {
-        validate: false,
-        ..VhdlOptions::default()
-    };
-    let generated = match generate_project_for_with(
-        &output.project,
-        &output.index,
-        &registry,
-        &options,
-        backend,
-    ) {
-        Ok(generated) => generated,
-        Err(e) => return response.fail(1, format!("{backend} generation failed: {e}")),
-    };
-    match &out_dir {
+    let netlist = timed(&mut times.lower, || {
+        let registry = full_registry();
+        tydi_fletcher::register_fletcher_rtl(&registry);
+        // The compile already ran the design-rule checks; lowering
+        // must not run them a second time.
+        let options = VhdlOptions {
+            validate: false,
+            ..VhdlOptions::default()
+        };
+        lower_project_with(&output.project, &output.index, &registry, &options)
+    });
+    let generated = netlist
+        .and_then(|netlist| {
+            timed(&mut times.emit, || {
+                emitter_for(backend).emit_netlist(&netlist)
+            })
+            .map_err(VhdlError::from)
+        })
+        .map_err(|e| format!("{backend} generation failed: {e}"))?;
+    timed(&mut times.write, || match &out_dir {
         Some(dir) => {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                return response.fail(1, format!("cannot create `{}`: {e}", dir.display()));
-            }
+            std::fs::create_dir_all(dir)
+                .map_err(|e| format!("cannot create `{}`: {e}", dir.display()))?;
             for file in &generated {
                 let path = dir.join(&file.name);
-                if let Err(e) = std::fs::write(&path, &file.contents) {
-                    return response.fail(1, format!("write failed: {e}"));
-                }
+                write_if_changed(&path, file.contents.as_bytes())
+                    .map_err(|e| format!("write failed: {e}"))?;
                 response.artifacts.push(path.display().to_string());
             }
             let _ = writeln!(
@@ -292,12 +342,51 @@ fn emit(
                 generated.len(),
                 dir.display()
             );
+            Ok(())
         }
         // Banner each file so concatenated stdout stays splittable
         // (e.g. `tydic compile ... | csplit`).
-        None => response
-            .stdout
-            .push_str(&tydi_vhdl::files_to_string(&generated, backend)),
+        None => {
+            response
+                .stdout
+                .push_str(&tydi_vhdl::files_to_string(&generated, backend));
+            Ok(())
+        }
+    })
+}
+
+/// Writes `contents` to `path` unless the file there already holds
+/// exactly these bytes, so an unchanged output keeps its mtime and
+/// tools that watch it see no change.
+fn write_if_changed(path: &Path, contents: &[u8]) -> std::io::Result<()> {
+    if !holds(path, contents) {
+        std::fs::write(path, contents)?;
+    }
+    Ok(())
+}
+
+/// True when `path` is a file holding exactly `contents`: the length
+/// comes from the metadata, then the bytes are compared one
+/// fixed-size chunk at a time, so no file is read whole.
+fn holds(path: &Path, contents: &[u8]) -> bool {
+    let Ok(mut file) = std::fs::File::open(path) else {
+        return false;
+    };
+    let same_length = file
+        .metadata()
+        .is_ok_and(|meta| meta.is_file() && meta.len() == contents.len() as u64);
+    if !same_length {
+        return false;
+    }
+    let mut chunk = [0u8; 16 * 1024];
+    let mut rest = contents;
+    loop {
+        match file.read(&mut chunk) {
+            Ok(0) => return rest.is_empty(),
+            Ok(n) if n <= rest.len() && chunk[..n] == rest[..n] => rest = &rest[n..],
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            _ => return false,
+        }
     }
 }
 
@@ -338,7 +427,7 @@ fn analyze(
     tydi_lang::publish_compile_metrics(output);
     metrics::counter_set("analyze.hazards", report.hazards.len() as u64);
     if request.timings {
-        render_timings(output, scope, &mut response.stderr);
+        render_timings(output, scope, false, &mut response.stderr);
     }
     if request.json {
         response.stdout.push_str(&report.to_json());

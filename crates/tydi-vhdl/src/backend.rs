@@ -9,15 +9,16 @@
 //! signal bundle per connection); external implementations get either
 //! a behavioral body from the builtin registry or a black-box stub.
 //!
-//! Generation keeps no state between builds: every build lowers and
-//! emits the whole project. Incremental builds reuse parses and
-//! elaborations (`tydi_lang::cache`), not generated files.
+//! Every build lowers and emits the whole project; incremental builds
+//! reuse parses and elaborations (`tydi_lang::cache`), not generated
+//! text. `tydic build -o` then rewrites only the files whose bytes
+//! changed, so unchanged outputs keep their mtimes.
 
 use crate::builtin::BuiltinRegistry;
 use crate::error::VhdlError;
-use crate::lower::{lower_project, lower_project_with};
+use crate::lower::lower_project;
 use std::fmt::Write as _;
-use tydi_ir::{Project, ProjectIndex};
+use tydi_ir::Project;
 use tydi_rtl::{emitter_for, Backend};
 
 /// Code generation options.
@@ -60,19 +61,6 @@ pub fn generate_project_for(
     backend: Backend,
 ) -> Result<Vec<VhdlFile>, VhdlError> {
     let netlist = lower_project(project, registry, options)?;
-    Ok(emitter_for(backend).emit_netlist(&netlist)?)
-}
-
-/// Like [`generate_project_for`], but resolving references through
-/// the pipeline's shared [`ProjectIndex`] instead of rebuilding one.
-pub fn generate_project_for_with(
-    project: &Project,
-    index: &ProjectIndex,
-    registry: &BuiltinRegistry,
-    options: &VhdlOptions,
-    backend: Backend,
-) -> Result<Vec<VhdlFile>, VhdlError> {
-    let netlist = lower_project_with(project, index, registry, options)?;
     Ok(emitter_for(backend).emit_netlist(&netlist)?)
 }
 
@@ -267,6 +255,139 @@ mod tests {
             .unwrap();
         let err = generate_project(&p, &BuiltinRegistry::with_core(), &VhdlOptions::default());
         assert!(matches!(err, Err(VhdlError::UnknownBuiltin { .. })));
+    }
+
+    /// `top_i`'s architecture over ports that lower to two physical
+    /// streams, pinned byte for byte.
+    const NESTED_VHDL_ARCHITECTURE: &str = r#"architecture structural of top_i is
+  -- a.o => b.i
+  signal n1_a_o_valid : std_logic;
+  signal n1_a_o_ready : std_logic;
+  signal n1_a_o_data : std_logic_vector(3 downto 0);
+  signal n1_a_o_resp_valid : std_logic;
+  signal n1_a_o_resp_ready : std_logic;
+  signal n1_a_o_resp_data : std_logic_vector(7 downto 0);
+begin
+  -- .fi => .fo
+  fo_valid <= fi_valid;
+  fi_ready <= fo_ready;
+  fo_data <= fi_data;
+  fi_resp_valid <= fo_resp_valid;
+  fo_resp_ready <= fi_resp_ready;
+  fi_resp_data <= fo_resp_data;
+  u_a : entity work.leaf_i
+    port map (
+      clk => clk,
+      rst => rst,
+      i_valid => i_valid,
+      i_ready => i_ready,
+      i_data => i_data,
+      i_resp_valid => i_resp_valid,
+      i_resp_ready => i_resp_ready,
+      i_resp_data => i_resp_data,
+      o_valid => n1_a_o_valid,
+      o_ready => n1_a_o_ready,
+      o_data => n1_a_o_data,
+      o_resp_valid => n1_a_o_resp_valid,
+      o_resp_ready => n1_a_o_resp_ready,
+      o_resp_data => n1_a_o_resp_data
+    );
+  u_b : entity work.leaf_i
+    port map (
+      clk => clk,
+      rst => rst,
+      i_valid => n1_a_o_valid,
+      i_ready => n1_a_o_ready,
+      i_data => n1_a_o_data,
+      i_resp_valid => n1_a_o_resp_valid,
+      i_resp_ready => n1_a_o_resp_ready,
+      i_resp_data => n1_a_o_resp_data,
+      o_valid => o_valid,
+      o_ready => o_ready,
+      o_data => o_data,
+      o_resp_valid => o_resp_valid,
+      o_resp_ready => o_resp_ready,
+      o_resp_data => o_resp_data
+    );
+end architecture structural;
+
+"#;
+
+    /// The SystemVerilog body of the same module.
+    const NESTED_SV_BODY: &str = r#"  // a.o => b.i
+  logic n1_a_o_valid;
+  logic n1_a_o_ready;
+  logic [3:0] n1_a_o_data;
+  logic n1_a_o_resp_valid;
+  logic n1_a_o_resp_ready;
+  logic [7:0] n1_a_o_resp_data;
+
+  // .fi => .fo
+  assign fo_valid = fi_valid;
+  assign fi_ready = fo_ready;
+  assign fo_data = fi_data;
+  assign fi_resp_valid = fo_resp_valid;
+  assign fo_resp_ready = fi_resp_ready;
+  assign fi_resp_data = fo_resp_data;
+
+  leaf_i u_a (
+    .clk (clk),
+    .rst (rst),
+    .i_valid (i_valid),
+    .i_ready (i_ready),
+    .i_data (i_data),
+    .i_resp_valid (i_resp_valid),
+    .i_resp_ready (i_resp_ready),
+    .i_resp_data (i_resp_data),
+    .o_valid (n1_a_o_valid),
+    .o_ready (n1_a_o_ready),
+    .o_data (n1_a_o_data),
+    .o_resp_valid (n1_a_o_resp_valid),
+    .o_resp_ready (n1_a_o_resp_ready),
+    .o_resp_data (n1_a_o_resp_data)
+  );
+
+  leaf_i u_b (
+    .clk (clk),
+    .rst (rst),
+    .i_valid (n1_a_o_valid),
+    .i_ready (n1_a_o_ready),
+    .i_data (n1_a_o_data),
+    .i_resp_valid (n1_a_o_resp_valid),
+    .i_resp_ready (n1_a_o_resp_ready),
+    .i_resp_data (n1_a_o_resp_data),
+    .o_valid (o_valid),
+    .o_ready (o_ready),
+    .o_data (o_data),
+    .o_resp_valid (o_resp_valid),
+    .o_resp_ready (o_resp_ready),
+    .o_resp_data (o_resp_data)
+  );
+endmodule
+"#;
+
+    #[test]
+    fn nested_port_maps_nets_and_assigns_are_pinned() {
+        let p = crate::lower::tests::nested_project();
+        let generate = |backend| {
+            generate_project_for(
+                &p,
+                &BuiltinRegistry::with_core(),
+                &VhdlOptions::default(),
+                backend,
+            )
+            .unwrap()
+            .remove(1)
+        };
+        let vhdl = generate(Backend::Vhdl);
+        assert_eq!(vhdl.name, "top_i.vhd");
+        assert!(
+            vhdl.contents.ends_with(NESTED_VHDL_ARCHITECTURE),
+            "{}",
+            vhdl.contents
+        );
+        let sv = generate(Backend::SystemVerilog);
+        assert!(sv.contents.ends_with(NESTED_SV_BODY), "{}", sv.contents);
     }
 
     #[test]

@@ -36,13 +36,10 @@ pub mod names;
 pub mod signals;
 pub mod testbench;
 
-pub use backend::{
-    files_to_string, generate_project, generate_project_for, generate_project_for_with, VhdlFile,
-    VhdlOptions,
-};
+pub use backend::{files_to_string, generate_project, generate_project_for, VhdlFile, VhdlOptions};
 pub use builtin::BuiltinRegistry;
 pub use error::VhdlError;
 pub use loc::count_loc;
 pub use lower::{lower_project, lower_project_with};
 pub use testbench::generate_testbench;
-pub use tydi_rtl::Backend;
+pub use tydi_rtl::{emitter_for, Backend};

@@ -8,21 +8,28 @@
 //! wiring, a per-backend behavioral block from the
 //! [`crate::builtin::BuiltinRegistry`], or a black box. Emitters only
 //! render; they never consult Tydi-IR.
+//!
+//! Each implementation's ports are expanded once per run, into a plan
+//! shared by its own module and every instance of it: an instance's
+//! port map is then a prefix substitution over the plan's suffix
+//! lists ([`PortBinding`]), not a fresh expansion.
 
 use crate::builtin::{BuiltinCtx, BuiltinRegistry};
 use crate::error::VhdlError;
-use crate::signals::{clock_signals, expand_port, expand_port_as, PortMode};
+use crate::signals::{clock_signals, PortMode, PortSignals};
 use crate::VhdlOptions;
 use std::collections::HashMap;
+use std::sync::Arc;
 use tydi_ir::{
-    Connection, EndpointRef, ImplId, ImplKind, Implementation, Project, ProjectIndex, Streamlet,
+    Connection, ImplId, ImplKind, Implementation, Project, ProjectIndex, Streamlet, StreamletId,
 };
 use tydi_rtl::names::{sanitize, NameAllocator};
 use tydi_rtl::netlist::{
-    AssignItem, Instance, Module, ModuleBody, ModulePort, NetDecl, NetItem, Netlist, PortDir,
-    PortItem,
+    signal_name, AssignItem, Instance, Module, ModuleBody, ModulePort, NetDecl, NetItem, Netlist,
+    PortBinding, PortDir, PortItem,
 };
 use tydi_rtl::Backend;
+use tydi_spec::ClockDomain;
 
 impl From<PortMode> for PortDir {
     fn from(mode: PortMode) -> Self {
@@ -57,23 +64,14 @@ pub fn lower_project_with(
             .validate_with(index)
             .map_err(VhdlError::InvalidProject)?;
     }
-    let module_names = allocate_module_names(project);
-
+    let lowering = Lowering::new(project, index, registry, options)?;
     let modules = project
         .implementations_with_ids()
         .map(|(impl_id, implementation)| {
             let _span = tydi_obs::trace::span_named("tydi-vhdl", || {
                 format!("lower:{}", implementation.name)
             });
-            lower_implementation(
-                project,
-                index,
-                registry,
-                &module_names,
-                impl_id,
-                implementation,
-                options,
-            )
+            lowering.module(impl_id, implementation)
         })
         .collect::<Result<Vec<_>, _>>()?;
     Ok(Netlist {
@@ -83,329 +81,373 @@ pub fn lower_project_with(
     })
 }
 
-/// Allocates stable, unique module names for every implementation
-/// (sequential: allocation order defines collision suffixes).
-fn allocate_module_names(project: &Project) -> HashMap<&str, String> {
-    let mut allocator = NameAllocator::new();
-    let mut module_names: HashMap<&str, String> = HashMap::new();
-    for implementation in project.implementations() {
-        module_names.insert(
-            implementation.name.as_str(),
-            allocator.allocate(&implementation.name),
-        );
-    }
-    module_names
+/// What lowering needs to know about one implementation's interface,
+/// computed once per run from its streamlet's port types and
+/// directions.
+struct ImplPlan<'p> {
+    streamlet: &'p Streamlet,
+    streamlet_id: StreamletId,
+    /// The emitted module name.
+    module: String,
+    /// Clock/reset signal pairs per domain, in first-use order.
+    clocks: Vec<(ClockDomain, Arc<str>, Arc<str>)>,
+    /// Each port's name and signals, parallel to `streamlet.ports`.
+    ports: Vec<(Arc<str>, PortSignals)>,
 }
 
-fn lower_implementation(
-    project: &Project,
-    index: &ProjectIndex,
-    registry: &BuiltinRegistry,
-    module_names: &HashMap<&str, String>,
-    impl_id: ImplId,
-    implementation: &Implementation,
-    options: &VhdlOptions,
-) -> Result<Module, VhdlError> {
-    let streamlet = index
-        .streamlet_of_impl(impl_id)
-        .map(|sid| project.streamlet_by_id(sid))
-        .ok_or_else(|| {
-            VhdlError::Inconsistent(format!(
-                "implementation `{}` references missing streamlet `{}`",
-                implementation.name, implementation.streamlet
-            ))
-        })?;
-    let name = module_names[implementation.name.as_str()].clone();
-
-    let mut header = Vec::new();
-    if options.emit_comments {
-        header.push(format!("Implementation: {}", implementation.name));
-        if !implementation.doc.is_empty() {
-            header.extend(implementation.doc.lines().map(str::to_string));
-        }
-    }
-
-    let ports = lower_ports(streamlet, options)?;
-    let body = lower_body(
-        project,
-        index,
-        registry,
-        module_names,
-        impl_id,
-        implementation,
-        streamlet,
-        options,
-    )?;
-    Ok(Module {
-        name,
-        header,
-        ports,
-        body,
-    })
+/// One lowering run: the project and the [`ImplPlan`] of every
+/// implementation, by position.
+struct Lowering<'p> {
+    project: &'p Project,
+    index: &'p ProjectIndex,
+    registry: &'p BuiltinRegistry,
+    options: &'p VhdlOptions,
+    plans: Vec<ImplPlan<'p>>,
+    /// The suffix list of a binding that connects one signal by its
+    /// own name (clocks and resets).
+    scalar: Arc<[String]>,
 }
 
-/// Expands a streamlet's typed ports into the module port list:
-/// clock/reset pairs per domain first, then each port's physical
-/// signals behind an optional type comment.
-fn lower_ports(streamlet: &Streamlet, options: &VhdlOptions) -> Result<Vec<PortItem>, VhdlError> {
-    let mut items = Vec::new();
-    for (_, clk, rst) in clock_signals(streamlet) {
-        items.push(PortItem::Port(ModulePort {
-            name: clk,
-            dir: PortDir::In,
-            width: 1,
-        }));
-        items.push(PortItem::Port(ModulePort {
-            name: rst,
-            dir: PortDir::In,
-            width: 1,
-        }));
-    }
-    for port in &streamlet.ports {
-        if options.emit_comments {
-            items.push(PortItem::Comment(format!(
-                "port {} : {}",
-                port.name, port.ty
-            )));
-        }
-        for sig in expand_port(port)? {
-            items.push(PortItem::Port(ModulePort {
-                name: sig.name,
-                dir: sig.mode.into(),
-                width: sig.width,
-            }));
-        }
-    }
-    Ok(items)
+/// The net bound to each `(instance, port)` endpoint of one body.
+type Nets<'c> = HashMap<(&'c str, &'c str), Arc<str>>;
+
+/// One structural body's wiring, planned connection by connection.
+struct Wiring<'c> {
+    nets: Nets<'c>,
+    net_items: Vec<NetItem>,
+    assign_items: Vec<AssignItem>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn lower_body(
-    project: &Project,
-    index: &ProjectIndex,
-    registry: &BuiltinRegistry,
-    module_names: &HashMap<&str, String>,
-    impl_id: ImplId,
-    implementation: &Implementation,
-    streamlet: &Streamlet,
-    options: &VhdlOptions,
-) -> Result<ModuleBody, VhdlError> {
-    match &implementation.kind {
-        ImplKind::External {
-            builtin,
-            sim_source,
-        } => match builtin {
-            Some(key) => {
-                let ctx = BuiltinCtx {
-                    project,
+impl<'p> Lowering<'p> {
+    fn new(
+        project: &'p Project,
+        index: &'p ProjectIndex,
+        registry: &'p BuiltinRegistry,
+        options: &'p VhdlOptions,
+    ) -> Result<Self, VhdlError> {
+        // Sequential: allocation order defines collision suffixes.
+        let mut allocator = NameAllocator::new();
+        let plans = project
+            .implementations_with_ids()
+            .map(|(id, implementation)| {
+                let streamlet_id = index.streamlet_of_impl(id).ok_or_else(|| {
+                    VhdlError::Inconsistent(format!(
+                        "implementation `{}` references missing streamlet `{}`",
+                        implementation.name, implementation.streamlet
+                    ))
+                })?;
+                let streamlet = project.streamlet_by_id(streamlet_id);
+                Ok(ImplPlan {
                     streamlet,
-                    implementation,
-                };
-                let backends = registry.backends_for(key);
-                if backends.is_empty() {
-                    return Err(VhdlError::UnknownBuiltin {
-                        implementation: implementation.name.clone(),
-                        key: key.clone(),
-                    });
-                }
-                let mut bodies = std::collections::BTreeMap::new();
-                for backend in backends {
-                    bodies.insert(backend, registry.generate_for(backend, key, &ctx)?.into());
-                }
-                Ok(ModuleBody::Behavioral { bodies })
-            }
-            None => {
-                let mut comments = Vec::new();
-                if options.emit_comments {
-                    comments
-                        .push("External implementation: body supplied by an external tool.".into());
-                    if sim_source.is_some() {
-                        comments
-                            .push("Behaviour is specified by Tydi-lang simulation code.".into());
-                    }
-                }
-                Ok(ModuleBody::BlackBox { comments })
-            }
-        },
-        ImplKind::Normal {
-            instances,
-            connections,
-        } => {
-            // Net prefix for every endpoint, per the exactly-once DRC.
-            let mut nets: HashMap<&EndpointRef, String> = HashMap::new();
-            let mut net_items: Vec<NetItem> = Vec::new();
-            let mut assign_items: Vec<AssignItem> = Vec::new();
-            for (position, connection) in connections.iter().enumerate() {
-                plan_connection(
-                    project,
-                    index,
-                    impl_id,
-                    streamlet,
-                    position,
-                    connection,
-                    &mut nets,
-                    &mut net_items,
-                    &mut assign_items,
-                    options,
-                )?;
-            }
-
-            let mut lowered = Vec::with_capacity(instances.len());
-            let parent_clocks = clock_signals(streamlet);
-            for instance in instances {
-                let child_id = project
-                    .implementation_id(&instance.impl_name)
-                    .ok_or_else(|| {
-                        VhdlError::Inconsistent(format!(
-                            "instance `{}` references missing implementation `{}`",
-                            instance.name, instance.impl_name
-                        ))
-                    })?;
-                let child_impl = project.implementation_by_id(child_id);
-                let child_streamlet = index
-                    .streamlet_of_impl(child_id)
-                    .map(|sid| project.streamlet_by_id(sid))
-                    .ok_or_else(|| {
-                        VhdlError::Inconsistent(format!(
-                            "implementation `{}` references missing streamlet `{}`",
-                            child_impl.name, child_impl.streamlet
-                        ))
-                    })?;
-                let child_module = module_names
-                    .get(instance.impl_name.as_str())
-                    .cloned()
-                    .unwrap_or_else(|| sanitize(&instance.impl_name));
-                let label = sanitize(&format!("u_{}", instance.name));
-                let mut port_map: Vec<(String, String)> = Vec::new();
-                for (domain, clk, rst) in clock_signals(child_streamlet) {
-                    let (pclk, prst) = parent_clocks
+                    streamlet_id,
+                    module: allocator.allocate(&implementation.name),
+                    clocks: clock_signals(streamlet)
+                        .into_iter()
+                        .map(|(domain, clk, rst)| (domain, clk.into(), rst.into()))
+                        .collect(),
+                    ports: streamlet
+                        .ports
                         .iter()
-                        .find(|(d, _, _)| *d == domain)
-                        .map(|(_, c, r)| (c.clone(), r.clone()))
-                        .unwrap_or_else(|| ("clk".to_string(), "rst".to_string()));
-                    port_map.push((clk, pclk));
-                    port_map.push((rst, prst));
-                }
-                for port in &child_streamlet.ports {
-                    let endpoint = EndpointRef::instance(instance.name.clone(), port.name.clone());
-                    let net = nets.get(&endpoint).cloned().ok_or_else(|| {
-                        VhdlError::Inconsistent(format!(
-                            "no net planned for endpoint `{endpoint}` (port usage DRC should have caught this)"
-                        ))
-                    })?;
-                    let child_sigs = expand_port(port)?;
-                    let net_sigs = expand_port_as(port, &net)?;
-                    for (child, netsig) in child_sigs.into_iter().zip(net_sigs) {
-                        port_map.push((child.name, netsig.name));
-                    }
-                }
-                lowered.push(Instance {
-                    label,
-                    module: child_module,
-                    port_map,
-                });
-            }
-            Ok(ModuleBody::Structural {
-                nets: net_items,
-                assigns: assign_items,
-                instances: lowered,
+                        .map(|port| Ok((port.name.as_str().into(), PortSignals::of(port)?)))
+                        .collect::<Result<_, VhdlError>>()?,
+                })
             })
-        }
+            .collect::<Result<_, VhdlError>>()?;
+        Ok(Lowering {
+            project,
+            index,
+            registry,
+            options,
+            plans,
+            scalar: Arc::new([String::new()]),
+        })
     }
-}
 
-/// Decides the net name for one connection, emitting intermediate
-/// net declarations and own-to-own assignments as needed.
-#[allow(clippy::too_many_arguments)]
-fn plan_connection<'c>(
-    project: &Project,
-    index: &ProjectIndex,
-    impl_id: ImplId,
-    streamlet: &Streamlet,
-    position: usize,
-    connection: &'c Connection,
-    nets: &mut HashMap<&'c EndpointRef, String>,
-    net_items: &mut Vec<NetItem>,
-    assign_items: &mut Vec<AssignItem>,
-    options: &VhdlOptions,
-) -> Result<(), VhdlError> {
-    let src_own = connection.source.instance.is_none();
-    let sink_own = connection.sink.instance.is_none();
-    match (src_own, sink_own) {
-        (true, true) => {
-            // Feed-through: direct concurrent assignments.
-            let src_port = streamlet.port(&connection.source.port).ok_or_else(|| {
-                VhdlError::Inconsistent(format!("missing port `{}`", connection.source.port))
-            })?;
-            let sink_port = streamlet.port(&connection.sink.port).ok_or_else(|| {
-                VhdlError::Inconsistent(format!("missing port `{}`", connection.sink.port))
-            })?;
-            if options.emit_comments {
-                assign_items.push(AssignItem::Comment(connection.describe()));
-            }
-            let src_sigs = expand_port(src_port)?;
-            let sink_sigs = expand_port(sink_port)?;
-            for (si, so) in src_sigs.iter().zip(sink_sigs.iter()) {
-                let (target, source) = match si.mode {
-                    PortMode::In => (so.name.clone(), si.name.clone()),
-                    PortMode::Out => (si.name.clone(), so.name.clone()),
-                };
-                assign_items.push(AssignItem::Assign { target, source });
+    fn module(
+        &self,
+        impl_id: ImplId,
+        implementation: &'p Implementation,
+    ) -> Result<Module, VhdlError> {
+        let plan = &self.plans[impl_id.index()];
+        let mut header = Vec::new();
+        if self.options.emit_comments {
+            header.push(format!("Implementation: {}", implementation.name));
+            if !implementation.doc.is_empty() {
+                header.extend(implementation.doc.lines().map(str::to_string));
             }
         }
-        (true, false) => {
-            nets.insert(&connection.sink, connection.source.port.clone());
-        }
-        (false, true) => {
-            nets.insert(&connection.source, connection.sink.port.clone());
-        }
-        (false, false) => {
-            let src_port = instance_port(project, index, impl_id, &connection.source)?;
-            let net = sanitize(&format!(
-                "n{position}_{}_{}",
-                connection.source.instance.as_deref().unwrap_or(""),
-                connection.source.port
-            ));
-            if options.emit_comments {
-                net_items.push(NetItem::Comment(connection.describe()));
-            }
-            for sig in expand_port_as(src_port, &net)? {
-                net_items.push(NetItem::Net(NetDecl {
-                    name: sig.name,
-                    width: sig.width,
+        Ok(Module {
+            name: plan.module.clone(),
+            header,
+            ports: self.ports(plan),
+            body: self.body(impl_id, implementation, plan)?,
+        })
+    }
+
+    /// The module port list: clock/reset pairs per domain first, then
+    /// each port's physical signals behind an optional type comment.
+    fn ports(&self, plan: &ImplPlan<'_>) -> Vec<PortItem> {
+        let mut items = Vec::new();
+        for (_, clk, rst) in &plan.clocks {
+            for name in [clk, rst] {
+                items.push(PortItem::Port(ModulePort {
+                    name: name.to_string(),
+                    dir: PortDir::In,
+                    width: 1,
                 }));
             }
-            nets.insert(&connection.source, net.clone());
-            nets.insert(&connection.sink, net);
+        }
+        for (port, (name, signals)) in plan.streamlet.ports.iter().zip(&plan.ports) {
+            if self.options.emit_comments {
+                items.push(PortItem::Comment(format!(
+                    "port {} : {}",
+                    port.name, port.ty
+                )));
+            }
+            items.extend(signals.named(name).map(|sig| {
+                PortItem::Port(ModulePort {
+                    name: sig.name,
+                    dir: sig.mode.into(),
+                    width: sig.width,
+                })
+            }));
+        }
+        items
+    }
+
+    fn body(
+        &self,
+        impl_id: ImplId,
+        implementation: &'p Implementation,
+        plan: &ImplPlan<'p>,
+    ) -> Result<ModuleBody, VhdlError> {
+        match &implementation.kind {
+            ImplKind::External {
+                builtin,
+                sim_source,
+            } => match builtin {
+                Some(key) => {
+                    let ctx = BuiltinCtx {
+                        project: self.project,
+                        streamlet: plan.streamlet,
+                        implementation,
+                    };
+                    let backends = self.registry.backends_for(key);
+                    if backends.is_empty() {
+                        return Err(VhdlError::UnknownBuiltin {
+                            implementation: implementation.name.clone(),
+                            key: key.clone(),
+                        });
+                    }
+                    let mut bodies = std::collections::BTreeMap::new();
+                    for backend in backends {
+                        bodies.insert(
+                            backend,
+                            self.registry.generate_for(backend, key, &ctx)?.into(),
+                        );
+                    }
+                    Ok(ModuleBody::Behavioral { bodies })
+                }
+                None => {
+                    let mut comments = Vec::new();
+                    if self.options.emit_comments {
+                        comments.push(
+                            "External implementation: body supplied by an external tool.".into(),
+                        );
+                        if sim_source.is_some() {
+                            comments.push(
+                                "Behaviour is specified by Tydi-lang simulation code.".into(),
+                            );
+                        }
+                    }
+                    Ok(ModuleBody::BlackBox { comments })
+                }
+            },
+            ImplKind::Normal {
+                instances,
+                connections,
+            } => {
+                let children = instances
+                    .iter()
+                    .map(|instance| {
+                        self.project
+                            .implementation_id(&instance.impl_name)
+                            .map(|child_id| &self.plans[child_id.index()])
+                            .ok_or_else(|| {
+                                VhdlError::Inconsistent(format!(
+                                    "instance `{}` references missing implementation `{}`",
+                                    instance.name, instance.impl_name
+                                ))
+                            })
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
+                let mut wiring = Wiring {
+                    nets: HashMap::with_capacity(2 * connections.len()),
+                    net_items: Vec::new(),
+                    assign_items: Vec::new(),
+                };
+                for (position, connection) in connections.iter().enumerate() {
+                    self.plan_connection(
+                        impl_id,
+                        plan,
+                        &children,
+                        position,
+                        connection,
+                        &mut wiring,
+                    )?;
+                }
+                let instances = instances
+                    .iter()
+                    .zip(children)
+                    .map(|(instance, child)| self.instance(plan, instance, child, &wiring.nets))
+                    .collect::<Result<Vec<_>, _>>()?;
+                Ok(ModuleBody::Structural {
+                    nets: wiring.net_items,
+                    assigns: wiring.assign_items,
+                    instances,
+                })
+            }
         }
     }
-    Ok(())
-}
 
-fn instance_port<'p>(
-    project: &'p Project,
-    index: &ProjectIndex,
-    impl_id: ImplId,
-    endpoint: &EndpointRef,
-) -> Result<&'p tydi_ir::Port, VhdlError> {
-    let instance_name = endpoint
-        .instance
-        .as_deref()
-        .ok_or_else(|| VhdlError::Inconsistent("expected an instance endpoint".to_string()))?;
-    let instance = index
-        .instance(project, impl_id, instance_name)
-        .ok_or_else(|| VhdlError::Inconsistent(format!("missing instance `{instance_name}`")))?;
-    let sid = index
-        .streamlet_of_impl_name(project, &instance.impl_name)
-        .ok_or_else(|| {
-            VhdlError::Inconsistent(format!(
-                "missing streamlet for implementation `{}`",
-                instance.impl_name
-            ))
-        })?;
-    index
-        .port(project, sid, &endpoint.port)
-        .ok_or_else(|| VhdlError::Inconsistent(format!("missing port `{}`", endpoint.port)))
+    /// Decides the net name for one connection, emitting intermediate
+    /// net declarations and own-to-own assignments as needed.
+    fn plan_connection<'c>(
+        &self,
+        impl_id: ImplId,
+        plan: &ImplPlan<'_>,
+        children: &[&ImplPlan<'_>],
+        position: usize,
+        connection: &'c Connection,
+        wiring: &mut Wiring<'c>,
+    ) -> Result<(), VhdlError> {
+        let (source, sink) = (&connection.source, &connection.sink);
+        match (source.instance.as_deref(), sink.instance.as_deref()) {
+            (None, None) => {
+                // Feed-through: direct concurrent assignments.
+                let src = self.port_signals(plan, &source.port)?;
+                let dst = self.port_signals(plan, &sink.port)?;
+                if self.options.emit_comments {
+                    wiring
+                        .assign_items
+                        .push(AssignItem::Comment(connection.describe()));
+                }
+                let pairs = src
+                    .suffixes
+                    .iter()
+                    .zip(&src.shapes)
+                    .zip(dst.suffixes.iter());
+                for ((src_suffix, &(_, mode)), dst_suffix) in pairs {
+                    let from = signal_name(&source.port, src_suffix);
+                    let to = signal_name(&sink.port, dst_suffix);
+                    let (target, driver) = match mode {
+                        PortMode::In => (to, from),
+                        PortMode::Out => (from, to),
+                    };
+                    wiring.assign_items.push(AssignItem::Assign {
+                        target,
+                        source: driver,
+                    });
+                }
+            }
+            (None, Some(instance)) => {
+                let net = source.port.as_str().into();
+                wiring.nets.insert((instance, &sink.port), net);
+            }
+            (Some(instance), None) => {
+                let net = sink.port.as_str().into();
+                wiring.nets.insert((instance, &source.port), net);
+            }
+            (Some(src_instance), Some(dst_instance)) => {
+                let child = self
+                    .index
+                    .instance_position(impl_id, src_instance)
+                    .map(|k| children[k])
+                    .ok_or_else(|| {
+                        VhdlError::Inconsistent(format!("missing instance `{src_instance}`"))
+                    })?;
+                let signals = self.port_signals(child, &source.port)?;
+                let net: Arc<str> =
+                    sanitize(&format!("n{position}_{src_instance}_{}", source.port)).into();
+                if self.options.emit_comments {
+                    wiring
+                        .net_items
+                        .push(NetItem::Comment(connection.describe()));
+                }
+                wiring.net_items.extend(signals.named(&net).map(|sig| {
+                    NetItem::Net(NetDecl {
+                        name: sig.name,
+                        width: sig.width,
+                    })
+                }));
+                wiring
+                    .nets
+                    .insert((src_instance, &source.port), Arc::clone(&net));
+                wiring.nets.insert((dst_instance, &sink.port), net);
+            }
+        }
+        Ok(())
+    }
+
+    /// One instance of `child` inside `parent`: its clocks bound to the
+    /// parent's clocks of the same domain, and each port's suffix list
+    /// bound from the port name to its planned net.
+    fn instance(
+        &self,
+        parent: &ImplPlan<'_>,
+        instance: &tydi_ir::Instance,
+        child: &ImplPlan<'_>,
+        nets: &Nets<'_>,
+    ) -> Result<Instance, VhdlError> {
+        let mut bindings = Vec::with_capacity(2 * child.clocks.len() + child.ports.len());
+        for (domain, clk, rst) in &child.clocks {
+            let (pclk, prst) = parent
+                .clocks
+                .iter()
+                .find(|(d, _, _)| d == domain)
+                .map_or_else(
+                    || ("clk".into(), "rst".into()),
+                    |(_, c, r)| (Arc::clone(c), Arc::clone(r)),
+                );
+            for (formal, actual) in [(clk, pclk), (rst, prst)] {
+                bindings.push(PortBinding {
+                    formal: Arc::clone(formal),
+                    actual,
+                    suffixes: Arc::clone(&self.scalar),
+                });
+            }
+        }
+        for (name, signals) in &child.ports {
+            let net = nets.get(&(instance.name.as_str(), &**name)).ok_or_else(|| {
+                VhdlError::Inconsistent(format!(
+                    "no net planned for endpoint `{}.{name}` (port usage DRC should have caught this)",
+                    instance.name
+                ))
+            })?;
+            bindings.push(PortBinding {
+                formal: Arc::clone(name),
+                actual: Arc::clone(net),
+                suffixes: Arc::clone(&signals.suffixes),
+            });
+        }
+        Ok(Instance {
+            label: sanitize(&format!("u_{}", instance.name)),
+            module: child.module.clone(),
+            bindings,
+        })
+    }
+
+    /// The signals of the named port of a planned implementation.
+    fn port_signals<'a>(
+        &self,
+        plan: &'a ImplPlan<'_>,
+        port: &str,
+    ) -> Result<&'a PortSignals, VhdlError> {
+        self.index
+            .port_position(plan.streamlet_id, port)
+            .map(|position| &plan.ports[position].1)
+            .ok_or_else(|| VhdlError::Inconsistent(format!("missing port `{port}`")))
+    }
 }
 
 /// True when a backend can render every module of the netlist (i.e.
@@ -418,10 +460,10 @@ pub fn backend_is_complete(netlist: &Netlist, backend: Backend) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use tydi_ir::{Instance as IrInstance, Port, PortDirection};
-    use tydi_spec::{LogicalType, StreamParams};
+    use tydi_ir::{EndpointRef, Instance as IrInstance, Port, PortDirection};
+    use tydi_spec::{Direction, LogicalType, StreamParams};
 
     fn stream8() -> LogicalType {
         LogicalType::stream(LogicalType::Bit(8), StreamParams::new())
@@ -456,6 +498,127 @@ mod tests {
         ));
         p.add_implementation(top).unwrap();
         p
+    }
+
+    /// A port type that lowers to two physical streams: a group whose
+    /// `resp` field is a `Reverse` stream.
+    fn request_response() -> LogicalType {
+        let resp = LogicalType::stream(
+            LogicalType::Bit(8),
+            StreamParams::new().with_direction(Direction::Reverse),
+        );
+        LogicalType::stream(
+            LogicalType::group(vec![("q", LogicalType::Bit(4)), ("resp", resp)]),
+            StreamParams::new(),
+        )
+    }
+
+    /// `leaf_i` instantiated twice over [`request_response`] ports:
+    /// own-to-instance (`i => a.i`), instance-to-instance
+    /// (`a.o => b.i`), instance-to-own (`b.o => o`) and a feed-through
+    /// (`fi => fo`).
+    pub(crate) fn nested_project() -> Project {
+        let port = |name: &str, direction| Port::new(name, direction, request_response());
+        let mut p = Project::new("nested");
+        p.add_streamlet(
+            Streamlet::new("pass_s")
+                .with_port(port("i", PortDirection::In))
+                .with_port(port("o", PortDirection::Out)),
+        )
+        .unwrap();
+        p.add_streamlet(
+            Streamlet::new("top_s")
+                .with_port(port("i", PortDirection::In))
+                .with_port(port("o", PortDirection::Out))
+                .with_port(port("fi", PortDirection::In))
+                .with_port(port("fo", PortDirection::Out)),
+        )
+        .unwrap();
+        p.add_implementation(Implementation::external("leaf_i", "pass_s"))
+            .unwrap();
+        let mut top = Implementation::normal("top_i", "top_s");
+        top.add_instance(IrInstance::new("a", "leaf_i"));
+        top.add_instance(IrInstance::new("b", "leaf_i"));
+        for (source, sink) in [
+            (EndpointRef::own("i"), EndpointRef::instance("a", "i")),
+            (
+                EndpointRef::instance("a", "o"),
+                EndpointRef::instance("b", "i"),
+            ),
+            (EndpointRef::instance("b", "o"), EndpointRef::own("o")),
+            (EndpointRef::own("fi"), EndpointRef::own("fo")),
+        ] {
+            top.add_connection(Connection::new(source, sink));
+        }
+        p.add_implementation(top).unwrap();
+        p
+    }
+
+    #[test]
+    fn instances_bind_shared_suffixes_by_prefix() {
+        let p = nested_project();
+        let netlist =
+            lower_project(&p, &BuiltinRegistry::with_core(), &VhdlOptions::default()).unwrap();
+        let ModuleBody::Structural {
+            nets, instances, ..
+        } = &netlist.module("top_i").unwrap().body
+        else {
+            panic!("expected structural body");
+        };
+        let net_names: Vec<&str> = nets
+            .iter()
+            .filter_map(|n| match n {
+                NetItem::Net(d) => Some(d.name.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            net_names,
+            [
+                "n1_a_o_valid",
+                "n1_a_o_ready",
+                "n1_a_o_data",
+                "n1_a_o_resp_valid",
+                "n1_a_o_resp_ready",
+                "n1_a_o_resp_data"
+            ]
+        );
+        let prefixes = |k: usize| -> Vec<(&str, &str)> {
+            instances[k]
+                .bindings
+                .iter()
+                .map(|b| (&*b.formal, &*b.actual))
+                .collect()
+        };
+        let clocks = [("clk", "clk"), ("rst", "rst")];
+        assert_eq!(
+            prefixes(0),
+            [clocks[0], clocks[1], ("i", "i"), ("o", "n1_a_o")]
+        );
+        assert_eq!(
+            prefixes(1),
+            [clocks[0], clocks[1], ("i", "n1_a_o"), ("o", "o")]
+        );
+        let suffixes = [
+            "valid",
+            "ready",
+            "data",
+            "resp_valid",
+            "resp_ready",
+            "resp_data",
+        ];
+        for instance in instances {
+            assert_eq!(&*instance.bindings[0].suffixes, [""]);
+            assert_eq!(&*instance.bindings[2].suffixes, suffixes);
+        }
+        // Every instance of `leaf_i` shares its port's suffix list.
+        assert!(Arc::ptr_eq(
+            &instances[0].bindings[3].suffixes,
+            &instances[1].bindings[3].suffixes
+        ));
+        let map_b = port_map(&instances[1]);
+        assert_eq!(map_b[2], ("i_valid".into(), "n1_a_o_valid".into()));
+        assert_eq!(map_b[13], ("o_resp_data".into(), "o_resp_data".into()));
     }
 
     #[test]
@@ -514,13 +677,25 @@ mod tests {
         assert_eq!(instances[0].label, "u_a");
         assert_eq!(instances[0].module, "leaf_i");
         // clk/rst first, then the expanded port signals.
-        assert_eq!(instances[0].port_map[0], ("clk".into(), "clk".into()));
-        assert!(instances[0]
-            .port_map
-            .contains(&("o_valid".into(), "n1_a_o_valid".into())));
-        assert!(instances[1]
-            .port_map
-            .contains(&("i_valid".into(), "n1_a_o_valid".into())));
+        let map_a = port_map(&instances[0]);
+        assert_eq!(map_a[0], ("clk".into(), "clk".into()));
+        assert!(map_a.contains(&("o_valid".into(), "n1_a_o_valid".into())));
+        assert!(port_map(&instances[1]).contains(&("i_valid".into(), "n1_a_o_valid".into())));
+        // Both instances share the child's suffix lists.
+        assert!(Arc::ptr_eq(
+            &instances[0].bindings[2].suffixes,
+            &instances[1].bindings[2].suffixes
+        ));
+    }
+
+    /// An instance's `(formal, actual)` signal pairs.
+    fn port_map(instance: &Instance) -> Vec<(String, String)> {
+        instance
+            .signals()
+            .map(|(formal, actual, suffix)| {
+                (signal_name(formal, suffix), signal_name(actual, suffix))
+            })
+            .collect()
     }
 
     #[test]

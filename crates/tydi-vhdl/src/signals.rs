@@ -5,7 +5,9 @@
 //! signals. `ready` always travels against the data direction.
 
 use crate::error::VhdlError;
+use std::sync::Arc;
 use tydi_ir::{Port, PortDirection, Streamlet};
+use tydi_rtl::netlist::signal_name;
 use tydi_spec::{lower_cached_arc, ClockDomain, Direction};
 
 /// Mode of a VHDL entity port.
@@ -54,62 +56,77 @@ impl VhdlSignal {
 
 pub use tydi_rtl::vhdl::vhdl_type;
 
-/// Joins non-empty name fragments with underscores.
-pub fn join_name(parts: &[&str]) -> String {
-    parts
-        .iter()
-        .filter(|p| !p.is_empty())
-        .copied()
-        .collect::<Vec<_>>()
-        .join("_")
-}
-
-/// Expands a port into its VHDL signals, using `prefix` as the base
-/// name (usually the port name; connection bundles pass a net name).
+/// The signals of one port, named relative to the port and computed
+/// once from its type and direction.
 ///
-/// Physical expansion goes through the process-wide
-/// [`lower_cached_arc`] memo: a port type is lowered once per process
-/// and every later module that binds the same type (the common case —
-/// every instantiation site re-expands its child's ports) reuses the
-/// shared result. Ports carry the elaborator's canonical `Arc`, so a
-/// hit is a pointer lookup — no tree walk, no structural compare.
-pub fn expand_port_as(port: &Port, prefix: &str) -> Result<Vec<VhdlSignal>, VhdlError> {
-    let physical = lower_cached_arc(&port.ty)?;
-    let mut signals = Vec::new();
-    for stream in physical.iter() {
-        let suffix = stream.name_suffix();
-        // The data direction of this physical stream from the entity's
-        // perspective: the port direction, flipped for reverse streams.
-        let data_mode = match (port.direction, stream.direction) {
-            (PortDirection::In, Direction::Forward) | (PortDirection::Out, Direction::Reverse) => {
-                PortMode::In
-            }
-            _ => PortMode::Out,
-        };
-        signals.push(VhdlSignal {
-            name: join_name(&[prefix, &suffix, "valid"]),
-            width: 1,
-            mode: data_mode,
-        });
-        signals.push(VhdlSignal {
-            name: join_name(&[prefix, &suffix, "ready"]),
-            width: 1,
-            mode: data_mode.flip(),
-        });
-        for (sig_name, width) in stream.signals().named_signals() {
-            signals.push(VhdlSignal {
-                name: join_name(&[prefix, &suffix, sig_name]),
-                width,
-                mode: data_mode,
-            });
-        }
-    }
-    Ok(signals)
+/// Every module that declares, wires or instantiates the port names
+/// its signals by prefixing these suffixes (see
+/// [`tydi_rtl::netlist::signal_name`]): the port name on the entity,
+/// a net name on a connection bundle. Lowering builds one per port of
+/// each implementation and shares the suffix list with every
+/// instance's port map.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PortSignals {
+    /// Each signal's name below the port, e.g. `valid` or
+    /// `chars_data`.
+    pub suffixes: Arc<[String]>,
+    /// Width and entity mode of each signal, parallel to `suffixes`.
+    pub shapes: Vec<(u32, PortMode)>,
 }
 
-/// Expands a port using its own name as prefix.
+impl PortSignals {
+    /// Expands a port's physical streams into its signal suffixes.
+    ///
+    /// Physical expansion goes through the process-wide
+    /// [`lower_cached_arc`] memo, so a port type is lowered once per
+    /// process; ports carry the elaborator's canonical `Arc`, so a hit
+    /// is a pointer lookup.
+    pub fn of(port: &Port) -> Result<PortSignals, VhdlError> {
+        let physical = lower_cached_arc(&port.ty)?;
+        let mut suffixes = Vec::new();
+        let mut shapes = Vec::new();
+        for stream in physical.iter() {
+            let path = stream.name_suffix();
+            // The data direction of this physical stream from the
+            // entity's perspective: the port direction, flipped for
+            // reverse streams.
+            let data_mode = match (port.direction, stream.direction) {
+                (PortDirection::In, Direction::Forward)
+                | (PortDirection::Out, Direction::Reverse) => PortMode::In,
+                _ => PortMode::Out,
+            };
+            let payload = stream
+                .signals()
+                .named_signals()
+                .map(|(name, width)| (name, width, data_mode));
+            let handshake = [("valid", 1, data_mode), ("ready", 1, data_mode.flip())];
+            for (name, width, mode) in handshake.into_iter().chain(payload) {
+                suffixes.push(signal_name(&path, name));
+                shapes.push((width, mode));
+            }
+        }
+        Ok(PortSignals {
+            suffixes: suffixes.into(),
+            shapes,
+        })
+    }
+
+    /// The signals with their full names under `prefix`.
+    pub fn named<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = VhdlSignal> + 'a {
+        self.suffixes
+            .iter()
+            .zip(&self.shapes)
+            .map(move |(suffix, &(width, mode))| VhdlSignal {
+                name: signal_name(prefix, suffix),
+                width,
+                mode,
+            })
+    }
+}
+
+/// Expands a port into its VHDL signals, named under the port name.
 pub fn expand_port(port: &Port) -> Result<Vec<VhdlSignal>, VhdlError> {
-    expand_port_as(port, &port.name)
+    Ok(PortSignals::of(port)?.named(&port.name).collect())
 }
 
 /// The distinct clock domains of a streamlet, in first-use order, with
@@ -195,10 +212,16 @@ mod tests {
     }
 
     #[test]
-    fn custom_prefix_renames_all() {
-        let p = Port::new("in0", PortDirection::In, stream(8, 0));
-        let sigs = expand_port_as(&p, "c0_net").unwrap();
-        assert_eq!(sigs[0].name, "c0_net_valid");
+    fn port_signals_rename_under_any_prefix() {
+        let p = Port::new("in0", PortDirection::In, stream(8, 1));
+        let signals = PortSignals::of(&p).unwrap();
+        assert_eq!(
+            &*signals.suffixes,
+            ["valid", "ready", "data", "last", "strb"]
+        );
+        let names: Vec<String> = signals.named("c0_net").map(|s| s.name).collect();
+        assert_eq!(names[0], "c0_net_valid");
+        assert_eq!(names[2], "c0_net_data");
     }
 
     #[test]
@@ -239,11 +262,5 @@ mod tests {
     fn portless_streamlet_still_has_clock() {
         let s = Streamlet::new("s");
         assert_eq!(clock_signals(&s).len(), 1);
-    }
-
-    #[test]
-    fn join_name_skips_empty() {
-        assert_eq!(join_name(&["a", "", "b"]), "a_b");
-        assert_eq!(join_name(&["a"]), "a");
     }
 }

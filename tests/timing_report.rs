@@ -9,6 +9,7 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use tydi_obs::json::{parse, Json};
 
 /// A fresh scratch directory per test: tests run on parallel threads
 /// of one process, so a shared directory would race.
@@ -122,6 +123,91 @@ fn report_ends_with_the_type_store_line() {
     );
     let last = stderr.lines().last().unwrap_or_default();
     assert!(last.starts_with("types: "), "last report line: {last}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `tydic <args> --timings --timings-json` on the design,
+/// asserting success; returns stderr and the JSON snapshot.
+fn run_with_json(dir: &std::path::Path, args: &[&str]) -> (String, Json) {
+    let design = dir.join("t.td");
+    std::fs::write(&design, DESIGN).expect("write design");
+    let json_path = dir.join("timings.json");
+    let out = tydic()
+        .args(&args[..1])
+        .arg(&design)
+        .args(&args[1..])
+        .args(["--no-cache", "--timings", "--timings-json"])
+        .arg(&json_path)
+        .output()
+        .expect("run tydic");
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(out.status.success(), "tydic failed: {stderr}");
+    let text = std::fs::read_to_string(&json_path).expect("timings json");
+    (stderr, parse(&text).expect("timings json parses"))
+}
+
+fn row_ms(doc: &Json, key: &str) -> f64 {
+    doc.get(key)
+        .and_then(Json::as_f64)
+        .unwrap_or_else(|| panic!("snapshot lacks `{key}`"))
+}
+
+#[test]
+fn build_reports_codegen_rows_inside_the_wall() {
+    let dir = workdir("codegen");
+    let out_dir = dir.join("out");
+    let (stderr, doc) = run_with_json(&dir, &["build", "-o", out_dir.to_str().unwrap()]);
+    let codegen = stage_line(&stderr, "codegen: ");
+    assert!(
+        codegen.contains("lower ")
+            && codegen.contains(", emit ")
+            && codegen.contains(", write ")
+            && codegen.ends_with("(self times)"),
+        "codegen line shape: {codegen}"
+    );
+    // The rows render after the last write, between the stage line and
+    // the totals they add to.
+    let position = |prefix: &str| stderr.find(prefix).expect(prefix);
+    assert!(position("wrote ") < position("stages: "), "{stderr}");
+    assert!(position("stages: ") < position("codegen: "), "{stderr}");
+    assert!(position("codegen: ") < position("totals: "), "{stderr}");
+    let (lower, emit, write) = (
+        row_ms(&doc, "timings.lower_ms"),
+        row_ms(&doc, "timings.emit_ms"),
+        row_ms(&doc, "timings.write_ms"),
+    );
+    assert!(lower > 0.0 && emit > 0.0 && write > 0.0, "{doc}");
+    let stages = ["parse", "elaborate", "sugar", "drc", "analyze"]
+        .iter()
+        .map(|stage| row_ms(&doc, &format!("timings.{stage}_ms")))
+        .sum::<f64>();
+    let total_self = row_ms(&doc, "timings.total_self_ms");
+    assert!(
+        (total_self - (stages + lower + emit + write)).abs() < 1e-6,
+        "self total sums every row: {doc}"
+    );
+    assert!(
+        row_ms(&doc, "timings.wall_ms") >= total_self,
+        "wall spans the job through the last write: {doc}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn check_reports_no_codegen() {
+    let dir = workdir("no-codegen");
+    let (stderr, doc) = run_with_json(&dir, &["check"]);
+    assert!(
+        !stderr.lines().any(|l| l.starts_with("codegen: ")),
+        "check generates no code: {stderr}"
+    );
+    for key in ["timings.lower_ms", "timings.emit_ms", "timings.write_ms"] {
+        assert_eq!(
+            doc.get(key).and_then(Json::as_f64).unwrap_or(0.0),
+            0.0,
+            "{key}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

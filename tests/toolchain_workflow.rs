@@ -164,3 +164,117 @@ fn multi_clock_design_lowers_with_per_domain_clocks() {
         assert!(check_vhdl(&file.contents).is_empty(), "{}", file.name);
     }
 }
+
+/// `build -o` rewrites only the outputs whose bytes changed: an
+/// untouched file keeps its mtime, a tampered file (same length,
+/// different bytes) is restored, a deleted one is re-created, and the
+/// job still reports and lists every file. The daemon runs the same
+/// executor, so it reports the same files and skips the same writes.
+#[test]
+#[cfg(unix)]
+fn rebuild_rewrites_only_changed_files() {
+    use std::fs::{self, File};
+    use std::time::{Duration, Instant, SystemTime};
+    use tydi::lang::ArtifactCache;
+    use tydi_serve::client::Client;
+    use tydi_serve::execute::run_job;
+    use tydi_serve::protocol::{JobKind, JobRequest};
+
+    let dir = std::env::temp_dir().join(format!("tydic-write-skip-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).expect("workdir");
+    let design = dir.join("flow.td");
+    fs::write(&design, DESIGN).expect("write design");
+    let mut request = JobRequest::new(JobKind::Build);
+    request.files = vec![design.display().to_string()];
+    request.out_dir = Some(dir.join("out").display().to_string());
+    let wrote_line = |stderr: &str| {
+        stderr
+            .lines()
+            .find(|l| l.starts_with("wrote "))
+            .unwrap_or_else(|| panic!("no `wrote` line in:\n{stderr}"))
+            .to_string()
+    };
+
+    let first = run_job(&request, &mut ArtifactCache::new(), "");
+    assert!(first.ok, "{}", first.stderr);
+    let files = first.artifacts.clone();
+    assert!(files.len() >= 3, "artifacts: {files:?}");
+    let count = format!("wrote {} file(s) to ", files.len());
+    assert!(wrote_line(&first.stderr).starts_with(&count));
+
+    // Age every output, then tamper with one and delete another.
+    let past = SystemTime::now() - Duration::from_secs(3600);
+    let age = |path: &str| {
+        let file = File::options().write(true).open(path).expect("open output");
+        file.set_modified(past).expect("set mtime");
+    };
+    let mtime = |path: &str| {
+        fs::metadata(path)
+            .and_then(|m| m.modified())
+            .expect("mtime")
+    };
+    for path in &files {
+        age(path);
+    }
+    let (tampered, deleted) = (&files[0], &files[1]);
+    let original = fs::read(tampered).unwrap();
+    let mut bytes = original.clone();
+    let last = bytes.len() - 2;
+    bytes[last] = if bytes[last] == b'x' { b'y' } else { b'x' };
+    fs::write(tampered, &bytes).unwrap();
+    age(tampered);
+    let deleted_text = fs::read(deleted).unwrap();
+    fs::remove_file(deleted).unwrap();
+    let aged = mtime(&files[2]);
+
+    let second = run_job(&request, &mut ArtifactCache::new(), "");
+    assert!(second.ok, "{}", second.stderr);
+    assert_eq!(second.artifacts, files, "every file is still listed");
+    assert_eq!(wrote_line(&second.stderr), wrote_line(&first.stderr));
+    assert!(
+        fs::read(tampered).unwrap() == original,
+        "tampered file restored"
+    );
+    assert_ne!(mtime(tampered), aged, "tampered file rewritten");
+    assert!(
+        fs::read(deleted).unwrap() == deleted_text,
+        "deleted file re-created"
+    );
+    for path in &files[2..] {
+        assert_eq!(mtime(path), aged, "{path} was rewritten unchanged");
+    }
+
+    // The daemon reports the same files and rewrites none of them.
+    let cache = dir.join("cache");
+    let mut daemon = std::process::Command::new(env!("CARGO_BIN_EXE_tydic"))
+        .arg("serve")
+        .arg("--cache-dir")
+        .arg(&cache)
+        .args(["--idle-timeout", "30000"])
+        .stdin(std::process::Stdio::null())
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn daemon");
+    let socket = cache.join("serve.sock");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut client = loop {
+        match Client::connect(&socket) {
+            Ok(client) => break client,
+            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(20)),
+            Err(e) => panic!("daemon never bound {socket:?}: {e}"),
+        }
+    };
+    let remote = client.request(&request);
+    let _ = daemon.kill();
+    let _ = daemon.wait();
+    let remote = remote.expect("daemon response");
+    assert!(remote.ok, "{}", remote.stderr);
+    assert_eq!(remote.artifacts, files);
+    assert_eq!(wrote_line(&remote.stderr), wrote_line(&first.stderr));
+    for path in &files[2..] {
+        assert_eq!(mtime(path), aged, "{path} was rewritten by the daemon");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
