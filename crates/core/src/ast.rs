@@ -9,7 +9,7 @@ use crate::sim_ast::SimBlock;
 use crate::span::Span;
 use std::sync::Arc;
 
-/// Binary operators, lowest precedence first in the parser.
+/// Binary operators, lowest precedence first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinOp {
     /// `||`
@@ -97,15 +97,20 @@ pub enum Expr {
         /// Source range.
         span: Span,
     },
-    /// Binary operation.
-    Binary {
-        /// Operator.
-        op: BinOp,
-        /// Left operand.
-        lhs: Box<Expr>,
-        /// Right operand.
-        rhs: Box<Expr>,
-        /// Source range.
+    /// A chain of binary operations: `first op1 x1 op2 x2 ...`, one
+    /// node for a whole run of operators of one precedence level,
+    /// meaning `((first op1 x1) op2 x2) ...` (left-associative). A
+    /// single `a + b` is a chain of length 1; `rest` is never empty.
+    /// `^` is right-associative, so each `^` chain has length 1 and
+    /// `a ^ b ^ c` nests as `a ^ (b ^ c)`. A long `a + b + ...` is
+    /// flat, so passes over the tree recurse only as deep as the
+    /// source nests parentheses and operators of different levels.
+    Chain {
+        /// Leftmost operand.
+        first: Box<Expr>,
+        /// Each operator with its right operand, left to right.
+        rest: Vec<(BinOp, Expr)>,
+        /// Source range of the whole chain.
         span: Span,
     },
     /// Builtin function call (`ceil`, `log2`, `pow`, `len`, ...).
@@ -133,7 +138,7 @@ impl Expr {
             Expr::Range { span, .. }
             | Expr::Index { span, .. }
             | Expr::Unary { span, .. }
-            | Expr::Binary { span, .. }
+            | Expr::Chain { span, .. }
             | Expr::Call { span, .. } => *span,
         }
     }
@@ -352,9 +357,10 @@ pub struct Attribute {
 
 /// Statements inside a normal implementation body.
 ///
-/// Unboxed for the same reason as [`Decl`]: statements are walked in
-/// place during elaboration.
-#[allow(clippy::large_enum_variant)]
+/// Statements are walked in place during elaboration, so the variants
+/// stay unboxed; the expressions that are rarely present (instance
+/// array sizes, endpoint indices) are boxed to keep the common
+/// connection and instance statements small.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
     /// `instance name(impl_ref)` or `instance name(impl_ref) [n]`.
@@ -363,8 +369,8 @@ pub enum Stmt {
         name: String,
         /// The implementation to instantiate.
         impl_ref: NamedRef,
-        /// Optional array size.
-        array: Option<Expr>,
+        /// Optional array size (boxed: rarely present).
+        array: Option<Box<Expr>>,
         /// Source range.
         span: Span,
     },
@@ -418,11 +424,11 @@ pub enum Stmt {
 #[derive(Debug, Clone, PartialEq)]
 pub struct EndpointExpr {
     /// Instance name plus optional index; `None` for own ports.
-    pub instance: Option<(String, Option<Expr>)>,
+    pub instance: Option<(String, Option<Box<Expr>>)>,
     /// Port name.
     pub port: String,
     /// Optional port array index.
-    pub port_index: Option<Expr>,
+    pub port_index: Option<Box<Expr>>,
     /// Source range.
     pub span: Span,
 }
@@ -548,13 +554,23 @@ mod tests {
     fn expr_spans() {
         let e = Expr::Int(3, Span::new(0, 5, 6));
         assert_eq!(e.span(), Span::new(0, 5, 6));
-        let b = Expr::Binary {
-            op: BinOp::Add,
-            lhs: Box::new(e.clone()),
-            rhs: Box::new(e),
+        let b = Expr::Chain {
+            first: Box::new(e.clone()),
+            rest: vec![(BinOp::Add, e)],
             span: Span::new(0, 5, 10),
         };
         assert_eq!(b.span().end, 10);
+    }
+
+    /// Connections and instances are most of a large design's
+    /// statements; their rarely present index and size expressions are
+    /// boxed to keep them small.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn statement_nodes_stay_small() {
+        assert_eq!(std::mem::size_of::<Expr>(), 72);
+        assert_eq!(std::mem::size_of::<EndpointExpr>(), 88);
+        assert_eq!(std::mem::size_of::<Stmt>(), 200);
     }
 
     #[test]

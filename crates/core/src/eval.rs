@@ -68,6 +68,9 @@ where
 }
 
 /// Evaluates an expression.
+///
+/// Each node kind has its own function, so a recursion through nested
+/// nodes stacks only small frames.
 pub fn eval_expr(expr: &Expr, resolver: &mut dyn Resolver) -> Result<Value, EvalError> {
     match expr {
         Expr::Int(v, _) => Ok(Value::Int(*v)),
@@ -76,116 +79,162 @@ pub fn eval_expr(expr: &Expr, resolver: &mut dyn Resolver) -> Result<Value, Eval
         Expr::Bool(b, _) => Ok(Value::Bool(*b)),
         Expr::Clock(name, _) => Ok(Value::Clock(ClockDomain::new(name))),
         Expr::Ident(name, span) => resolver.lookup(name, *span),
-        Expr::Array(items, _) => {
-            let mut out = Vec::with_capacity(items.len());
-            for item in items {
-                out.push(eval_expr(item, resolver)?);
-            }
-            Ok(Value::Array(out))
-        }
+        Expr::Array(items, _) => eval_array(items, resolver),
         Expr::Range {
             start,
             end,
             step,
             span,
-        } => {
-            let start_v = expect_int(eval_expr(start, resolver)?, start.span())?;
-            let end_v = expect_int(eval_expr(end, resolver)?, end.span())?;
-            let step_v = match step {
-                Some(s) => expect_int(eval_expr(s, resolver)?, s.span())?,
-                None => 1,
-            };
-            if step_v == 0 {
-                return Err(EvalError::new("range step must be non-zero", *span));
-            }
-            let mut out = Vec::new();
-            let mut v = start_v;
-            if step_v > 0 {
-                while v < end_v {
-                    out.push(Value::Int(v));
-                    v += step_v;
-                }
-            } else {
-                while v > end_v {
-                    out.push(Value::Int(v));
-                    v += step_v;
-                }
-            }
-            if out.len() > 1_000_000 {
-                return Err(EvalError::new(
-                    "range produces more than 1e6 elements",
-                    *span,
-                ));
-            }
-            Ok(Value::Array(out))
+        } => eval_range(start, end, step.as_deref(), *span, resolver),
+        Expr::Index { base, index, span } => eval_index(base, index, *span, resolver),
+        Expr::Unary { op, operand, span } => eval_unary(*op, operand, *span, resolver),
+        Expr::Chain { first, rest, .. } => eval_chain(first, rest, resolver),
+        Expr::Call { name, args, span } => eval_call(name, args, *span, resolver),
+    }
+}
+
+fn eval_array(items: &[Expr], resolver: &mut dyn Resolver) -> Result<Value, EvalError> {
+    let mut out = Vec::with_capacity(items.len());
+    for item in items {
+        out.push(eval_expr(item, resolver)?);
+    }
+    Ok(Value::Array(out))
+}
+
+fn eval_range(
+    start: &Expr,
+    end: &Expr,
+    step: Option<&Expr>,
+    span: Span,
+    resolver: &mut dyn Resolver,
+) -> Result<Value, EvalError> {
+    let start_v = expect_int(eval_expr(start, resolver)?, start.span())?;
+    let end_v = expect_int(eval_expr(end, resolver)?, end.span())?;
+    let step_v = match step {
+        Some(s) => expect_int(eval_expr(s, resolver)?, s.span())?,
+        None => 1,
+    };
+    if step_v == 0 {
+        return Err(EvalError::new("range step must be non-zero", span));
+    }
+    let mut out = Vec::new();
+    let mut v = start_v;
+    if step_v > 0 {
+        while v < end_v {
+            out.push(Value::Int(v));
+            v += step_v;
         }
-        Expr::Index { base, index, span } => {
-            let base_v = eval_expr(base, resolver)?;
-            let index_v = expect_int(eval_expr(index, resolver)?, index.span())?;
-            match base_v {
-                Value::Array(items) => {
-                    if index_v < 0 || index_v as usize >= items.len() {
-                        Err(EvalError::new(
-                            format!(
-                                "index {index_v} out of bounds for array of length {}",
-                                items.len()
-                            ),
-                            *span,
-                        ))
-                    } else {
-                        Ok(items[index_v as usize].clone())
-                    }
-                }
-                other => Err(EvalError::new(
-                    format!("cannot index into a {}", other.kind_name()),
-                    *span,
-                )),
-            }
-        }
-        Expr::Unary { op, operand, span } => {
-            let v = eval_expr(operand, resolver)?;
-            match (op, v) {
-                (UnaryOp::Neg, Value::Int(v)) => Ok(Value::Int(-v)),
-                (UnaryOp::Neg, Value::Float(v)) => Ok(Value::Float(-v)),
-                (UnaryOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
-                (op, v) => Err(EvalError::new(
-                    format!(
-                        "unary `{}` is not defined for {}",
-                        match op {
-                            UnaryOp::Neg => "-",
-                            UnaryOp::Not => "!",
-                        },
-                        v.kind_name()
-                    ),
-                    *span,
-                )),
-            }
-        }
-        Expr::Binary { op, lhs, rhs, span } => {
-            // Short-circuit booleans first.
-            if matches!(op, BinOp::And | BinOp::Or) {
-                let l = expect_bool(eval_expr(lhs, resolver)?, lhs.span())?;
-                return match (op, l) {
-                    (BinOp::And, false) => Ok(Value::Bool(false)),
-                    (BinOp::Or, true) => Ok(Value::Bool(true)),
-                    _ => {
-                        let r = expect_bool(eval_expr(rhs, resolver)?, rhs.span())?;
-                        Ok(Value::Bool(r))
-                    }
-                };
-            }
-            let l = eval_expr(lhs, resolver)?;
-            let r = eval_expr(rhs, resolver)?;
-            binary(*op, l, r, *span)
-        }
-        Expr::Call { name, args, span } => {
-            let mut values = Vec::with_capacity(args.len());
-            for a in args {
-                values.push(eval_expr(a, resolver)?);
-            }
-            call_builtin(name, &values, *span)
+    } else {
+        while v > end_v {
+            out.push(Value::Int(v));
+            v += step_v;
         }
     }
+    if out.len() > 1_000_000 {
+        return Err(EvalError::new(
+            "range produces more than 1e6 elements",
+            span,
+        ));
+    }
+    Ok(Value::Array(out))
+}
+
+fn eval_index(
+    base: &Expr,
+    index: &Expr,
+    span: Span,
+    resolver: &mut dyn Resolver,
+) -> Result<Value, EvalError> {
+    let base_v = eval_expr(base, resolver)?;
+    let index_v = expect_int(eval_expr(index, resolver)?, index.span())?;
+    match base_v {
+        Value::Array(items) => {
+            if index_v < 0 || index_v as usize >= items.len() {
+                Err(EvalError::new(
+                    format!(
+                        "index {index_v} out of bounds for array of length {}",
+                        items.len()
+                    ),
+                    span,
+                ))
+            } else {
+                Ok(items[index_v as usize].clone())
+            }
+        }
+        other => Err(EvalError::new(
+            format!("cannot index into a {}", other.kind_name()),
+            span,
+        )),
+    }
+}
+
+fn eval_unary(
+    op: UnaryOp,
+    operand: &Expr,
+    span: Span,
+    resolver: &mut dyn Resolver,
+) -> Result<Value, EvalError> {
+    let v = eval_expr(operand, resolver)?;
+    match (op, v) {
+        (UnaryOp::Neg, Value::Int(v)) => Ok(Value::Int(-v)),
+        (UnaryOp::Neg, Value::Float(v)) => Ok(Value::Float(-v)),
+        (UnaryOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
+        (op, v) => Err(EvalError::new(
+            format!(
+                "unary `{}` is not defined for {}",
+                match op {
+                    UnaryOp::Neg => "-",
+                    UnaryOp::Not => "!",
+                },
+                v.kind_name()
+            ),
+            span,
+        )),
+    }
+}
+
+fn eval_call(
+    name: &str,
+    args: &[Expr],
+    span: Span,
+    resolver: &mut dyn Resolver,
+) -> Result<Value, EvalError> {
+    let mut values = Vec::with_capacity(args.len());
+    for a in args {
+        values.push(eval_expr(a, resolver)?);
+    }
+    call_builtin(name, &values, span)
+}
+
+/// Folds a chain left to right: `((first op1 x1) op2 x2) ...`. An
+/// error in operator k points at the chain's prefix through operand k,
+/// the span the nested form `(first op1 x1) op2 x2` gives that node.
+fn eval_chain(
+    first: &Expr,
+    rest: &[(BinOp, Expr)],
+    resolver: &mut dyn Resolver,
+) -> Result<Value, EvalError> {
+    let mut acc = eval_expr(first, resolver)?;
+    // A chain's operators share one level, so `&&` and `||` never
+    // mix with others; both short-circuit once the result is settled.
+    if let Some(&(op @ (BinOp::And | BinOp::Or), _)) = rest.first() {
+        let settled = op == BinOp::Or;
+        let mut value = expect_bool(acc, first.span())?;
+        for (_, operand) in rest {
+            if value == settled {
+                break;
+            }
+            value = expect_bool(eval_expr(operand, resolver)?, operand.span())?;
+        }
+        return Ok(Value::Bool(value));
+    }
+    let mut span = first.span();
+    for (op, operand) in rest {
+        let r = eval_expr(operand, resolver)?;
+        span = span.merge(operand.span());
+        acc = binary(*op, acc, r, span)?;
+    }
+    Ok(acc)
 }
 
 fn expect_int(v: Value, span: Span) -> Result<i64, EvalError> {
@@ -576,6 +625,78 @@ mod tests {
         assert!(eval_str("(0..4 step 0)").is_err());
         assert!(eval_str("2 ^ 200").is_err()); // overflow
         assert!(eval_str("9223372036854775807 + 1").is_err());
+    }
+
+    #[test]
+    fn chains_fold_left_to_right() {
+        assert_eq!(eval_str("10 - 3 + 2").unwrap(), Value::Int(9));
+        assert_eq!(eval_str("10 - 3 - 2").unwrap(), Value::Int(5));
+        // ((2 * 7) / 3) % 4 = (14 / 3) % 4 = 4 % 4
+        assert_eq!(eval_str("2 * 7 / 3 % 4").unwrap(), Value::Int(0));
+        assert_eq!(eval_str("100 / 10 / 5").unwrap(), Value::Int(2));
+        // `^` nests to the right: 2 ^ (3 ^ 2), not (2 ^ 3) ^ 2.
+        assert_eq!(eval_str("2 ^ 3 ^ 2").unwrap(), Value::Int(512));
+        assert_eq!(eval_str("1 + 2 * 3 - 4 / 2").unwrap(), Value::Int(5));
+        assert_eq!(eval_str("\"w\" + 1 + 2").unwrap(), Value::Str("w12".into()));
+    }
+
+    #[test]
+    fn mixed_comparisons_chain() {
+        // (1 < 2) == true, then == (3 >= 3)
+        assert_eq!(eval_str("1 < 2 == true").unwrap(), Value::Bool(true));
+        assert_eq!(
+            eval_str("1 < 2 == (3 >= 3) != false").unwrap(),
+            Value::Bool(true)
+        );
+        assert_eq!(
+            eval_str("n > 4 && n <= 8 && n != 7").unwrap(),
+            Value::Bool(true)
+        );
+        assert_eq!(
+            eval_str("n < 4 || n == 5 || f > 0.25").unwrap(),
+            Value::Bool(true)
+        );
+        // (1 < 2) < 3 compares a bool with an int.
+        let err = eval_str("1 < 2 < 3").unwrap_err();
+        assert_eq!(err.message, "cannot order bool and int");
+    }
+
+    #[test]
+    fn settled_boolean_chains_skip_the_remaining_operands() {
+        // `undefined` and `1 / 0` fail if evaluated.
+        assert_eq!(
+            eval_str("false && undefined && 1 / 0 == 1").unwrap(),
+            Value::Bool(false)
+        );
+        assert_eq!(
+            eval_str("true && false && undefined").unwrap(),
+            Value::Bool(false)
+        );
+        assert_eq!(
+            eval_str("false || true || undefined").unwrap(),
+            Value::Bool(true)
+        );
+        let err = eval_str("true && true && undefined").unwrap_err();
+        assert_eq!(err.message, "undefined `undefined`");
+        let err = eval_str("1 && true").unwrap_err();
+        assert_eq!(err.message, "expected bool, found int");
+    }
+
+    #[test]
+    fn chain_errors_point_at_the_prefix_through_the_failing_operand() {
+        // `const x = ` puts the expression at byte 21.
+        let err = eval_str("8 + 4 / 2 / 0 + 1").unwrap_err();
+        assert_eq!(err.message, "division by zero");
+        // The nested form's node `(4 / 2) / 0`: bytes 25..34.
+        assert_eq!((err.span.start, err.span.end), (25, 34));
+        let err = eval_str("1 + 2 - 3 * 0 + true").unwrap_err();
+        assert_eq!(err.message, "operator is not defined for int and bool");
+        // The whole chain is the failing node: bytes 21..41.
+        assert_eq!((err.span.start, err.span.end), (21, 41));
+        let err = eval_str("6 % 4 % 0").unwrap_err();
+        assert_eq!((err.span.start, err.span.end), (21, 30));
+        let err = eval_str("true && 1").unwrap_err();
+        assert_eq!((err.span.start, err.span.end), (29, 30));
     }
 
     #[test]

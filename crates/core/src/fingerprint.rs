@@ -178,18 +178,10 @@ mod tests {
         for design in designs {
             assert_streamed_matches_printed(&std::fs::read_to_string(design).expect("read design"));
         }
-        // A 20 000-term chain. Parsing, printing and dropping recurse
-        // once per term, and unoptimized test builds have large
-        // frames, so it runs on a roomy stack.
-        std::thread::Builder::new()
-            .stack_size(64 << 20)
-            .spawn(|| {
-                let chain = vec!["1"; 20_000].join(" + ");
-                assert_streamed_matches_printed(&format!("package p;\nconst x = {chain};\n"));
-            })
-            .expect("spawn chain thread")
-            .join()
-            .expect("chain thread");
+        // A 20 000-term chain is one flat node: parsing, printing and
+        // dropping it need no deep stack.
+        let chain = vec!["1"; 20_000].join(" + ");
+        assert_streamed_matches_printed(&format!("package p;\nconst x = {chain};\n"));
     }
 
     #[test]

@@ -1070,6 +1070,8 @@ impl Elaborator {
         }
     }
 
+    /// Runs one statement. Each kind has its own function, so nested
+    /// `if`/`for` bodies stack only small frames.
     fn run_stmt(&mut self, stmt: &Stmt, body: &mut BodyBuilder<'_>, depth: usize) {
         match stmt {
             Stmt::Const(c) => match eval_expr(&c.value, self) {
@@ -1089,132 +1091,167 @@ impl Elaborator {
                 body: then_body,
                 else_body,
                 ..
-            } => match eval_expr(cond, self) {
-                Ok(Value::Bool(true)) => {
-                    self.locals.push();
-                    body.aliases.push(HashMap::new());
-                    self.run_stmts(then_body, body, depth);
-                    body.aliases.pop();
-                    self.locals.pop();
-                }
-                Ok(Value::Bool(false)) => {
-                    self.locals.push();
-                    body.aliases.push(HashMap::new());
-                    self.run_stmts(else_body, body, depth);
-                    body.aliases.pop();
-                    self.locals.pop();
-                }
-                Ok(other) => self.error(
-                    format!("if condition must be bool, got {}", other.kind_name()),
-                    cond.span(),
-                ),
-                Err(e) => self.eval_error(e),
-            },
+            } => self.run_if(cond, then_body, else_body, body, depth),
             Stmt::For {
                 var,
                 iterable,
                 body: loop_body,
                 ..
-            } => match eval_expr(iterable, self) {
-                Ok(Value::Array(items)) => {
-                    for item in items {
-                        self.locals.push();
-                        self.locals.define(var, item);
-                        body.aliases.push(HashMap::new());
-                        self.run_stmts(loop_body, body, depth);
-                        body.aliases.pop();
-                        self.locals.pop();
-                    }
-                }
-                Ok(other) => self.error(
-                    format!(
-                        "for iterable must be an array or range, got {}",
-                        other.kind_name()
-                    ),
-                    iterable.span(),
-                ),
-                Err(e) => self.eval_error(e),
-            },
+            } => self.run_for(var, iterable, loop_body, body, depth),
             Stmt::Instance {
                 name,
                 impl_ref,
                 array,
                 span,
-            } => {
-                let impl_value = match self.evaluate_impl_ref(impl_ref, depth + 1) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        self.eval_error(e);
-                        return;
-                    }
-                };
-                let count = match array {
-                    None => None,
-                    Some(e) => {
-                        match eval_expr(e, self) {
-                            Ok(Value::Int(n)) if (1..=4096).contains(&n) => Some(n as usize),
-                            Ok(other) => {
-                                self.error(
-                                format!("instance array size must be a small positive int, got {other}"),
-                                e.span(),
-                            );
-                                return;
-                            }
-                            Err(e) => {
-                                self.eval_error(e);
-                                return;
-                            }
-                        }
-                    }
-                };
-                // Inside a generative scope the declared name maps to
-                // a unique concrete name, scoped to this iteration.
-                let base = if body.aliases.is_empty() {
-                    name.clone()
-                } else {
-                    let unique = format!("{name}__{}", body.fresh);
-                    body.fresh += 1;
-                    body.aliases
-                        .last_mut()
-                        .expect("alias frame present")
-                        .insert(name.clone(), unique.clone());
-                    unique
-                };
-                let add = |elab: &mut Self, body: &mut BodyBuilder<'_>, inst_name: String| {
-                    if body.instance_impls.contains_key(&inst_name) {
-                        elab.error(format!("duplicate instance `{inst_name}`"), *span);
-                        return;
-                    }
-                    body.instance_impls
-                        .insert(inst_name.clone(), impl_value.clone());
-                    body.implementation
-                        .add_instance(Instance::new(inst_name, impl_value.name.as_ref()));
-                };
-                match count {
-                    None => add(self, body, base),
-                    Some(n) => {
-                        for idx in 0..n {
-                            add(self, body, format!("{base}_{idx}"));
-                        }
-                    }
+            } => self.run_instance(name, impl_ref, array.as_deref(), *span, body, depth),
+            Stmt::Connect { src, dst, span } => self.run_connect(src, dst, *span, body),
+        }
+    }
+
+    fn run_if(
+        &mut self,
+        cond: &Expr,
+        then_body: &[Stmt],
+        else_body: &[Stmt],
+        body: &mut BodyBuilder<'_>,
+        depth: usize,
+    ) {
+        match eval_expr(cond, self) {
+            Ok(Value::Bool(true)) => {
+                self.locals.push();
+                body.aliases.push(HashMap::new());
+                self.run_stmts(then_body, body, depth);
+                body.aliases.pop();
+                self.locals.pop();
+            }
+            Ok(Value::Bool(false)) => {
+                self.locals.push();
+                body.aliases.push(HashMap::new());
+                self.run_stmts(else_body, body, depth);
+                body.aliases.pop();
+                self.locals.pop();
+            }
+            Ok(other) => self.error(
+                format!("if condition must be bool, got {}", other.kind_name()),
+                cond.span(),
+            ),
+            Err(e) => self.eval_error(e),
+        }
+    }
+
+    fn run_for(
+        &mut self,
+        var: &str,
+        iterable: &Expr,
+        loop_body: &[Stmt],
+        body: &mut BodyBuilder<'_>,
+        depth: usize,
+    ) {
+        match eval_expr(iterable, self) {
+            Ok(Value::Array(items)) => {
+                for item in items {
+                    self.locals.push();
+                    self.locals.define(var, item);
+                    body.aliases.push(HashMap::new());
+                    self.run_stmts(loop_body, body, depth);
+                    body.aliases.pop();
+                    self.locals.pop();
                 }
             }
-            Stmt::Connect { src, dst, span } => {
-                let Some(source) = self.resolve_endpoint(src, body) else {
+            Ok(other) => self.error(
+                format!(
+                    "for iterable must be an array or range, got {}",
+                    other.kind_name()
+                ),
+                iterable.span(),
+            ),
+            Err(e) => self.eval_error(e),
+        }
+    }
+
+    fn run_instance(
+        &mut self,
+        name: &str,
+        impl_ref: &NamedRef,
+        array: Option<&Expr>,
+        span: Span,
+        body: &mut BodyBuilder<'_>,
+        depth: usize,
+    ) {
+        let impl_value = match self.evaluate_impl_ref(impl_ref, depth + 1) {
+            Ok(v) => v,
+            Err(e) => {
+                self.eval_error(e);
+                return;
+            }
+        };
+        let count = match array {
+            None => None,
+            Some(e) => match eval_expr(e, self) {
+                Ok(Value::Int(n)) if (1..=4096).contains(&n) => Some(n as usize),
+                Ok(other) => {
+                    self.error(
+                        format!("instance array size must be a small positive int, got {other}"),
+                        e.span(),
+                    );
                     return;
-                };
-                let Some(sink) = self.resolve_endpoint(dst, body) else {
+                }
+                Err(e) => {
+                    self.eval_error(e);
                     return;
-                };
-                let connection = Connection::new(source, sink);
-                self.info.record_connection_span(
-                    &body.implementation.name,
-                    &connection.describe(),
-                    *span,
-                );
-                body.implementation.add_connection(connection);
+                }
+            },
+        };
+        // Inside a generative scope the declared name maps to
+        // a unique concrete name, scoped to this iteration.
+        let base = if body.aliases.is_empty() {
+            name.to_string()
+        } else {
+            let unique = format!("{name}__{}", body.fresh);
+            body.fresh += 1;
+            body.aliases
+                .last_mut()
+                .expect("alias frame present")
+                .insert(name.to_string(), unique.clone());
+            unique
+        };
+        let add = |elab: &mut Self, body: &mut BodyBuilder<'_>, inst_name: String| {
+            if body.instance_impls.contains_key(&inst_name) {
+                elab.error(format!("duplicate instance `{inst_name}`"), span);
+                return;
+            }
+            body.instance_impls
+                .insert(inst_name.to_string(), impl_value.clone());
+            body.implementation
+                .add_instance(Instance::new(inst_name, impl_value.name.as_ref()));
+        };
+        match count {
+            None => add(self, body, base),
+            Some(n) => {
+                for idx in 0..n {
+                    add(self, body, format!("{base}_{idx}"));
+                }
             }
         }
+    }
+
+    fn run_connect(
+        &mut self,
+        src: &EndpointExpr,
+        dst: &EndpointExpr,
+        span: Span,
+        body: &mut BodyBuilder<'_>,
+    ) {
+        let Some(source) = self.resolve_endpoint(src, body) else {
+            return;
+        };
+        let Some(sink) = self.resolve_endpoint(dst, body) else {
+            return;
+        };
+        let connection = Connection::new(source, sink);
+        self.info
+            .record_connection_span(&body.implementation.name, &connection.describe(), span);
+        body.implementation.add_connection(connection);
     }
 
     /// Resolves an endpoint expression to a concrete [`EndpointRef`],

@@ -4,44 +4,53 @@
 //! implementation avoids the dependency). Supports `//` line comments,
 //! `/* */` block comments (nesting allowed), decimal and hexadecimal
 //! integers, floats, and escaped string literals.
+//!
+//! The lexer is a stream: the parser pulls one token at a time with
+//! [`Lexer::next_token`], so no token vector is ever built.
+//! Identifiers borrow their text from the source; only string literals
+//! (whose escapes are resolved) own a copy, and a number literal is
+//! copied only when it has `_` separators to strip. Lexical errors
+//! collect in the lexer and come out of [`Lexer::finish`], which first
+//! lexes whatever the parser left unread, so an error in an unparsed
+//! tail is still reported.
 
 use crate::diagnostics::Diagnostic;
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
+use std::borrow::Cow;
 
-/// Lexes `source` (registered as file index `file`) into tokens ending
-/// with an `Eof` token. Lexical errors are reported as diagnostics;
-/// lexing continues after an error by skipping the offending byte.
-pub fn lex(file: usize, source: &str) -> (Vec<Token>, Vec<Diagnostic>) {
-    let mut lexer = Lexer {
-        file,
-        bytes: source.as_bytes(),
-        pos: 0,
-        tokens: Vec::new(),
-        diagnostics: Vec::new(),
-    };
-    lexer.run();
-    (lexer.tokens, lexer.diagnostics)
-}
-
-struct Lexer<'a> {
+/// A streaming lexer over one source file.
+pub struct Lexer<'src> {
     file: usize,
-    bytes: &'a [u8],
+    source: &'src str,
+    bytes: &'src [u8],
     pos: usize,
-    tokens: Vec<Token>,
     diagnostics: Vec<Diagnostic>,
 }
 
-impl Lexer<'_> {
-    fn run(&mut self) {
+impl<'src> Lexer<'src> {
+    /// A lexer over `source`, registered as file index `file`.
+    pub fn new(file: usize, source: &'src str) -> Self {
+        Lexer {
+            file,
+            source,
+            bytes: source.as_bytes(),
+            pos: 0,
+            diagnostics: Vec::new(),
+        }
+    }
+
+    /// Lexes the next token; at the end of input, returns `Eof` (again
+    /// on every further call). A lexical error is recorded as a
+    /// diagnostic and lexing continues after the offending input.
+    pub fn next_token(&mut self) -> Token<'src> {
         loop {
             self.skip_trivia();
             let start = self.pos;
             let Some(c) = self.peek() else {
-                self.push(TokenKind::Eof, start);
-                return;
+                return self.token(TokenKind::Eof, start);
             };
-            match c {
+            let kind = match c {
                 b'(' => self.single(TokenKind::LParen),
                 b')' => self.single(TokenKind::RParen),
                 b'{' => self.single(TokenKind::LBrace),
@@ -58,83 +67,59 @@ impl Lexer<'_> {
                 b'/' => self.single(TokenKind::Slash),
                 b'%' => self.single(TokenKind::Percent),
                 b'^' => self.single(TokenKind::Caret),
-                b'.' => {
-                    self.pos += 1;
-                    if self.peek() == Some(b'.') {
-                        self.pos += 1;
-                        self.push(TokenKind::DotDot, start);
-                    } else {
-                        self.push(TokenKind::Dot, start);
-                    }
-                }
-                b'<' => {
-                    self.pos += 1;
-                    if self.peek() == Some(b'=') {
-                        self.pos += 1;
-                        self.push(TokenKind::Le, start);
-                    } else {
-                        self.push(TokenKind::Lt, start);
-                    }
-                }
-                b'>' => {
-                    self.pos += 1;
-                    if self.peek() == Some(b'=') {
-                        self.pos += 1;
-                        self.push(TokenKind::Ge, start);
-                    } else {
-                        self.push(TokenKind::Gt, start);
-                    }
-                }
+                b'.' => self.pair(b'.', TokenKind::DotDot, TokenKind::Dot),
+                b'<' => self.pair(b'=', TokenKind::Le, TokenKind::Lt),
+                b'>' => self.pair(b'=', TokenKind::Ge, TokenKind::Gt),
                 b'=' => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'=') => {
                             self.pos += 1;
-                            self.push(TokenKind::EqEq, start);
+                            TokenKind::EqEq
                         }
                         Some(b'>') => {
                             self.pos += 1;
-                            self.push(TokenKind::FatArrow, start);
+                            TokenKind::FatArrow
                         }
-                        _ => self.push(TokenKind::Eq, start),
+                        _ => TokenKind::Eq,
                     }
                 }
-                b'!' => {
-                    self.pos += 1;
-                    if self.peek() == Some(b'=') {
-                        self.pos += 1;
-                        self.push(TokenKind::NotEq, start);
-                    } else {
-                        self.push(TokenKind::Bang, start);
-                    }
-                }
-                b'&' => {
-                    self.pos += 1;
-                    if self.peek() == Some(b'&') {
-                        self.pos += 1;
-                        self.push(TokenKind::AndAnd, start);
-                    } else {
+                b'!' => self.pair(b'=', TokenKind::NotEq, TokenKind::Bang),
+                b'&' => match self.doubled(b'&', TokenKind::AndAnd) {
+                    Some(kind) => kind,
+                    None => {
                         self.error(start, "expected `&&`");
+                        continue;
                     }
-                }
-                b'|' => {
-                    self.pos += 1;
-                    if self.peek() == Some(b'|') {
-                        self.pos += 1;
-                        self.push(TokenKind::OrOr, start);
-                    } else {
+                },
+                b'|' => match self.doubled(b'|', TokenKind::OrOr) {
+                    Some(kind) => kind,
+                    None => {
                         self.error(start, "expected `||`");
+                        continue;
                     }
-                }
+                },
                 b'"' => self.string(start),
-                b'0'..=b'9' => self.number(start),
+                b'0'..=b'9' => match self.number(start) {
+                    Some(kind) => kind,
+                    None => continue,
+                },
                 c if c.is_ascii_alphabetic() || c == b'_' => self.ident(start),
                 other => {
                     self.pos += 1;
                     self.error(start, format!("unexpected character `{}`", other as char));
+                    continue;
                 }
-            }
+            };
+            return self.token(kind, start);
         }
+    }
+
+    /// Lexes the rest of the input and returns every lexical
+    /// diagnostic, in source order.
+    pub fn finish(mut self) -> Vec<Diagnostic> {
+        while self.next_token().kind != TokenKind::Eof {}
+        self.diagnostics
     }
 
     fn peek(&self) -> Option<u8> {
@@ -145,17 +130,43 @@ impl Lexer<'_> {
         self.bytes.get(self.pos + off).copied()
     }
 
-    fn single(&mut self, kind: TokenKind) {
-        let start = self.pos;
+    fn single(&mut self, kind: TokenKind<'src>) -> TokenKind<'src> {
         self.pos += 1;
-        self.push(kind, start);
+        kind
     }
 
-    fn push(&mut self, kind: TokenKind, start: usize) {
-        self.tokens.push(Token {
+    /// One byte, or two when `second` follows it.
+    fn pair(
+        &mut self,
+        second: u8,
+        long: TokenKind<'src>,
+        short: TokenKind<'src>,
+    ) -> TokenKind<'src> {
+        self.pos += 1;
+        if self.peek() == Some(second) {
+            self.pos += 1;
+            long
+        } else {
+            short
+        }
+    }
+
+    /// A two-byte operator whose first byte means nothing alone.
+    fn doubled(&mut self, byte: u8, kind: TokenKind<'src>) -> Option<TokenKind<'src>> {
+        self.pos += 1;
+        if self.peek() == Some(byte) {
+            self.pos += 1;
+            Some(kind)
+        } else {
+            None
+        }
+    }
+
+    fn token(&self, kind: TokenKind<'src>, start: usize) -> Token<'src> {
+        Token {
             kind,
             span: Span::new(self.file, start, self.pos),
-        });
+        }
     }
 
     fn error(&mut self, start: usize, message: impl Into<String>) {
@@ -205,7 +216,7 @@ impl Lexer<'_> {
         }
     }
 
-    fn string(&mut self, start: usize) {
+    fn string(&mut self, start: usize) -> TokenKind<'src> {
         self.pos += 1; // opening quote
         let mut value = String::new();
         loop {
@@ -236,22 +247,33 @@ impl Lexer<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Collect a full UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).unwrap_or("");
-                    if let Some(c) = s.chars().next() {
-                        value.push(c);
-                        self.pos += c.len_utf8();
-                    } else {
-                        self.pos += 1;
+                    // Collect a full UTF-8 character; an unknown escape
+                    // can leave `pos` inside one, then skip a byte.
+                    match self.source.get(self.pos..).and_then(|s| s.chars().next()) {
+                        Some(c) => {
+                            value.push(c);
+                            self.pos += c.len_utf8();
+                        }
+                        None => self.pos += 1,
                     }
                 }
             }
         }
-        self.push(TokenKind::Str(value), start);
+        TokenKind::Str(value)
     }
 
-    fn number(&mut self, start: usize) {
+    /// The literal text from `from` to the cursor, `_` separators
+    /// removed (copied only when there are any).
+    fn digits(&self, from: usize) -> Cow<'src, str> {
+        let text = &self.source[from..self.pos];
+        if text.contains('_') {
+            Cow::Owned(text.replace('_', ""))
+        } else {
+            Cow::Borrowed(text)
+        }
+    }
+
+    fn number(&mut self, start: usize) -> Option<TokenKind<'src>> {
         if self.peek() == Some(b'0') && matches!(self.peek_at(1), Some(b'x') | Some(b'X')) {
             self.pos += 2;
             let digits_start = self.pos;
@@ -261,14 +283,14 @@ impl Lexer<'_> {
             {
                 self.pos += 1;
             }
-            let text: String = std::str::from_utf8(&self.bytes[digits_start..self.pos])
-                .unwrap_or("")
-                .replace('_', "");
-            match i64::from_str_radix(&text, 16) {
-                Ok(v) => self.push(TokenKind::Int(v), start),
-                Err(_) => self.error(start, "invalid hexadecimal literal"),
-            }
-            return;
+            let parsed = i64::from_str_radix(&self.digits(digits_start), 16);
+            return match parsed {
+                Ok(v) => Some(TokenKind::Int(v)),
+                Err(_) => {
+                    self.error(start, "invalid hexadecimal literal");
+                    None
+                }
+            };
         }
         while self.peek().is_some_and(|c| c.is_ascii_digit() || c == b'_') {
             self.pos += 1;
@@ -293,33 +315,31 @@ impl Lexer<'_> {
                 self.pos += 1;
             }
         }
-        let text: String = std::str::from_utf8(&self.bytes[start..self.pos])
-            .unwrap_or("")
-            .replace('_', "");
-        if is_float {
-            match text.parse::<f64>() {
-                Ok(v) => self.push(TokenKind::Float(v), start),
-                Err(_) => self.error(start, "invalid float literal"),
-            }
+        let text = self.digits(start);
+        let kind = if is_float {
+            text.parse::<f64>().ok().map(TokenKind::Float)
         } else {
-            match text.parse::<i64>() {
-                Ok(v) => self.push(TokenKind::Int(v), start),
-                Err(_) => self.error(start, "integer literal out of range"),
-            }
+            text.parse::<i64>().ok().map(TokenKind::Int)
+        };
+        if kind.is_none() {
+            let message = if is_float {
+                "invalid float literal"
+            } else {
+                "integer literal out of range"
+            };
+            self.error(start, message);
         }
+        kind
     }
 
-    fn ident(&mut self, start: usize) {
+    fn ident(&mut self, start: usize) -> TokenKind<'src> {
         while self
             .peek()
             .is_some_and(|c| c.is_ascii_alphanumeric() || c == b'_')
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .unwrap_or("")
-            .to_string();
-        self.push(TokenKind::Ident(text), start);
+        TokenKind::Ident(&self.source[start..self.pos])
     }
 }
 
@@ -327,8 +347,22 @@ impl Lexer<'_> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
-        let (tokens, diags) = lex(0, src);
+    /// Every token up to and including `Eof`, plus the diagnostics.
+    fn lex(src: &str) -> (Vec<Token<'_>>, Vec<Diagnostic>) {
+        let mut lexer = Lexer::new(0, src);
+        let mut tokens = Vec::new();
+        loop {
+            let token = lexer.next_token();
+            let eof = token.kind == TokenKind::Eof;
+            tokens.push(token);
+            if eof {
+                return (tokens, lexer.finish());
+            }
+        }
+    }
+
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
+        let (tokens, diags) = lex(src);
         assert!(diags.is_empty(), "unexpected diagnostics: {diags:?}");
         tokens.into_iter().map(|t| t.kind).collect()
     }
@@ -419,10 +453,10 @@ mod tests {
         assert_eq!(
             kinds("foo _bar baz_9 Bit"),
             vec![
-                TokenKind::Ident("foo".into()),
-                TokenKind::Ident("_bar".into()),
-                TokenKind::Ident("baz_9".into()),
-                TokenKind::Ident("Bit".into()),
+                TokenKind::Ident("foo"),
+                TokenKind::Ident("_bar"),
+                TokenKind::Ident("baz_9"),
+                TokenKind::Ident("Bit"),
                 TokenKind::Eof,
             ]
         );
@@ -433,9 +467,9 @@ mod tests {
         assert_eq!(
             kinds("a // line\nb /* block /* nested */ still */ c"),
             vec![
-                TokenKind::Ident("a".into()),
-                TokenKind::Ident("b".into()),
-                TokenKind::Ident("c".into()),
+                TokenKind::Ident("a"),
+                TokenKind::Ident("b"),
+                TokenKind::Ident("c"),
                 TokenKind::Eof,
             ]
         );
@@ -443,7 +477,7 @@ mod tests {
 
     #[test]
     fn errors_recovered() {
-        let (tokens, diags) = lex(0, "a $ b");
+        let (tokens, diags) = lex("a $ b");
         assert_eq!(diags.len(), 1);
         assert!(diags[0].message.contains('$'));
         assert_eq!(tokens.len(), 3); // a, b, eof
@@ -451,13 +485,45 @@ mod tests {
 
     #[test]
     fn unterminated_string_reported() {
-        let (_, diags) = lex(0, "\"abc");
+        let (_, diags) = lex("\"abc");
         assert!(diags.iter().any(|d| d.message.contains("unterminated")));
     }
 
     #[test]
+    fn identifiers_borrow_the_source() {
+        let src = "alpha beta";
+        let mut lexer = Lexer::new(0, src);
+        let TokenKind::Ident(alpha) = lexer.next_token().kind else {
+            panic!("expected an identifier")
+        };
+        assert_eq!(alpha.as_ptr(), src.as_ptr());
+    }
+
+    #[test]
+    fn finish_lexes_the_unread_tail() {
+        let mut lexer = Lexer::new(0, "a $ b \"open");
+        assert_eq!(lexer.next_token().kind, TokenKind::Ident("a"));
+        let diags = lexer.finish();
+        let messages: Vec<&str> = diags.iter().map(|d| d.message.as_str()).collect();
+        assert_eq!(
+            messages,
+            ["unexpected character `$`", "unterminated string literal"]
+        );
+    }
+
+    #[test]
+    fn eof_repeats_without_new_diagnostics() {
+        let mut lexer = Lexer::new(0, "x /* open");
+        assert_eq!(lexer.next_token().kind, TokenKind::Ident("x"));
+        for _ in 0..3 {
+            assert_eq!(lexer.next_token().kind, TokenKind::Eof);
+        }
+        assert_eq!(lexer.finish().len(), 1);
+    }
+
+    #[test]
     fn spans_track_offsets() {
-        let (tokens, _) = lex(0, "ab cd");
+        let (tokens, _) = lex("ab cd");
         assert_eq!(tokens[0].span.start, 0);
         assert_eq!(tokens[0].span.end, 2);
         assert_eq!(tokens[1].span.start, 3);

@@ -9,40 +9,40 @@
 
 use crate::ast::*;
 use crate::diagnostics::Diagnostic;
-use crate::lexer::lex;
+use crate::lexer::Lexer;
 use crate::sim_ast::*;
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
 use std::sync::Arc;
 
+/// How deeply source constructs may nest: parentheses, array literals,
+/// index postfixes and call arguments (each is one expression level),
+/// unary and `^` operators, type expressions, template arguments,
+/// statement bodies, and simulation blocks. One level past it is a
+/// spanned diagnostic, and parsing the file stops there.
+///
+/// Every pass after the parser (evaluation, printing and
+/// fingerprinting, elaboration, dropping the tree) recurses at most
+/// once per level, so this one bound keeps them all within their
+/// stack. An input nested exactly this deep compiles on a 2 MiB thread
+/// in an unoptimized build.
+pub const MAX_NESTING: usize = 384;
+
 /// Parses one source file into a [`Package`]. On unrecoverable errors
 /// the package may be `None`; all problems are reported as
-/// diagnostics.
+/// diagnostics, lexical ones first.
 pub fn parse_package(file: usize, source: &str) -> (Option<Package>, Vec<Diagnostic>) {
-    let (tokens, mut diagnostics) = lex(file, source);
-    let mut parser = Parser {
-        tokens,
-        pos: 0,
-        diagnostics: Vec::new(),
-        source,
-    };
+    let mut parser = Parser::new(file, source);
     let package = parser.package();
-    diagnostics.append(&mut parser.diagnostics);
-    (package, diagnostics)
+    (package, parser.finish())
 }
 
 /// Parses stand-alone simulation code (the content of a
 /// `simulation { ... }` block, braces not included).
 pub fn parse_simulation_source(source: &str) -> Result<SimBlock, Vec<Diagnostic>> {
-    let (tokens, mut diagnostics) = lex(0, source);
-    let mut parser = Parser {
-        tokens,
-        pos: 0,
-        diagnostics: Vec::new(),
-        source,
-    };
+    let mut parser = Parser::new(0, source);
     let block = parser.sim_block_items(source.to_string());
-    diagnostics.append(&mut parser.diagnostics);
+    let diagnostics = parser.finish();
     if diagnostics
         .iter()
         .any(|d| d.severity == crate::Severity::Error)
@@ -53,43 +53,191 @@ pub fn parse_simulation_source(source: &str) -> Result<SimBlock, Vec<Diagnostic>
     }
 }
 
-struct Parser<'a> {
-    tokens: Vec<Token>,
-    pos: usize,
-    diagnostics: Vec<Diagnostic>,
-    source: &'a str,
+/// Binding strength of the binary operators; a higher level binds
+/// tighter. Each level's operators form one [`Expr::Chain`].
+fn binop(kind: &TokenKind<'_>) -> Option<(BinOp, u8)> {
+    Some(match kind {
+        TokenKind::OrOr => (BinOp::Or, 1),
+        TokenKind::AndAnd => (BinOp::And, 2),
+        TokenKind::EqEq => (BinOp::Eq, 3),
+        TokenKind::NotEq => (BinOp::Ne, 3),
+        TokenKind::Lt => (BinOp::Lt, 4),
+        TokenKind::Le => (BinOp::Le, 4),
+        TokenKind::Gt => (BinOp::Gt, 4),
+        TokenKind::Ge => (BinOp::Ge, 4),
+        TokenKind::Plus => (BinOp::Add, ADDITIVE),
+        TokenKind::Minus => (BinOp::Sub, ADDITIVE),
+        TokenKind::Star => (BinOp::Mul, 6),
+        TokenKind::Slash => (BinOp::Div, 6),
+        TokenKind::Percent => (BinOp::Rem, 6),
+        TokenKind::Caret => (BinOp::Pow, POWER),
+        _ => return None,
+    })
 }
 
-impl Parser<'_> {
+/// The level of `+` and `-`.
+const ADDITIVE: u8 = 5;
+/// The level of `^`, the only right-associative one.
+const POWER: u8 = 7;
+
+/// A chain whose latest operator still waits for its right operand.
+struct OpenChain {
+    first: Expr,
+    rest: Vec<(BinOp, Expr)>,
+    /// The operator waiting for its right operand.
+    op: BinOp,
+    level: u8,
+}
+
+impl OpenChain {
+    /// Completes the chain with its last operand. The span covers
+    /// every operand, as the outermost node of the nested form did.
+    fn close(mut self, last: Expr) -> Expr {
+        self.rest.push((self.op, last));
+        let span = self
+            .rest
+            .iter()
+            .fold(self.first.span(), |span, (_, x)| span.merge(x.span()));
+        Expr::Chain {
+            first: Box::new(self.first),
+            rest: self.rest,
+            span,
+        }
+    }
+}
+
+/// Closes every open chain around the last operand.
+fn close_all(open: Vec<OpenChain>, last: Expr) -> Expr {
+    open.into_iter()
+        .rev()
+        .fold(last, |operand, chain| chain.close(operand))
+}
+
+/// Wraps `operand` in its prefix operators, innermost last.
+fn wrap_prefixes(prefixes: Vec<(UnaryOp, Span)>, operand: Expr) -> Expr {
+    prefixes
+        .into_iter()
+        .rev()
+        .fold(operand, |operand, (op, span)| Expr::Unary {
+            op,
+            span: span.merge(operand.span()),
+            operand: Box::new(operand),
+        })
+}
+
+struct Parser<'src> {
+    lexer: Lexer<'src>,
+    /// The one token of lookahead.
+    token: Token<'src>,
+    /// The span of the last consumed token (`sim_block` ends its raw
+    /// text there).
+    prev_span: Span,
+    /// Tokens consumed so far; error recovery compares it to tell
+    /// whether a production made progress.
+    pos: usize,
+    /// Open nesting levels (see [`MAX_NESTING`]).
+    depth: usize,
+    /// Set once [`MAX_NESTING`] is exceeded: the rest of the file is
+    /// skipped and no further parse diagnostic is recorded.
+    too_deep: bool,
+    diagnostics: Vec<Diagnostic>,
+    source: &'src str,
+}
+
+impl<'src> Parser<'src> {
+    fn new(file: usize, source: &'src str) -> Self {
+        let mut lexer = Lexer::new(file, source);
+        let token = lexer.next_token();
+        Parser {
+            lexer,
+            prev_span: token.span,
+            token,
+            pos: 0,
+            depth: 0,
+            too_deep: false,
+            diagnostics: Vec::new(),
+            source,
+        }
+    }
+
+    /// Lexes any unread tail and returns the lexical diagnostics
+    /// followed by the parse diagnostics.
+    fn finish(self) -> Vec<Diagnostic> {
+        let mut diagnostics = self.lexer.finish();
+        diagnostics.extend(self.diagnostics);
+        diagnostics
+    }
+
     // ---- token plumbing -------------------------------------------------
 
-    fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)].kind
+    fn peek(&self) -> &TokenKind<'src> {
+        &self.token.kind
     }
 
     fn peek_span(&self) -> Span {
-        self.tokens[self.pos.min(self.tokens.len() - 1)].span
+        self.token.span
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        if self.pos < self.tokens.len() - 1 {
+    /// Consumes the lookahead token (a no-op at end of file).
+    fn bump(&mut self) {
+        if !self.at_eof() {
+            self.prev_span = self.token.span;
+            self.token = self.lexer.next_token();
             self.pos += 1;
         }
-        t
     }
 
     fn at_eof(&self) -> bool {
         matches!(self.peek(), TokenKind::Eof)
     }
 
-    fn error_here(&mut self, message: impl Into<String>) {
-        let span = self.peek_span();
-        self.diagnostics
-            .push(Diagnostic::error("parse", message, Some(span)));
+    fn report(&mut self, message: impl Into<String>, span: Span) {
+        if !self.too_deep {
+            self.diagnostics
+                .push(Diagnostic::error("parse", message, Some(span)));
+        }
     }
 
-    fn expect(&mut self, kind: TokenKind) -> bool {
+    fn error_here(&mut self, message: impl Into<String>) {
+        self.report(message, self.peek_span());
+    }
+
+    /// Opens one nesting level, closed by the enclosing
+    /// [`Parser::scoped`]. Past [`MAX_NESTING`] it reports the one
+    /// nesting diagnostic, skips to end of file and returns false.
+    fn enter(&mut self) -> bool {
+        if self.depth < MAX_NESTING {
+            self.depth += 1;
+            return true;
+        }
+        if !self.too_deep {
+            self.error_here(format!(
+                "nesting too deep: more than {MAX_NESTING} levels of parentheses, \
+                 brackets, operators, types or blocks"
+            ));
+            self.too_deep = true;
+            while !self.at_eof() {
+                self.bump();
+            }
+        }
+        false
+    }
+
+    /// Runs `parse`, then closes every nesting level it opened.
+    fn scoped<T>(&mut self, parse: impl FnOnce(&mut Self) -> T) -> T {
+        let outer = self.depth;
+        let parsed = parse(self);
+        self.depth = outer;
+        parsed
+    }
+
+    /// Runs `parse` one nesting level deeper; past the budget it parses
+    /// nothing and returns `None`.
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Option<T>) -> Option<T> {
+        self.scoped(|p| if p.enter() { parse(p) } else { None })
+    }
+
+    fn expect(&mut self, kind: TokenKind<'static>) -> bool {
         if *self.peek() == kind {
             self.bump();
             true
@@ -99,7 +247,7 @@ impl Parser<'_> {
         }
     }
 
-    fn eat(&mut self, kind: TokenKind) -> bool {
+    fn eat(&mut self, kind: TokenKind<'static>) -> bool {
         if *self.peek() == kind {
             self.bump();
             true
@@ -109,7 +257,7 @@ impl Parser<'_> {
     }
 
     fn is_keyword(&self, word: &str) -> bool {
-        matches!(self.peek(), TokenKind::Ident(s) if s == word)
+        matches!(self.peek(), TokenKind::Ident(s) if *s == word)
     }
 
     fn eat_keyword(&mut self, word: &str) -> bool {
@@ -130,18 +278,30 @@ impl Parser<'_> {
         }
     }
 
-    fn expect_ident(&mut self) -> Option<(String, Span)> {
-        match self.peek().clone() {
-            TokenKind::Ident(name) => {
-                let span = self.peek_span();
-                self.bump();
-                Some((name, span))
-            }
-            other => {
-                self.error_here(format!("expected identifier, found {other}"));
-                None
-            }
+    fn expect_ident(&mut self) -> Option<(&'src str, Span)> {
+        if let TokenKind::Ident(name) = self.token.kind {
+            let span = self.peek_span();
+            self.bump();
+            Some((name, span))
+        } else {
+            self.error_here(format!("expected identifier, found {}", self.peek()));
+            None
         }
+    }
+
+    /// An identifier the AST keeps, allocated once.
+    fn expect_name(&mut self) -> Option<String> {
+        self.expect_ident().map(|(name, _)| name.to_string())
+    }
+
+    /// Takes the lookahead string literal, if that is what it is.
+    fn eat_str(&mut self) -> Option<String> {
+        let TokenKind::Str(value) = &mut self.token.kind else {
+            return None;
+        };
+        let value = std::mem::take(value);
+        self.bump();
+        Some(value)
     }
 
     /// Statement terminator: `;` or `,`; tolerated missing before `}`.
@@ -178,7 +338,7 @@ impl Parser<'_> {
                 TokenKind::Ident(word)
                     if depth == 0
                         && matches!(
-                            word.as_str(),
+                            *word,
                             "const" | "type" | "Group" | "Union" | "streamlet" | "impl"
                         ) =>
                 {
@@ -197,13 +357,13 @@ impl Parser<'_> {
         if !self.expect_keyword("package") {
             return None;
         }
-        let (name, _) = self.expect_ident()?;
+        let name = self.expect_name()?;
         self.terminator();
         let mut uses = Vec::new();
         let mut decls = Vec::new();
         while !self.at_eof() {
             if self.eat_keyword("use") {
-                if let Some((used, _)) = self.expect_ident() {
+                if let Some(used) = self.expect_name() {
                     uses.push(used);
                 }
                 self.terminator();
@@ -231,7 +391,7 @@ impl Parser<'_> {
         let mut out = Vec::new();
         while self.eat(TokenKind::At) {
             let span = self.peek_span();
-            let Some((name, _)) = self.expect_ident() else {
+            let Some(name) = self.expect_name() else {
                 break;
             };
             let arg = if self.eat(TokenKind::LParen) {
@@ -253,7 +413,7 @@ impl Parser<'_> {
             return self.const_decl(span).map(Decl::Const);
         }
         if self.eat_keyword("type") {
-            let (name, _) = self.expect_ident()?;
+            let name = self.expect_name()?;
             self.expect(TokenKind::Eq);
             let ty = self.type_expr()?;
             self.terminator();
@@ -302,7 +462,7 @@ impl Parser<'_> {
     }
 
     fn const_decl(&mut self, span: Span) -> Option<ConstDecl> {
-        let (name, _) = self.expect_ident()?;
+        let name = self.expect_name()?;
         let kind = if self.eat(TokenKind::Colon) {
             self.var_kind()
         } else {
@@ -321,30 +481,26 @@ impl Parser<'_> {
 
     fn var_kind(&mut self) -> Option<VarKind> {
         if self.eat(TokenKind::LBracket) {
-            let inner = self.var_kind()?;
+            let inner = self.nested(Self::var_kind)?;
             self.expect(TokenKind::RBracket);
             return Some(VarKind::Array(Box::new(inner)));
         }
         let (word, span) = self.expect_ident()?;
-        match word.as_str() {
+        match word {
             "int" => Some(VarKind::Int),
             "float" => Some(VarKind::Float),
             "string" => Some(VarKind::Str),
             "bool" => Some(VarKind::Bool),
             "clockdomain" => Some(VarKind::Clock),
             other => {
-                self.diagnostics.push(Diagnostic::error(
-                    "parse",
-                    format!("unknown variable kind `{other}`"),
-                    Some(span),
-                ));
+                self.report(format!("unknown variable kind `{other}`"), span);
                 None
             }
         }
     }
 
     fn composite_decl(&mut self) -> Option<(String, Vec<(String, TypeExpr)>)> {
-        let (name, _) = self.expect_ident()?;
+        let name = self.expect_name()?;
         self.expect(TokenKind::LBrace);
         let mut fields = Vec::new();
         while !self.eat(TokenKind::RBrace) {
@@ -352,7 +508,7 @@ impl Parser<'_> {
                 self.error_here("unterminated composite type body");
                 return None;
             }
-            let (field_name, _) = self.expect_ident()?;
+            let field_name = self.expect_name()?;
             self.expect(TokenKind::Colon);
             let ty = self.type_expr()?;
             fields.push((field_name, ty));
@@ -373,7 +529,7 @@ impl Parser<'_> {
         }
         loop {
             let span = self.peek_span();
-            let Some((name, _)) = self.expect_ident() else {
+            let Some(name) = self.expect_name() else {
                 break;
             };
             if !self.expect(TokenKind::Colon) {
@@ -382,7 +538,7 @@ impl Parser<'_> {
             let Some((kind_word, kind_span)) = self.expect_ident() else {
                 break;
             };
-            let kind = match kind_word.as_str() {
+            let kind = match kind_word {
                 "int" => TemplateParamKind::Int,
                 "float" => TemplateParamKind::Float,
                 "string" => TemplateParamKind::Str,
@@ -391,17 +547,16 @@ impl Parser<'_> {
                 "type" => TemplateParamKind::Type,
                 "impl" => {
                     self.expect_keyword("of");
-                    match self.expect_ident() {
-                        Some((streamlet, _)) => TemplateParamKind::ImplOf(streamlet),
+                    match self.expect_name() {
+                        Some(streamlet) => TemplateParamKind::ImplOf(streamlet),
                         None => break,
                     }
                 }
                 other => {
-                    self.diagnostics.push(Diagnostic::error(
-                        "parse",
+                    self.report(
                         format!("unknown template parameter kind `{other}`"),
-                        Some(kind_span),
-                    ));
+                        kind_span,
+                    );
                     break;
                 }
             };
@@ -415,8 +570,12 @@ impl Parser<'_> {
     }
 
     fn named_ref(&mut self) -> Option<NamedRef> {
+        self.nested(Self::named_ref_inner)
+    }
+
+    fn named_ref_inner(&mut self) -> Option<NamedRef> {
         let span = self.peek_span();
-        let (name, _) = self.expect_ident()?;
+        let name = self.expect_name()?;
         let mut args = Vec::new();
         if self.eat(TokenKind::Lt) {
             loop {
@@ -428,7 +587,7 @@ impl Parser<'_> {
                     if let Some(r) = self.named_ref() {
                         args.push(TemplateArgExpr::Impl(r));
                     }
-                } else if let Some(e) = self.expr_additive() {
+                } else if let Some(e) = self.expr_from(ADDITIVE) {
                     // Template value arguments parse at additive
                     // precedence so a bare `>` always closes the
                     // argument list (parenthesize comparisons).
@@ -446,7 +605,7 @@ impl Parser<'_> {
     }
 
     fn streamlet_decl(&mut self, span: Span, attributes: Vec<Attribute>) -> Option<StreamletDecl> {
-        let (name, _) = self.expect_ident()?;
+        let name = self.expect_name()?;
         let params = self.template_params();
         self.expect(TokenKind::LBrace);
         let mut ports = Vec::new();
@@ -456,7 +615,7 @@ impl Parser<'_> {
                 return None;
             }
             let port_span = self.peek_span();
-            let Some((port_name, _)) = self.expect_ident() else {
+            let Some(port_name) = self.expect_name() else {
                 self.synchronize();
                 return None;
             };
@@ -486,7 +645,8 @@ impl Parser<'_> {
                     self.expect(TokenKind::RParen);
                     e.map(ClockSpec::Expr)
                 } else {
-                    self.expect_ident().map(|(n, s)| ClockSpec::Named(n, s))
+                    self.expect_ident()
+                        .map(|(n, s)| ClockSpec::Named(n.to_string(), s))
                 }
             } else {
                 None
@@ -515,7 +675,7 @@ impl Parser<'_> {
     }
 
     fn impl_decl(&mut self, span: Span, attributes: Vec<Attribute>) -> Option<ImplDecl> {
-        let (name, _) = self.expect_ident()?;
+        let name = self.expect_name()?;
         let params = self.template_params();
         self.expect_keyword("of");
         let streamlet = self.named_ref()?;
@@ -558,7 +718,13 @@ impl Parser<'_> {
         })
     }
 
+    /// A statement body after its `{`, through the closing `}`.
     fn stmt_list(&mut self) -> Vec<Stmt> {
+        self.nested(|p| Some(p.stmt_list_inner()))
+            .unwrap_or_default()
+    }
+
+    fn stmt_list_inner(&mut self) -> Vec<Stmt> {
         let mut stmts = Vec::new();
         while !self.eat(TokenKind::RBrace) {
             if self.at_eof() {
@@ -575,81 +741,89 @@ impl Parser<'_> {
         stmts
     }
 
+    /// One statement. Each kind has its own function, so nested
+    /// bodies stack only small frames.
     fn stmt(&mut self) -> Option<Stmt> {
         let span = self.peek_span();
         if self.eat_keyword("instance") {
-            let (name, _) = self.expect_ident()?;
-            self.expect(TokenKind::LParen);
-            let impl_ref = self.named_ref()?;
-            self.expect(TokenKind::RParen);
-            let array = if self.eat(TokenKind::LBracket) {
-                let e = self.expr();
-                self.expect(TokenKind::RBracket);
-                e
-            } else {
-                None
-            };
-            self.terminator();
-            return Some(Stmt::Instance {
-                name,
-                impl_ref,
-                array,
-                span,
-            });
+            self.instance_stmt(span)
+        } else if self.eat_keyword("for") {
+            self.for_stmt(span)
+        } else if self.eat_keyword("if") {
+            self.if_stmt(span)
+        } else if self.eat_keyword("assert") {
+            self.assert_stmt(span)
+        } else if self.eat_keyword("const") {
+            self.const_decl(span).map(Stmt::Const)
+        } else {
+            self.connect_stmt(span)
         }
-        if self.eat_keyword("for") {
-            let (var, _) = self.expect_ident()?;
-            self.expect_keyword("in");
-            let iterable = self.expr()?;
+    }
+
+    fn instance_stmt(&mut self, span: Span) -> Option<Stmt> {
+        let name = self.expect_name()?;
+        self.expect(TokenKind::LParen);
+        let impl_ref = self.named_ref()?;
+        self.expect(TokenKind::RParen);
+        let array = self.bracketed_index();
+        self.terminator();
+        Some(Stmt::Instance {
+            name,
+            impl_ref,
+            array,
+            span,
+        })
+    }
+
+    fn for_stmt(&mut self, span: Span) -> Option<Stmt> {
+        let var = self.expect_name()?;
+        self.expect_keyword("in");
+        let iterable = self.expr()?;
+        self.expect(TokenKind::LBrace);
+        let body = self.stmt_list();
+        Some(Stmt::For {
+            var,
+            iterable,
+            body,
+            span,
+        })
+    }
+
+    fn if_stmt(&mut self, span: Span) -> Option<Stmt> {
+        self.expect(TokenKind::LParen);
+        let cond = self.expr()?;
+        self.expect(TokenKind::RParen);
+        self.expect(TokenKind::LBrace);
+        let body = self.stmt_list();
+        let else_body = if !self.eat_keyword("else") {
+            Vec::new()
+        } else if self.is_keyword("if") {
+            // else-if chains nest, one level per `else if`.
+            self.nested(Self::stmt).into_iter().collect()
+        } else {
             self.expect(TokenKind::LBrace);
-            let body = self.stmt_list();
-            return Some(Stmt::For {
-                var,
-                iterable,
-                body,
-                span,
-            });
-        }
-        if self.eat_keyword("if") {
-            self.expect(TokenKind::LParen);
-            let cond = self.expr()?;
-            self.expect(TokenKind::RParen);
-            self.expect(TokenKind::LBrace);
-            let body = self.stmt_list();
-            let else_body = if self.eat_keyword("else") {
-                if self.is_keyword("if") {
-                    // else-if chains nest.
-                    match self.stmt() {
-                        Some(nested) => vec![nested],
-                        None => Vec::new(),
-                    }
-                } else {
-                    self.expect(TokenKind::LBrace);
-                    self.stmt_list()
-                }
-            } else {
-                Vec::new()
-            };
-            return Some(Stmt::If {
-                cond,
-                body,
-                else_body,
-                span,
-            });
-        }
-        if self.eat_keyword("assert") {
-            let (expr, message) = self.assert_args()?;
-            self.terminator();
-            return Some(Stmt::Assert {
-                expr,
-                message,
-                span,
-            });
-        }
-        if self.eat_keyword("const") {
-            return self.const_decl(span).map(Stmt::Const);
-        }
-        // Otherwise: a connection `endpoint => endpoint`.
+            self.stmt_list()
+        };
+        Some(Stmt::If {
+            cond,
+            body,
+            else_body,
+            span,
+        })
+    }
+
+    fn assert_stmt(&mut self, span: Span) -> Option<Stmt> {
+        let (expr, message) = self.assert_args()?;
+        self.terminator();
+        Some(Stmt::Assert {
+            expr,
+            message,
+            span,
+        })
+    }
+
+    /// A connection `endpoint => endpoint`.
+    fn connect_stmt(&mut self, span: Span) -> Option<Stmt> {
         let src = self.endpoint()?;
         self.expect(TokenKind::FatArrow);
         let dst = self.endpoint()?;
@@ -657,25 +831,23 @@ impl Parser<'_> {
         Some(Stmt::Connect { src, dst, span })
     }
 
+    /// An optional `[expr]` (instance array size or endpoint index).
+    fn bracketed_index(&mut self) -> Option<Box<Expr>> {
+        if !self.eat(TokenKind::LBracket) {
+            return None;
+        }
+        let e = self.expr();
+        self.expect(TokenKind::RBracket);
+        e.map(Box::new)
+    }
+
     fn endpoint(&mut self) -> Option<EndpointExpr> {
         let span = self.peek_span();
-        let (first, _) = self.expect_ident()?;
-        let first_index = if self.eat(TokenKind::LBracket) {
-            let e = self.expr();
-            self.expect(TokenKind::RBracket);
-            e
-        } else {
-            None
-        };
+        let first = self.expect_name()?;
+        let first_index = self.bracketed_index();
         if self.eat(TokenKind::Dot) {
-            let (port, _) = self.expect_ident()?;
-            let port_index = if self.eat(TokenKind::LBracket) {
-                let e = self.expr();
-                self.expect(TokenKind::RBracket);
-                e
-            } else {
-                None
-            };
+            let port = self.expect_name()?;
+            let port_index = self.bracketed_index();
             Some(EndpointExpr {
                 instance: Some((first, first_index)),
                 port,
@@ -695,9 +867,13 @@ impl Parser<'_> {
     // ---- types ------------------------------------------------------------
 
     fn type_expr(&mut self) -> Option<TypeExpr> {
+        self.nested(Self::type_expr_inner)
+    }
+
+    fn type_expr_inner(&mut self) -> Option<TypeExpr> {
         let span = self.peek_span();
         let (head, head_span) = self.expect_ident()?;
-        match head.as_str() {
+        match head {
             "Null" => Some(TypeExpr::Null(head_span)),
             "Bit" => {
                 self.expect(TokenKind::LParen);
@@ -705,249 +881,178 @@ impl Parser<'_> {
                 self.expect(TokenKind::RParen);
                 Some(TypeExpr::Bit(Box::new(width), span))
             }
-            "Stream" => {
-                self.expect(TokenKind::LParen);
-                let element = self.type_expr()?;
-                let mut args = Vec::new();
-                while self.eat(TokenKind::Comma) {
-                    let Some((key, key_span)) = self.expect_ident() else {
-                        break;
-                    };
-                    match key.as_str() {
-                        "d" | "dimension" => {
-                            self.expect(TokenKind::Eq);
-                            if let Some(e) = self.expr() {
-                                args.push(StreamArg::Dimension(e));
-                            }
-                        }
-                        "t" | "throughput" => {
-                            self.expect(TokenKind::Eq);
-                            if let Some(e) = self.expr() {
-                                args.push(StreamArg::Throughput(e));
-                            }
-                        }
-                        "c" | "complexity" => {
-                            self.expect(TokenKind::Eq);
-                            if let Some(e) = self.expr() {
-                                args.push(StreamArg::Complexity(e));
-                            }
-                        }
-                        "r" | "direction" => {
-                            self.expect(TokenKind::Eq);
-                            if let Some((value, vspan)) = self.expect_ident() {
-                                args.push(StreamArg::Direction(value, vspan));
-                            }
-                        }
-                        "x" | "synchronicity" => {
-                            self.expect(TokenKind::Eq);
-                            if let Some((value, vspan)) = self.expect_ident() {
-                                args.push(StreamArg::Synchronicity(value, vspan));
-                            }
-                        }
-                        "u" | "user" => {
-                            self.expect(TokenKind::Eq);
-                            if let Some(t) = self.type_expr() {
-                                args.push(StreamArg::User(t));
-                            }
-                        }
-                        "keep" => {
-                            if self.eat(TokenKind::Eq) {
-                                if let Some(e) = self.expr() {
-                                    args.push(StreamArg::Keep(e));
-                                }
-                            } else {
-                                args.push(StreamArg::Keep(Expr::Bool(true, key_span)));
-                            }
-                        }
-                        other => {
-                            self.diagnostics.push(Diagnostic::error(
-                                "parse",
-                                format!("unknown stream parameter `{other}`"),
-                                Some(key_span),
-                            ));
-                        }
-                    }
-                }
-                self.expect(TokenKind::RParen);
-                Some(TypeExpr::Stream {
-                    element: Box::new(element),
-                    args,
-                    span,
-                })
+            "Stream" => self.stream_type(span),
+            _ => Some(TypeExpr::Ref(head.to_string(), head_span)),
+        }
+    }
+
+    /// `Stream(element, key=value, ...)` after the `Stream` keyword.
+    fn stream_type(&mut self, span: Span) -> Option<TypeExpr> {
+        self.expect(TokenKind::LParen);
+        let element = self.type_expr()?;
+        let mut args = Vec::new();
+        while self.eat(TokenKind::Comma) {
+            let Some((key, key_span)) = self.expect_ident() else {
+                break;
+            };
+            args.extend(self.stream_arg(key, key_span));
+        }
+        self.expect(TokenKind::RParen);
+        Some(TypeExpr::Stream {
+            element: Box::new(element),
+            args,
+            span,
+        })
+    }
+
+    /// One `key=value` stream parameter after its key.
+    fn stream_arg(&mut self, key: &str, key_span: Span) -> Option<StreamArg> {
+        match key {
+            "d" | "dimension" => {
+                self.expect(TokenKind::Eq);
+                self.expr().map(StreamArg::Dimension)
             }
-            _ => Some(TypeExpr::Ref(head, head_span)),
+            "t" | "throughput" => {
+                self.expect(TokenKind::Eq);
+                self.expr().map(StreamArg::Throughput)
+            }
+            "c" | "complexity" => {
+                self.expect(TokenKind::Eq);
+                self.expr().map(StreamArg::Complexity)
+            }
+            "r" | "direction" => {
+                self.expect(TokenKind::Eq);
+                let (value, span) = self.expect_ident()?;
+                Some(StreamArg::Direction(value.to_string(), span))
+            }
+            "x" | "synchronicity" => {
+                self.expect(TokenKind::Eq);
+                let (value, span) = self.expect_ident()?;
+                Some(StreamArg::Synchronicity(value.to_string(), span))
+            }
+            "u" | "user" => {
+                self.expect(TokenKind::Eq);
+                self.type_expr().map(StreamArg::User)
+            }
+            "keep" => {
+                if self.eat(TokenKind::Eq) {
+                    self.expr().map(StreamArg::Keep)
+                } else {
+                    Some(StreamArg::Keep(Expr::Bool(true, key_span)))
+                }
+            }
+            other => {
+                self.report(format!("unknown stream parameter `{other}`"), key_span);
+                None
+            }
         }
     }
 
     // ---- expressions --------------------------------------------------------
 
+    /// One expression; each is one nesting level, so parentheses,
+    /// array literals, index brackets and call arguments all count.
     fn expr(&mut self) -> Option<Expr> {
-        self.expr_or()
+        self.expr_from(0)
     }
 
-    fn expr_or(&mut self) -> Option<Expr> {
-        let mut lhs = self.expr_and()?;
-        while self.eat(TokenKind::OrOr) {
-            let rhs = self.expr_and()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary {
-                op: BinOp::Or,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
+    /// An expression built only from operators of `min_level` or
+    /// tighter. Template value arguments start at [`ADDITIVE`], so a
+    /// bare `>` always closes the argument list (parenthesize
+    /// comparisons).
+    fn expr_from(&mut self, min_level: u8) -> Option<Expr> {
+        self.nested(|p| p.binary(min_level))
+    }
+
+    /// Precedence climbing without recursion: operands alternate with
+    /// operators, and `open` holds the chains still waiting for an
+    /// operand, tighter levels on top. Every run of operators of one
+    /// level becomes one [`Expr::Chain`], so `a + b - c + ...` is one
+    /// flat node however long it is. `^` is right-associative: each
+    /// `^` after another opens a chain nested one level deeper.
+    fn binary(&mut self, min_level: u8) -> Option<Expr> {
+        let mut open = Vec::new();
+        let mut operand = self.operand()?;
+        while let Some((op, level)) = binop(self.peek()) {
+            if level < min_level {
+                break;
+            }
+            self.bump();
+            if !self.shift(&mut open, operand, op, level) {
+                return None;
+            }
+            operand = self.operand()?;
         }
-        Some(lhs)
+        Some(close_all(open, operand))
     }
 
-    fn expr_and(&mut self) -> Option<Expr> {
-        let mut lhs = self.expr_equality()?;
-        while self.eat(TokenKind::AndAnd) {
-            let rhs = self.expr_equality()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary {
-                op: BinOp::And,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
+    /// Takes `operand` and the operator `op` after it: closes the open
+    /// chains that bind tighter, then extends the chain of `op`'s level
+    /// or opens one. False when a `^` run nests too deep.
+    fn shift(&mut self, open: &mut Vec<OpenChain>, operand: Expr, op: BinOp, level: u8) -> bool {
+        let mut operand = operand;
+        while open.last().is_some_and(|top| top.level > level) {
+            operand = open.pop().expect("checked").close(operand);
         }
-        Some(lhs)
+        match open.last_mut() {
+            Some(top) if top.level == level && level != POWER => {
+                top.rest.push((top.op, operand));
+                top.op = op;
+            }
+            top => {
+                if top.is_some_and(|top| top.level == POWER) && !self.enter() {
+                    return false;
+                }
+                open.push(OpenChain {
+                    first: operand,
+                    rest: Vec::new(),
+                    op,
+                    level,
+                });
+            }
+        }
+        true
     }
 
-    fn expr_equality(&mut self) -> Option<Expr> {
-        let mut lhs = self.expr_comparison()?;
+    /// An operand: prefix `-`/`!` operators, a primary expression, and
+    /// its `[index]` postfixes. Each prefix and each postfix wraps the
+    /// tree one level deeper, so each holds a nesting level until the
+    /// operand is complete.
+    fn operand(&mut self) -> Option<Expr> {
+        self.scoped(Self::operand_levels)
+    }
+
+    fn operand_levels(&mut self) -> Option<Expr> {
+        let prefixes = self.prefix_operators()?;
+        let primary = self.primary()?;
+        let operand = self.index_postfixes(primary)?;
+        Some(wrap_prefixes(prefixes, operand))
+    }
+
+    /// Consumes a run of prefix `-`/`!`, one nesting level each.
+    fn prefix_operators(&mut self) -> Option<Vec<(UnaryOp, Span)>> {
+        let mut prefixes = Vec::new();
         loop {
-            let op = if self.eat(TokenKind::EqEq) {
-                BinOp::Eq
-            } else if self.eat(TokenKind::NotEq) {
-                BinOp::Ne
-            } else {
-                return Some(lhs);
+            let op = match self.peek() {
+                TokenKind::Minus => UnaryOp::Neg,
+                TokenKind::Bang => UnaryOp::Not,
+                _ => return Some(prefixes),
             };
-            let rhs = self.expr_comparison()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
+            prefixes.push((op, self.peek_span()));
+            self.bump();
+            if !self.enter() {
+                return None;
+            }
         }
     }
 
-    fn expr_comparison(&mut self) -> Option<Expr> {
-        let mut lhs = self.expr_additive()?;
-        loop {
-            let op = if self.eat(TokenKind::Le) {
-                BinOp::Le
-            } else if self.eat(TokenKind::Ge) {
-                BinOp::Ge
-            } else if self.eat(TokenKind::Lt) {
-                BinOp::Lt
-            } else if self.eat(TokenKind::Gt) {
-                BinOp::Gt
-            } else {
-                return Some(lhs);
-            };
-            let rhs = self.expr_additive()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
-        }
-    }
-
-    fn expr_additive(&mut self) -> Option<Expr> {
-        let mut lhs = self.expr_multiplicative()?;
-        loop {
-            let op = if self.eat(TokenKind::Plus) {
-                BinOp::Add
-            } else if self.eat(TokenKind::Minus) {
-                BinOp::Sub
-            } else {
-                return Some(lhs);
-            };
-            let rhs = self.expr_multiplicative()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
-        }
-    }
-
-    fn expr_multiplicative(&mut self) -> Option<Expr> {
-        let mut lhs = self.expr_power()?;
-        loop {
-            let op = if self.eat(TokenKind::Star) {
-                BinOp::Mul
-            } else if self.eat(TokenKind::Slash) {
-                BinOp::Div
-            } else if self.eat(TokenKind::Percent) {
-                BinOp::Rem
-            } else {
-                return Some(lhs);
-            };
-            let rhs = self.expr_power()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
-        }
-    }
-
-    fn expr_power(&mut self) -> Option<Expr> {
-        let lhs = self.expr_unary()?;
-        if self.eat(TokenKind::Caret) {
-            // Right-associative.
-            let rhs = self.expr_power()?;
-            let span = lhs.span().merge(rhs.span());
-            Some(Expr::Binary {
-                op: BinOp::Pow,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            })
-        } else {
-            Some(lhs)
-        }
-    }
-
-    fn expr_unary(&mut self) -> Option<Expr> {
-        let span = self.peek_span();
-        if self.eat(TokenKind::Minus) {
-            let operand = self.expr_unary()?;
-            let span = span.merge(operand.span());
-            return Some(Expr::Unary {
-                op: UnaryOp::Neg,
-                operand: Box::new(operand),
-                span,
-            });
-        }
-        if self.eat(TokenKind::Bang) {
-            let operand = self.expr_unary()?;
-            let span = span.merge(operand.span());
-            return Some(Expr::Unary {
-                op: UnaryOp::Not,
-                operand: Box::new(operand),
-                span,
-            });
-        }
-        self.expr_postfix()
-    }
-
-    fn expr_postfix(&mut self) -> Option<Expr> {
-        let mut base = self.expr_primary()?;
+    /// `base[i][j]...`, one nesting level per index.
+    fn index_postfixes(&mut self, base: Expr) -> Option<Expr> {
+        let mut base = base;
         while self.eat(TokenKind::LBracket) {
+            if !self.enter() {
+                return None;
+            }
             let index = self.expr()?;
             self.expect(TokenKind::RBracket);
             let span = base.span().merge(index.span());
@@ -960,9 +1065,9 @@ impl Parser<'_> {
         Some(base)
     }
 
-    fn expr_primary(&mut self) -> Option<Expr> {
+    fn primary(&mut self) -> Option<Expr> {
         let span = self.peek_span();
-        match self.peek().clone() {
+        match self.token.kind {
             TokenKind::Int(v) => {
                 self.bump();
                 Some(Expr::Int(v, span))
@@ -971,101 +1076,108 @@ impl Parser<'_> {
                 self.bump();
                 Some(Expr::Float(v, span))
             }
-            TokenKind::Str(s) => {
-                self.bump();
-                Some(Expr::Str(s, span))
-            }
-            TokenKind::LBracket => {
-                self.bump();
-                let mut items = Vec::new();
-                if !self.eat(TokenKind::RBracket) {
-                    loop {
-                        items.push(self.expr()?);
-                        if !self.eat(TokenKind::Comma) {
-                            break;
-                        }
-                        if *self.peek() == TokenKind::RBracket {
-                            break;
-                        }
-                    }
-                    self.expect(TokenKind::RBracket);
-                }
-                Some(Expr::Array(items, span))
-            }
-            TokenKind::LParen => {
-                self.bump();
-                let first = self.expr()?;
-                if self.eat(TokenKind::DotDot) {
-                    let end = self.expr()?;
-                    let step = if self.eat_keyword("step") {
-                        self.expr().map(Box::new)
-                    } else {
-                        None
-                    };
-                    self.expect(TokenKind::RParen);
-                    let full = span.merge(self.peek_span());
-                    Some(Expr::Range {
-                        start: Box::new(first),
-                        end: Box::new(end),
-                        step,
-                        span: full,
-                    })
-                } else {
-                    self.expect(TokenKind::RParen);
-                    Some(first)
-                }
-            }
-            TokenKind::Ident(word) => {
-                match word.as_str() {
-                    "true" => {
-                        self.bump();
-                        return Some(Expr::Bool(true, span));
-                    }
-                    "false" => {
-                        self.bump();
-                        return Some(Expr::Bool(false, span));
-                    }
-                    _ => {}
-                }
-                self.bump();
-                if *self.peek() == TokenKind::LParen {
-                    // Builtin function call, or clockdomain("name").
-                    self.bump();
-                    let mut args = Vec::new();
-                    if !self.eat(TokenKind::RParen) {
-                        loop {
-                            args.push(self.expr()?);
-                            if !self.eat(TokenKind::Comma) {
-                                break;
-                            }
-                        }
-                        self.expect(TokenKind::RParen);
-                    }
-                    if word == "clockdomain" {
-                        if let [Expr::Str(name, _)] = args.as_slice() {
-                            return Some(Expr::Clock(name.clone(), span));
-                        }
-                        self.diagnostics.push(Diagnostic::error(
-                            "parse",
-                            "clockdomain(...) takes a single string literal",
-                            Some(span),
-                        ));
-                        return None;
-                    }
-                    Some(Expr::Call {
-                        name: word,
-                        args,
-                        span,
-                    })
-                } else {
-                    Some(Expr::Ident(word, span))
-                }
-            }
-            other => {
-                self.error_here(format!("expected expression, found {other}"));
+            TokenKind::Str(_) => self.eat_str().map(|s| Expr::Str(s, span)),
+            TokenKind::LBracket => self.array_literal(span),
+            TokenKind::LParen => self.paren_or_range(span),
+            TokenKind::Ident(word) => self.name_or_call(word, span),
+            _ => {
+                self.expected_expression();
                 None
             }
         }
+    }
+
+    fn expected_expression(&mut self) {
+        self.error_here(format!("expected expression, found {}", self.peek()));
+    }
+
+    /// `[a, b, ...]`, from its `[` (a trailing comma is allowed).
+    fn array_literal(&mut self, span: Span) -> Option<Expr> {
+        self.bump();
+        let mut items = Vec::new();
+        if !self.eat(TokenKind::RBracket) {
+            loop {
+                items.push(self.expr()?);
+                if !self.eat(TokenKind::Comma) {
+                    break;
+                }
+                if *self.peek() == TokenKind::RBracket {
+                    break;
+                }
+            }
+            self.expect(TokenKind::RBracket);
+        }
+        Some(Expr::Array(items, span))
+    }
+
+    /// `(expr)` or a range `(start..end)` / `(start..end step s)`,
+    /// from its `(`.
+    fn paren_or_range(&mut self, span: Span) -> Option<Expr> {
+        self.bump();
+        let first = self.expr()?;
+        if !self.eat(TokenKind::DotDot) {
+            self.expect(TokenKind::RParen);
+            return Some(first);
+        }
+        self.range_rest(first, span)
+    }
+
+    /// The rest of a range after its `..`.
+    fn range_rest(&mut self, first: Expr, span: Span) -> Option<Expr> {
+        let end = self.expr()?;
+        let step = if self.eat_keyword("step") {
+            self.expr().map(Box::new)
+        } else {
+            None
+        };
+        self.expect(TokenKind::RParen);
+        let full = span.merge(self.peek_span());
+        Some(Expr::Range {
+            start: Box::new(first),
+            end: Box::new(end),
+            step,
+            span: full,
+        })
+    }
+
+    /// A boolean literal, a name, a builtin call or
+    /// `clockdomain("name")`, from the identifier.
+    fn name_or_call(&mut self, word: &str, span: Span) -> Option<Expr> {
+        self.bump();
+        match word {
+            "true" => return Some(Expr::Bool(true, span)),
+            "false" => return Some(Expr::Bool(false, span)),
+            _ => {}
+        }
+        if !self.eat(TokenKind::LParen) {
+            return Some(Expr::Ident(word.to_string(), span));
+        }
+        let mut args = Vec::new();
+        if !self.eat(TokenKind::RParen) {
+            loop {
+                args.push(self.expr()?);
+                if !self.eat(TokenKind::Comma) {
+                    break;
+                }
+            }
+            self.expect(TokenKind::RParen);
+        }
+        self.call(word, args, span)
+    }
+
+    fn call(&mut self, word: &str, mut args: Vec<Expr>, span: Span) -> Option<Expr> {
+        if word == "clockdomain" {
+            if let [Expr::Str(name, _)] = args.as_mut_slice() {
+                return Some(Expr::Clock(std::mem::take(name), span));
+            }
+            self.report("clockdomain(...) takes a single string literal", span);
+            return None;
+        }
+        Some(Expr::Call {
+            name: word.to_string(),
+            args,
+            span,
+        })
     }
 
     // ---- simulation blocks ----------------------------------------------
@@ -1081,8 +1193,7 @@ impl Parser<'_> {
         // Find the matching close brace by token scanning to capture
         // the raw text; parsing proceeds over the same tokens.
         let mut block = self.sim_items_until_rbrace();
-        let close_span = self.tokens[self.pos.saturating_sub(1).min(self.tokens.len() - 1)].span;
-        let body_end = close_span.start.max(body_start).min(self.source.len());
+        let body_end = self.prev_span.start.max(body_start).min(self.source.len());
         block.source = self.source[body_start..body_end].trim().to_string();
         Some(block)
     }
@@ -1115,20 +1226,17 @@ impl Parser<'_> {
     fn sim_item(&mut self, block: &mut SimBlock) {
         let span = self.peek_span();
         if self.eat_keyword("state") {
-            let Some((name, _)) = self.expect_ident() else {
+            let Some(name) = self.expect_name() else {
                 return;
             };
             self.expect(TokenKind::Eq);
-            let init = match self.peek().clone() {
-                TokenKind::Str(s) => {
-                    self.bump();
-                    s
-                }
-                other => {
-                    self.error_here(format!("state initializer must be a string, found {other}"));
-                    String::new()
-                }
-            };
+            let init = self.eat_str().unwrap_or_else(|| {
+                self.error_here(format!(
+                    "state initializer must be a string, found {}",
+                    self.peek()
+                ));
+                String::new()
+            });
             self.terminator();
             block.states.push(SimStateDecl { name, init, span });
         } else if self.eat_keyword("on") {
@@ -1154,46 +1262,62 @@ impl Parser<'_> {
         }
     }
 
+    /// The simulation AST has binary nodes, not chains: each left fold
+    /// nests the tree one level deeper, so each takes a nesting level.
     fn sim_event(&mut self) -> Option<SimEvent> {
-        let mut lhs = self.sim_event_and()?;
-        while self.eat(TokenKind::OrOr) {
-            let rhs = self.sim_event_and()?;
-            lhs = SimEvent::Or(Box::new(lhs), Box::new(rhs));
-        }
-        Some(lhs)
+        self.scoped(|p| {
+            let mut lhs = p.sim_event_and()?;
+            while p.eat(TokenKind::OrOr) {
+                let rhs = p.sim_event_and()?;
+                if !p.enter() {
+                    return None;
+                }
+                lhs = SimEvent::Or(Box::new(lhs), Box::new(rhs));
+            }
+            Some(lhs)
+        })
     }
 
     fn sim_event_and(&mut self) -> Option<SimEvent> {
-        let mut lhs = self.sim_event_unary()?;
-        while self.eat(TokenKind::AndAnd) {
-            let rhs = self.sim_event_unary()?;
-            lhs = SimEvent::And(Box::new(lhs), Box::new(rhs));
-        }
-        Some(lhs)
+        self.scoped(|p| {
+            let mut lhs = p.sim_event_unary()?;
+            while p.eat(TokenKind::AndAnd) {
+                let rhs = p.sim_event_unary()?;
+                if !p.enter() {
+                    return None;
+                }
+                lhs = SimEvent::And(Box::new(lhs), Box::new(rhs));
+            }
+            Some(lhs)
+        })
     }
 
     fn sim_event_unary(&mut self) -> Option<SimEvent> {
         if self.eat(TokenKind::Bang) {
-            let inner = self.sim_event_unary()?;
+            let inner = self.nested(Self::sim_event_unary)?;
             return Some(SimEvent::Not(Box::new(inner)));
         }
         if self.eat(TokenKind::LParen) {
-            let inner = self.sim_event()?;
+            let inner = self.nested(Self::sim_event)?;
             self.expect(TokenKind::RParen);
             return Some(inner);
         }
-        let (name, _) = self.expect_ident()?;
+        self.port_event()
+    }
+
+    /// `port.recv`, `port.ack`, `state == "v"` or `state != "v"`.
+    fn port_event(&mut self) -> Option<SimEvent> {
+        let name = self.expect_name()?;
         if self.eat(TokenKind::Dot) {
             let (what, what_span) = self.expect_ident()?;
-            match what.as_str() {
+            match what {
                 "recv" => Some(SimEvent::Recv(name)),
                 "ack" => Some(SimEvent::Ack(name)),
                 other => {
-                    self.diagnostics.push(Diagnostic::error(
-                        "parse",
+                    self.report(
                         format!("unknown port event `.{other}` (expected .recv or .ack)"),
-                        Some(what_span),
-                    ));
+                        what_span,
+                    );
                     None
                 }
             }
@@ -1210,19 +1334,20 @@ impl Parser<'_> {
     }
 
     fn sim_string(&mut self) -> Option<String> {
-        match self.peek().clone() {
-            TokenKind::Str(s) => {
-                self.bump();
-                Some(s)
-            }
-            other => {
-                self.error_here(format!("expected string literal, found {other}"));
-                None
-            }
+        let value = self.eat_str();
+        if value.is_none() {
+            self.error_here(format!("expected string literal, found {}", self.peek()));
         }
+        value
     }
 
+    /// A handler or branch body after its `{`, through the `}`.
     fn sim_actions_until_rbrace(&mut self) -> Vec<SimAction> {
+        self.nested(|p| Some(p.sim_actions_inner()))
+            .unwrap_or_default()
+    }
+
+    fn sim_actions_inner(&mut self) -> Vec<SimAction> {
         let mut actions = Vec::new();
         while !self.eat(TokenKind::RBrace) {
             if self.at_eof() {
@@ -1239,10 +1364,60 @@ impl Parser<'_> {
         actions
     }
 
+    /// One handler action. Each kind of nested body has its own
+    /// function, so nested `if`/`for` stack only small frames.
     fn sim_action(&mut self) -> Option<SimAction> {
+        if self.eat_keyword("if") {
+            self.sim_if()
+        } else if self.eat_keyword("for") {
+            self.sim_for()
+        } else {
+            self.sim_simple_action()
+        }
+    }
+
+    fn sim_if(&mut self) -> Option<SimAction> {
+        self.expect(TokenKind::LParen);
+        let cond = self.sim_expr()?;
+        self.expect(TokenKind::RParen);
+        self.expect(TokenKind::LBrace);
+        let then_actions = self.sim_actions_until_rbrace();
+        let else_actions = if self.eat_keyword("else") {
+            self.expect(TokenKind::LBrace);
+            self.sim_actions_until_rbrace()
+        } else {
+            Vec::new()
+        };
+        Some(SimAction::If {
+            cond,
+            then_actions,
+            else_actions,
+        })
+    }
+
+    fn sim_for(&mut self) -> Option<SimAction> {
+        let var = self.expect_name()?;
+        self.expect_keyword("in");
+        self.expect(TokenKind::LParen);
+        let start = self.sim_expr()?;
+        self.expect(TokenKind::DotDot);
+        let end = self.sim_expr()?;
+        self.expect(TokenKind::RParen);
+        self.expect(TokenKind::LBrace);
+        let body = self.sim_actions_until_rbrace();
+        Some(SimAction::For {
+            var,
+            start,
+            end,
+            body,
+        })
+    }
+
+    /// `send`, `last`, `ack`, `delay` or `set_state`.
+    fn sim_simple_action(&mut self) -> Option<SimAction> {
         if self.eat_keyword("send") {
             self.expect(TokenKind::LParen);
-            let (port, _) = self.expect_ident()?;
+            let port = self.expect_name()?;
             self.expect(TokenKind::Comma);
             let expr = self.sim_expr()?;
             self.expect(TokenKind::RParen);
@@ -1251,15 +1426,18 @@ impl Parser<'_> {
         }
         if self.eat_keyword("last") {
             self.expect(TokenKind::LParen);
-            let (port, _) = self.expect_ident()?;
+            let port = self.expect_name()?;
             let levels = if self.eat(TokenKind::Comma) {
-                match self.peek().clone() {
+                match self.token.kind {
                     TokenKind::Int(v) if v > 0 => {
                         self.bump();
                         v as u32
                     }
-                    other => {
-                        self.error_here(format!("expected positive level count, found {other}"));
+                    _ => {
+                        self.error_here(format!(
+                            "expected positive level count, found {}",
+                            self.peek()
+                        ));
                         1
                     }
                 }
@@ -1272,7 +1450,7 @@ impl Parser<'_> {
         }
         if self.eat_keyword("ack") {
             self.expect(TokenKind::LParen);
-            let (port, _) = self.expect_ident()?;
+            let port = self.expect_name()?;
             self.expect(TokenKind::RParen);
             self.terminator();
             return Some(SimAction::Ack(port));
@@ -1286,47 +1464,12 @@ impl Parser<'_> {
         }
         if self.eat_keyword("set_state") {
             self.expect(TokenKind::LParen);
-            let (name, _) = self.expect_ident()?;
+            let name = self.expect_name()?;
             self.expect(TokenKind::Comma);
             let value = self.sim_string()?;
             self.expect(TokenKind::RParen);
             self.terminator();
             return Some(SimAction::SetState(name, value));
-        }
-        if self.eat_keyword("if") {
-            self.expect(TokenKind::LParen);
-            let cond = self.sim_expr()?;
-            self.expect(TokenKind::RParen);
-            self.expect(TokenKind::LBrace);
-            let then_actions = self.sim_actions_until_rbrace();
-            let else_actions = if self.eat_keyword("else") {
-                self.expect(TokenKind::LBrace);
-                self.sim_actions_until_rbrace()
-            } else {
-                Vec::new()
-            };
-            return Some(SimAction::If {
-                cond,
-                then_actions,
-                else_actions,
-            });
-        }
-        if self.eat_keyword("for") {
-            let (var, _) = self.expect_ident()?;
-            self.expect_keyword("in");
-            self.expect(TokenKind::LParen);
-            let start = self.sim_expr()?;
-            self.expect(TokenKind::DotDot);
-            let end = self.sim_expr()?;
-            self.expect(TokenKind::RParen);
-            self.expect(TokenKind::LBrace);
-            let body = self.sim_actions_until_rbrace();
-            return Some(SimAction::For {
-                var,
-                start,
-                end,
-                body,
-            });
         }
         self.error_here(format!(
             "expected a simulation action (send/last/ack/delay/set_state/if/for), found {}",
@@ -1335,8 +1478,9 @@ impl Parser<'_> {
         None
     }
 
+    /// A simulation expression, one nesting level.
     fn sim_expr(&mut self) -> Option<SimExpr> {
-        self.sim_expr_bin(0)
+        self.nested(|p| p.sim_expr_bin(0))
     }
 
     fn sim_expr_bin(&mut self, min_level: u8) -> Option<SimExpr> {
@@ -1362,20 +1506,28 @@ impl Parser<'_> {
                 return Some(lhs);
             }
             self.bump();
-            let rhs = self.sim_expr_bin(level + 1)?;
+            let rhs = self.scoped(|p| p.sim_expr_bin(level + 1))?;
+            if !self.enter() {
+                return None;
+            }
             lhs = SimExpr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
     }
 
     fn sim_expr_unary(&mut self) -> Option<SimExpr> {
-        if self.eat(TokenKind::Minus) {
-            return Some(SimExpr::Neg(Box::new(self.sim_expr_unary()?)));
-        }
-        if self.eat(TokenKind::Bang) {
-            return Some(SimExpr::Not(Box::new(self.sim_expr_unary()?)));
-        }
+        let unary: fn(Box<SimExpr>) -> SimExpr = match self.peek() {
+            TokenKind::Minus => SimExpr::Neg,
+            TokenKind::Bang => SimExpr::Not,
+            _ => return self.sim_expr_primary(),
+        };
+        self.bump();
+        let operand = self.nested(Self::sim_expr_unary)?;
+        Some(unary(Box::new(operand)))
+    }
+
+    fn sim_expr_primary(&mut self) -> Option<SimExpr> {
         let span = self.peek_span();
-        match self.peek().clone() {
+        match self.token.kind {
             TokenKind::Int(v) => {
                 self.bump();
                 Some(SimExpr::Int(v))
@@ -1388,30 +1540,33 @@ impl Parser<'_> {
             }
             TokenKind::Ident(name) => {
                 self.bump();
-                if self.eat(TokenKind::Dot) {
-                    let (what, _) = self.expect_ident()?;
-                    if what != "data" {
-                        self.diagnostics.push(Diagnostic::error(
-                            "parse",
-                            format!("expected `.data`, found `.{what}`"),
-                            Some(span),
-                        ));
-                        return None;
-                    }
-                    if self.eat(TokenKind::Dot) {
-                        let (field, _) = self.expect_ident()?;
-                        Some(SimExpr::Field(name, field))
-                    } else {
-                        Some(SimExpr::Data(name))
-                    }
-                } else {
-                    Some(SimExpr::Var(name))
-                }
+                self.sim_name(name.to_string(), span)
             }
-            other => {
-                self.error_here(format!("expected simulation expression, found {other}"));
+            _ => {
+                self.error_here(format!(
+                    "expected simulation expression, found {}",
+                    self.peek()
+                ));
                 None
             }
+        }
+    }
+
+    /// A variable, `port.data` or `port.data.field`, after the name.
+    fn sim_name(&mut self, name: String, span: Span) -> Option<SimExpr> {
+        if !self.eat(TokenKind::Dot) {
+            return Some(SimExpr::Var(name));
+        }
+        let (what, _) = self.expect_ident()?;
+        if what != "data" {
+            self.report(format!("expected `.data`, found `.{what}`"), span);
+            return None;
+        }
+        if self.eat(TokenKind::Dot) {
+            let field = self.expect_name()?;
+            Some(SimExpr::Field(name, field))
+        } else {
+            Some(SimExpr::Data(name))
         }
     }
 }
@@ -1480,30 +1635,72 @@ mod tests {
         }
     }
 
-    #[test]
-    fn expression_precedence() {
-        let p = parse_ok("package t;\nconst x = 1 + 2 * 3 ^ 2;");
-        // 1 + (2 * (3 ^ 2))
-        match &*p.decls[0] {
-            Decl::Const(c) => match &c.value {
-                Expr::Binary {
-                    op: BinOp::Add,
-                    rhs,
-                    ..
-                } => match rhs.as_ref() {
-                    Expr::Binary {
-                        op: BinOp::Mul,
-                        rhs,
-                        ..
-                    } => {
-                        assert!(matches!(rhs.as_ref(), Expr::Binary { op: BinOp::Pow, .. }));
-                    }
-                    other => panic!("{other:?}"),
-                },
-                other => panic!("{other:?}"),
-            },
+    /// The initializer of the first `const` in `src`.
+    fn const_value(src: &str) -> Expr {
+        match &*parse_ok(src).decls[0] {
+            Decl::Const(c) => c.value.clone(),
             other => panic!("{other:?}"),
         }
+    }
+
+    /// The operators of a chain, and its operands.
+    fn chain(e: &Expr) -> (Vec<BinOp>, Vec<&Expr>) {
+        let Expr::Chain { first, rest, .. } = e else {
+            panic!("expected a chain, got {e:?}")
+        };
+        let ops = rest.iter().map(|(op, _)| *op).collect();
+        let operands = std::iter::once(&**first)
+            .chain(rest.iter().map(|(_, x)| x))
+            .collect();
+        (ops, operands)
+    }
+
+    #[test]
+    fn expression_precedence() {
+        // 1 + (2 * (3 ^ 2))
+        let value = const_value("package t;\nconst x = 1 + 2 * 3 ^ 2;");
+        let (ops, operands) = chain(&value);
+        assert_eq!(ops, [BinOp::Add]);
+        let (ops, operands) = chain(operands[1]);
+        assert_eq!(ops, [BinOp::Mul]);
+        let (ops, _) = chain(operands[1]);
+        assert_eq!(ops, [BinOp::Pow]);
+    }
+
+    #[test]
+    fn same_level_operators_form_one_chain() {
+        let value = const_value("package t;\nconst x = a - b + c * d / e % f + g;");
+        let (ops, operands) = chain(&value);
+        assert_eq!(ops, [BinOp::Sub, BinOp::Add, BinOp::Add]);
+        let (ops, _) = chain(operands[2]);
+        assert_eq!(ops, [BinOp::Mul, BinOp::Div, BinOp::Rem]);
+        assert_eq!(value.span(), Span::new(0, 21, 46));
+        // Comparison and boolean levels chain the same way; a lower
+        // level's chain takes the higher one's as an operand.
+        let value = const_value("package t;\nconst x = a < b <= c || d && e && f || g;");
+        let (ops, operands) = chain(&value);
+        assert_eq!(ops, [BinOp::Or, BinOp::Or]);
+        assert_eq!(chain(operands[0]).0, [BinOp::Lt, BinOp::Le]);
+        assert_eq!(chain(operands[1]).0, [BinOp::And, BinOp::And]);
+    }
+
+    #[test]
+    fn power_nests_to_the_right() {
+        // 2 ^ (3 ^ 2), each `^` a chain of one.
+        let value = const_value("package t;\nconst x = 2 ^ 3 ^ 2;");
+        let (ops, operands) = chain(&value);
+        assert_eq!(ops, [BinOp::Pow]);
+        assert!(matches!(operands[0], Expr::Int(2, _)));
+        assert_eq!(chain(operands[1]).0, [BinOp::Pow]);
+    }
+
+    #[test]
+    fn template_value_arguments_stop_at_comparisons() {
+        let p = parse_ok("package t;\nimpl x of s<1 + 2 * 3, (a > b)> { }");
+        let Decl::Impl(i) = &*p.decls[0] else {
+            panic!()
+        };
+        assert_eq!(i.streamlet.args.len(), 2);
     }
 
     #[test]

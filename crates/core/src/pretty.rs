@@ -463,34 +463,45 @@ fn expr(out: &mut impl Write, e: &Expr) -> fmt::Result {
             expr(out, operand)?;
             out.write_char(')')
         }
-        Expr::Binary { op, lhs, rhs, .. } => {
-            let op = match op {
-                BinOp::Or => "||",
-                BinOp::And => "&&",
-                BinOp::Eq => "==",
-                BinOp::Ne => "!=",
-                BinOp::Lt => "<",
-                BinOp::Le => "<=",
-                BinOp::Gt => ">",
-                BinOp::Ge => ">=",
-                BinOp::Add => "+",
-                BinOp::Sub => "-",
-                BinOp::Mul => "*",
-                BinOp::Div => "/",
-                BinOp::Rem => "%",
-                BinOp::Pow => "^",
-            };
-            out.write_char('(')?;
-            expr(out, lhs)?;
-            write!(out, " {op} ")?;
-            expr(out, rhs)?;
-            out.write_char(')')
+        Expr::Chain { first, rest, .. } => {
+            // Printed as the nested form `((first op1 x1) op2 x2)`,
+            // without recursing along the chain.
+            for _ in rest {
+                out.write_char('(')?;
+            }
+            expr(out, first)?;
+            for (op, operand) in rest {
+                out.write_str(infix(*op))?;
+                expr(out, operand)?;
+                out.write_char(')')?;
+            }
+            Ok(())
         }
         Expr::Call { name, args, .. } => {
             write!(out, "{name}(")?;
             comma_separated(out, args, |out, arg| expr(out, arg))?;
             out.write_char(')')
         }
+    }
+}
+
+/// A binary operator with the spaces around it.
+fn infix(op: BinOp) -> &'static str {
+    match op {
+        BinOp::Or => " || ",
+        BinOp::And => " && ",
+        BinOp::Eq => " == ",
+        BinOp::Ne => " != ",
+        BinOp::Lt => " < ",
+        BinOp::Le => " <= ",
+        BinOp::Gt => " > ",
+        BinOp::Ge => " >= ",
+        BinOp::Add => " + ",
+        BinOp::Sub => " - ",
+        BinOp::Mul => " * ",
+        BinOp::Div => " / ",
+        BinOp::Rem => " % ",
+        BinOp::Pow => " ^ ",
     }
 }
 

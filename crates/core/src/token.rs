@@ -3,9 +3,9 @@
 use crate::span::Span;
 use std::fmt;
 
-/// Token kinds.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+/// Token kinds. Identifiers borrow their text from the source (`'src`).
+#[derive(Debug, PartialEq)]
+pub enum TokenKind<'src> {
     // Literals
     /// Integer literal (decimal or `0x` hexadecimal).
     Int(i64),
@@ -16,7 +16,7 @@ pub enum TokenKind {
     /// Identifier or keyword (keywords are classified by the parser so
     /// that context-sensitive words like `type` can appear in template
     /// argument positions).
-    Ident(String),
+    Ident(&'src str),
 
     // Punctuation
     /// `(`
@@ -81,7 +81,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
+impl TokenKind<'_> {
     /// A short human-readable description for diagnostics.
     pub fn describe(&self) -> String {
         match self {
@@ -130,17 +130,17 @@ impl TokenKind {
     }
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.describe())
     }
 }
 
 /// A token with its source span.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+#[derive(Debug, PartialEq)]
+pub struct Token<'src> {
     /// Kind and payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'src>,
     /// Source range.
     pub span: Span,
 }
@@ -153,7 +153,7 @@ mod tests {
     fn describe_forms() {
         assert_eq!(TokenKind::Int(5).describe(), "integer `5`");
         assert_eq!(TokenKind::FatArrow.describe(), "`=>`");
-        assert_eq!(TokenKind::Ident("foo".into()).describe(), "`foo`");
+        assert_eq!(TokenKind::Ident("foo").describe(), "`foo`");
         assert_eq!(TokenKind::Eof.describe(), "end of file");
     }
 }

@@ -2,7 +2,7 @@
 //! parse → pretty-print → re-parse to an equivalent AST.
 //!
 //! The generator builds structurally diverse programs — constants
-//! with nested math, stream types with dimension/complexity/
+//! with nested math and mixed same-precedence operator chains, stream types with dimension/complexity/
 //! throughput/user arguments, Groups/Unions, templated streamlets and
 //! implementations, clock-domain annotations, generative `for`/`if`/
 //! `assert`, instances with template arguments, and external impls
@@ -33,11 +33,15 @@ fn program_from_with(dna: &[u8], allow_sim: bool) -> String {
     for k in 0..(byte(0) % 3) {
         let a = byte(1 + k as usize) + 1;
         let b = byte(2 + k as usize) + 2;
-        let expr = match byte(3 + k as usize) % 4 {
+        let expr = match byte(3 + k as usize) % 7 {
             0 => format!("{a} + {b} * 2"),
             1 => format!("min({a}, {b}) + max({b}, 1)"),
             2 => format!("ceil(log2(2 ^ {})) + {b}", (a % 6) + 1),
-            _ => format!("({a}..{b} step 2)"),
+            3 => format!("({a}..{b} step 2)"),
+            // Mixed same-precedence chains, each one n-ary node.
+            4 => format!("{a} - {b} + {a} - 1 + {b} * {a} / 3 % 7 * 2 - {b}"),
+            5 => format!("{a} < {b} == ({b} >= {a}) != true || {a} == {b} && {b} > 0 && true"),
+            _ => format!("-{a} + {b} ^ 2 ^ 1 - [{a}, {b}][1] * ({b} - {a} - 1) % 5"),
         };
         let kind = match byte(4 + k as usize) % 3 {
             0 => " : int",
