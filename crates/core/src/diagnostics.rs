@@ -84,8 +84,9 @@ impl Diagnostic {
                     self.severity, self.message, self.stage, file.name, line, col
                 ));
                 if let Some(text) = file.line_text(line) {
+                    let (text, caret) = excerpt(text, col.saturating_sub(1));
                     out.push_str(&format!("  | {text}\n"));
-                    out.push_str(&format!("  | {}^\n", " ".repeat(col.saturating_sub(1))));
+                    out.push_str(&format!("  | {}^\n", " ".repeat(caret)));
                 }
             }
             None => {
@@ -97,6 +98,34 @@ impl Diagnostic {
         }
         out
     }
+}
+
+/// The most characters of one source line a diagnostic quotes. A
+/// longer line is cut to a window of this width around the caret, so
+/// a diagnostic on a generated one-line file stays readable and small.
+const EXCERPT_CHARS: usize = 100;
+
+/// The part of `line` to quote for a caret before its `caret`-th
+/// character (0-based), and the caret's offset in the quoted text. A
+/// cut end is marked `...`; cuts fall between characters.
+fn excerpt(line: &str, caret: usize) -> (String, usize) {
+    let len = line.chars().count();
+    if len <= EXCERPT_CHARS {
+        return (line.to_string(), caret);
+    }
+    let first = caret
+        .saturating_sub(EXCERPT_CHARS / 2)
+        .min(len - EXCERPT_CHARS);
+    let last = first + EXCERPT_CHARS;
+    let byte = |char_index: usize| {
+        line.char_indices()
+            .nth(char_index)
+            .map_or(line.len(), |(offset, _)| offset)
+    };
+    let head = if first > 0 { "..." } else { "" };
+    let tail = if last < len { "..." } else { "" };
+    let quoted = format!("{head}{}{tail}", &line[byte(first)..byte(last)]);
+    (quoted, head.len() + caret - first)
 }
 
 /// Returns true when any diagnostic is an error.
@@ -122,6 +151,30 @@ mod tests {
         assert!(rendered.contains("a.td:1:11"));
         assert!(rendered.contains("const x = ;"));
         assert!(rendered.contains("^"));
+    }
+
+    #[test]
+    fn long_lines_are_quoted_around_the_caret() {
+        // 300 three-byte characters, then `x`; the caret is at the `x`.
+        let line = format!("{}x", "日".repeat(300));
+        let files = vec![SourceFile::new("long.td", format!("{line}\n"))];
+        let d = Diagnostic::error("lex", "unexpected", Some(Span::new(0, 900, 901)));
+        let rendered = d.render(&files);
+        let excerpt = format!("  | ...{}x\n", "日".repeat(EXCERPT_CHARS - 1));
+        let caret = format!("  | {}^\n", " ".repeat(3 + EXCERPT_CHARS - 1));
+        assert_eq!(
+            rendered,
+            format!("error: unexpected [lex] at long.td:1:301\n{excerpt}{caret}")
+        );
+        // A caret in the middle of the line is centred, both ends cut.
+        let d = Diagnostic::error("lex", "unexpected", Some(Span::new(0, 450, 453)));
+        let rendered = d.render(&files);
+        let excerpt = format!("  | ...{}...\n", "日".repeat(EXCERPT_CHARS));
+        let caret = format!("  | {}^\n", " ".repeat(3 + EXCERPT_CHARS / 2));
+        assert!(
+            rendered.ends_with(&format!("{excerpt}{caret}")),
+            "{rendered}"
+        );
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub struct ElabInfo {
     /// Number of template cache hits.
     pub template_cache_hits: usize,
     /// Hash-consing statistics of the session type store: distinct
-    /// nodes interned, dedup hits, cached-expansion reuse.
+    /// nodes interned and dedup hits.
     pub type_store: TypeStoreStats,
 }
 

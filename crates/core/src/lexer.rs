@@ -105,9 +105,10 @@ impl<'src> Lexer<'src> {
                     None => continue,
                 },
                 c if c.is_ascii_alphabetic() || c == b'_' => self.ident(start),
-                other => {
-                    self.pos += 1;
-                    self.error(start, format!("unexpected character `{}`", other as char));
+                _ => {
+                    let other = self.char_at_cursor();
+                    self.pos += other.len_utf8();
+                    self.error(start, format!("unexpected character `{other}`"));
                     continue;
                 }
             };
@@ -128,6 +129,16 @@ impl<'src> Lexer<'src> {
 
     fn peek_at(&self, off: usize) -> Option<u8> {
         self.bytes.get(self.pos + off).copied()
+    }
+
+    /// The whole character at the cursor, which is never at the end of
+    /// input here and always on a character boundary: every step over
+    /// non-ASCII input advances by whole characters.
+    fn char_at_cursor(&self) -> char {
+        self.source[self.pos..]
+            .chars()
+            .next()
+            .expect("a character at the cursor")
     }
 
     fn single(&mut self, kind: TokenKind<'src>) -> TokenKind<'src> {
@@ -236,8 +247,10 @@ impl<'src> Lexer<'src> {
                         Some(b't') => value.push('\t'),
                         Some(b'\\') => value.push('\\'),
                         Some(b'"') => value.push('"'),
-                        Some(other) => {
-                            self.error(self.pos, format!("unknown escape `\\{}`", other as char));
+                        Some(_) => {
+                            let other = self.char_at_cursor();
+                            self.error(self.pos, format!("unknown escape `\\{other}`"));
+                            self.pos += other.len_utf8() - 1;
                         }
                         None => {
                             self.error(start, "unterminated string literal");
@@ -247,15 +260,9 @@ impl<'src> Lexer<'src> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Collect a full UTF-8 character; an unknown escape
-                    // can leave `pos` inside one, then skip a byte.
-                    match self.source.get(self.pos..).and_then(|s| s.chars().next()) {
-                        Some(c) => {
-                            value.push(c);
-                            self.pos += c.len_utf8();
-                        }
-                        None => self.pos += 1,
-                    }
+                    let c = self.char_at_cursor();
+                    value.push(c);
+                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -481,6 +488,30 @@ mod tests {
         assert_eq!(diags.len(), 1);
         assert!(diags[0].message.contains('$'));
         assert_eq!(tokens.len(), 3); // a, b, eof
+    }
+
+    #[test]
+    fn non_ascii_characters_are_reported_whole() {
+        let (tokens, diags) = lex("a é 日 \"\\ü\" b");
+        let reported: Vec<_> = diags.iter().map(|d| (d.message.as_str(), d.span)).collect();
+        assert_eq!(
+            reported,
+            [
+                ("unexpected character `é`", Some(Span::new(0, 2, 4))),
+                ("unexpected character `日`", Some(Span::new(0, 5, 8))),
+                ("unknown escape `\\ü`", Some(Span::new(0, 11, 11))),
+            ]
+        );
+        let kinds: Vec<_> = tokens.into_iter().map(|t| t.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                TokenKind::Ident("a"),
+                TokenKind::Str(String::new()),
+                TokenKind::Ident("b"),
+                TokenKind::Eof
+            ]
+        );
     }
 
     #[test]

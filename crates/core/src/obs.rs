@@ -13,7 +13,7 @@
 //! |-------------|----------------------------------------------------|
 //! | `timings.`  | per-stage and codegen self times, the wall, in ms  |
 //! | `cache.`    | artifact-cache reuse (per stage and elab lookups)  |
-//! | `types.`    | type-store hash-consing and expansion-memo counts  |
+//! | `types.`    | type-store hash-consing counts                     |
 //!
 //! Publication uses *set* semantics and clears its prefixes first, so
 //! a long-lived process (e.g. `tydic check --watch`) always reports
@@ -68,9 +68,6 @@ pub fn publish_compile_metrics(output: &CompileOutput) {
     metrics::counter_set("types.distinct", ts.distinct_types as u64);
     metrics::counter_set("types.intern_hits", ts.intern_hits as u64);
     metrics::gauge_set("types.intern_hit_rate_pct", ts.hit_rate());
-    let expansions = tydi_spec::expansion_cache_stats();
-    metrics::counter_set("types.expansions_reused", expansions.hits);
-    metrics::counter_set("types.expansions_computed", expansions.misses);
 }
 
 #[cfg(test)]

@@ -315,7 +315,7 @@ fn declared_min_rate(
     port: &str,
 ) -> Option<(f64, u32)> {
     let port = index.port(project, sid, port)?;
-    let streams = tydi_spec::lower_cached_arc(&port.ty).ok()?;
+    let streams = tydi_spec::lower(&port.ty).ok()?;
     let root = streams.iter().find(|s| s.path.is_empty())?;
     Some((root.min_elements_per_cycle(), root.lanes()))
 }

@@ -131,7 +131,7 @@ pub fn analyze(
             let rate = solution.channel_rate[ch];
             let (declared_peak, declared_min) = top_sid
                 .and_then(|sid| index.port(project, sid, port))
-                .and_then(|p| tydi_spec::lower_cached_arc(&p.ty).ok())
+                .and_then(|p| tydi_spec::lower(&p.ty).ok())
                 .and_then(|streams| {
                     streams.iter().find(|s| s.path.is_empty()).map(|root| {
                         (

@@ -30,7 +30,7 @@
 //! pipeline stages, `parse:<file>`, `elab:<package>`, `drc:<impl>`,
 //! `lower:<impl>`, `emit:<module>`, `sim:<scenario>`,
 //! `analyze:<top>`, `fixpoint-iter:<n>`. Fine-grained spans
-//! (per-component simulator firings, per-type physical expansions)
+//! (per-component simulator firings, analyzer fixpoint iterations)
 //! only record at [`trace::Level::Fine`], enabled by
 //! `tydic --trace-fine`.
 

@@ -43,7 +43,7 @@ pub enum Level {
     /// per-impl, per-scenario).
     Coarse = 1,
     /// Everything records, including per-component simulator firings
-    /// and per-type physical expansions.
+    /// and analyzer fixpoint iterations.
     Fine = 2,
 }
 
@@ -200,8 +200,8 @@ pub fn span_named<F: FnOnce() -> String>(cat: &'static str, name: F) -> SpanGuar
     begin(cat, name())
 }
 
-/// Opens a fine-grained span (per-component firings, per-type
-/// expansions); records only at [`Level::Fine`].
+/// Opens a fine-grained span (per-component firings, fixpoint
+/// iterations); records only at [`Level::Fine`].
 #[inline]
 pub fn fine_span_named<F: FnOnce() -> String>(cat: &'static str, name: F) -> SpanGuard {
     if !fine_enabled() {

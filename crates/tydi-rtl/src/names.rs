@@ -6,11 +6,10 @@
 //! case-*insensitive* and must avoid the VHDL reserved words;
 //! (System)Verilog identifiers are case-*sensitive* and must avoid
 //! the Verilog keywords. Because one netlist is rendered by several
-//! emitters, the default [`sanitize`] and [`NameAllocator`] are
+//! emitters, [`sanitize`] and [`NameAllocator`] are
 //! backend-*neutral*: they avoid the union of all keyword tables and
 //! uniquify case-insensitively (the strictest rule), so a single
-//! legalized name is valid everywhere. Per-backend behaviour is
-//! available through [`sanitize_for`] and [`NameAllocator::for_backend`].
+//! legalized name is valid everywhere.
 
 use std::collections::HashSet;
 use std::sync::OnceLock;
@@ -443,17 +442,6 @@ fn is_reserved_anywhere(word: &str) -> bool {
 /// a leading digit gains a `v` prefix, and words reserved in any
 /// backend gain a `_v` suffix. The empty string becomes `"anon"`.
 pub fn sanitize(name: &str) -> String {
-    sanitize_with(name, is_reserved_anywhere)
-}
-
-/// Sanitizes for one specific backend only (its keyword table and no
-/// other). Prefer [`sanitize`] when the result may reach several
-/// emitters.
-pub fn sanitize_for(backend: Backend, name: &str) -> String {
-    sanitize_with(name, |w| backend.is_reserved(w))
-}
-
-fn sanitize_with(name: &str, reserved: impl Fn(&str) -> bool) -> String {
     let mut out = String::with_capacity(name.len());
     let mut last_underscore = true; // suppress leading underscores
     for c in name.chars() {
@@ -474,7 +462,7 @@ fn sanitize_with(name: &str, reserved: impl Fn(&str) -> bool) -> String {
     if out.chars().next().is_some_and(|c| c.is_ascii_digit()) {
         out.insert(0, 'v');
     }
-    if reserved(&out) {
+    if is_reserved_anywhere(&out) {
         out.push_str("_v");
     }
     out
@@ -482,49 +470,27 @@ fn sanitize_with(name: &str, reserved: impl Fn(&str) -> bool) -> String {
 
 /// Allocates unique sanitized identifiers.
 ///
-/// The default ([`NameAllocator::new`]) is backend-neutral: names are
-/// legal in every backend and uniquified case-insensitively, so the
+/// Allocation is backend-neutral: names are legal in every backend
+/// (see [`sanitize`]) and uniquified case-insensitively, so the
 /// allocation is stable no matter which emitter later renders it.
 #[derive(Debug, Default)]
 pub struct NameAllocator {
     taken: HashSet<String>,
-    backend: Option<Backend>,
 }
 
 impl NameAllocator {
-    /// An empty backend-neutral allocator (case-insensitive
-    /// uniqueness, union keyword table).
+    /// An empty allocator.
     pub fn new() -> Self {
         NameAllocator::default()
-    }
-
-    /// An allocator applying one backend's rules only: its keyword
-    /// table, and case-sensitive uniqueness where the backend allows
-    /// it.
-    pub fn for_backend(backend: Backend) -> Self {
-        NameAllocator {
-            taken: HashSet::new(),
-            backend: Some(backend),
-        }
-    }
-
-    fn fold_case(&self, name: &str) -> String {
-        match self.backend {
-            Some(b) if b.case_sensitive() => name.to_string(),
-            _ => name.to_ascii_lowercase(),
-        }
     }
 
     /// Returns a sanitized identifier for `name`, appending `_2`, `_3`
     /// ... on collision.
     pub fn allocate(&mut self, name: &str) -> String {
-        let base = match self.backend {
-            Some(b) => sanitize_for(b, name),
-            None => sanitize(name),
-        };
+        let base = sanitize(name);
         let mut candidate = base.clone();
         let mut counter = 1u32;
-        while !self.taken.insert(self.fold_case(&candidate)) {
+        while !self.taken.insert(candidate.to_ascii_lowercase()) {
             counter += 1;
             candidate = format!("{base}_{counter}");
         }
@@ -587,22 +553,11 @@ mod tests {
     }
 
     #[test]
-    fn per_backend_tables_differ() {
-        // `reg` is only a Verilog keyword.
-        assert_eq!(sanitize_for(Backend::Vhdl, "reg"), "reg");
-        assert_eq!(sanitize_for(Backend::SystemVerilog, "reg"), "reg_v");
-        // `signal` is only a VHDL keyword.
-        assert_eq!(sanitize_for(Backend::Vhdl, "signal"), "signal_v");
-        assert_eq!(sanitize_for(Backend::SystemVerilog, "signal"), "signal");
-    }
-
-    #[test]
     fn vhdl_keywords_match_case_insensitively_verilog_exactly() {
         assert!(Backend::Vhdl.is_reserved("ENTITY"));
         assert!(Backend::SystemVerilog.is_reserved("reg"));
         // Verilog identifiers are case-sensitive; `Reg` is legal.
         assert!(!Backend::SystemVerilog.is_reserved("Reg"));
-        assert_eq!(sanitize_for(Backend::SystemVerilog, "Reg"), "Reg");
     }
 
     #[test]
@@ -618,21 +573,6 @@ mod tests {
         assert_eq!(a.allocate("X"), "X_2");
         assert_eq!(a.allocate("x"), "x_3");
         assert_eq!(a.allocate("y"), "y");
-    }
-
-    #[test]
-    fn verilog_allocator_is_case_sensitive() {
-        let mut a = NameAllocator::for_backend(Backend::SystemVerilog);
-        assert_eq!(a.allocate("x"), "x");
-        assert_eq!(a.allocate("X"), "X");
-        assert_eq!(a.allocate("x"), "x_2");
-    }
-
-    #[test]
-    fn vhdl_allocator_is_case_insensitive() {
-        let mut a = NameAllocator::for_backend(Backend::Vhdl);
-        assert_eq!(a.allocate("x"), "x");
-        assert_eq!(a.allocate("X"), "X_2");
     }
 
     #[test]

@@ -15,7 +15,11 @@ use std::fmt::Write as _;
 use std::io::Read as _;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
-use tydi_lang::{compile_with_cache, ArtifactCache, CompileOptions, CompileOutput, Stage};
+use tydi_lang::pipeline::CompileFailure;
+use tydi_lang::{
+    compile_with_cache, ArtifactCache, CompileOptions, CompileOutput, Diagnostic, SourceFile, Span,
+    Stage,
+};
 use tydi_obs::metrics;
 use tydi_sim::{FaultPlan, Packet, Scenario, SimBatch, Simulator};
 use tydi_stdlib::{full_registry, stdlib_source, STDLIB_FILE_NAME};
@@ -112,7 +116,7 @@ fn run_validated(
     let mut response = JobResponse::new(request.id);
     let sources = match load_sources(request) {
         Ok(sources) => sources,
-        Err(message) => return JobResponse::failure(request.id, 2, message),
+        Err(failure) => return *failure,
     };
     let refs: Vec<(&str, &str)> = sources
         .iter()
@@ -125,13 +129,7 @@ fn run_validated(
     };
     let mut output = match compile_with_cache(&refs, &compile_options, cache) {
         Ok(output) => output,
-        Err(failure) => {
-            response.ok = false;
-            response.exit_code = 1;
-            response.stderr = failure.render();
-            response.diagnostics = diagnostic_infos(&failure.diagnostics, &failure.files);
-            return response;
-        }
+        Err(failure) => return compile_failed(request.id, &failure),
     };
     let compiled = Instant::now();
     tydi_lang::publish_compile_metrics(&output);
@@ -187,18 +185,49 @@ fn run_validated(
 }
 
 /// Reads the job's input files (the standard library is implicit
-/// unless the job disables it).
-fn load_sources(request: &JobRequest) -> Result<Vec<(String, String)>, String> {
+/// unless the job disables it). A file that cannot be read fails the
+/// job with exit code 2; one that is not UTF-8 fails it like a
+/// compile error, with one diagnostic at the first invalid byte.
+fn load_sources(request: &JobRequest) -> Result<Vec<(String, String)>, Box<JobResponse>> {
     let mut sources: Vec<(String, String)> = Vec::new();
     if request.include_std {
         sources.push((STDLIB_FILE_NAME.to_string(), stdlib_source().to_string()));
     }
     for file in &request.files {
-        let text =
-            std::fs::read_to_string(file).map_err(|e| format!("cannot read `{file}`: {e}"))?;
+        let bytes = std::fs::read(file).map_err(|e| {
+            Box::new(JobResponse::failure(
+                request.id,
+                2,
+                format!("cannot read `{file}`: {e}"),
+            ))
+        })?;
+        let text = String::from_utf8(bytes).map_err(|e| {
+            let offset = e.utf8_error().valid_up_to();
+            let message = format!("invalid UTF-8 byte `0x{:02x}`", e.as_bytes()[offset]);
+            let failure = CompileFailure {
+                diagnostics: vec![Diagnostic::error(
+                    "read",
+                    message,
+                    Some(Span::new(0, offset, offset)),
+                )],
+                files: vec![SourceFile::new(file, String::from_utf8_lossy(e.as_bytes()))],
+            };
+            Box::new(compile_failed(request.id, &failure))
+        })?;
         sources.push((file.clone(), text));
     }
     Ok(sources)
+}
+
+/// The response of a job whose sources did not compile.
+fn compile_failed(id: u64, failure: &CompileFailure) -> JobResponse {
+    JobResponse {
+        ok: false,
+        exit_code: 1,
+        stderr: failure.render(),
+        diagnostics: diagnostic_infos(&failure.diagnostics, &failure.files),
+        ..JobResponse::new(id)
+    }
 }
 
 /// The `--timings` report: per-stage *self* times (and, after code
@@ -252,13 +281,10 @@ fn render_timings(output: &CompileOutput, scope: &str, codegen: bool, err: &mut 
     let job = metrics::snapshot().within(scope);
     let _ = writeln!(
         err,
-        "types: {} distinct node(s) interned, {} dedup hit(s) ({:.0}% hit rate); \
-         expansions: {} reused / {} computed",
+        "types: {} distinct node(s) interned, {} dedup hit(s) ({:.0}% hit rate)",
         job.counter("types.distinct").unwrap_or(0),
         job.counter("types.intern_hits").unwrap_or(0),
         job.gauge("types.intern_hit_rate_pct").unwrap_or(0.0),
-        job.counter("types.expansions_reused").unwrap_or(0),
-        job.counter("types.expansions_computed").unwrap_or(0),
     );
 }
 

@@ -50,9 +50,6 @@ pub use clock::ClockDomain;
 pub use error::SpecError;
 pub use logical::{Field, LogicalType};
 pub use physical::{index_width, lower, PhysicalStream, SignalBundle};
-pub use store::{
-    expansion_cache_stats, lower_cached, lower_cached_arc, structural_fingerprint,
-    ExpansionCacheStats, TypeId, TypeStore, TypeStoreStats,
-};
+pub use store::{structural_fingerprint, TypeId, TypeStore, TypeStoreStats};
 pub use stream::{Complexity, Direction, StreamParams, Synchronicity, Throughput};
 pub use text::parse_logical_type;

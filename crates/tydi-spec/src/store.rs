@@ -5,9 +5,8 @@
 //! types always receive the same id, so *type equality becomes an
 //! integer compare*, and the derived properties that the compiler
 //! pipeline keeps recomputing on type trees — bit width, mangled
-//! display text, a stable structural fingerprint, the physical-stream
-//! expansion — are computed **once per distinct node** and cached in
-//! per-node side tables.
+//! display text, a stable structural fingerprint — are computed **once
+//! per distinct node** and cached in per-node side tables.
 //!
 //! Interning is bottom-up with true structural sharing: a `Group`
 //! node's dedup key holds the [`TypeId`]s of its children, not their
@@ -41,21 +40,17 @@
 //! * [`TypeStore::fingerprint`] is a stable (cross-process) structural
 //!   FNV-1a hash: equal ids ⇔ equal fingerprints for ids of one store.
 //!
-//! The module also hosts a process-wide memo for
-//! [`lower`](crate::physical::lower) — [`lower_cached`] — used by the
-//! RTL backends, where ports arrive as plain `Arc<LogicalType>`
-//! without a store in scope. The memo sits behind a `Mutex` because
-//! concurrent daemon jobs share it.
+//! Physical expansion is not cached here: it is a pure function of the
+//! type ([`lower`](crate::physical::lower)), and each consumer that
+//! expands a type more than once keeps its own run-local map.
 
 use crate::logical::{union_tag_width, Field, LogicalType};
-use crate::physical::PhysicalStream;
 use crate::stream::{Complexity, Direction, StreamParams, Synchronicity, Throughput};
 use crate::SpecError;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::Arc;
 
 /// A compact handle to an interned logical type.
 ///
@@ -94,9 +89,9 @@ enum NodeKey {
     },
 }
 
-/// Cached per-node data. Immutable after interning (except the lazily
-/// memoized expansion), so accessors can hand out clones of the
-/// containing `Arc` without holding the intern map borrowed.
+/// Cached per-node data. Immutable after interning, so accessors can
+/// hand out clones of the containing `Arc` without holding the intern
+/// map borrowed.
 #[derive(Debug)]
 struct NodeData {
     /// Canonical deep tree; structurally equal ids share this `Arc`.
@@ -113,8 +108,6 @@ struct NodeData {
     is_null: bool,
     /// Total node count (compiler statistics).
     node_count: usize,
-    /// Memoized physical expansion (root-level streams only).
-    expansion: OnceLock<Arc<Vec<PhysicalStream>>>,
 }
 
 /// Counters describing how much work a [`TypeStore`] saved.
@@ -124,10 +117,6 @@ pub struct TypeStoreStats {
     pub distinct_types: usize,
     /// Constructor/intern calls answered from the dedup table.
     pub intern_hits: usize,
-    /// Physical expansions served from the per-node cache.
-    pub expansion_hits: usize,
-    /// Physical expansions actually computed.
-    pub expansions_computed: usize,
 }
 
 impl TypeStoreStats {
@@ -157,8 +146,6 @@ struct InternMap {
 pub struct TypeStore {
     map: RefCell<InternMap>,
     intern_hits: Cell<usize>,
-    expansion_hits: Cell<usize>,
-    expansions_computed: Cell<usize>,
 }
 
 impl TypeStore {
@@ -182,8 +169,6 @@ impl TypeStore {
         TypeStoreStats {
             distinct_types: self.len(),
             intern_hits: self.intern_hits.get(),
-            expansion_hits: self.expansion_hits.get(),
-            expansions_computed: self.expansions_computed.get(),
         }
     }
 
@@ -381,19 +366,6 @@ impl TypeStore {
         self.node(id).node_count
     }
 
-    /// The physical-stream expansion of the type, computed once per
-    /// distinct node and shared thereafter.
-    pub fn expansion(&self, id: TypeId) -> Result<Arc<Vec<PhysicalStream>>, SpecError> {
-        let node = self.node(id);
-        if let Some(expansion) = node.expansion.get() {
-            bump(&self.expansion_hits);
-            return Ok(Arc::clone(expansion));
-        }
-        let computed = Arc::new(crate::physical::lower(&node.canonical)?);
-        bump(&self.expansions_computed);
-        Ok(Arc::clone(node.expansion.get_or_init(|| computed)))
-    }
-
     // ---- internals --------------------------------------------------------
 
     fn composite(
@@ -472,7 +444,7 @@ impl TypeStore {
         build: impl FnOnce(&Self) -> NodeBuild,
     ) -> Result<TypeId, SpecError> {
         if let Some(&slot) = self.map.borrow().dedup.get(&key) {
-            bump(&self.intern_hits);
+            self.intern_hits.set(self.intern_hits.get() + 1);
             return Ok(TypeId(slot));
         }
         let built = build(self);
@@ -485,7 +457,6 @@ impl TypeStore {
             contains_stream: built.contains_stream,
             is_null: built.is_null,
             node_count: built.node_count,
-            expansion: OnceLock::new(),
         });
         let mut map = self.map.borrow_mut();
         let slot = u32::try_from(map.nodes.len()).expect("type store overflow");
@@ -493,10 +464,6 @@ impl TypeStore {
         map.dedup.insert(key, slot);
         Ok(TypeId(slot))
     }
-}
-
-fn bump(counter: &Cell<usize>) {
-    counter.set(counter.get() + 1);
 }
 
 /// The data `insert` needs to materialize one new node.
@@ -591,124 +558,9 @@ fn write_type(fnv: &mut Fnv, ty: &LogicalType) {
     }
 }
 
-// ---- process-wide expansion cache ----------------------------------------
-
-/// Hit/miss counters of the process-wide [`lower_cached`] memo.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExpansionCacheStats {
-    /// Lookups answered from the memo.
-    pub hits: u64,
-    /// Lowerings actually computed (and memoized).
-    pub misses: u64,
-}
-
-/// One memoized lowering: the type (for collision verification by
-/// value) and its shared expansion.
-type ExpansionEntry = (LogicalType, Arc<Vec<PhysicalStream>>);
-
-#[derive(Default)]
-struct ExpansionCache {
-    /// Fingerprint → (type, expansion) pairs; the inner `Vec` resolves
-    /// the (astronomically unlikely) fingerprint collisions by value.
-    map: HashMap<u64, Vec<ExpansionEntry>>,
-    stats: ExpansionCacheStats,
-}
-
-/// The value-keyed memo, shared by every job of the process.
-fn expansion_cache() -> &'static Mutex<ExpansionCache> {
-    static CACHE: OnceLock<Mutex<ExpansionCache>> = OnceLock::new();
-    CACHE.get_or_init(Default::default)
-}
-
-/// Like [`lower`](crate::physical::lower) but memoized process-wide:
-/// each distinct type is lowered once and the shared expansion is
-/// handed out thereafter. Used by the RTL backends, which expand the
-/// same port types for every module that instantiates them. Errors
-/// are not memoized (failing types re-report on every attempt).
-pub fn lower_cached(ty: &LogicalType) -> Result<Arc<Vec<PhysicalStream>>, SpecError> {
-    let fingerprint = structural_fingerprint(ty);
-    let mut cache = expansion_cache().lock().expect("expansion cache poisoned");
-    if let Some(candidates) = cache.map.get(&fingerprint) {
-        if let Some((_, expansion)) = candidates.iter().find(|(t, _)| t == ty) {
-            let expansion = Arc::clone(expansion);
-            cache.stats.hits += 1;
-            return Ok(expansion);
-        }
-    }
-    drop(cache);
-    let _span =
-        tydi_obs::trace::fine_span_named("tydi-spec", || format!("expand:{fingerprint:016x}"));
-    let expansion = Arc::new(crate::physical::lower(ty)?);
-    let mut cache = expansion_cache().lock().expect("expansion cache poisoned");
-    cache.stats.misses += 1;
-    cache
-        .map
-        .entry(fingerprint)
-        .or_default()
-        .push((ty.clone(), Arc::clone(&expansion)));
-    Ok(expansion)
-}
-
-/// The pointer-identity memo behind [`lower_cached_arc`].
-type PtrMemo = Mutex<HashMap<usize, (Weak<LogicalType>, Arc<Vec<PhysicalStream>>)>>;
-
-fn ptr_memo() -> &'static PtrMemo {
-    static MEMO: OnceLock<PtrMemo> = OnceLock::new();
-    MEMO.get_or_init(Default::default)
-}
-
-/// Arc-identity fast path over [`lower_cached`].
-///
-/// Ports built by the elaborator share the store's canonical `Arc`
-/// per distinct type, so the common case — the RTL backends expanding
-/// the same port types for every instantiating module — resolves by
-/// pointer without walking or comparing the tree. The memo entry
-/// stores a [`Weak`] next to the expansion and only counts when
-/// upgrading yields the *same* `Arc` (the pointer-memo ABA hazard is
-/// unobservable); types from other producers (e.g. projects re-parsed
-/// from the IR text format) fall back to the value-keyed
-/// [`lower_cached`].
-pub fn lower_cached_arc(ty: &Arc<LogicalType>) -> Result<Arc<Vec<PhysicalStream>>, SpecError> {
-    let key = Arc::as_ptr(ty) as usize;
-    let memo = ptr_memo();
-    {
-        let map = memo.lock().expect("expansion ptr memo poisoned");
-        if let Some((weak, expansion)) = map.get(&key) {
-            if let Some(live) = weak.upgrade() {
-                if Arc::ptr_eq(&live, ty) {
-                    EXPANSION_PTR_HITS.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Arc::clone(expansion));
-                }
-            }
-        }
-    }
-    let expansion = lower_cached(ty)?;
-    let mut map = memo.lock().expect("expansion ptr memo poisoned");
-    if map.len() >= 65_536 {
-        map.retain(|_, (weak, _)| weak.strong_count() > 0);
-    }
-    map.insert(key, (Arc::downgrade(ty), Arc::clone(&expansion)));
-    Ok(expansion)
-}
-
-/// Hits served purely by `Arc` identity in [`lower_cached_arc`].
-static EXPANSION_PTR_HITS: AtomicU64 = AtomicU64::new(0);
-
-/// Counters of the process-wide expansion memo (both levels: the
-/// `Arc`-identity fast path and the value-keyed fallback).
-pub fn expansion_cache_stats() -> ExpansionCacheStats {
-    let mut stats = expansion_cache()
-        .lock()
-        .expect("expansion cache poisoned")
-        .stats;
-    stats.hits += EXPANSION_PTR_HITS.load(Ordering::Relaxed);
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::physical::lower;
 
     fn deep(depth: u32) -> LogicalType {
         let mut ty = LogicalType::Bit(8);
@@ -785,20 +637,6 @@ mod tests {
     }
 
     #[test]
-    fn expansion_is_cached_and_correct() {
-        let store = TypeStore::new();
-        let ty = LogicalType::stream(deep(2), StreamParams::new().with_dimension(1));
-        let id = store.intern(&ty).unwrap();
-        let first = store.expansion(id).unwrap();
-        let second = store.expansion(id).unwrap();
-        assert!(Arc::ptr_eq(&first, &second));
-        assert_eq!(*first, lower(&ty).unwrap());
-        let stats = store.stats();
-        assert_eq!(stats.expansions_computed, 1);
-        assert_eq!(stats.expansion_hits, 1);
-    }
-
-    #[test]
     fn constructors_validate_shallowly() {
         let store = TypeStore::new();
         assert_eq!(store.bit(0), Err(SpecError::ZeroWidthBit));
@@ -837,46 +675,6 @@ mod tests {
             structural_fingerprint(&deep(4)),
             structural_fingerprint(&deep(4))
         );
-    }
-
-    #[test]
-    fn lower_cached_matches_lower() {
-        let ty = LogicalType::stream(
-            LogicalType::group(vec![
-                ("len", LogicalType::Bit(16)),
-                (
-                    "chars",
-                    LogicalType::stream(LogicalType::Bit(8), StreamParams::new().with_dimension(1)),
-                ),
-            ]),
-            StreamParams::new(),
-        );
-        let cached = lower_cached(&ty).unwrap();
-        assert_eq!(*cached, lower(&ty).unwrap());
-        let again = lower_cached(&ty).unwrap();
-        assert!(Arc::ptr_eq(&cached, &again));
-        assert!(lower_cached(&LogicalType::Bit(3)).is_err());
-    }
-
-    #[test]
-    fn lower_cached_arc_shares_by_identity_and_by_value() {
-        let store = TypeStore::new();
-        let ty = LogicalType::stream(deep(3), StreamParams::new().with_dimension(1));
-        let id = store.intern(&ty).unwrap();
-        let arc_a = store.ty(id);
-        let arc_b = store.ty(id);
-        let first = lower_cached_arc(&arc_a).unwrap();
-        // Same Arc again: identity hit, same shared expansion.
-        let second = lower_cached_arc(&arc_b).unwrap();
-        assert!(Arc::ptr_eq(&first, &second));
-        // A structurally equal but separately allocated tree falls
-        // back to the value memo and still shares the expansion.
-        let fresh = Arc::new(ty.clone());
-        let third = lower_cached_arc(&fresh).unwrap();
-        assert!(Arc::ptr_eq(&first, &third));
-        assert_eq!(*first, lower(&ty).unwrap());
-        // Errors are not memoized and still surface.
-        assert!(lower_cached_arc(&Arc::new(LogicalType::Bit(2))).is_err());
     }
 
     #[test]

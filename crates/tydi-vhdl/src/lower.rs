@@ -12,12 +12,14 @@
 //! Each implementation's ports are expanded once per run, into a plan
 //! shared by its own module and every instance of it: an instance's
 //! port map is then a prefix substitution over the plan's suffix
-//! lists ([`PortBinding`]), not a fresh expansion.
+//! lists ([`PortBinding`]), not a fresh expansion. Each distinct port
+//! type is lowered to physical streams once per run.
 
 use crate::builtin::{BuiltinCtx, BuiltinRegistry};
 use crate::error::VhdlError;
 use crate::signals::{clock_signals, PortMode, PortSignals};
 use crate::VhdlOptions;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 use tydi_ir::{
@@ -29,7 +31,7 @@ use tydi_rtl::netlist::{
     PortBinding, PortDir, PortItem,
 };
 use tydi_rtl::Backend;
-use tydi_spec::ClockDomain;
+use tydi_spec::{ClockDomain, LogicalType, PhysicalStream};
 
 impl From<PortMode> for PortDir {
     fn from(mode: PortMode) -> Self {
@@ -127,6 +129,10 @@ impl<'p> Lowering<'p> {
     ) -> Result<Self, VhdlError> {
         // Sequential: allocation order defines collision suffixes.
         let mut allocator = NameAllocator::new();
+        // Ports of one type share the elaborator's canonical `Arc`, and
+        // the project keeps every port type alive for the whole run, so
+        // a type's address identifies it here.
+        let mut expansions: HashMap<*const LogicalType, Vec<PhysicalStream>> = HashMap::new();
         let plans = project
             .implementations_with_ids()
             .map(|(id, implementation)| {
@@ -148,7 +154,14 @@ impl<'p> Lowering<'p> {
                     ports: streamlet
                         .ports
                         .iter()
-                        .map(|port| Ok((port.name.as_str().into(), PortSignals::of(port)?)))
+                        .map(|port| {
+                            let physical = match expansions.entry(Arc::as_ptr(&port.ty)) {
+                                Entry::Occupied(known) => known.into_mut(),
+                                Entry::Vacant(slot) => slot.insert(tydi_spec::lower(&port.ty)?),
+                            };
+                            let signals = PortSignals::new(port.direction, physical);
+                            Ok((port.name.as_str().into(), signals))
+                        })
                         .collect::<Result<_, VhdlError>>()?,
                 })
             })

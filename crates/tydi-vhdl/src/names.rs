@@ -3,12 +3,10 @@
 //! Tydi-lang names (which may contain template mangling such as
 //! `duplicator_i<Stream(Bit(8)),2>`) must map to legal, unique HDL
 //! identifiers. Legalization lives in `tydi-rtl` with per-backend
-//! keyword tables; the functions re-exported here are the
-//! backend-*neutral* variants (avoid every backend's keywords,
-//! uniquify case-insensitively) so one legalized name serves the VHDL
-//! and SystemVerilog emitters alike. Backend-specific rules are
-//! available as [`tydi_rtl::names::sanitize_for`] and
-//! [`tydi_rtl::names::NameAllocator::for_backend`].
+//! keyword tables; the functions re-exported here are
+//! backend-*neutral* (avoid every backend's keywords, uniquify
+//! case-insensitively) so one legalized name serves the VHDL and
+//! SystemVerilog emitters alike.
 
 pub use tydi_rtl::names::{sanitize, NameAllocator};
 

@@ -3,12 +3,17 @@
 //! A Tydi port lowers to one or more physical streams; each physical
 //! stream contributes a `valid`/`ready` handshake pair plus its payload
 //! signals. `ready` always travels against the data direction.
+//!
+//! The physical streams come from [`tydi_spec::lower`], a pure
+//! function of the port type that nothing here caches: [`expand_port`]
+//! calls it on every use, and the lowering pass keeps a run-local map
+//! so each distinct port type is lowered once per run.
 
 use crate::error::VhdlError;
 use std::sync::Arc;
 use tydi_ir::{Port, PortDirection, Streamlet};
 use tydi_rtl::netlist::signal_name;
-use tydi_spec::{lower_cached_arc, ClockDomain, Direction};
+use tydi_spec::{lower, ClockDomain, Direction, PhysicalStream};
 
 /// Mode of a VHDL entity port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,22 +80,17 @@ pub struct PortSignals {
 }
 
 impl PortSignals {
-    /// Expands a port's physical streams into its signal suffixes.
-    ///
-    /// Physical expansion goes through the process-wide
-    /// [`lower_cached_arc`] memo, so a port type is lowered once per
-    /// process; ports carry the elaborator's canonical `Arc`, so a hit
-    /// is a pointer lookup.
-    pub fn of(port: &Port) -> Result<PortSignals, VhdlError> {
-        let physical = lower_cached_arc(&port.ty)?;
+    /// The signal suffixes of a port in `direction` whose type lowers
+    /// to `physical`.
+    pub fn new(direction: PortDirection, physical: &[PhysicalStream]) -> PortSignals {
         let mut suffixes = Vec::new();
         let mut shapes = Vec::new();
-        for stream in physical.iter() {
+        for stream in physical {
             let path = stream.name_suffix();
             // The data direction of this physical stream from the
             // entity's perspective: the port direction, flipped for
             // reverse streams.
-            let data_mode = match (port.direction, stream.direction) {
+            let data_mode = match (direction, stream.direction) {
                 (PortDirection::In, Direction::Forward)
                 | (PortDirection::Out, Direction::Reverse) => PortMode::In,
                 _ => PortMode::Out,
@@ -105,10 +105,10 @@ impl PortSignals {
                 shapes.push((width, mode));
             }
         }
-        Ok(PortSignals {
+        PortSignals {
             suffixes: suffixes.into(),
             shapes,
-        })
+        }
     }
 
     /// The signals with their full names under `prefix`.
@@ -126,7 +126,8 @@ impl PortSignals {
 
 /// Expands a port into its VHDL signals, named under the port name.
 pub fn expand_port(port: &Port) -> Result<Vec<VhdlSignal>, VhdlError> {
-    Ok(PortSignals::of(port)?.named(&port.name).collect())
+    let signals = PortSignals::new(port.direction, &lower(&port.ty)?);
+    Ok(signals.named(&port.name).collect())
 }
 
 /// The distinct clock domains of a streamlet, in first-use order, with
@@ -214,7 +215,7 @@ mod tests {
     #[test]
     fn port_signals_rename_under_any_prefix() {
         let p = Port::new("in0", PortDirection::In, stream(8, 1));
-        let signals = PortSignals::of(&p).unwrap();
+        let signals = PortSignals::new(p.direction, &lower(&p.ty).unwrap());
         assert_eq!(
             &*signals.suffixes,
             ["valid", "ready", "data", "last", "strb"]

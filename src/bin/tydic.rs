@@ -95,8 +95,8 @@ options:
                     JSON object
   --trace <file>    record a Chrome trace-event file (load it in
                     chrome://tracing or https://ui.perfetto.dev)
-  --trace-fine      include fine-grained spans (per-expansion,
-                    per-component firing) in the trace
+  --trace-fine      include fine-grained spans (per-component
+                    firing, per analyzer iteration) in the trace
   --no-cache        disable the on-disk artifact cache
   --cache-dir <dir> artifact cache location (default: .tydic-cache);
                     wipe it by deleting the directory

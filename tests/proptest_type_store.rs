@@ -15,8 +15,8 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use tydi::spec::{
-    lower, lower_cached, structural_fingerprint, Complexity, Field, LogicalType, StreamParams,
-    Synchronicity, Throughput, TypeStore,
+    lower, structural_fingerprint, Complexity, Field, LogicalType, StreamParams, Synchronicity,
+    Throughput, TypeStore,
 };
 
 /// A recursive strategy for arbitrary valid logical types (fields are
@@ -106,19 +106,13 @@ proptest! {
     }
 
     #[test]
-    fn expansion_matches_physical_lowering(ty in arb_type()) {
+    fn canonical_trees_lower_like_the_deep_type(ty in arb_type()) {
         let store = TypeStore::new();
         let id = store.intern(&ty).expect("valid by construction");
-        match (store.expansion(id), lower(&ty)) {
-            (Ok(cached), Ok(deep)) => prop_assert_eq!(&*cached, &deep),
+        match (lower(&store.ty(id)), lower(&ty)) {
+            (Ok(interned), Ok(deep)) => prop_assert_eq!(interned, deep),
             (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
             (a, b) => prop_assert!(false, "expansion disagreement: {:?} vs {:?}", a, b),
-        }
-        // The process-wide memo agrees too.
-        match (lower_cached(&ty), lower(&ty)) {
-            (Ok(cached), Ok(deep)) => prop_assert_eq!(&*cached, &deep),
-            (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
-            (a, b) => prop_assert!(false, "lower_cached disagreement: {:?} vs {:?}", a, b),
         }
     }
 

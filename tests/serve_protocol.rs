@@ -302,6 +302,11 @@ fn daemon_delegation_is_byte_identical_to_in_process() {
     assert!(sim.status.success() && !sim.stdout.is_empty());
     let failed = assert_daemon_matches(&["check", &broken.display().to_string()], &cache);
     assert_eq!(failed.status.code(), Some(1));
+    let not_utf8 = dir.join("not_utf8.td");
+    std::fs::write(&not_utf8, b"package demo;\nconst x = \"\xff\";\n").unwrap();
+    let undecodable = assert_daemon_matches(&["check", &not_utf8.display().to_string()], &cache);
+    assert_eq!(undecodable.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&undecodable.stderr).contains("not_utf8.td:2:12"));
     let ir = assert_daemon_matches(
         &["build", &good.display().to_string(), "--emit", "ir"],
         &cache,
@@ -435,6 +440,52 @@ fn daemon_honours_the_observability_flags() {
     let trace = dir.join("trace.json");
     assert_eq!(run(true, "--trace", &trace).status.code(), Some(2));
     assert!(!trace.exists(), "no empty trace written");
+
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A daemon job's metrics are its own: two builds of one design on
+/// one daemon report exactly the metrics an in-process build reports,
+/// apart from the timings and the artifact-cache reuse counts.
+#[test]
+fn daemon_jobs_do_not_leak_metrics_into_each_other() {
+    let dir = workdir("metrics");
+    let cache = dir.join("cache");
+    let daemon = Daemon::spawn(&cache);
+    let design = cookbook("10_full_flow.td");
+    let build = |daemon: bool, tag: &str| {
+        let json_path = dir.join(format!("{tag}.json"));
+        let mut command = tydic();
+        command
+            .args(["build", &design, "--emit", "vhdl", "--timings-json"])
+            .arg(&json_path)
+            .arg("--cache-dir")
+            .arg(&cache);
+        if daemon {
+            command.arg("--daemon").env("TYDIC_NO_SPAWN", "1");
+        }
+        let out = command.output().expect("run tydic");
+        assert!(out.status.success(), "{tag}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("daemon unavailable"), "{tag}: {stderr}");
+        let text = std::fs::read_to_string(&json_path).expect("timings json written");
+        let metrics = tydi_obs::json::parse(&text).expect("valid JSON");
+        metrics
+            .as_object()
+            .expect("flat snapshot object")
+            .iter()
+            .filter(|(key, _)| !key.starts_with("timings.") && !key.starts_with("cache."))
+            .map(|(key, value)| format!("{key} = {value}"))
+            .collect::<Vec<_>>()
+    };
+    let first = build(true, "daemon-1");
+    assert!(
+        first.iter().any(|line| line.starts_with("types.distinct")),
+        "{first:?}"
+    );
+    assert_eq!(build(true, "daemon-2"), first, "second daemon job");
+    assert_eq!(build(false, "in-process"), first, "in-process run");
 
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
