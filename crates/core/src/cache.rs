@@ -84,8 +84,9 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tydi_ir::Project;
+use tydi_ir::{Project, ProjectIndex};
 
 /// Default name of the on-disk cache directory.
 pub const CACHE_DIR_NAME: &str = ".tydic-cache";
@@ -149,6 +150,10 @@ pub struct ParseArtifact {
 pub struct ElabArtifact {
     /// The elaborated, sugared, validated project.
     pub project: Project,
+    /// The name-resolution index over `project`, shared with the
+    /// compile that stored the artifact; a hit hands it out as is.
+    /// Artifacts restored from disk index their project on decode.
+    pub index: Arc<ProjectIndex>,
     /// Elaboration statistics (connection spans are not persisted;
     /// they are only consulted when the DRC fails, and cached
     /// artifacts passed the DRC).
@@ -684,6 +689,7 @@ impl ElabRecord {
         Some((
             self.key,
             ElabArtifact {
+                index: Arc::new(ProjectIndex::build(&project)),
                 project,
                 info: self.info,
                 sugar_report: self.sugar_report,
@@ -775,6 +781,7 @@ mod tests {
         let out = compile(&[("wire.td", WIRE)], &CompileOptions::default()).unwrap();
         ElabArtifact {
             project: out.project,
+            index: out.index,
             info: out.elab_info,
             sugar_report: out.sugar_report,
             diagnostics: vec![Diagnostic::note("sugar", "inserted 0 things", None)],

@@ -46,18 +46,25 @@ use tydi_spec::{
 };
 
 /// Side information the later pipeline stages need.
+///
+/// Connection spans are positional: each implementation's spans sit in
+/// a `Vec` in connection order, indexed by its [`ImplId`], so the DRC
+/// finds a failing connection's span from the implementation and
+/// position it reports ([`tydi_ir::validate::Violation`]) without any
+/// per-connection key. Sugaring rewrites a fanned-out connection's
+/// source in place, so a rewritten connection keeps its position and
+/// with it the user's span.
+///
+/// [`ImplId`]: tydi_ir::ImplId
 #[derive(Debug, Clone, Default)]
 pub struct ElabInfo {
-    /// Interner backing the span table keys: implementation names and
-    /// connection descriptions are stored once as [`Symbol`]s instead
-    /// of owned string pairs per connection.
-    ///
-    /// [`Symbol`]: tydi_ir::Symbol
+    /// Interner backing the implementation span keys.
     span_keys: tydi_ir::Interner,
-    /// Span of each connection, keyed by interned
-    /// `(impl name, "src => sink")` symbols, used to attach source
-    /// locations to DRC findings.
-    connection_spans: HashMap<(tydi_ir::Symbol, tydi_ir::Symbol), Span>,
+    /// Span of each connection, in connection order, per [`ImplId`]
+    /// (empty for implementations without connections).
+    ///
+    /// [`ImplId`]: tydi_ir::ImplId
+    connection_spans: Vec<Vec<Span>>,
     /// Declaration span of each elaborated implementation, keyed by
     /// its interned IR name, used to point analyzer hazards at the
     /// impl that declared the hazardous structure.
@@ -84,28 +91,27 @@ impl ElabInfo {
         }
     }
 
-    /// Records the source span of a connection.
-    pub fn record_connection_span(&mut self, impl_name: &str, connection: &str, span: Span) {
-        let key = (
-            self.span_keys.intern(impl_name),
-            self.span_keys.intern(connection),
-        );
-        self.connection_spans.insert(key, span);
+    /// Records the source spans of implementation `id`'s connections,
+    /// in connection order.
+    pub fn record_connection_spans(&mut self, id: tydi_ir::ImplId, spans: Vec<Span>) {
+        if self.connection_spans.len() <= id.index() {
+            self.connection_spans.resize_with(id.index() + 1, Vec::new);
+        }
+        self.connection_spans[id.index()] = spans;
     }
 
-    /// The source span of a connection, when known. Read-only: unknown
-    /// names are not interned.
-    pub fn connection_span(&self, impl_name: &str, connection: &str) -> Option<Span> {
-        let key = (
-            self.span_keys.get(impl_name)?,
-            self.span_keys.get(connection)?,
-        );
-        self.connection_spans.get(&key).copied()
+    /// The source span of connection `position` of implementation
+    /// `id`, when known (connections sugaring appended have none).
+    pub fn connection_span(&self, id: tydi_ir::ImplId, position: usize) -> Option<Span> {
+        self.connection_spans
+            .get(id.index())?
+            .get(position)
+            .copied()
     }
 
     /// Number of recorded connection spans.
     pub fn connection_span_count(&self) -> usize {
-        self.connection_spans.len()
+        self.connection_spans.iter().map(Vec::len).sum()
     }
 
     /// Records the declaration span of an elaborated implementation.
@@ -1043,21 +1049,25 @@ impl Elaborator {
                 .insert(format!("param_{name}"), v.mangle());
         }
 
+        let mut connection_spans = Vec::new();
         if let ImplBody::Normal(stmts) = &i.body {
             let mut body = BodyBuilder {
                 implementation: &mut implementation,
+                connection_spans: Vec::new(),
                 instance_impls: HashMap::new(),
                 aliases: Vec::new(),
                 fresh: 0,
             };
             self.run_stmts(stmts, &mut body, depth);
+            connection_spans = body.connection_spans;
         }
 
         self.locals.pop();
         self.current_package = saved_package;
 
-        if let Err(e) = self.project.add_implementation(implementation) {
-            self.error(e.to_string(), i.span);
+        match self.project.add_implementation(implementation) {
+            Ok(id) => self.info.record_connection_spans(id, connection_spans),
+            Err(e) => self.error(e.to_string(), i.span),
         }
         Some(value)
     }
@@ -1248,10 +1258,9 @@ impl Elaborator {
         let Some(sink) = self.resolve_endpoint(dst, body) else {
             return;
         };
-        let connection = Connection::new(source, sink);
-        self.info
-            .record_connection_span(&body.implementation.name, &connection.describe(), span);
-        body.implementation.add_connection(connection);
+        body.connection_spans.push(span);
+        body.implementation
+            .add_connection(Connection::new(source, sink));
     }
 
     /// Resolves an endpoint expression to a concrete [`EndpointRef`],
@@ -1324,6 +1333,8 @@ impl Elaborator {
 /// instance table.
 struct BodyBuilder<'a> {
     implementation: &'a mut Implementation,
+    /// Span of each connection added so far, in connection order.
+    connection_spans: Vec<Span>,
     instance_impls: HashMap<String, ImplValue>,
     /// Alias frames for generative scopes: an `instance` declared
     /// inside a `for` iteration gets a unique concrete name, and the

@@ -253,6 +253,7 @@ pub fn compile_with_cache(
         session.replay_stage(Stage::Elaborate, artifact.diagnostics);
         session.replay_stage(Stage::Sugar, Vec::new());
         session.replay_stage(Stage::Drc, Vec::new());
+        session.adopt_index(artifact.index);
         return Ok(session.finish(artifact.project, artifact.sugar_report, artifact.info));
     }
     tydi_obs::trace::instant("core", "elab-cache-miss");
@@ -266,16 +267,20 @@ pub fn compile_with_cache(
     let sugar_report = session.sugar(&mut project);
     session.drc(&project, &elab_info)?;
     let stage_diagnostics = session.diagnostics()[diags_before..].to_vec();
+    let artifact_project = project.clone();
+    let artifact_info = elab_info.clone();
+    let output = session.finish(project, sugar_report, elab_info);
     cache.store_elab(
         key,
         ElabArtifact {
-            project: project.clone(),
-            info: elab_info.clone(),
+            project: artifact_project,
+            index: Arc::clone(&output.index),
+            info: artifact_info,
             sugar_report,
             diagnostics: stage_diagnostics,
         },
     );
-    Ok(session.finish(project, sugar_report, elab_info))
+    Ok(output)
 }
 
 #[cfg(test)]

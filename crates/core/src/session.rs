@@ -27,11 +27,12 @@ use crate::fingerprint::{ast_fingerprint, source_fingerprint, Fingerprint};
 use crate::instantiate::{elaborate, ElabInfo};
 use crate::parser::parse_package;
 use crate::pipeline::{CompileFailure, CompileOptions, CompileOutput, StageTimings};
-use crate::span::{SourceFile, Span};
+use crate::span::SourceFile;
 use crate::sugar::{apply_sugaring_with, SugarReport};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tydi_ir::{IrError, Project, ProjectIndex};
+use tydi_ir::validate::violations;
+use tydi_ir::{Project, ProjectIndex};
 
 /// The pipeline stages of paper Fig. 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -108,9 +109,10 @@ pub struct Session {
     first_stage_start: Option<Instant>,
     last_stage_end: Option<Instant>,
     /// The shared name-resolution index, built right after
-    /// elaboration and kept current by the sugaring pass, so the
-    /// sugar, DRC and lowering stages never rebuild their own maps.
-    index: Option<ProjectIndex>,
+    /// elaboration (or adopted from a cached artifact) and kept current
+    /// by the sugaring pass, so the sugar, DRC and lowering stages
+    /// never rebuild their own maps.
+    index: Option<Arc<ProjectIndex>>,
 }
 
 impl Session {
@@ -431,7 +433,7 @@ impl Session {
             session.diagnostics.append(&mut diags);
             // Build the shared name-resolution index once, right
             // here; sugar, DRC and lowering all reuse it.
-            session.index = Some(ProjectIndex::build(&project));
+            session.index = Some(Arc::new(ProjectIndex::build(&project)));
             (project, info)
         });
         self.bail_on_errors()?;
@@ -450,8 +452,8 @@ impl Session {
                     .index
                     .take()
                     .filter(|index| index.covers(project))
-                    .unwrap_or_else(|| ProjectIndex::build(project));
-                let report = apply_sugaring_with(project, &mut index);
+                    .unwrap_or_else(|| Arc::new(ProjectIndex::build(project)));
+                let report = apply_sugaring_with(project, Arc::make_mut(&mut index));
                 session.index = Some(index);
                 report
             } else {
@@ -471,38 +473,45 @@ impl Session {
         })
     }
 
-    /// Stage 4: design-rule checks (inside [`Project::validate`]),
-    /// one implementation after the other. Violations become diagnostics
-    /// carrying the source span of the offending connection.
+    /// Stage 4: design-rule checks ([`tydi_ir::validate::violations`]),
+    /// one implementation after the other. Violations become
+    /// diagnostics carrying the source span of the offending
+    /// connection, found by its position.
     pub fn drc(&mut self, project: &Project, info: &ElabInfo) -> Result<(), Box<CompileFailure>> {
         self.run_stage(Stage::Drc, |session| {
             if !session.options.run_drc {
                 return;
             }
-            let result = match session.index.as_ref() {
-                Some(index) if index.covers(project) => project.validate_with(index),
-                _ => project.validate(),
+            let violations = match session.index.as_deref() {
+                Some(index) if index.covers(project) => violations(project, index),
+                _ => violations(project, &ProjectIndex::build(project)),
             };
-            if let Err(errors) = result {
-                for error in errors {
-                    let span = connection_span_of(&error, info);
-                    session.diagnostics.push(Diagnostic::error(
-                        Stage::Drc.name(),
-                        error.to_string(),
-                        span,
-                    ));
-                }
+            for violation in violations {
+                let span = violation
+                    .connection
+                    .and_then(|(id, position)| info.connection_span(id, position));
+                session.diagnostics.push(Diagnostic::error(
+                    Stage::Drc.name(),
+                    violation.error.to_string(),
+                    span,
+                ));
             }
         });
         self.bail_on_errors()
+    }
+
+    /// Adopts the index of a cached elaboration artifact, so
+    /// [`Session::finish`] hands it out instead of rebuilding one.
+    pub fn adopt_index(&mut self, index: Arc<ProjectIndex>) {
+        self.index = Some(index);
     }
 
     /// Consumes the session into a successful [`CompileOutput`].
     ///
     /// The output carries the shared [`ProjectIndex`] for the final
     /// project (rebuilt here only when no current one exists — e.g.
-    /// when the whole middle of the pipeline replayed from the
-    /// artifact cache).
+    /// for a caller that drove the stages with a project this session
+    /// did not elaborate).
     pub fn finish(
         mut self,
         project: Project,
@@ -512,11 +521,11 @@ impl Session {
         let timings = self.timings();
         let index = match self.index.take() {
             Some(index) if index.covers(&project) => index,
-            _ => ProjectIndex::build(&project),
+            _ => Arc::new(ProjectIndex::build(&project)),
         };
         CompileOutput {
             project,
-            index: Arc::new(index),
+            index,
             diagnostics: self.diagnostics,
             timings,
             files: self.files,
@@ -525,40 +534,6 @@ impl Session {
             stage_records: self.records,
         }
     }
-}
-
-/// Best-effort mapping from an IR validation error back to the source
-/// span of the offending connection.
-fn connection_span_of(error: &IrError, info: &ElabInfo) -> Option<Span> {
-    let (implementation, connection) = match error {
-        IrError::TypeMismatch {
-            implementation,
-            connection,
-            ..
-        }
-        | IrError::StrictTypeMismatch {
-            implementation,
-            connection,
-            ..
-        }
-        | IrError::ComplexityMismatch {
-            implementation,
-            connection,
-            ..
-        }
-        | IrError::ClockDomainMismatch {
-            implementation,
-            connection,
-            ..
-        }
-        | IrError::DirectionError {
-            implementation,
-            connection,
-            ..
-        } => (implementation, connection),
-        _ => return None,
-    };
-    info.connection_span(implementation, connection)
 }
 
 #[cfg(test)]

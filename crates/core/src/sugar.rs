@@ -16,11 +16,21 @@
 //! `std.duplicator` / `std.voider` builtin RTL generators and are
 //! flagged `inserted_by_sugar` so reports can separate user code from
 //! inferred code.
+//!
+//! The pass works on the shared [`ProjectIndex`]'s connectivity table
+//! rather than on endpoint names: it counts the reads of each source
+//! in a `Vec` indexed by port slot, and keeps the table current as it
+//! splices helpers in (new instances, appended feed connections and
+//! rewritten sources are recorded slot by slot), so no implementation
+//! is re-resolved afterwards. A rewritten connection keeps its
+//! position, which is how a DRC finding on it still points at the
+//! user's source line.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use tydi_ir::index::{ConnectionSlots, Slot};
 use tydi_ir::{
-    Connection, EndpointRef, ImplId, Implementation, Instance, Port, PortDirection, Project,
-    ProjectIndex, Streamlet,
+    Connection, EndpointRef, ImplId, ImplKind, Implementation, Instance, Port, PortDirection,
+    Project, ProjectIndex, Streamlet, StreamletId,
 };
 
 /// What the sugaring pass did.
@@ -32,16 +42,37 @@ pub struct SugarReport {
     pub voiders: usize,
 }
 
+/// A helper instance spliced into an implementation: its name and the
+/// base slot of its ports, laid out as built by [`ensure_voider`] and
+/// [`ensure_duplicator`] — input `i` first, then a duplicator's
+/// outputs `o_0`, `o_1`, ….
+struct Helper {
+    name: String,
+    base: Slot,
+}
+
+impl Helper {
+    fn input(&self) -> Slot {
+        self.base
+    }
+
+    fn output(&self, k: usize) -> Slot {
+        self.base + 1 + k as Slot
+    }
+}
+
+/// An internal source endpoint that needs a helper.
 #[derive(Debug)]
-struct VoiderPlan {
+struct SourcePlan {
     source: EndpointRef,
+    /// The source's slot in the implementation's connectivity table.
+    slot: Slot,
     port: Port,
 }
 
 #[derive(Debug)]
 struct DuplicatorPlan {
-    source: EndpointRef,
-    port: Port,
+    source: SourcePlan,
     /// Indices of the connections (into the impl's connection list)
     /// whose source must be rewritten to the duplicator outputs.
     connections: Vec<usize>,
@@ -49,7 +80,7 @@ struct DuplicatorPlan {
 
 #[derive(Debug, Default)]
 struct ImplPlan {
-    voiders: Vec<VoiderPlan>,
+    voiders: Vec<SourcePlan>,
     duplicators: Vec<DuplicatorPlan>,
 }
 
@@ -60,15 +91,19 @@ pub fn apply_sugaring(project: &mut Project) -> SugarReport {
     apply_sugaring_with(project, &mut index)
 }
 
-/// Applies sugaring over the pipeline's shared [`ProjectIndex`]. The
-/// index is kept current: helper streamlets/implementations the pass
-/// appends are registered and mutated implementations have their
-/// instance tables refreshed, so the DRC and lowering can keep using
-/// the same index afterwards.
+/// Applies sugaring over the pipeline's shared [`ProjectIndex`].
+///
+/// Planning reads the index's connectivity table: source uses are
+/// counted in a `Vec` indexed by port slot, and only the sources that
+/// need a helper get an owned endpoint name. The index is kept
+/// current as the pass edits the project: helper streamlets and
+/// implementations are registered, spliced helper instances get their
+/// slots, appended connections are recorded and rewritten sources
+/// re-pointed, so the DRC and lowering keep using the same index
+/// afterwards.
 ///
 /// # Panics
-/// Panics when the index does not cover every definition already in
-/// the project.
+/// Panics when the index does not cover the project.
 pub fn apply_sugaring_with(project: &mut Project, index: &mut ProjectIndex) -> SugarReport {
     assert!(
         index.covers(project),
@@ -91,19 +126,13 @@ pub fn apply_sugaring_with(project: &mut Project, index: &mut ProjectIndex) -> S
     let mut unique = 0usize;
 
     for (impl_id, plan) in plans {
-        // One pass over the existing instance names; fresh helper
-        // names then come from a bump counter checked against the set.
-        let mut namer = InstanceNamer::new(project.implementation_by_id(impl_id));
+        let mut counter = 0usize;
         for voider in plan.voiders {
             let helper_impl =
                 ensure_voider(project, index, &voider.port, &mut helper_cache, &mut unique);
-            let inst_name = namer.fresh("voider");
-            let implementation = project.implementation_by_id_mut(impl_id);
-            implementation.add_instance(Instance::new(inst_name.clone(), helper_impl));
-            let mut connection =
-                Connection::new(voider.source, EndpointRef::instance(inst_name, "i"));
-            connection.inserted_by_sugar = true;
-            implementation.add_connection(connection);
+            let helper =
+                splice_helper(project, index, impl_id, "voider", &mut counter, helper_impl);
+            add_sugar_connection(project, index, impl_id, voider, helper);
             report.voiders += 1;
         }
         for duplicator in plan.duplicators {
@@ -111,38 +140,86 @@ pub fn apply_sugaring_with(project: &mut Project, index: &mut ProjectIndex) -> S
             let helper_impl = ensure_duplicator(
                 project,
                 index,
-                &duplicator.port,
+                &duplicator.source.port,
                 fan_out,
                 &mut helper_cache,
                 &mut unique,
             );
-            let inst_name = namer.fresh("dup");
-            let implementation = project.implementation_by_id_mut(impl_id);
-            implementation.add_instance(Instance::new(inst_name.clone(), helper_impl));
+            let helper = splice_helper(project, index, impl_id, "dup", &mut counter, helper_impl);
             // Rewrite each consumer connection to read from one
             // duplicator output.
-            for (k, &conn_idx) in duplicator.connections.iter().enumerate() {
-                if let tydi_ir::ImplKind::Normal { connections, .. } = &mut implementation.kind {
+            let implementation = project.implementation_by_id_mut(impl_id);
+            if let ImplKind::Normal { connections, .. } = &mut implementation.kind {
+                for (k, &conn_idx) in duplicator.connections.iter().enumerate() {
                     connections[conn_idx].source =
-                        EndpointRef::instance(inst_name.clone(), format!("o_{k}"));
+                        EndpointRef::instance(helper.name.clone(), format!("o_{k}"));
                     connections[conn_idx].inserted_by_sugar = true;
+                    index.set_source(impl_id, conn_idx, helper.output(k));
                 }
             }
-            let mut feed =
-                Connection::new(duplicator.source, EndpointRef::instance(inst_name, "i"));
-            feed.inserted_by_sugar = true;
-            implementation.add_connection(feed);
+            add_sugar_connection(project, index, impl_id, duplicator.source, helper);
             report.duplicators += 1;
         }
-        // The implementation gained helper instances: bring its
-        // instance table up to date for the passes downstream.
-        index.refresh_implementation(project, impl_id);
     }
     report
 }
 
-/// Plans voider/duplicator insertion for one implementation, with
-/// all streamlet/port resolution served by the shared index.
+/// Splices a fresh instance of `helper_impl` into implementation
+/// `impl_id` and registers it with the index.
+fn splice_helper(
+    project: &mut Project,
+    index: &mut ProjectIndex,
+    impl_id: ImplId,
+    kind: &str,
+    counter: &mut usize,
+    helper_impl: String,
+) -> Helper {
+    // Fresh names come from a bump counter checked against the index's
+    // instance table, which learns each helper as it is registered.
+    let name = loop {
+        let candidate = format!("__{kind}_{counter}");
+        *counter += 1;
+        if index.instance_position(impl_id, &candidate).is_none() {
+            break candidate;
+        }
+    };
+    project
+        .implementation_by_id_mut(impl_id)
+        .add_instance(Instance::new(name.clone(), helper_impl));
+    let slots = index
+        .register_instance(project, impl_id)
+        .expect("helper implementations resolve");
+    Helper {
+        name,
+        base: slots.base,
+    }
+}
+
+/// Feeds a helper's input from `source`.
+fn add_sugar_connection(
+    project: &mut Project,
+    index: &mut ProjectIndex,
+    impl_id: ImplId,
+    source: SourcePlan,
+    helper: Helper,
+) {
+    let sink = helper.input();
+    let mut connection = Connection::new(source.source, EndpointRef::instance(helper.name, "i"));
+    connection.inserted_by_sugar = true;
+    project
+        .implementation_by_id_mut(impl_id)
+        .add_connection(connection);
+    index.push_connection(
+        impl_id,
+        ConnectionSlots {
+            source: Some(source.slot),
+            sink: Some(sink),
+        },
+    );
+}
+
+/// Plans voider/duplicator insertion for one implementation from the
+/// index's connectivity table.
 fn plan_implementation(
     project: &Project,
     index: &ProjectIndex,
@@ -153,57 +230,65 @@ fn plan_implementation(
     if implementation.is_external() {
         return plan;
     }
-    let Some(own_streamlet) = index
-        .streamlet_of_impl(id)
-        .map(|sid| project.streamlet_by_id(sid))
-    else {
+    let Some(own) = index.streamlet_of_impl(id) else {
         return plan;
     };
+    let connectivity = index.connectivity(id);
 
-    // Count how many connections read from each source endpoint.
-    let mut source_uses: HashMap<EndpointRef, Vec<usize>> = HashMap::new();
-    for (idx, connection) in implementation.connections().iter().enumerate() {
-        source_uses
-            .entry(connection.source.clone())
-            .or_default()
-            .push(idx);
-    }
-
-    // Every internal source endpoint with its port definition.
-    let mut sources: Vec<(EndpointRef, Port)> = Vec::new();
-    for port in &own_streamlet.ports {
-        if port.direction == PortDirection::In {
-            sources.push((EndpointRef::own(port.name.clone()), port.clone()));
+    // How many connections read from each slot.
+    let mut reads = vec![0u32; connectivity.slot_count()];
+    for slots in connectivity.connections() {
+        if let Some(source) = slots.source {
+            reads[source as usize] += 1;
         }
     }
-    for instance in implementation.instances() {
-        if let Some(streamlet) = index
-            .streamlet_of_impl_name(project, &instance.impl_name)
-            .map(|sid| project.streamlet_by_id(sid))
-        {
-            for port in &streamlet.ports {
-                if port.direction == PortDirection::Out {
-                    sources.push((
-                        EndpointRef::instance(instance.name.clone(), port.name.clone()),
-                        port.clone(),
-                    ));
-                }
+    // The connections reading each fanned-out slot, in order.
+    let mut readers: Vec<Vec<usize>> = Vec::new();
+    if reads.iter().any(|&n| n > 1) {
+        readers.resize(reads.len(), Vec::new());
+        for (position, slots) in connectivity.connections().iter().enumerate() {
+            if let Some(source) = slots.source.filter(|&s| reads[s as usize] > 1) {
+                readers[source as usize].push(position);
             }
         }
     }
 
-    for (endpoint, port) in sources {
-        match source_uses.get(&endpoint).map(Vec::as_slice) {
-            None | Some([]) => plan.voiders.push(VoiderPlan {
-                source: endpoint,
-                port,
-            }),
-            Some([_single]) => {}
-            Some(multiple) => plan.duplicators.push(DuplicatorPlan {
-                source: endpoint,
-                port,
-                connections: multiple.to_vec(),
-            }),
+    // Every internal source: own `in` ports and instance `out` ports.
+    let mut plan_source =
+        |base: Slot, streamlet: StreamletId, direction: PortDirection, instance: Option<&str>| {
+            let ports = &project.streamlet_by_id(streamlet).ports;
+            for (position, port) in ports.iter().enumerate() {
+                if port.direction != direction {
+                    continue;
+                }
+                let slot = base + index.canonical_port(streamlet, position) as Slot;
+                let source = || SourcePlan {
+                    source: EndpointRef {
+                        instance: instance.map(str::to_string),
+                        port: port.name.clone(),
+                    },
+                    slot,
+                    port: port.clone(),
+                };
+                match reads[slot as usize] {
+                    0 => plan.voiders.push(source()),
+                    1 => {}
+                    _ => plan.duplicators.push(DuplicatorPlan {
+                        source: source(),
+                        connections: readers[slot as usize].clone(),
+                    }),
+                }
+            }
+        };
+    plan_source(0, own, PortDirection::In, None);
+    for (position, instance) in implementation.instances().iter().enumerate() {
+        if let Some(slots) = connectivity.instance(position) {
+            plan_source(
+                slots.base,
+                slots.streamlet,
+                PortDirection::Out,
+                Some(&instance.name),
+            );
         }
     }
     plan
@@ -299,37 +384,6 @@ fn ensure_duplicator(
     impl_name
 }
 
-/// Allocates helper instance names unique within one implementation.
-/// The existing names are hashed once up front, so allocation is O(1)
-/// per helper instead of a rescan of the instance list.
-struct InstanceNamer {
-    taken: HashSet<String>,
-    counter: usize,
-}
-
-impl InstanceNamer {
-    fn new(implementation: &Implementation) -> Self {
-        InstanceNamer {
-            taken: implementation
-                .instances()
-                .iter()
-                .map(|i| i.name.clone())
-                .collect(),
-            counter: 0,
-        }
-    }
-
-    fn fresh(&mut self, kind: &str) -> String {
-        loop {
-            let candidate = format!("__{kind}_{}", self.counter);
-            self.counter += 1;
-            if self.taken.insert(candidate.clone()) {
-                return candidate;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,7 +468,7 @@ mod tests {
         assert_eq!(report.voiders, 1);
         // Helper components and spliced instances are all registered:
         // the same index drives a clean DRC with no rebuild.
-        assert!(index.covers(&p));
+        assert_index_matches_rebuild(&p, &index);
         assert_eq!(p.validate_with(&index), Ok(()));
         let top = p.implementation_id("top_i").unwrap();
         let spliced = p
@@ -424,7 +478,87 @@ mod tests {
             .unwrap()
             .name
             .clone();
-        assert!(index.instance(&p, top, &spliced).is_some());
+        assert!(index.instance_position(top, &spliced).is_some());
+    }
+
+    /// The index the pass kept current equals a fresh build over the
+    /// sugared project, and every connection's slots hold the ports
+    /// its endpoints name.
+    fn assert_index_matches_rebuild(p: &Project, index: &ProjectIndex) {
+        assert!(index.covers(p));
+        let fresh = ProjectIndex::build(p);
+        for (id, implementation) in p.implementations_with_ids() {
+            let connectivity = index.connectivity(id);
+            assert_eq!(
+                connectivity,
+                fresh.connectivity(id),
+                "{}",
+                implementation.name
+            );
+            for (position, instance) in implementation.instances().iter().enumerate() {
+                assert_eq!(
+                    index.instance_position(id, &instance.name),
+                    Some(position),
+                    "{}",
+                    instance.name
+                );
+            }
+            for (position, connection) in implementation.connections().iter().enumerate() {
+                let slots = connectivity.connection(position);
+                for (endpoint, slot) in [
+                    (&connection.source, slots.source),
+                    (&connection.sink, slots.sink),
+                ] {
+                    let slot = slot.unwrap_or_else(|| panic!("{endpoint} unresolved"));
+                    assert_eq!(index.slot_port(p, id, slot).name, endpoint.port);
+                    assert_eq!(connectivity.is_own(slot), endpoint.instance.is_none());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn index_tracks_helpers_and_rewritten_sources() {
+        let mut p = fig4_project();
+        p.add_streamlet(
+            Streamlet::new("fan_s")
+                .with_port(Port::new("i", PortDirection::In, stream8()))
+                .with_port(Port::new("o1", PortDirection::Out, stream8()))
+                .with_port(Port::new("o2", PortDirection::Out, stream8())),
+        )
+        .unwrap();
+        // Own-port fan-out, a three-way instance fan-out and two
+        // unused outputs in one body, sharing helpers with `top_i`.
+        let mut mixed = Implementation::normal("mixed_i", "fan_s");
+        mixed.add_instance(Instance::new("src", "producer_i"));
+        for k in 0..3 {
+            mixed.add_instance(Instance::new(format!("c{k}"), "consumer_i"));
+        }
+        mixed.add_instance(Instance::new("idle", "producer_i"));
+        mixed.add_connection(Connection::new(
+            EndpointRef::own("i"),
+            EndpointRef::own("o1"),
+        ));
+        for k in 0..3 {
+            mixed.add_connection(Connection::new(
+                EndpointRef::instance("src", "o"),
+                EndpointRef::instance(format!("c{k}"), "i"),
+            ));
+        }
+        mixed.add_connection(Connection::new(
+            EndpointRef::own("i"),
+            EndpointRef::own("o2"),
+        ));
+        mixed.add_connection(Connection::new(
+            EndpointRef::instance("idle", "o"),
+            EndpointRef::own("o2"),
+        ));
+        p.add_implementation(mixed).unwrap();
+        let mut index = ProjectIndex::build(&p);
+        let report = apply_sugaring_with(&mut p, &mut index);
+        assert_eq!(report.duplicators, 3);
+        assert_eq!(report.voiders, 3);
+        assert_index_matches_rebuild(&p, &index);
     }
 
     #[test]

@@ -10,10 +10,8 @@
 //! length-prefixes strings and tags fields so that adjacent values
 //! cannot alias (`("ab", "c")` and `("a", "bc")` hash differently).
 //! The frontend fingerprints source text, ASTs and options with it
-//! (`tydi_lang::fingerprint`); logical types have their own structural
-//! hash, [`tydi_spec::structural_fingerprint`]. The IR itself is not
-//! fingerprinted: artifacts are keyed by their inputs, not by the IR
-//! they produce.
+//! (`tydi_lang::fingerprint`). The IR itself is not fingerprinted:
+//! artifacts are keyed by their inputs, not by the IR they produce.
 
 use std::fmt;
 

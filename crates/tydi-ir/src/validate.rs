@@ -6,22 +6,38 @@
 //! protocol complexities are compatible, directions are legal, clock
 //! domains match, and every port is used exactly once.
 //!
-//! The checks run over the shared [`ProjectIndex`]: streamlet and
-//! implementation references are resolved to
-//! [`StreamletId`]/[`ImplId`] array indices and every port map gets a
-//! name→port hash index, so no check walks a definition list
-//! linearly. The pipeline builds that index once right after
+//! The checks run over the shared [`ProjectIndex`], whose
+//! connectivity table already holds every connection's source and
+//! sink [`Slot`](crate::index::Slot): a connection's ports are array
+//! accesses, and the port-usage rule counts uses in a `Vec` indexed by
+//! slot. Names are only looked up again to explain an endpoint that
+//! does not resolve. The pipeline builds that index once right after
 //! elaboration and passes it in via [`validate_project_with`];
 //! [`validate_project`] builds a fresh one for standalone callers.
+//!
+//! [`violations`] also reports *where* each violation was found: the
+//! implementation and position of the offending connection, which the
+//! frontend maps back to a source span.
 
-use crate::component::{Connection, EndpointRef, ImplKind, Implementation, PortDirection};
+use crate::component::{Connection, EndpointRef, Implementation, Port, PortDirection};
 use crate::error::IrError;
-use crate::index::ProjectIndex;
+use crate::index::{ConnectionSlots, Connectivity, ProjectIndex, Slot};
 use crate::intern::{ImplId, StreamletId};
 use crate::project::Project;
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::sync::Arc;
 use tydi_spec::{Complexity, LogicalType};
+
+/// One design-rule violation and the connection it was found on.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Violation {
+    /// What is wrong.
+    pub error: IrError,
+    /// The offending connection, as its implementation and position in
+    /// that implementation's connection list; `None` for violations
+    /// that are not about one connection.
+    pub connection: Option<(ImplId, usize)>,
+}
 
 /// Runs every check and collects all violations, building a fresh
 /// [`ProjectIndex`] for this run.
@@ -33,117 +49,126 @@ pub fn validate_project(project: &Project) -> Vec<IrError> {
 /// pipeline's shared one) and collects all violations.
 ///
 /// # Panics
-/// Panics when the index does not cover every definition of the
-/// project (a stale index would silently mis-resolve references).
+/// Panics when the index does not cover the project (a stale index
+/// would silently mis-resolve references).
 pub fn validate_project_with(project: &Project, index: &ProjectIndex) -> Vec<IrError> {
+    violations(project, index)
+        .into_iter()
+        .map(|violation| violation.error)
+        .collect()
+}
+
+/// Like [`validate_project_with`], but keeps where each violation was
+/// found.
+///
+/// # Panics
+/// Panics when the index does not cover the project.
+pub fn violations(project: &Project, index: &ProjectIndex) -> Vec<Violation> {
     assert!(
         index.covers(project),
         "stale ProjectIndex: register definitions appended after build"
     );
-    let mut errors = Vec::new();
+    let mut found = Found::default();
     for streamlet in project.streamlets() {
-        validate_streamlet(streamlet, &mut errors);
+        validate_streamlet(streamlet, &mut found);
     }
     for (impl_id, implementation) in project.implementations_with_ids() {
         let _span =
             tydi_obs::trace::span_named("tydi-ir", || format!("drc:{}", implementation.name));
-        validate_implementation(project, index, impl_id, implementation, &mut errors);
+        validate_implementation(project, index, impl_id, implementation, &mut found);
     }
-    errors
+    found.violations
 }
 
-fn validate_streamlet(streamlet: &crate::component::Streamlet, errors: &mut Vec<IrError>) {
-    let mut seen: HashMap<&str, ()> = HashMap::new();
+/// The violations found so far, and the connection being checked.
+#[derive(Default)]
+struct Found {
+    violations: Vec<Violation>,
+    connection: Option<(ImplId, usize)>,
+}
+
+impl Found {
+    fn push(&mut self, error: IrError) {
+        self.violations.push(Violation {
+            error,
+            connection: self.connection,
+        });
+    }
+}
+
+fn validate_streamlet(streamlet: &crate::component::Streamlet, found: &mut Found) {
+    let mut seen: HashSet<&str> = HashSet::with_capacity(streamlet.ports.len());
     for port in &streamlet.ports {
-        if seen.insert(&port.name, ()).is_some() {
-            errors.push(IrError::DuplicateDefinition {
+        if !seen.insert(&port.name) {
+            found.push(IrError::DuplicateDefinition {
                 kind: "port",
                 name: format!("{}.{}", streamlet.name, port.name),
             });
         }
         if !matches!(*port.ty, LogicalType::Stream { .. }) {
-            errors.push(IrError::PortNotStream {
+            found.push(IrError::PortNotStream {
                 streamlet: streamlet.name.clone(),
                 port: port.name.clone(),
             });
         }
         if let Err(e) = port.ty.validate() {
-            errors.push(e.into());
+            found.push(e.into());
         }
     }
 }
 
 /// Per-implementation context: the shared index plus this
-/// implementation's resolved ids, so endpoint resolution never scans.
+/// implementation's resolved ids and connectivity.
 struct ImplCtx<'a> {
     project: &'a Project,
     index: &'a ProjectIndex,
     implementation: &'a Implementation,
-    /// Id of this implementation (keys the index's instance table).
+    /// Id of this implementation (keys the index's tables).
     impl_id: ImplId,
-    /// Id of the streamlet this implementation realizes.
-    own: StreamletId,
+    connectivity: &'a Connectivity,
 }
 
 /// The resolved view of one connection endpoint.
 struct ResolvedEndpoint<'a> {
-    port: &'a crate::component::Port,
+    port: &'a Port,
     /// True when this endpoint produces data *inside* the
     /// implementation body (own `in` ports and instance `out` ports).
     acts_as_source: bool,
 }
 
-fn resolve_endpoint<'a>(
-    ctx: &ImplCtx<'a>,
-    endpoint: &EndpointRef,
-    errors: &mut Vec<IrError>,
-) -> Option<ResolvedEndpoint<'a>> {
-    match &endpoint.instance {
-        None => match ctx.index.port(ctx.project, ctx.own, &endpoint.port) {
-            Some(port) => Some(ResolvedEndpoint {
-                port,
-                // An `in` port of the enclosing streamlet supplies
-                // data to the body.
-                acts_as_source: port.direction == PortDirection::In,
-            }),
-            None => {
-                errors.push(IrError::Unresolved {
-                    kind: "port",
-                    name: endpoint.to_string(),
-                    context: format!("implementation `{}`", ctx.implementation.name),
-                });
-                None
-            }
-        },
-        Some(instance_name) => {
-            let Some(instance) = ctx.index.instance(ctx.project, ctx.impl_id, instance_name) else {
-                errors.push(IrError::Unresolved {
-                    kind: "instance",
-                    name: instance_name.clone(),
-                    context: format!("implementation `{}`", ctx.implementation.name),
-                });
-                return None;
-            };
-            // Missing impl reported separately by instance checks.
-            let streamlet = ctx
-                .index
-                .streamlet_of_impl_name(ctx.project, &instance.impl_name)?;
-            match ctx.index.port(ctx.project, streamlet, &endpoint.port) {
-                Some(port) => Some(ResolvedEndpoint {
-                    port,
-                    // An instance's `out` port supplies data to the body.
-                    acts_as_source: port.direction == PortDirection::Out,
-                }),
-                None => {
-                    errors.push(IrError::Unresolved {
-                        kind: "port",
-                        name: endpoint.to_string(),
-                        context: format!("implementation `{}`", ctx.implementation.name),
-                    });
-                    None
-                }
-            }
+impl<'a> ImplCtx<'a> {
+    fn resolved(&self, slot: Slot) -> ResolvedEndpoint<'a> {
+        let port = self.index.slot_port(self.project, self.impl_id, slot);
+        // An `in` port of the enclosing streamlet and an instance's
+        // `out` port supply data to the body.
+        let supplies = if self.connectivity.is_own(slot) {
+            PortDirection::In
+        } else {
+            PortDirection::Out
+        };
+        ResolvedEndpoint {
+            port,
+            acts_as_source: port.direction == supplies,
         }
+    }
+
+    /// Reports why `endpoint` has no slot.
+    fn unresolved(&self, endpoint: &EndpointRef, found: &mut Found) {
+        let (kind, name) = match &endpoint.instance {
+            Some(instance) => match self.index.instance_position(self.impl_id, instance) {
+                None => ("instance", instance.clone()),
+                // The instance's implementation or streamlet does not
+                // resolve: the instance checks report that.
+                Some(position) if self.connectivity.instance(position).is_none() => return,
+                Some(_) => ("port", endpoint.to_string()),
+            },
+            None => ("port", endpoint.to_string()),
+        };
+        found.push(IrError::Unresolved {
+            kind,
+            name,
+            context: format!("implementation `{}`", self.implementation.name),
+        });
     }
 }
 
@@ -159,43 +184,40 @@ fn validate_implementation(
     index: &ProjectIndex,
     impl_id: ImplId,
     implementation: &Implementation,
-    errors: &mut Vec<IrError>,
+    found: &mut Found,
 ) {
     let Some(own) = index.streamlet_of_impl(impl_id) else {
-        errors.push(IrError::Unresolved {
+        found.push(IrError::Unresolved {
             kind: "streamlet",
             name: implementation.streamlet.clone(),
             context: format!("implementation `{}`", implementation.name),
         });
         return;
     };
-    let ImplKind::Normal {
-        instances,
-        connections,
-    } = &implementation.kind
-    else {
+    if implementation.is_external() {
         return;
-    };
+    }
+    let instances = implementation.instances();
+    let connections = implementation.connections();
 
-    // Instance names unique, implementation references resolvable;
-    // the shared index then backs every endpoint resolution (first
-    // declaration wins on duplicate names).
+    // Instance names unique, implementation references resolvable,
+    // both as the index recorded them.
     let ctx = ImplCtx {
         project,
         index,
         implementation,
         impl_id,
-        own,
+        connectivity: index.connectivity(impl_id),
     };
     for (position, instance) in instances.iter().enumerate() {
-        if index.instance_position(impl_id, &instance.name) != Some(position) {
-            errors.push(IrError::DuplicateDefinition {
+        if ctx.connectivity.repeats_name(position) {
+            found.push(IrError::DuplicateDefinition {
                 kind: "instance",
                 name: format!("{}.{}", implementation.name, instance.name),
             });
         }
-        if project.implementation_id(&instance.impl_name).is_none() {
-            errors.push(IrError::Unresolved {
+        if ctx.connectivity.implementation(position).is_none() {
+            found.push(IrError::Unresolved {
                 kind: "implementation",
                 name: instance.impl_name.clone(),
                 context: format!(
@@ -207,46 +229,42 @@ fn validate_implementation(
     }
 
     let relax_all = implementation.attributes.contains_key("NoStrictType");
-    let mut usage: HashMap<&EndpointRef, usize> = HashMap::with_capacity(connections.len() * 2);
-
-    for connection in connections {
-        validate_connection(&ctx, connection, relax_all, errors);
-        *usage.entry(&connection.source).or_insert(0) += 1;
-        *usage.entry(&connection.sink).or_insert(0) += 1;
+    let mut usage = vec![0usize; ctx.connectivity.slot_count()];
+    for (position, connection) in connections.iter().enumerate() {
+        found.connection = Some((impl_id, position));
+        let slots = ctx.connectivity.connection(position);
+        validate_connection(&ctx, connection, slots, relax_all, found);
+        for slot in [slots.source, slots.sink].into_iter().flatten() {
+            usage[slot as usize] += 1;
+        }
     }
+    found.connection = None;
 
     // Port usage rule: every own port and every instance port must be
     // used exactly once (paper DRC rule 2). Sugaring must already have
-    // inserted duplicators/voiders before this check.
+    // inserted duplicators/voiders before this check. A repeated name
+    // counts the uses of its first declaration.
     if !implementation.attributes.contains_key("NoPortUsageCheck") {
-        let check = |endpoint: EndpointRef, errors: &mut Vec<IrError>| {
-            let uses = usage.get(&endpoint).copied().unwrap_or(0);
-            if uses != 1 {
-                errors.push(IrError::PortUsage {
-                    implementation: implementation.name.clone(),
-                    endpoint: endpoint.to_string(),
-                    uses,
-                });
+        let mut check = |base: Slot, streamlet: StreamletId, instance: Option<&str>| {
+            for (position, port) in project.streamlet_by_id(streamlet).ports.iter().enumerate() {
+                let slot = base as usize + index.canonical_port(streamlet, position);
+                let uses = usage[slot];
+                if uses != 1 {
+                    found.push(IrError::PortUsage {
+                        implementation: implementation.name.clone(),
+                        endpoint: match instance {
+                            Some(instance) => format!("{instance}.{}", port.name),
+                            None => format!(".{}", port.name),
+                        },
+                        uses,
+                    });
+                }
             }
         };
-        for port in &project.streamlet_by_id(own).ports {
-            check(EndpointRef::own(port.name.clone()), errors);
-        }
-        for instance in instances {
-            // Resolve through the first-declared instance of this
-            // name, mirroring endpoint resolution on duplicates.
-            let Some(canonical) = index.instance(project, impl_id, &instance.name) else {
-                continue;
-            };
-            let Some(streamlet) = index.streamlet_of_impl_name(project, &canonical.impl_name)
-            else {
-                continue;
-            };
-            for port in &project.streamlet_by_id(streamlet).ports {
-                check(
-                    EndpointRef::instance(instance.name.clone(), port.name.clone()),
-                    errors,
-                );
+        check(0, own, None);
+        for (position, instance) in instances.iter().enumerate() {
+            if let Some(slots) = ctx.connectivity.instance(position) {
+                check(slots.base, slots.streamlet, Some(&instance.name));
             }
         }
     }
@@ -255,19 +273,23 @@ fn validate_implementation(
 fn validate_connection(
     ctx: &ImplCtx<'_>,
     connection: &Connection,
+    slots: ConnectionSlots,
     relax_all: bool,
-    errors: &mut Vec<IrError>,
+    found: &mut Found,
 ) {
-    let implementation = ctx.implementation;
-    let before = errors.len();
-    let source = resolve_endpoint(ctx, &connection.source, errors);
-    let sink = resolve_endpoint(ctx, &connection.sink, errors);
-    if errors.len() > before {
-        return;
-    }
-    let (Some(source), Some(sink)) = (source, sink) else {
+    let (Some(source), Some(sink)) = (slots.source, slots.sink) else {
+        for (endpoint, slot) in [
+            (&connection.source, slots.source),
+            (&connection.sink, slots.sink),
+        ] {
+            if slot.is_none() {
+                ctx.unresolved(endpoint, found);
+            }
+        }
         return;
     };
+    let (source, sink) = (ctx.resolved(source), ctx.resolved(sink));
+    let implementation = ctx.implementation;
 
     if !source.acts_as_source || sink.acts_as_source {
         let message = match (source.acts_as_source, sink.acts_as_source) {
@@ -281,7 +303,7 @@ fn validate_connection(
                 connection.sink
             ),
         };
-        errors.push(IrError::DirectionError {
+        found.push(IrError::DirectionError {
             implementation: implementation.name.clone(),
             connection: connection.describe(),
             message,
@@ -295,7 +317,7 @@ fn validate_connection(
     // compare only runs for ports from other producers (e.g. projects
     // re-parsed from the IR text format) or on the failure path.
     if !Arc::ptr_eq(&source.port.ty, &sink.port.ty) && source.port.ty != sink.port.ty {
-        errors.push(IrError::TypeMismatch {
+        found.push(IrError::TypeMismatch {
             implementation: implementation.name.clone(),
             connection: connection.describe(),
             source_type: source.port.ty.to_string(),
@@ -310,7 +332,7 @@ fn validate_connection(
             (&source.port.type_origin, &sink.port.type_origin)
         {
             if src_origin != dst_origin {
-                errors.push(IrError::StrictTypeMismatch {
+                found.push(IrError::StrictTypeMismatch {
                     implementation: implementation.name.clone(),
                     connection: connection.describe(),
                     source_origin: src_origin.clone(),
@@ -326,7 +348,7 @@ fn validate_connection(
         top_complexity(&sink.port.ty),
     ) {
         if !sc.compatible_with_sink(kc) {
-            errors.push(IrError::ComplexityMismatch {
+            found.push(IrError::ComplexityMismatch {
                 implementation: implementation.name.clone(),
                 connection: connection.describe(),
                 source_complexity: sc.level(),
@@ -337,7 +359,7 @@ fn validate_connection(
 
     // Same clock domain.
     if source.port.clock != sink.port.clock {
-        errors.push(IrError::ClockDomainMismatch {
+        found.push(IrError::ClockDomainMismatch {
             implementation: implementation.name.clone(),
             connection: connection.describe(),
             source_domain: source.port.clock.name().to_string(),
@@ -436,6 +458,50 @@ mod tests {
         assert!(errs
             .iter()
             .any(|e| matches!(e, IrError::TypeMismatch { .. })));
+    }
+
+    #[test]
+    fn violations_name_the_offending_connection() {
+        let mut p = base_project();
+        p.add_streamlet(
+            Streamlet::new("wide_s")
+                .with_port(Port::new("i", PortDirection::In, stream(16)))
+                .with_port(Port::new("o", PortDirection::Out, stream(16))),
+        )
+        .unwrap();
+        p.add_implementation(Implementation::external("wide_i", "wide_s"))
+            .unwrap();
+        let mut top = Implementation::normal("top_i", "pass_s");
+        top.add_instance(Instance::new("w", "wide_i"));
+        top.add_connection(Connection::new(
+            EndpointRef::instance("w", "o"),
+            EndpointRef::instance("ghost", "i"),
+        ));
+        top.add_connection(Connection::new(
+            EndpointRef::own("i"),
+            EndpointRef::instance("w", "i"),
+        ));
+        let top = p.add_implementation(top).unwrap();
+        let found = violations(&p, &ProjectIndex::build(&p));
+        let located: Vec<_> = found
+            .iter()
+            .map(|v| (v.error.to_string(), v.connection))
+            .collect();
+        assert!(matches!(
+            &found[0].error,
+            IrError::Unresolved {
+                kind: "instance",
+                ..
+            }
+        ));
+        assert_eq!(found[0].connection, Some((top, 0)), "{located:?}");
+        assert!(matches!(&found[1].error, IrError::TypeMismatch { .. }));
+        assert_eq!(found[1].connection, Some((top, 1)), "{located:?}");
+        // Port-usage findings are about a port, not one connection.
+        assert!(found[2..]
+            .iter()
+            .all(|v| matches!(v.error, IrError::PortUsage { .. }) && v.connection.is_none()));
+        assert_eq!(found.len(), 3, "{located:?}");
     }
 
     #[test]

@@ -50,6 +50,6 @@ pub use clock::ClockDomain;
 pub use error::SpecError;
 pub use logical::{Field, LogicalType};
 pub use physical::{index_width, lower, PhysicalStream, SignalBundle};
-pub use store::{structural_fingerprint, TypeId, TypeStore, TypeStoreStats};
+pub use store::{TypeId, TypeStore, TypeStoreStats};
 pub use stream::{Complexity, Direction, StreamParams, Synchronicity, Throughput};
 pub use text::parse_logical_type;

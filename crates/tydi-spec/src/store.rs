@@ -5,28 +5,31 @@
 //! types always receive the same id, so *type equality becomes an
 //! integer compare*, and the derived properties that the compiler
 //! pipeline keeps recomputing on type trees — bit width, mangled
-//! display text, a stable structural fingerprint — are computed **once
+//! display text, stream and null classification — are computed **once
 //! per distinct node** and cached in per-node side tables.
 //!
-//! Interning is bottom-up with true structural sharing: a `Group`
-//! node's dedup key holds the [`TypeId`]s of its children, not their
-//! trees, so composing a new type from already-interned pieces is
-//! O(number of direct children) — independent of how deep those
-//! children are. This is what makes template-heavy elaboration flat:
-//! the first reference to `pass_i<type Deep>` pays for `Deep` once and
-//! every later reference is a handful of integer hashes.
+//! Interning is bottom-up: a `Group` node's dedup key holds the
+//! [`TypeId`]s of its children, not their trees, so *looking up* a type
+//! composed from already-interned pieces hashes O(number of direct
+//! children) — independent of how deep those children are. This is
+//! what makes template-heavy elaboration flat: the first reference to
+//! `pass_i<type Deep>` pays for `Deep` once and every later reference
+//! is a handful of integer hashes.
 //!
 //! Every id also exposes a canonical [`Arc<LogicalType>`] so the rest
 //! of the toolchain (IR ports, lowering, text formats) keeps working
 //! on plain trees; structurally equal types share one allocation,
 //! which downstream consumers exploit with `Arc::ptr_eq` fast paths.
+//! *Inserting* a new node still builds its canonical tree by cloning
+//! each child's tree, so a miss costs O(size of the new type's tree);
+//! only lookups are O(direct children).
 //!
 //! A store belongs to one elaboration, which runs on one thread: the
 //! intern map sits in a `RefCell` so every method takes `&self`, and a
 //! [`TypeId`] is the slot index of its node, assigned in first-intern
 //! order. Everything the compiler emits is derived from the
-//! structural side tables (mangled text, canonical trees,
-//! fingerprints), never from raw id values.
+//! structural side tables (mangled text, canonical trees), never from
+//! raw id values.
 //!
 //! Invariants maintained by construction (checked once per distinct
 //! node, never re-walked):
@@ -36,9 +39,7 @@
 //!   streams inside `user` types);
 //! * [`TypeStore::mangled`] equals the type's canonical display form
 //!   with all spaces removed — byte-identical to what template
-//!   instance mangling historically produced;
-//! * [`TypeStore::fingerprint`] is a stable (cross-process) structural
-//!   FNV-1a hash: equal ids ⇔ equal fingerprints for ids of one store.
+//!   instance mangling historically produced.
 //!
 //! Physical expansion is not cached here: it is a pure function of the
 //! type ([`lower`](crate::physical::lower)), and each consumer that
@@ -57,8 +58,8 @@ use std::sync::Arc;
 /// Two ids from the *same* [`TypeStore`] are equal exactly when the
 /// types they denote are structurally equal; comparing ids from
 /// different stores is meaningless. Raw id values are only stable
-/// within one run (slots fill in first-intern order); all persisted
-/// artifacts use structural fingerprints instead.
+/// within one run (slots fill in first-intern order), so nothing
+/// persisted or emitted depends on them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TypeId(u32);
 
@@ -100,8 +101,6 @@ struct NodeData {
     bit_width: u32,
     /// Canonical display text with spaces removed (template mangling).
     mangled: Arc<str>,
-    /// Stable structural FNV-1a fingerprint.
-    fingerprint: u64,
     /// Whether the node or any descendant is a `Stream`.
     contains_stream: bool,
     /// Whether the type carries no information ([`LogicalType::is_null`]).
@@ -346,11 +345,6 @@ impl TypeStore {
         Arc::clone(&self.node(id).mangled)
     }
 
-    /// Cached stable structural fingerprint.
-    pub fn fingerprint(&self, id: TypeId) -> u64 {
-        self.node(id).fingerprint
-    }
-
     /// Whether the type is (or contains) a `Stream`.
     pub fn contains_stream(&self, id: TypeId) -> bool {
         self.node(id).contains_stream
@@ -448,12 +442,10 @@ impl TypeStore {
             return Ok(TypeId(slot));
         }
         let built = build(self);
-        let fingerprint = structural_fingerprint(&built.canonical);
         let data = Arc::new(NodeData {
             canonical: Arc::new(built.canonical),
             bit_width: built.bit_width,
             mangled: Arc::from(built.mangled.as_str()),
-            fingerprint,
             contains_stream: built.contains_stream,
             is_null: built.is_null,
             node_count: built.node_count,
@@ -474,88 +466,6 @@ struct NodeBuild {
     contains_stream: bool,
     is_null: bool,
     node_count: usize,
-}
-
-// ---- stable structural fingerprints --------------------------------------
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1_0000_0193;
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(FNV_OFFSET)
-    }
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-    fn u64(&mut self, value: u64) {
-        self.bytes(&value.to_le_bytes());
-    }
-    fn str(&mut self, text: &str) {
-        self.u64(text.len() as u64);
-        self.bytes(text.as_bytes());
-    }
-}
-
-/// A stable (cross-process, cross-run) structural FNV-1a hash of a
-/// logical type. Structurally equal types always hash equal; the walk
-/// tags every constructor and length-prefixes strings so adjacent
-/// fields cannot alias.
-pub fn structural_fingerprint(ty: &LogicalType) -> u64 {
-    let mut fnv = Fnv::new();
-    write_type(&mut fnv, ty);
-    fnv.0
-}
-
-fn write_type(fnv: &mut Fnv, ty: &LogicalType) {
-    match ty {
-        LogicalType::Null => fnv.u64(0),
-        LogicalType::Bit(width) => {
-            fnv.u64(1);
-            fnv.u64(u64::from(*width));
-        }
-        LogicalType::Group(fields) | LogicalType::Union(fields) => {
-            fnv.u64(if matches!(ty, LogicalType::Group(_)) {
-                2
-            } else {
-                3
-            });
-            fnv.u64(fields.len() as u64);
-            for field in fields {
-                fnv.str(&field.name);
-                write_type(fnv, &field.ty);
-            }
-        }
-        LogicalType::Stream { element, params } => {
-            fnv.u64(4);
-            write_type(fnv, element);
-            fnv.u64(u64::from(params.dimension));
-            let (num, den) = params.throughput.ratio();
-            fnv.u64(u64::from(num));
-            fnv.u64(u64::from(den));
-            fnv.u64(u64::from(params.complexity.level()));
-            fnv.u64(matches!(params.direction, Direction::Reverse) as u64);
-            fnv.u64(match params.synchronicity {
-                Synchronicity::Sync => 0,
-                Synchronicity::Flatten => 1,
-                Synchronicity::Desync => 2,
-                Synchronicity::FlatDesync => 3,
-            });
-            match &params.user {
-                Some(user) => {
-                    fnv.u64(1);
-                    write_type(fnv, user);
-                }
-                None => fnv.u64(0),
-            }
-            fnv.u64(params.keep as u64);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -589,7 +499,6 @@ mod tests {
         let a = store.intern(&deep(3)).unwrap();
         let b = store.intern(&deep(4)).unwrap();
         assert_ne!(a, b);
-        assert_ne!(store.fingerprint(a), store.fingerprint(b));
         assert_ne!(store.mangled(a), store.mangled(b));
     }
 
@@ -654,27 +563,6 @@ mod tests {
                 ..
             })
         ));
-    }
-
-    #[test]
-    fn structural_fingerprint_is_stable_and_discriminating() {
-        // Pinned value: the fingerprint must not drift across runs or
-        // refactors (incremental caches depend on stability).
-        assert_eq!(structural_fingerprint(&LogicalType::Null), {
-            let mut f = Fnv::new();
-            f.u64(0);
-            f.0
-        });
-        let a = LogicalType::group(vec![("ab", LogicalType::Bit(1))]);
-        let b = LogicalType::group(vec![("a", LogicalType::Bit(1))]);
-        assert_ne!(structural_fingerprint(&a), structural_fingerprint(&b));
-        let g = LogicalType::Group(vec![Field::new("x", LogicalType::Bit(2))]);
-        let u = LogicalType::Union(vec![Field::new("x", LogicalType::Bit(2))]);
-        assert_ne!(structural_fingerprint(&g), structural_fingerprint(&u));
-        assert_eq!(
-            structural_fingerprint(&deep(4)),
-            structural_fingerprint(&deep(4))
-        );
     }
 
     #[test]

@@ -14,6 +14,12 @@
 //! port map is then a prefix substitution over the plan's suffix
 //! lists ([`PortBinding`]), not a fresh expansion. Each distinct port
 //! type is lowered to physical streams once per run.
+//!
+//! Structural bodies are wired through the shared [`ProjectIndex`]'s
+//! connectivity table: each connection's endpoints arrive as port
+//! slots, the net planned for every instance port is kept in a `Vec`
+//! indexed by slot, and an instance's bindings read it at the
+//! instance's base slot. No endpoint name is hashed while lowering.
 
 use crate::builtin::{BuiltinCtx, BuiltinRegistry};
 use crate::error::VhdlError;
@@ -22,6 +28,7 @@ use crate::VhdlOptions;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
+use tydi_ir::index::{Connectivity, InstanceSlots, Slot};
 use tydi_ir::{
     Connection, ImplId, ImplKind, Implementation, Project, ProjectIndex, Streamlet, StreamletId,
 };
@@ -105,17 +112,20 @@ struct Lowering<'p> {
     registry: &'p BuiltinRegistry,
     options: &'p VhdlOptions,
     plans: Vec<ImplPlan<'p>>,
+    /// Per streamlet with an implementation, the position in `plans`
+    /// of its first one: all plans of one streamlet share their port
+    /// signals.
+    streamlet_plans: Vec<usize>,
     /// The suffix list of a binding that connects one signal by its
     /// own name (clocks and resets).
     scalar: Arc<[String]>,
 }
 
-/// The net bound to each `(instance, port)` endpoint of one body.
-type Nets<'c> = HashMap<(&'c str, &'c str), Arc<str>>;
-
 /// One structural body's wiring, planned connection by connection.
-struct Wiring<'c> {
-    nets: Nets<'c>,
+struct Wiring {
+    /// The net bound to each instance port, by slot of the body's
+    /// connectivity table.
+    nets: Vec<Option<Arc<str>>>,
     net_items: Vec<NetItem>,
     assign_items: Vec<AssignItem>,
 }
@@ -133,7 +143,7 @@ impl<'p> Lowering<'p> {
         // the project keeps every port type alive for the whole run, so
         // a type's address identifies it here.
         let mut expansions: HashMap<*const LogicalType, Vec<PhysicalStream>> = HashMap::new();
-        let plans = project
+        let plans: Vec<ImplPlan<'p>> = project
             .implementations_with_ids()
             .map(|(id, implementation)| {
                 let streamlet_id = index.streamlet_of_impl(id).ok_or_else(|| {
@@ -166,12 +176,17 @@ impl<'p> Lowering<'p> {
                 })
             })
             .collect::<Result<_, VhdlError>>()?;
+        let mut streamlet_plans = vec![usize::MAX; project.streamlets().len()];
+        for (position, plan) in plans.iter().enumerate().rev() {
+            streamlet_plans[plan.streamlet_id.index()] = position;
+        }
         Ok(Lowering {
             project,
             index,
             registry,
             options,
             plans,
+            streamlet_plans,
             scalar: Arc::new([String::new()]),
         })
     }
@@ -280,11 +295,13 @@ impl<'p> Lowering<'p> {
                 instances,
                 connections,
             } => {
+                let connectivity = self.index.connectivity(impl_id);
                 let children = instances
                     .iter()
-                    .map(|instance| {
-                        self.project
-                            .implementation_id(&instance.impl_name)
+                    .enumerate()
+                    .map(|(position, instance)| {
+                        connectivity
+                            .implementation(position)
                             .map(|child_id| &self.plans[child_id.index()])
                             .ok_or_else(|| {
                                 VhdlError::Inconsistent(format!(
@@ -295,7 +312,7 @@ impl<'p> Lowering<'p> {
                     })
                     .collect::<Result<Vec<_>, _>>()?;
                 let mut wiring = Wiring {
-                    nets: HashMap::with_capacity(2 * connections.len()),
+                    nets: vec![None; connectivity.slot_count()],
                     net_items: Vec::new(),
                     assign_items: Vec::new(),
                 };
@@ -303,7 +320,7 @@ impl<'p> Lowering<'p> {
                     self.plan_connection(
                         impl_id,
                         plan,
-                        &children,
+                        connectivity,
                         position,
                         connection,
                         &mut wiring,
@@ -312,7 +329,11 @@ impl<'p> Lowering<'p> {
                 let instances = instances
                     .iter()
                     .zip(children)
-                    .map(|(instance, child)| self.instance(plan, instance, child, &wiring.nets))
+                    .enumerate()
+                    .map(|(position, (instance, child))| {
+                        let slots = connectivity.instance(position);
+                        self.instance(plan, instance, child, slots, &wiring.nets)
+                    })
                     .collect::<Result<Vec<_>, _>>()?;
                 Ok(ModuleBody::Structural {
                     nets: wiring.net_items,
@@ -325,21 +346,22 @@ impl<'p> Lowering<'p> {
 
     /// Decides the net name for one connection, emitting intermediate
     /// net declarations and own-to-own assignments as needed.
-    fn plan_connection<'c>(
+    fn plan_connection(
         &self,
         impl_id: ImplId,
         plan: &ImplPlan<'_>,
-        children: &[&ImplPlan<'_>],
+        connectivity: &Connectivity,
         position: usize,
-        connection: &'c Connection,
-        wiring: &mut Wiring<'c>,
+        connection: &Connection,
+        wiring: &mut Wiring,
     ) -> Result<(), VhdlError> {
         let (source, sink) = (&connection.source, &connection.sink);
+        let slots = connectivity.connection(position);
         match (source.instance.as_deref(), sink.instance.as_deref()) {
             (None, None) => {
                 // Feed-through: direct concurrent assignments.
-                let src = self.port_signals(plan, &source.port)?;
-                let dst = self.port_signals(plan, &sink.port)?;
+                let src = self.own_signals(plan, slots.source, &source.port)?;
+                let dst = self.own_signals(plan, slots.sink, &sink.port)?;
                 if self.options.emit_comments {
                     wiring
                         .assign_items
@@ -363,23 +385,18 @@ impl<'p> Lowering<'p> {
                     });
                 }
             }
-            (None, Some(instance)) => {
-                let net = source.port.as_str().into();
-                wiring.nets.insert((instance, &sink.port), net);
-            }
-            (Some(instance), None) => {
-                let net = sink.port.as_str().into();
-                wiring.nets.insert((instance, &source.port), net);
-            }
-            (Some(src_instance), Some(dst_instance)) => {
-                let child = self
-                    .index
-                    .instance_position(impl_id, src_instance)
-                    .map(|k| children[k])
-                    .ok_or_else(|| {
-                        VhdlError::Inconsistent(format!("missing instance `{src_instance}`"))
-                    })?;
-                let signals = self.port_signals(child, &source.port)?;
+            (None, Some(_)) => wiring.bind(slots.sink, source.port.as_str().into()),
+            (Some(_), None) => wiring.bind(slots.source, sink.port.as_str().into()),
+            (Some(src_instance), Some(_)) => {
+                let slot = slots.source.ok_or_else(|| {
+                    let missing = match self.index.instance_position(impl_id, src_instance) {
+                        None => format!("missing instance `{src_instance}`"),
+                        Some(_) => format!("missing port `{}`", source.port),
+                    };
+                    VhdlError::Inconsistent(missing)
+                })?;
+                let (streamlet, port) = connectivity.port_of(slot);
+                let signals = &self.plans[self.streamlet_plans[streamlet.index()]].ports[port].1;
                 let net: Arc<str> =
                     sanitize(&format!("n{position}_{src_instance}_{}", source.port)).into();
                 if self.options.emit_comments {
@@ -393,10 +410,8 @@ impl<'p> Lowering<'p> {
                         width: sig.width,
                     })
                 }));
-                wiring
-                    .nets
-                    .insert((src_instance, &source.port), Arc::clone(&net));
-                wiring.nets.insert((dst_instance, &sink.port), net);
+                wiring.bind(slots.source, Arc::clone(&net));
+                wiring.bind(slots.sink, net);
             }
         }
         Ok(())
@@ -410,7 +425,8 @@ impl<'p> Lowering<'p> {
         parent: &ImplPlan<'_>,
         instance: &tydi_ir::Instance,
         child: &ImplPlan<'_>,
-        nets: &Nets<'_>,
+        slots: Option<InstanceSlots>,
+        nets: &[Option<Arc<str>>],
     ) -> Result<Instance, VhdlError> {
         let mut bindings = Vec::with_capacity(2 * child.clocks.len() + child.ports.len());
         for (domain, clk, rst) in &child.clocks {
@@ -430,13 +446,23 @@ impl<'p> Lowering<'p> {
                 });
             }
         }
-        for (name, signals) in &child.ports {
-            let net = nets.get(&(instance.name.as_str(), &**name)).ok_or_else(|| {
-                VhdlError::Inconsistent(format!(
-                    "no net planned for endpoint `{}.{name}` (port usage DRC should have caught this)",
-                    instance.name
-                ))
-            })?;
+        // A repeated instance name shares its first declaration's
+        // slots, which only line up with this child's ports when both
+        // realize the same streamlet.
+        let slots = slots.filter(|slots| slots.streamlet == child.streamlet_id);
+        for (position, (name, signals)) in child.ports.iter().enumerate() {
+            let net = slots
+                .and_then(|slots| {
+                    let slot = slots.base as usize
+                        + self.index.canonical_port(child.streamlet_id, position);
+                    nets[slot].as_ref()
+                })
+                .ok_or_else(|| {
+                    VhdlError::Inconsistent(format!(
+                        "no net planned for endpoint `{}.{name}` (port usage DRC should have caught this)",
+                        instance.name
+                    ))
+                })?;
             bindings.push(PortBinding {
                 formal: Arc::clone(name),
                 actual: Arc::clone(net),
@@ -450,16 +476,26 @@ impl<'p> Lowering<'p> {
         })
     }
 
-    /// The signals of the named port of a planned implementation.
-    fn port_signals<'a>(
+    /// The signals of an own port of a planned implementation, by its
+    /// resolved slot.
+    fn own_signals<'a>(
         &self,
         plan: &'a ImplPlan<'_>,
+        slot: Option<Slot>,
         port: &str,
     ) -> Result<&'a PortSignals, VhdlError> {
-        self.index
-            .port_position(plan.streamlet_id, port)
-            .map(|position| &plan.ports[position].1)
+        slot.map(|slot| &plan.ports[slot as usize].1)
             .ok_or_else(|| VhdlError::Inconsistent(format!("missing port `{port}`")))
+    }
+}
+
+impl Wiring {
+    /// Binds the instance port at `slot` to `net`; unresolved
+    /// endpoints bind nothing (the port usage DRC reports them).
+    fn bind(&mut self, slot: Option<Slot>, net: Arc<str>) {
+        if let Some(slot) = slot {
+            self.nets[slot as usize] = Some(net);
+        }
     }
 }
 

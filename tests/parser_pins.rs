@@ -5,8 +5,9 @@
 //! - `tests/golden/diagnostics/<name>.td` holds a malformed input and
 //!   `<name>.stderr` the diagnostics `tydic check` renders for it
 //!   (truncated files, lex errors after parse errors, stray bytes, a
-//!   missing `}`, a bad escape, out-of-range integers). Regenerate
-//!   with `UPDATE_GOLDEN=1 cargo test --test parser_pins`.
+//!   missing `}`, a bad escape, out-of-range integers, and a DRC
+//!   finding on a connection sugaring rewrote). Regenerate with
+//!   `UPDATE_GOLDEN=1 cargo test --test parser_pins`.
 //! - The AST fingerprint of every cookbook design and of the standard
 //!   library. It keys the artifact cache, so a printer change that
 //!   moves it invalidates every cache without a format bump.

@@ -6,7 +6,6 @@
 //!   complete),
 //! * identical bit widths, node counts, stream/null classification,
 //! * identical physical signal expansion,
-//! * identical stable fingerprints (equal exactly for equal types),
 //! * stable mangled names byte-identical to the historic
 //!   `to_string().replace(' ', "")` form, with **no collisions**
 //!   between distinct types (a collision would merge distinct
@@ -15,8 +14,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use tydi::spec::{
-    lower, structural_fingerprint, Complexity, Field, LogicalType, StreamParams, Synchronicity,
-    Throughput, TypeStore,
+    lower, Complexity, Field, LogicalType, StreamParams, Synchronicity, Throughput, TypeStore,
 };
 
 /// A recursive strategy for arbitrary valid logical types (fields are
@@ -114,15 +112,6 @@ proptest! {
             (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
             (a, b) => prop_assert!(false, "expansion disagreement: {:?} vs {:?}", a, b),
         }
-    }
-
-    #[test]
-    fn fingerprints_mirror_equality(a in arb_type(), b in arb_type()) {
-        let store = TypeStore::new();
-        let ia = store.intern(&a).expect("valid");
-        let ib = store.intern(&b).expect("valid");
-        prop_assert_eq!(store.fingerprint(ia), structural_fingerprint(&a));
-        prop_assert_eq!(store.fingerprint(ia) == store.fingerprint(ib), a == b);
     }
 
     #[test]

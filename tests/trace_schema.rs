@@ -18,7 +18,10 @@
 //!   `cache:save`, named with the number of artifacts decoded);
 //! * every parsed file has a `fingerprint:<file>` span and a cache
 //!   miss hands packages to elaboration under `materialize`; a build
-//!   served from the parse cache has neither.
+//!   served from the parse cache has neither;
+//! * a cold build indexes its project once (one `index` span), and a
+//!   compile served from the elaboration cache reuses the artifact's
+//!   index instead of building another.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -198,6 +201,13 @@ fn build_trace_covers_stages_and_crates_at_any_thread_count() {
             !drc.is_empty() && drc.values().all(|&n| n == 1),
             "one drc span per implementation: {drc:?}"
         );
+        // Sugar, DRC and lowering share the index built after
+        // elaboration.
+        let indexed = events
+            .iter()
+            .filter(|e| e.ph == "B" && e.name == "index")
+            .count();
+        assert_eq!(indexed, 1, "one index span per cold build");
     }
 
     // Coarse span content is deterministic: thread count may only move
@@ -451,4 +461,36 @@ fn tracing_never_changes_emitted_artifacts() {
     assert_eq!(plain, coarse, "coarse tracing changed emitted artifacts");
     assert_eq!(plain, fine, "fine tracing changed emitted artifacts");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An elaboration-cache hit hands out the index the missing compile
+/// built: the second compile of the same sources opens no `index`
+/// span. Runs in-process, as a warm daemon would.
+#[test]
+fn elaboration_cache_hits_reuse_the_index() {
+    use tydi::lang::cache::ArtifactCache;
+    use tydi::lang::pipeline::{compile_with_cache, CompileOptions};
+    use tydi_obs::trace::{self, Level, Phase};
+
+    let text = "package demo;\ntype B = Stream(Bit(8));\n\
+                streamlet s { i : B in, o : B out, }\n\
+                impl leaf of s { i => o, }\n\
+                impl top of s { instance a(leaf), instance b(leaf), \
+                i => a.i, a.o => b.i, b.o => o, }\n";
+    let sources = [("demo.td", text)];
+    let mut cache = ArtifactCache::new();
+    trace::set_level(Level::Coarse);
+    let mut indexed = || {
+        let out =
+            compile_with_cache(&sources, &CompileOptions::default(), &mut cache).expect("compiles");
+        assert!(out.index.covers(&out.project));
+        trace::take_events()
+            .iter()
+            .filter(|e| e.phase == Phase::Begin && e.name == "index")
+            .count()
+    };
+    let cold = indexed();
+    let hit = indexed();
+    trace::set_level(Level::Off);
+    assert_eq!((cold, hit), (1, 0), "index spans on a miss, then a hit");
 }
