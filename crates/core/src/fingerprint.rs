@@ -27,7 +27,7 @@ pub use tydi_ir::fingerprint::{Fingerprint, Fingerprinter};
 
 /// Bump when the on-disk artifact-cache layout changes; stale caches
 /// then self-invalidate on load.
-const CACHE_FORMAT: &str = "tydic-artifact-cache-v3";
+const CACHE_FORMAT: &str = "tydic-artifact-cache-v4";
 
 /// The fingerprint of one registered source file (name + raw text).
 pub fn source_fingerprint(name: &str, text: &str) -> Fingerprint {

@@ -26,7 +26,18 @@
 //!
 //! Declarations are stored as [`Arc<Decl>`] and resolved by cloning
 //! the handle, never by deep-cloning whole declaration trees per
-//! reference. The elaborated IR of every cookbook design is pinned by
+//! reference.
+//!
+//! ## Shared IR names
+//!
+//! Each distinct IR wiring name is allocated once. Port names go
+//! through the elaborator's name table, and a body's instance table
+//! owns each instance's name. A connection endpoint clones both `Arc`s
+//! from there, and an instance clones its implementation's name from
+//! the [`ImplValue`] that resolved it. Elaborating a connection
+//! therefore allocates nothing, and an instance only its own name.
+//!
+//! The elaborated IR of every cookbook design is pinned by
 //! `tests/golden/ir/`.
 
 use crate::ast::*;
@@ -36,6 +47,7 @@ use crate::scope::ScopeFrames;
 use crate::span::Span;
 use crate::value::{ImplValue, TypeValue, Value};
 use std::collections::{HashMap, HashSet};
+use std::fmt::Write as _;
 use std::sync::Arc;
 use tydi_ir::{
     Connection, EndpointRef, Implementation, Instance, Port, PortDirection, Project, Streamlet,
@@ -151,6 +163,7 @@ pub fn elaborate(
         impl_cache: HashMap::new(),
         locals: ScopeFrames::new(),
         current_package: 0,
+        names: HashSet::new(),
     };
     for pkg_idx in 0..elab.packages.len() {
         let _span =
@@ -285,6 +298,10 @@ struct Elaborator {
     locals: ScopeFrames,
     /// The package whose scope we are currently elaborating in.
     current_package: usize,
+    /// The name table: every port name handed out so far. Ports and
+    /// the endpoints that name them share one allocation per distinct
+    /// name.
+    names: HashSet<Arc<str>>,
 }
 
 /// Maximum template/instantiation recursion before assuming runaway
@@ -737,13 +754,20 @@ impl Elaborator {
     /// Builds the human-readable mangled instance name. Called once
     /// per cache **miss** — cache hits never reach this. Type
     /// arguments splice in the store's cached text.
-    fn mangle(&self, base: &str, bindings: &[(String, Value)]) -> String {
+    fn mangle(&self, base: &str, bindings: &[(String, Value)]) -> Arc<str> {
         if bindings.is_empty() {
-            base.to_string()
-        } else {
-            let args: Vec<String> = bindings.iter().map(|(_, v)| v.mangle()).collect();
-            format!("{base}<{}>", args.join(","))
+            return base.into();
         }
+        let mut name = String::from(base);
+        name.push('<');
+        for (k, (_, value)) in bindings.iter().enumerate() {
+            if k > 0 {
+                name.push(',');
+            }
+            value.push_mangled(&mut name);
+        }
+        name.push('>');
+        name.into()
     }
 
     /// Resolves a streamlet reference to (IR name, base name).
@@ -823,7 +847,7 @@ impl Elaborator {
         if !bindings.is_empty() {
             self.info.template_instantiations += 1;
         }
-        let ir_name: Arc<str> = Arc::from(self.mangle(&s.name, bindings).as_str());
+        let ir_name = self.mangle(&s.name, bindings);
 
         let saved_package = self.current_package;
         self.current_package = id.package;
@@ -912,19 +936,22 @@ impl Elaborator {
             // Equal port types share one `Arc` via the store: no deep
             // clone per port, and downstream pointer-equality fast
             // paths (DRC, fingerprints) hit.
-            let make_port = |name: String| {
+            let make_port = |name: Arc<str>| {
                 let mut p =
                     Port::from_arc(name, direction, Arc::clone(&tv.ty)).with_clock(clock.clone());
-                p.type_origin = tv.origin.as_ref().map(|o| o.as_ref().to_string());
+                p.type_origin = tv.origin.clone();
                 p
             };
             match count {
-                None => streamlet.ports.push(make_port(port.name.clone())),
+                None => {
+                    let name = self.name(&port.name);
+                    streamlet.ports.push(make_port(name));
+                }
                 Some(n) => {
+                    let mut buffer = String::new();
                     for i in 0..n {
-                        streamlet
-                            .ports
-                            .push(make_port(format!("{}_{i}", port.name)));
+                        let name = self.name(indexed(&mut buffer, &port.name, Some(i)));
+                        streamlet.ports.push(make_port(name));
                     }
                 }
             }
@@ -960,7 +987,7 @@ impl Elaborator {
         if !bindings.is_empty() {
             self.info.template_instantiations += 1;
         }
-        let ir_name: Arc<str> = Arc::from(self.mangle(&i.name, bindings).as_str());
+        let ir_name = self.mangle(&i.name, bindings);
         self.info.record_impl_span(ir_name.as_ref(), i.span);
         if depth > MAX_DEPTH {
             self.error("instantiation recursion too deep", i.span);
@@ -1054,9 +1081,10 @@ impl Elaborator {
             let mut body = BodyBuilder {
                 implementation: &mut implementation,
                 connection_spans: Vec::new(),
-                instance_impls: HashMap::new(),
+                instances: HashSet::new(),
                 aliases: Vec::new(),
                 fresh: 0,
+                buffer: String::new(),
             };
             self.run_stmts(stmts, &mut body, depth);
             connection_spans = body.connection_spans;
@@ -1214,32 +1242,32 @@ impl Elaborator {
         };
         // Inside a generative scope the declared name maps to
         // a unique concrete name, scoped to this iteration.
-        let base = if body.aliases.is_empty() {
-            name.to_string()
+        let base: Arc<str> = if body.aliases.is_empty() {
+            name.into()
         } else {
-            let unique = format!("{name}__{}", body.fresh);
+            let unique: Arc<str> = format!("{name}__{}", body.fresh).into();
             body.fresh += 1;
             body.aliases
                 .last_mut()
                 .expect("alias frame present")
-                .insert(name.to_string(), unique.clone());
+                .insert(name.to_string(), Arc::clone(&unique));
             unique
         };
-        let add = |elab: &mut Self, body: &mut BodyBuilder<'_>, inst_name: String| {
-            if body.instance_impls.contains_key(&inst_name) {
+        let add = |elab: &mut Self, body: &mut BodyBuilder<'_>, inst_name: Arc<str>| {
+            if body.instances.contains(&inst_name) {
                 elab.error(format!("duplicate instance `{inst_name}`"), span);
                 return;
             }
-            body.instance_impls
-                .insert(inst_name.to_string(), impl_value.clone());
+            body.instances.insert(Arc::clone(&inst_name));
             body.implementation
-                .add_instance(Instance::new(inst_name, impl_value.name.as_ref()));
+                .add_instance(Instance::new(inst_name, Arc::clone(&impl_value.name)));
         };
         match count {
             None => add(self, body, base),
             Some(n) => {
                 for idx in 0..n {
-                    add(self, body, format!("{base}_{idx}"));
+                    let inst_name = indexed(&mut body.buffer, &base, Some(idx)).into();
+                    add(self, body, inst_name);
                 }
             }
         }
@@ -1265,10 +1293,13 @@ impl Elaborator {
 
     /// Resolves an endpoint expression to a concrete [`EndpointRef`],
     /// folding array indices into the expanded port/instance names.
+    /// The endpoint shares its instance's name from the body's
+    /// instance table and its port's name from the name table, which
+    /// named the streamlet's ports too.
     fn resolve_endpoint(
         &mut self,
         e: &EndpointExpr,
-        body: &BodyBuilder<'_>,
+        body: &mut BodyBuilder<'_>,
     ) -> Option<EndpointRef> {
         let port_index = match &e.port_index {
             None => None,
@@ -1287,12 +1318,8 @@ impl Elaborator {
                 }
             },
         };
-        let apply_index = |name: &str, idx: Option<usize>| match idx {
-            None => name.to_string(),
-            Some(i) => format!("{name}_{i}"),
-        };
-        match &e.instance {
-            None => Some(EndpointRef::own(apply_index(&e.port, port_index))),
+        let instance = match &e.instance {
+            None => None,
             Some((inst_name, inst_index)) => {
                 let inst_index = match inst_index {
                     None => None,
@@ -1311,20 +1338,41 @@ impl Elaborator {
                         }
                     },
                 };
-                let base = body.resolve_alias(inst_name);
-                let resolved_inst = apply_index(&base, inst_index);
-                if !body.instance_impls.contains_key(&resolved_inst) {
-                    self.error(
-                        format!("unknown instance `{resolved_inst}` in connection"),
-                        e.span,
-                    );
+                let base = resolve_alias(&body.aliases, inst_name);
+                let resolved = indexed(&mut body.buffer, base, inst_index);
+                let Some(name) = body.instances.get(resolved) else {
+                    let message = format!("unknown instance `{resolved}` in connection");
+                    self.error(message, e.span);
                     return None;
-                }
-                Some(EndpointRef::instance(
-                    resolved_inst,
-                    apply_index(&e.port, port_index),
-                ))
+                };
+                Some(Arc::clone(name))
             }
+        };
+        let port = self.name(indexed(&mut body.buffer, &e.port, port_index));
+        Some(EndpointRef { instance, port })
+    }
+
+    /// The shared allocation of `name` in the name table.
+    fn name(&mut self, name: &str) -> Arc<str> {
+        match self.names.get(name) {
+            Some(shared) => Arc::clone(shared),
+            None => {
+                let shared: Arc<str> = name.into();
+                self.names.insert(Arc::clone(&shared));
+                shared
+            }
+        }
+    }
+}
+
+/// `name`, or `name_index` written into `buffer` for an array element.
+fn indexed<'n>(buffer: &'n mut String, name: &'n str, index: Option<usize>) -> &'n str {
+    match index {
+        None => name,
+        Some(index) => {
+            buffer.clear();
+            let _ = write!(buffer, "{name}_{index}");
+            buffer
         }
     }
 }
@@ -1335,28 +1383,30 @@ struct BodyBuilder<'a> {
     implementation: &'a mut Implementation,
     /// Span of each connection added so far, in connection order.
     connection_spans: Vec<Span>,
-    instance_impls: HashMap<String, ImplValue>,
+    /// Each instance's name: the one allocation every endpoint on the
+    /// instance shares.
+    instances: HashSet<Arc<str>>,
     /// Alias frames for generative scopes: an `instance` declared
     /// inside a `for` iteration gets a unique concrete name, and the
     /// declared name resolves to it only within that iteration
     /// (paper §IV-A: "use the for statement to declare four instances
     /// of a comparator template").
-    aliases: Vec<HashMap<String, String>>,
+    aliases: Vec<HashMap<String, Arc<str>>>,
     /// Counter for generating unique concrete instance names.
     fresh: usize,
+    /// Scratch space for indexed names.
+    buffer: String,
 }
 
-impl BodyBuilder<'_> {
-    /// Resolves a declared instance base name through the active
-    /// generative scopes.
-    fn resolve_alias(&self, name: &str) -> String {
-        for frame in self.aliases.iter().rev() {
-            if let Some(actual) = frame.get(name) {
-                return actual.clone();
-            }
+/// Resolves a declared instance base name through the active
+/// generative scopes.
+fn resolve_alias<'n>(aliases: &'n [HashMap<String, Arc<str>>], name: &'n str) -> &'n str {
+    for frame in aliases.iter().rev() {
+        if let Some(actual) = frame.get(name) {
+            return actual;
         }
-        name.to_string()
     }
+    name
 }
 
 impl Resolver for Elaborator {
@@ -1448,6 +1498,45 @@ mod tests {
             diags.iter().map(|d| &d.message).collect::<Vec<_>>()
         );
         project
+    }
+
+    #[test]
+    fn endpoints_share_the_names_of_their_instances_and_ports() {
+        let project = elaborate_ok(&[r#"
+package demo;
+type Byte = Stream(Bit(8));
+streamlet pass_s { i : Byte in, o : Byte out, }
+impl pass_i of pass_s { i => o, }
+impl top_i of pass_s {
+    instance a(pass_i),
+    instance b(pass_i),
+    instance arr(pass_i) [2],
+    i => a.i,
+    a.o => b.i,
+    b.o => arr[0].i,
+    arr[0].o => arr[1].i,
+    arr[1].o => o,
+}
+"#]);
+        let top = project.implementation("top_i").unwrap();
+        let ports = &project.streamlet("pass_s").unwrap().ports;
+        let instances = top.instances();
+        let connections = top.connections();
+        // Every instance of `pass_i` shares one implementation name.
+        assert!(instances
+            .iter()
+            .all(|instance| Arc::ptr_eq(&instance.impl_name, &instances[0].impl_name)));
+        for connection in connections {
+            for endpoint in [&connection.source, &connection.sink] {
+                let port = ports.iter().find(|p| p.name == endpoint.port).unwrap();
+                assert!(Arc::ptr_eq(&endpoint.port, &port.name), "{endpoint}");
+                if let Some(name) = &endpoint.instance {
+                    let instance = instances.iter().find(|i| i.name == *name).unwrap();
+                    assert!(Arc::ptr_eq(name, &instance.name), "{endpoint}");
+                }
+            }
+        }
+        assert_eq!(connections[3].source.to_string(), "arr_0.o");
     }
 
     #[test]

@@ -39,6 +39,8 @@ pub fn publish_compile_metrics(output: &CompileOutput) {
 
     let t = output.timings;
     metrics::gauge_set("timings.parse_ms", ms(t.parse));
+    // A part of `timings.parse_ms`, not a sibling row.
+    metrics::gauge_set("timings.fingerprint_ms", ms(t.fingerprint));
     metrics::gauge_set("timings.elaborate_ms", ms(t.elaborate));
     metrics::gauge_set("timings.sugar_ms", ms(t.sugar));
     metrics::gauge_set("timings.drc_ms", ms(t.drc));

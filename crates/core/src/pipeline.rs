@@ -58,6 +58,10 @@ impl Default for CompileOptions {
 pub struct StageTimings {
     /// Lexing + parsing.
     pub parse: Duration,
+    /// Fingerprinting source texts and ASTs for the artifact cache: a
+    /// part of [`StageTimings::parse`], so [`StageTimings::total`]
+    /// does not add it again.
+    pub fingerprint: Duration,
     /// Evaluation, template instantiation, generative expansion.
     pub elaborate: Duration,
     /// Duplicator/voider insertion.
@@ -267,6 +271,9 @@ pub fn compile_with_cache(
     let sugar_report = session.sugar(&mut project);
     session.drc(&project, &elab_info)?;
     let stage_diagnostics = session.diagnostics()[diags_before..].to_vec();
+    // IR names are shared `Arc<str>`s: this copy, and the one a hit
+    // hands out, bump reference counts and allocate the definition
+    // tables and one `Vec` per body, not one string per name.
     let artifact_project = project.clone();
     let artifact_info = elab_info.clone();
     let output = session.finish(project, sugar_report, elab_info);

@@ -113,6 +113,9 @@ pub struct Session {
     /// by the sugaring pass, so the sugar, DRC and lowering stages
     /// never rebuild their own maps.
     index: Option<Arc<ProjectIndex>>,
+    /// Time spent fingerprinting source texts and ASTs, a part of the
+    /// parse stage's self time.
+    fingerprint: Duration,
 }
 
 impl Session {
@@ -127,6 +130,7 @@ impl Session {
             first_stage_start: None,
             last_stage_end: None,
             index: None,
+            fingerprint: Duration::ZERO,
         }
     }
 
@@ -166,11 +170,28 @@ impl Session {
                 Stage::Analyze => t.analyze += record.duration,
             }
         }
+        t.fingerprint = self.fingerprint;
         t.wall = match (self.first_stage_start, self.last_stage_end) {
             (Some(start), Some(end)) => end.saturating_duration_since(start),
             _ => Duration::ZERO,
         };
         t
+    }
+
+    /// Runs one fingerprint computation over file `name` under a
+    /// `<layer>:<name>` span, adding its time to the parse stage's
+    /// fingerprint part.
+    fn fingerprinted(
+        &mut self,
+        layer: &str,
+        name: &str,
+        f: impl FnOnce() -> Fingerprint,
+    ) -> Fingerprint {
+        let _span = tydi_obs::trace::span_named("core", || format!("{layer}:{name}"));
+        let started = Instant::now();
+        let fingerprint = f();
+        self.fingerprint += started.elapsed();
+        fingerprint
     }
 
     /// Reports how much of the current stage's work was served from
@@ -292,7 +313,9 @@ impl Session {
             for (index, (name, text)) in sources.iter().enumerate() {
                 let key = ParseKey {
                     slot: base + index,
-                    source: source_fingerprint(name, text),
+                    source: session.fingerprinted("source-fingerprint", name, || {
+                        source_fingerprint(name, text)
+                    }),
                 };
                 match cache.lookup_parse(key) {
                     Some(artifact) => {
@@ -319,12 +342,8 @@ impl Session {
                 diags_by_file[index] = diags.clone();
                 match package {
                     Some(package) => {
-                        let ast = {
-                            let _span = tydi_obs::trace::span_named("core", || {
-                                format!("fingerprint:{name}")
-                            });
-                            ast_fingerprint(&package)
-                        };
+                        let ast = session
+                            .fingerprinted("fingerprint", name, || ast_fingerprint(&package));
                         units[index] = Some(ParsedUnit { key, ast });
                         cache.store_parse(
                             key,

@@ -27,6 +27,7 @@
 //! user's source line.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use tydi_ir::index::{ConnectionSlots, Slot};
 use tydi_ir::{
     Connection, EndpointRef, ImplId, ImplKind, Implementation, Instance, Port, PortDirection,
@@ -47,7 +48,7 @@ pub struct SugarReport {
 /// [`ensure_duplicator`] — input `i` first, then a duplicator's
 /// outputs `o_0`, `o_1`, ….
 struct Helper {
-    name: String,
+    name: Arc<str>,
     base: Slot,
 }
 
@@ -122,7 +123,7 @@ pub fn apply_sugaring_with(project: &mut Project, index: &mut ProjectIndex) -> S
     // by the port type (+ origin + clock) and, for duplicators, the
     // fan-out.
     let mut report = SugarReport::default();
-    let mut helper_cache: HashMap<String, String> = HashMap::new();
+    let mut helper_cache: HashMap<String, Arc<str>> = HashMap::new();
     let mut unique = 0usize;
 
     for (impl_id, plan) in plans {
@@ -152,7 +153,7 @@ pub fn apply_sugaring_with(project: &mut Project, index: &mut ProjectIndex) -> S
             if let ImplKind::Normal { connections, .. } = &mut implementation.kind {
                 for (k, &conn_idx) in duplicator.connections.iter().enumerate() {
                     connections[conn_idx].source =
-                        EndpointRef::instance(helper.name.clone(), format!("o_{k}"));
+                        EndpointRef::instance(Arc::clone(&helper.name), format!("o_{k}"));
                     connections[conn_idx].inserted_by_sugar = true;
                     index.set_source(impl_id, conn_idx, helper.output(k));
                 }
@@ -172,7 +173,7 @@ fn splice_helper(
     impl_id: ImplId,
     kind: &str,
     counter: &mut usize,
-    helper_impl: String,
+    helper_impl: Arc<str>,
 ) -> Helper {
     // Fresh names come from a bump counter checked against the index's
     // instance table, which learns each helper as it is registered.
@@ -180,12 +181,12 @@ fn splice_helper(
         let candidate = format!("__{kind}_{counter}");
         *counter += 1;
         if index.instance_position(impl_id, &candidate).is_none() {
-            break candidate;
+            break Arc::<str>::from(candidate);
         }
     };
     project
         .implementation_by_id_mut(impl_id)
-        .add_instance(Instance::new(name.clone(), helper_impl));
+        .add_instance(Instance::new(Arc::clone(&name), helper_impl));
     let slots = index
         .register_instance(project, impl_id)
         .expect("helper implementations resolve");
@@ -204,7 +205,8 @@ fn add_sugar_connection(
     helper: Helper,
 ) {
     let sink = helper.input();
-    let mut connection = Connection::new(source.source, EndpointRef::instance(helper.name, "i"));
+    let input = Arc::clone(&index.slot_port(project, impl_id, sink).name);
+    let mut connection = Connection::new(source.source, EndpointRef::instance(helper.name, input));
     connection.inserted_by_sugar = true;
     project
         .implementation_by_id_mut(impl_id)
@@ -254,32 +256,34 @@ fn plan_implementation(
     }
 
     // Every internal source: own `in` ports and instance `out` ports.
-    let mut plan_source =
-        |base: Slot, streamlet: StreamletId, direction: PortDirection, instance: Option<&str>| {
-            let ports = &project.streamlet_by_id(streamlet).ports;
-            for (position, port) in ports.iter().enumerate() {
-                if port.direction != direction {
-                    continue;
-                }
-                let slot = base + index.canonical_port(streamlet, position) as Slot;
-                let source = || SourcePlan {
-                    source: EndpointRef {
-                        instance: instance.map(str::to_string),
-                        port: port.name.clone(),
-                    },
-                    slot,
-                    port: port.clone(),
-                };
-                match reads[slot as usize] {
-                    0 => plan.voiders.push(source()),
-                    1 => {}
-                    _ => plan.duplicators.push(DuplicatorPlan {
-                        source: source(),
-                        connections: readers[slot as usize].clone(),
-                    }),
-                }
+    let mut plan_source = |base: Slot,
+                           streamlet: StreamletId,
+                           direction: PortDirection,
+                           instance: Option<&Arc<str>>| {
+        let ports = &project.streamlet_by_id(streamlet).ports;
+        for (position, port) in ports.iter().enumerate() {
+            if port.direction != direction {
+                continue;
             }
-        };
+            let slot = base + index.canonical_port(streamlet, position) as Slot;
+            let source = || SourcePlan {
+                source: EndpointRef {
+                    instance: instance.cloned(),
+                    port: Arc::clone(&port.name),
+                },
+                slot,
+                port: port.clone(),
+            };
+            match reads[slot as usize] {
+                0 => plan.voiders.push(source()),
+                1 => {}
+                _ => plan.duplicators.push(DuplicatorPlan {
+                    source: source(),
+                    connections: readers[slot as usize].clone(),
+                }),
+            }
+        }
+    };
     plan_source(0, own, PortDirection::In, None);
     for (position, instance) in implementation.instances().iter().enumerate() {
         if let Some(slots) = connectivity.instance(position) {
@@ -304,7 +308,8 @@ fn helper_key(prefix: &str, port: &Port, fan_out: usize) -> String {
 }
 
 fn clone_port(port: &Port, name: &str, direction: PortDirection) -> Port {
-    let mut p = Port::new(name, direction, (*port.ty).clone()).with_clock(port.clock.clone());
+    let mut p =
+        Port::from_arc(name, direction, Arc::clone(&port.ty)).with_clock(port.clock.clone());
     p.type_origin = port.type_origin.clone();
     p
 }
@@ -313,16 +318,16 @@ fn ensure_voider(
     project: &mut Project,
     index: &mut ProjectIndex,
     port: &Port,
-    cache: &mut HashMap<String, String>,
+    cache: &mut HashMap<String, Arc<str>>,
     unique: &mut usize,
-) -> String {
+) -> Arc<str> {
     let key = helper_key("voider", port, 0);
     if let Some(existing) = cache.get(&key) {
         return existing.clone();
     }
     *unique += 1;
     let streamlet_name = format!("voider_s_{unique}");
-    let impl_name = format!("voider_i_{unique}");
+    let impl_name: Arc<str> = format!("voider_i_{unique}").into();
     let mut streamlet = Streamlet::new(streamlet_name.clone());
     streamlet.doc = format!("Auto-inserted voider for {}", port.ty);
     streamlet
@@ -333,12 +338,12 @@ fn ensure_voider(
         .expect("voider streamlet name is fresh");
     index.register_streamlet(project, sid);
     let implementation =
-        Implementation::external(impl_name.clone(), streamlet_name).with_builtin("std.voider");
+        Implementation::external(&*impl_name, streamlet_name).with_builtin("std.voider");
     let iid = project
         .add_implementation(implementation)
         .expect("voider impl name is fresh");
     index.register_implementation(project, iid);
-    cache.insert(key, impl_name.clone());
+    cache.insert(key, Arc::clone(&impl_name));
     impl_name
 }
 
@@ -347,16 +352,16 @@ fn ensure_duplicator(
     index: &mut ProjectIndex,
     port: &Port,
     fan_out: usize,
-    cache: &mut HashMap<String, String>,
+    cache: &mut HashMap<String, Arc<str>>,
     unique: &mut usize,
-) -> String {
+) -> Arc<str> {
     let key = helper_key("dup", port, fan_out);
     if let Some(existing) = cache.get(&key) {
         return existing.clone();
     }
     *unique += 1;
     let streamlet_name = format!("duplicator{fan_out}_s_{unique}");
-    let impl_name = format!("duplicator{fan_out}_i_{unique}");
+    let impl_name: Arc<str> = format!("duplicator{fan_out}_i_{unique}").into();
     let mut streamlet = Streamlet::new(streamlet_name.clone());
     streamlet.doc = format!("Auto-inserted {fan_out}-way duplicator for {}", port.ty);
     streamlet
@@ -372,7 +377,7 @@ fn ensure_duplicator(
         .expect("duplicator streamlet name is fresh");
     index.register_streamlet(project, sid);
     let mut implementation =
-        Implementation::external(impl_name.clone(), streamlet_name).with_builtin("std.duplicator");
+        Implementation::external(&*impl_name, streamlet_name).with_builtin("std.duplicator");
     implementation
         .attributes
         .insert("param_outputs".into(), fan_out.to_string());
@@ -380,7 +385,7 @@ fn ensure_duplicator(
         .add_implementation(implementation)
         .expect("duplicator impl name is fresh");
     index.register_implementation(project, iid);
-    cache.insert(key, impl_name.clone());
+    cache.insert(key, Arc::clone(&impl_name));
     impl_name
 }
 

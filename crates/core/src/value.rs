@@ -12,7 +12,7 @@
 //! cached mangled text (so [`Value::mangle`] is O(1) instead of
 //! stringifying the whole tree per reference).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 use tydi_spec::{ClockDomain, LogicalType, TypeId, TypeStore};
 
@@ -173,18 +173,42 @@ impl Value {
     /// whitespace. Type values return the store's cached mangled text,
     /// so this never walks a type tree.
     pub fn mangle(&self) -> String {
+        let mut out = String::new();
+        self.push_mangled(&mut out);
+        out
+    }
+
+    /// Appends [`Value::mangle`]'s text to `out`.
+    pub fn push_mangled(&self, out: &mut String) {
         match self {
-            Value::Int(v) => v.to_string(),
-            Value::Float(v) => format!("{v:?}"),
-            Value::Str(s) => format!("{s:?}"),
-            Value::Bool(b) => b.to_string(),
-            Value::Clock(c) => format!("!{}", c.name()),
-            Value::Array(items) => {
-                let inner: Vec<String> = items.iter().map(Value::mangle).collect();
-                format!("[{}]", inner.join(","))
+            Value::Int(v) => {
+                let _ = write!(out, "{v}");
             }
-            Value::Type(t) => t.mangled.as_ref().to_string(),
-            Value::Impl(i) => i.name.as_ref().to_string(),
+            Value::Float(v) => {
+                let _ = write!(out, "{v:?}");
+            }
+            Value::Str(s) => {
+                let _ = write!(out, "{s:?}");
+            }
+            Value::Bool(b) => {
+                let _ = write!(out, "{b}");
+            }
+            Value::Clock(c) => {
+                out.push('!');
+                out.push_str(c.name());
+            }
+            Value::Array(items) => {
+                out.push('[');
+                for (k, item) in items.iter().enumerate() {
+                    if k > 0 {
+                        out.push(',');
+                    }
+                    item.push_mangled(out);
+                }
+                out.push(']');
+            }
+            Value::Type(t) => out.push_str(&t.mangled),
+            Value::Impl(i) => out.push_str(&i.name),
         }
     }
 }
@@ -222,6 +246,24 @@ mod tests {
         assert_eq!(Value::Float(2.5).as_int(), None);
         assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert_eq!(Value::Str("x".into()).as_str(), Some("x"));
+    }
+
+    #[test]
+    fn mangled_text_is_pinned_per_kind() {
+        // Template instance names are built from this text, and the
+        // emitted IR, VHDL and SV carry them.
+        let nested = Value::Array(vec![Value::Int(1), Value::Array(vec![Value::Bool(false)])]);
+        let cases = [
+            (Value::Int(-3), "-3"),
+            (Value::Float(1.0), "1.0"),
+            (Value::Str("a b".into()), "\"a b\""),
+            (Value::Bool(true), "true"),
+            (Value::Clock(ClockDomain::new("m")), "!m"),
+            (nested, "[1,[false]]"),
+        ];
+        for (value, text) in cases {
+            assert_eq!(value.mangle(), text);
+        }
     }
 
     #[test]

@@ -138,10 +138,10 @@ pub fn register_fletcher_behaviors(
             if port.direction == tydi_ir::PortDirection::Out {
                 let column = table
                     .columns
-                    .get(&port.name)
+                    .get(&*port.name)
                     .ok_or_else(|| format!("table `{table_name}` has no column `{}`", port.name))?
                     .clone();
-                columns.push((port.name.clone(), column));
+                columns.push((port.name.to_string(), column));
             }
         }
         let cursors = vec![0; columns.len()];

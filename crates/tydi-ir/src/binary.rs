@@ -11,8 +11,16 @@
 //! after the round trip, exactly as the elaborator's hash-consed
 //! store produced them.
 //!
+//! The wiring names (port names, declaration origins, instance names,
+//! the implementations instances realize, and connection endpoints)
+//! are shared the same way: a **name table** stores each distinct name
+//! once, and every use refers to it by index. Decoding allocates each
+//! name once and hands every use a clone of its `Arc<str>`, so a
+//! restored project shares its names as the elaborated one did.
+//!
 //! The format is little-endian throughout: `u32` lengths/counts,
-//! length-prefixed UTF-8 strings, and single-byte tags. The decoder
+//! length-prefixed UTF-8 strings, `u32` name-table indices, and
+//! single-byte tags. The decoder
 //! is fully bounds-checked and returns [`IrError::Binary`] on any
 //! truncated, corrupt or foreign input — it must never panic, since
 //! cache files on disk are outside the compiler's control.
@@ -32,18 +40,13 @@ pub const MAGIC: &[u8; 4] = b"TIRB";
 /// Current format version. Bump on any layout change; the decoder
 /// rejects other versions so stale caches rebuild cold instead of
 /// being misread.
-pub const VERSION: u16 = 1;
+pub const VERSION: u16 = 2;
 
 const KIND_NORMAL: u8 = 0;
 const KIND_EXTERNAL: u8 = 1;
 
 /// Serializes a project to the binary format.
 pub fn encode_project(project: &Project) -> Vec<u8> {
-    let mut w = Writer::default();
-    w.bytes.extend_from_slice(MAGIC);
-    w.u16(VERSION);
-    w.str(&project.name);
-
     // Type table: every distinct port type once, in first-use order.
     // Deduplication is by canonical text, which also collapses types
     // that are structurally equal but separately allocated.
@@ -60,55 +63,54 @@ pub fn encode_project(project: &Project) -> Vec<u8> {
             port_types.push(index);
         }
     }
-    w.u32(table.len() as u32);
-    for entry in &table {
-        w.str(entry);
-    }
 
+    // The definitions go to their own buffer first: the name table
+    // they fill precedes them in the output.
+    let mut body = Writer::default();
     let mut next_port = port_types.iter().copied();
-    w.u32(project.streamlets().len() as u32);
+    body.u32(project.streamlets().len() as u32);
     for streamlet in project.streamlets() {
-        w.str(&streamlet.name);
-        w.str(&streamlet.doc);
-        w.u32(streamlet.ports.len() as u32);
+        body.str(&streamlet.name);
+        body.str(&streamlet.doc);
+        body.u32(streamlet.ports.len() as u32);
         for port in &streamlet.ports {
-            w.str(&port.name);
-            w.u8(match port.direction {
+            body.name(&port.name);
+            body.u8(match port.direction {
                 PortDirection::In => 0,
                 PortDirection::Out => 1,
             });
-            w.str(port.clock.name());
-            w.opt_str(port.type_origin.as_deref());
-            w.u32(next_port.next().expect("port count matches type table"));
+            body.str(port.clock.name());
+            body.opt_name(port.type_origin.as_deref());
+            body.u32(next_port.next().expect("port count matches type table"));
         }
     }
 
-    w.u32(project.implementations().len() as u32);
+    body.u32(project.implementations().len() as u32);
     for implementation in project.implementations() {
-        w.str(&implementation.name);
-        w.str(&implementation.streamlet);
-        w.str(&implementation.doc);
-        w.u32(implementation.attributes.len() as u32);
+        body.str(&implementation.name);
+        body.str(&implementation.streamlet);
+        body.str(&implementation.doc);
+        body.u32(implementation.attributes.len() as u32);
         for (key, value) in &implementation.attributes {
-            w.str(key);
-            w.str(value);
+            body.str(key);
+            body.str(value);
         }
         match &implementation.kind {
             ImplKind::Normal {
                 instances,
                 connections,
             } => {
-                w.u8(KIND_NORMAL);
-                w.u32(instances.len() as u32);
+                body.u8(KIND_NORMAL);
+                body.u32(instances.len() as u32);
                 for instance in instances {
-                    w.str(&instance.name);
-                    w.str(&instance.impl_name);
-                    w.str(&instance.doc);
+                    body.name(&instance.name);
+                    body.name(&instance.impl_name);
+                    body.str(&instance.doc);
                 }
-                w.u32(connections.len() as u32);
+                body.u32(connections.len() as u32);
                 for connection in connections {
-                    w.endpoint(&connection.source);
-                    w.endpoint(&connection.sink);
+                    body.endpoint(&connection.source);
+                    body.endpoint(&connection.sink);
                     let mut flags = 0u8;
                     if connection.relax_type_check {
                         flags |= 1;
@@ -116,19 +118,33 @@ pub fn encode_project(project: &Project) -> Vec<u8> {
                     if connection.inserted_by_sugar {
                         flags |= 2;
                     }
-                    w.u8(flags);
+                    body.u8(flags);
                 }
             }
             ImplKind::External {
                 builtin,
                 sim_source,
             } => {
-                w.u8(KIND_EXTERNAL);
-                w.opt_str(builtin.as_deref());
-                w.opt_str(sim_source.as_deref());
+                body.u8(KIND_EXTERNAL);
+                body.opt_str(builtin.as_deref());
+                body.opt_str(sim_source.as_deref());
             }
         }
     }
+
+    let mut w = Writer::default();
+    w.bytes.extend_from_slice(MAGIC);
+    w.u16(VERSION);
+    w.str(&project.name);
+    w.u32(table.len() as u32);
+    for entry in &table {
+        w.str(entry);
+    }
+    w.u32(body.name_table.len() as u32);
+    for name in &body.name_table {
+        w.str(name);
+    }
+    w.bytes.extend_from_slice(&body.bytes);
     w.bytes
 }
 
@@ -138,7 +154,11 @@ pub fn encode_project(project: &Project) -> Vec<u8> {
 /// out-of-range type reference, invalid UTF-8 — yields
 /// [`IrError::Binary`]; the decoder never panics.
 pub fn decode_project(bytes: &[u8]) -> Result<Project, IrError> {
-    let mut r = Reader { bytes, pos: 0 };
+    let mut r = Reader {
+        bytes,
+        pos: 0,
+        names: Vec::new(),
+    };
     let magic = r.take(4)?;
     if magic != MAGIC {
         return Err(err("bad magic (not a .tirb file)"));
@@ -160,20 +180,27 @@ pub fn decode_project(bytes: &[u8]) -> Result<Project, IrError> {
         types.push(Arc::new(ty));
     }
 
+    let nnames = r.count(4)?;
+    r.names.reserve(nnames);
+    for _ in 0..nnames {
+        let name: Arc<str> = r.str()?.into();
+        r.names.push(name);
+    }
+
     let nstreamlets = r.count(8)?;
     for _ in 0..nstreamlets {
         let mut streamlet = Streamlet::new(r.str()?);
         streamlet.doc = r.str()?;
         let nports = r.count(14)?;
         for _ in 0..nports {
-            let port_name = r.str()?;
+            let port_name = r.name()?;
             let direction = match r.u8()? {
                 0 => PortDirection::In,
                 1 => PortDirection::Out,
                 other => return Err(err(format!("bad port direction tag {other}"))),
             };
             let clock = ClockDomain::new(r.str()?);
-            let origin = r.opt_str()?;
+            let origin = r.opt_name()?;
             let ty_index = r.u32()? as usize;
             let ty = types
                 .get(ty_index)
@@ -202,7 +229,7 @@ pub fn decode_project(bytes: &[u8]) -> Result<Project, IrError> {
                 let mut implementation = Implementation::normal(impl_name, streamlet_name);
                 let ninstances = r.count(12)?;
                 for _ in 0..ninstances {
-                    let mut instance = Instance::new(r.str()?, r.str()?);
+                    let mut instance = Instance::new(r.name()?, r.name()?);
                     instance.doc = r.str()?;
                     implementation.add_instance(instance);
                 }
@@ -252,12 +279,18 @@ fn err(message: impl Into<String>) -> IrError {
     }
 }
 
+/// An output buffer plus the name table its [`Writer::name`]
+/// references index into.
 #[derive(Default)]
-struct Writer {
+struct Writer<'p> {
     bytes: Vec<u8>,
+    /// Distinct names in first-use order.
+    name_table: Vec<&'p str>,
+    /// Each name's position in `name_table`.
+    names: HashMap<&'p str, u32>,
 }
 
-impl Writer {
+impl<'p> Writer<'p> {
     fn u8(&mut self, v: u8) {
         self.bytes.push(v);
     }
@@ -285,15 +318,37 @@ impl Writer {
         }
     }
 
-    fn endpoint(&mut self, e: &EndpointRef) {
-        self.opt_str(e.instance.as_deref());
-        self.str(&e.port);
+    /// Writes a reference to `name`'s name-table entry.
+    fn name(&mut self, name: &'p str) {
+        let next = self.name_table.len() as u32;
+        let index = *self.names.entry(name).or_insert(next);
+        if index == next {
+            self.name_table.push(name);
+        }
+        self.u32(index);
+    }
+
+    fn opt_name(&mut self, name: Option<&'p str>) {
+        match name {
+            None => self.u8(0),
+            Some(name) => {
+                self.u8(1);
+                self.name(name);
+            }
+        }
+    }
+
+    fn endpoint(&mut self, e: &'p EndpointRef) {
+        self.opt_name(e.instance.as_deref());
+        self.name(&e.port);
     }
 }
 
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// The decoded name table.
+    names: Vec<Arc<str>>,
 }
 
 impl<'a> Reader<'a> {
@@ -348,13 +403,27 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Reads a name-table reference.
+    fn name(&mut self) -> Result<Arc<str>, IrError> {
+        let index = self.u32()? as usize;
+        self.names
+            .get(index)
+            .cloned()
+            .ok_or_else(|| err(format!("name reference {index} out of range")))
+    }
+
+    fn opt_name(&mut self) -> Result<Option<Arc<str>>, IrError> {
+        match self.u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(self.name()?)),
+            other => Err(err(format!("bad option tag {other}"))),
+        }
+    }
+
     fn endpoint(&mut self) -> Result<EndpointRef, IrError> {
-        let instance = self.opt_str()?;
-        let port = self.str()?;
-        Ok(match instance {
-            Some(instance) => EndpointRef::instance(instance, port),
-            None => EndpointRef::own(port),
-        })
+        let instance = self.opt_name()?;
+        let port = self.name()?;
+        Ok(EndpointRef { instance, port })
     }
 }
 
@@ -422,6 +491,36 @@ mod tests {
         // Both ports carry the same logical type: one table entry,
         // one allocation after decoding.
         assert!(Arc::ptr_eq(&s.ports[0].ty, &s.ports[1].ty));
+    }
+
+    #[test]
+    fn name_table_restores_name_sharing() {
+        let p = demo_project();
+        let encoded = encode_project(&p);
+        let q = decode_project(&encoded).unwrap();
+        let top = q.implementation("top_i").unwrap();
+        let leaf = &top.instances()[0];
+        let ports = &q.streamlet("pass_s").unwrap().ports;
+        let [into, back] = top.connections() else {
+            panic!("two connections");
+        };
+        // One allocation per distinct name: endpoints share their
+        // instance's and their port's.
+        assert!(Arc::ptr_eq(
+            into.sink.instance.as_ref().unwrap(),
+            &leaf.name
+        ));
+        assert!(Arc::ptr_eq(
+            back.source.instance.as_ref().unwrap(),
+            &leaf.name
+        ));
+        assert!(Arc::ptr_eq(&into.source.port, &ports[0].name));
+        assert!(Arc::ptr_eq(&into.sink.port, &ports[0].name));
+        assert!(Arc::ptr_eq(&back.sink.port, &ports[1].name));
+        // Each name is stored once: `l` appears in three places but in
+        // the payload once.
+        let count = encoded.windows(5).filter(|w| *w == b"\x01\0\0\0l").count();
+        assert_eq!(count, 1);
     }
 
     #[test]

@@ -1,8 +1,17 @@
 //! The component model: streamlets, ports, implementations, instances
 //! and connections.
+//!
+//! The names the structure is wired by — port names, instance names,
+//! the implementation an instance realizes, and both ends of every
+//! connection — are shared `Arc<str>`s. The elaborator allocates each
+//! distinct name once and every later reference clones the `Arc`: an
+//! endpoint shares its instance's name and its port's name, and every
+//! instance of one implementation shares that implementation's name.
+//! Cloning a project (the elaboration cache keeps one) therefore bumps
+//! reference counts instead of copying name bytes.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 use tydi_spec::{ClockDomain, LogicalType};
 
@@ -38,7 +47,7 @@ impl fmt::Display for PortDirection {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Port {
     /// Port name, unique within its streamlet.
-    pub name: String,
+    pub name: Arc<str>,
     /// Data direction.
     pub direction: PortDirection,
     /// The logical stream type carried by this port.
@@ -48,12 +57,12 @@ pub struct Port {
     /// The fully-qualified Tydi-lang declaration this type came from,
     /// used for the strict type equality design-rule check. `None` for
     /// anonymous types, which always compare structurally.
-    pub type_origin: Option<String>,
+    pub type_origin: Option<Arc<str>>,
 }
 
 impl Port {
     /// Creates a port on the default clock domain with no origin.
-    pub fn new(name: impl Into<String>, direction: PortDirection, ty: LogicalType) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, direction: PortDirection, ty: LogicalType) -> Self {
         Port::from_arc(name, direction, Arc::new(ty))
     }
 
@@ -64,7 +73,7 @@ impl Port {
     /// allocation — which is what lets the DRC and the fingerprint
     /// layer use `Arc::ptr_eq` fast paths instead of deep compares.
     pub fn from_arc(
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         direction: PortDirection,
         ty: Arc<LogicalType>,
     ) -> Self {
@@ -84,7 +93,7 @@ impl Port {
     }
 
     /// Sets the declaration origin used for strict type equality.
-    pub fn with_origin(mut self, origin: impl Into<String>) -> Self {
+    pub fn with_origin(mut self, origin: impl Into<Arc<str>>) -> Self {
         self.type_origin = Some(origin.into());
         self
     }
@@ -120,7 +129,7 @@ impl Streamlet {
 
     /// Looks up a port by name.
     pub fn port(&self, name: &str) -> Option<&Port> {
-        self.ports.iter().find(|p| p.name == name)
+        self.ports.iter().find(|p| &*p.name == name)
     }
 }
 
@@ -128,16 +137,17 @@ impl Streamlet {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Instance {
     /// Instance name, unique within the implementation.
-    pub name: String,
-    /// Name of the implementation being instantiated.
-    pub impl_name: String,
+    pub name: Arc<str>,
+    /// Name of the implementation being instantiated, shared by every
+    /// instance of it.
+    pub impl_name: Arc<str>,
     /// Documentation attached to the instance.
     pub doc: String,
 }
 
 impl Instance {
     /// Creates an instance.
-    pub fn new(name: impl Into<String>, impl_name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, impl_name: impl Into<Arc<str>>) -> Self {
         Instance {
             name: name.into(),
             impl_name: impl_name.into(),
@@ -152,14 +162,14 @@ impl Instance {
 pub struct EndpointRef {
     /// The instance owning the port, or `None` for the implementation's
     /// own ports.
-    pub instance: Option<String>,
+    pub instance: Option<Arc<str>>,
     /// Port name.
-    pub port: String,
+    pub port: Arc<str>,
 }
 
 impl EndpointRef {
     /// An endpoint on the implementation's own port map.
-    pub fn own(port: impl Into<String>) -> Self {
+    pub fn own(port: impl Into<Arc<str>>) -> Self {
         EndpointRef {
             instance: None,
             port: port.into(),
@@ -167,11 +177,19 @@ impl EndpointRef {
     }
 
     /// An endpoint on a nested instance.
-    pub fn instance(instance: impl Into<String>, port: impl Into<String>) -> Self {
+    pub fn instance(instance: impl Into<Arc<str>>, port: impl Into<Arc<str>>) -> Self {
         EndpointRef {
             instance: Some(instance.into()),
             port: port.into(),
         }
+    }
+}
+
+impl EndpointRef {
+    /// Length of the display form (`inst.port`, or `.port` for an own
+    /// port).
+    fn display_len(&self) -> usize {
+        self.instance.as_deref().map_or(0, str::len) + 1 + self.port.len()
     }
 }
 
@@ -217,9 +235,14 @@ impl Connection {
         self
     }
 
-    /// A short display name used in diagnostics.
+    /// A short display name used in diagnostics and generated-code
+    /// comments: `source => sink`.
     pub fn describe(&self) -> String {
-        format!("{} => {}", self.source, self.sink)
+        let mut text = String::with_capacity(
+            self.source.display_len() + " => ".len() + self.sink.display_len(),
+        );
+        let _ = write!(text, "{} => {}", self.source, self.sink);
+        text
     }
 }
 
@@ -428,6 +451,9 @@ mod tests {
     #[test]
     fn connection_describe() {
         let c = Connection::new(EndpointRef::own("a"), EndpointRef::instance("i", "b"));
-        assert_eq!(c.describe(), ".a => i.b");
+        let described = c.describe();
+        assert_eq!(described, ".a => i.b");
+        assert_eq!(described, format!("{} => {}", c.source, c.sink));
+        assert_eq!(described.capacity(), described.len());
     }
 }

@@ -10,7 +10,9 @@
 //! ([`ConnectionSlots`], `None` when the instance or port does not
 //! resolve). Sugaring, the DRC and lowering then index `Vec`s by slot
 //! instead of hashing `(instance, port)` name pairs per connection;
-//! only this build hashes names.
+//! only this build hashes names. The by-name tables key on the
+//! project's own shared `Arc<str>` names, so building them copies no
+//! name bytes.
 //!
 //! The index is positional: entry `i` of each table describes the
 //! definition with id `i`, and slot and connection tables follow the
@@ -36,6 +38,7 @@ use crate::intern::{ImplId, StreamletId};
 use crate::project::Project;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A port's number within one implementation body (see the module
 /// docs): own ports take `0..own_ports`, instance `k`'s port `p` takes
@@ -146,7 +149,7 @@ impl Connectivity {
 #[derive(Debug, Clone, Default)]
 pub struct ProjectIndex {
     /// Port name → position in `streamlet.ports`, per [`StreamletId`].
-    port_maps: Vec<HashMap<String, usize>>,
+    port_maps: Vec<HashMap<Arc<str>, usize>>,
     /// Per [`StreamletId`], only when a port name repeats: the
     /// position of the first port with each port's name.
     first_ports: Vec<Option<Vec<u32>>>,
@@ -156,7 +159,7 @@ pub struct ProjectIndex {
     impl_streamlets: Vec<Option<StreamletId>>,
     /// Instance name → position in the implementation's instance
     /// list, per [`ImplId`]. First declaration wins on duplicates.
-    instance_maps: Vec<HashMap<String, usize>>,
+    instance_maps: Vec<HashMap<Arc<str>, usize>>,
     /// Resolved connectivity, per [`ImplId`].
     connectivity: Vec<Connectivity>,
 }
@@ -203,7 +206,7 @@ impl ProjectIndex {
         let mut first = Vec::with_capacity(ports.len());
         for (k, port) in ports.iter().enumerate() {
             // First declaration wins; duplicate ports are a DRC error.
-            first.push(*map.entry(port.name.clone()).or_insert(k) as u32);
+            first.push(*map.entry(Arc::clone(&port.name)).or_insert(k) as u32);
         }
         let repeated = map.len() < ports.len();
         self.port_maps.push(map);
@@ -225,7 +228,7 @@ impl ProjectIndex {
         let mut last: Option<(&str, Option<ImplId>)> = None;
         for instance in implementation.instances() {
             let realized = match last {
-                Some((name, realized)) if name == instance.impl_name => realized,
+                Some((name, realized)) if name == &*instance.impl_name => realized,
                 _ => project.implementation_id(&instance.impl_name),
             };
             last = Some((&instance.impl_name, realized));
@@ -255,14 +258,14 @@ impl ProjectIndex {
     fn push_instance(
         &self,
         project: &Project,
-        names: &mut HashMap<String, usize>,
+        names: &mut HashMap<Arc<str>, usize>,
         connectivity: &mut Connectivity,
-        name: &str,
+        name: &Arc<str>,
         realized: Option<ImplId>,
     ) -> Option<InstanceSlots> {
         let position = connectivity.instances.len();
         connectivity.instance_impls.push(realized);
-        let slots = match names.entry(name.to_string()) {
+        let slots = match names.entry(Arc::clone(name)) {
             Entry::Occupied(first) => {
                 connectivity.repeated.push(position as u32);
                 connectivity.instances[*first.get()]
@@ -286,7 +289,7 @@ impl ProjectIndex {
     fn endpoint_slot(
         &self,
         id: ImplId,
-        names: &HashMap<String, usize>,
+        names: &HashMap<Arc<str>, usize>,
         connectivity: &Connectivity,
         endpoint: &EndpointRef,
     ) -> Option<Slot> {
@@ -296,7 +299,7 @@ impl ProjectIndex {
                 Some(self.port_position(own, &endpoint.port)? as Slot)
             }
             Some(instance) => {
-                let slots = connectivity.instances[*names.get(instance)?]?;
+                let slots = connectivity.instances[*names.get(&**instance)?]?;
                 Some(slots.base + self.port_position(slots.streamlet, &endpoint.port)? as Slot)
             }
         }
@@ -536,7 +539,7 @@ mod tests {
         let index = ProjectIndex::build(&p);
         assert!(index.covers(&p));
         let sid = p.streamlet_id("pass_s").unwrap();
-        assert_eq!(index.port(&p, sid, "i").unwrap().name, "i");
+        assert_eq!(&*index.port(&p, sid, "i").unwrap().name, "i");
         assert_eq!(index.port(&p, sid, "ghost"), None);
         assert_eq!(index.port_position(sid, "o"), Some(1));
         assert_eq!(index.port_position(sid, "ghost"), None);
@@ -675,7 +678,7 @@ mod tests {
         index.register_implementation(&p, iid);
         assert!(index.covers(&p));
         assert_eq!(index.streamlet_of_impl(iid), Some(sid));
-        assert_eq!(index.port(&p, sid, "i").unwrap().name, "i");
+        assert_eq!(&*index.port(&p, sid, "i").unwrap().name, "i");
 
         // Splicing an instance and a connection into an existing
         // implementation and registering both keeps lookups current.

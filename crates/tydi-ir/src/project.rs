@@ -175,7 +175,7 @@ impl Project {
         let mut instantiated: std::collections::HashSet<&str> = std::collections::HashSet::new();
         for implementation in &self.impls {
             for instance in implementation.instances() {
-                instantiated.insert(instance.impl_name.as_str());
+                instantiated.insert(&instance.impl_name);
             }
         }
         let uninstantiated = |external: bool| -> Vec<&str> {

@@ -259,7 +259,7 @@ impl<'a> TextParser<'a> {
             }
             let ty = parse_logical_type(ty_text.trim()).map_err(IrError::Spec)?;
             let mut port = Port::new(port_name, direction, ty).with_clock(clock);
-            port.type_origin = origin;
+            port.type_origin = origin.map(Into::into);
             streamlet.ports.push(port);
         }
     }

@@ -108,7 +108,7 @@ fn validate_streamlet(streamlet: &crate::component::Streamlet, found: &mut Found
         if !matches!(*port.ty, LogicalType::Stream { .. }) {
             found.push(IrError::PortNotStream {
                 streamlet: streamlet.name.clone(),
-                port: port.name.clone(),
+                port: port.name.to_string(),
             });
         }
         if let Err(e) = port.ty.validate() {
@@ -156,7 +156,7 @@ impl<'a> ImplCtx<'a> {
     fn unresolved(&self, endpoint: &EndpointRef, found: &mut Found) {
         let (kind, name) = match &endpoint.instance {
             Some(instance) => match self.index.instance_position(self.impl_id, instance) {
-                None => ("instance", instance.clone()),
+                None => ("instance", instance.to_string()),
                 // The instance's implementation or streamlet does not
                 // resolve: the instance checks report that.
                 Some(position) if self.connectivity.instance(position).is_none() => return,
@@ -219,7 +219,7 @@ fn validate_implementation(
         if ctx.connectivity.implementation(position).is_none() {
             found.push(IrError::Unresolved {
                 kind: "implementation",
-                name: instance.impl_name.clone(),
+                name: instance.impl_name.to_string(),
                 context: format!(
                     "instance `{}` of implementation `{}`",
                     instance.name, implementation.name
@@ -335,8 +335,8 @@ fn validate_connection(
                 found.push(IrError::StrictTypeMismatch {
                     implementation: implementation.name.clone(),
                     connection: connection.describe(),
-                    source_origin: src_origin.clone(),
-                    sink_origin: dst_origin.clone(),
+                    source_origin: src_origin.to_string(),
+                    sink_origin: dst_origin.to_string(),
                 });
             }
         }

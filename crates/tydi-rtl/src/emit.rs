@@ -101,7 +101,7 @@ mod tests {
         netlist.modules.push(Module {
             name: "m".into(),
             header: vec![],
-            ports: vec![],
+            ports: vec![].into(),
             body: ModuleBody::Behavioral {
                 bodies: Default::default(),
             },

@@ -443,6 +443,14 @@ fn is_reserved_anywhere(word: &str) -> bool {
 /// backend gain a `_v` suffix. The empty string becomes `"anon"`.
 pub fn sanitize(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
+    sanitize_into(&mut out, name);
+    out
+}
+
+/// Appends [`sanitize`]`(name)` to `out`, so a caller that builds many
+/// names can reuse one buffer.
+pub fn sanitize_into(out: &mut String, name: &str) {
+    let start = out.len();
     let mut last_underscore = true; // suppress leading underscores
     for c in name.chars() {
         if c.is_ascii_alphanumeric() {
@@ -453,19 +461,19 @@ pub fn sanitize(name: &str) -> String {
             last_underscore = true;
         }
     }
-    while out.ends_with('_') {
+    while out.len() > start && out.ends_with('_') {
         out.pop();
     }
-    if out.is_empty() {
-        return "anon".to_string();
+    if out.len() == start {
+        out.push_str("anon");
+        return;
     }
-    if out.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        out.insert(0, 'v');
+    if out[start..].starts_with(|c: char| c.is_ascii_digit()) {
+        out.insert(start, 'v');
     }
-    if is_reserved_anywhere(&out) {
+    if is_reserved_anywhere(&out[start..]) {
         out.push_str("_v");
     }
-    out
 }
 
 /// Allocates unique sanitized identifiers.
@@ -564,6 +572,15 @@ mod tests {
     fn empty_becomes_anon() {
         assert_eq!(sanitize(""), "anon");
         assert_eq!(sanitize("<>"), "anon");
+    }
+
+    #[test]
+    fn sanitize_into_appends_what_sanitize_returns() {
+        for name in ["8bit", "signal", "__a__b__", "<>", "u_p0", "n3_p2_o"] {
+            let mut out = "kept_".to_string();
+            sanitize_into(&mut out, name);
+            assert_eq!(out, format!("kept_{}", sanitize(name)), "{name}");
+        }
     }
 
     #[test]

@@ -17,6 +17,14 @@
 //! Comments are first-class items (not embedded `-- ` text) so each
 //! emitter can render them with its own comment leader; the lowering
 //! simply omits them when comments are disabled.
+//!
+//! Signals travel in bundles. A net ([`NetDecl`]) and an instance port
+//! map entry ([`PortBinding`]) are each a prefix plus the suffix list
+//! of the port they carry. The suffix list depends only on the port's
+//! type and direction, so every net and binding of one port shares
+//! it. Emitters expand a bundle into its signal names
+//! ([`push_signal_name`]) as they render, and lowering allocates one
+//! name per net, not one per signal.
 
 use crate::names::Backend;
 use std::collections::BTreeMap;
@@ -51,13 +59,30 @@ pub enum PortItem {
     Port(ModulePort),
 }
 
-/// One internal net (signal/wire) declaration.
+/// One connection's internal nets (signals/wires), declared as a
+/// bundle: signal `k` is named by joining `prefix` and `suffixes[k]`
+/// ([`signal_name`]) and is `widths[k]` bits wide. Both lists belong
+/// to the port the net carries, so every net of that port shares them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetDecl {
-    /// Legalized net name.
-    pub name: String,
-    /// Width in bits; 1 renders as a scalar type.
-    pub width: u32,
+    /// Legalized net prefix.
+    pub prefix: Arc<str>,
+    /// The bundle's signal suffixes, in declaration order.
+    pub suffixes: Arc<[String]>,
+    /// Width in bits of each signal, parallel to `suffixes`; 1 renders
+    /// as a scalar type.
+    pub widths: Arc<[u32]>,
+}
+
+impl NetDecl {
+    /// Every signal of the bundle as `(suffix, width)`, in declaration
+    /// order.
+    pub fn signals(&self) -> impl Iterator<Item = (&str, u32)> {
+        self.suffixes
+            .iter()
+            .zip(self.widths.iter())
+            .map(|(suffix, &width)| (suffix.as_str(), width))
+    }
 }
 
 /// An entry of a structural body's declaration section.
@@ -65,7 +90,7 @@ pub struct NetDecl {
 pub enum NetItem {
     /// A comment line (without comment leader).
     Comment(String),
-    /// A net declaration.
+    /// A bundle of net declarations.
     Net(NetDecl),
 }
 
@@ -124,8 +149,9 @@ pub struct PortBinding {
 pub struct Instance {
     /// Legalized instance label.
     pub label: String,
-    /// Emitted name of the instantiated module.
-    pub module: String,
+    /// Emitted name of the instantiated module, shared by all its
+    /// instances.
+    pub module: Arc<str>,
     /// Port-map bundles, in declaration order of the child's ports
     /// (clocks first).
     pub bindings: Vec<PortBinding>,
@@ -188,8 +214,9 @@ pub struct Module {
     /// Header comment lines (without comment leader), e.g. the source
     /// implementation name and its doc comment.
     pub header: Vec<String>,
-    /// The port list, comments interleaved.
-    pub ports: Vec<PortItem>,
+    /// The port list, comments interleaved; shared by every module of
+    /// one interface.
+    pub ports: Arc<[PortItem]>,
     /// The body.
     pub body: ModuleBody,
 }
@@ -259,24 +286,27 @@ impl Netlist {
             // Children push in reverse so preorder follows declaration
             // order of the instances.
             for instance in self.instances_of(name).iter().rev() {
-                if self.module(&instance.module).is_some() && seen.insert(instance.module.as_str())
-                {
-                    stack.push(instance.module.as_str());
+                if self.module(&instance.module).is_some() && seen.insert(&instance.module) {
+                    stack.push(&instance.module);
                 }
             }
         }
         order
     }
 
-    /// Total number of net declarations across all structural bodies
-    /// (a size proxy used by benchmarks).
+    /// Total number of net signal declarations across all structural
+    /// bodies (a size proxy used by benchmarks).
     pub fn net_count(&self) -> usize {
         self.modules
             .iter()
             .map(|m| match &m.body {
-                ModuleBody::Structural { nets, .. } => {
-                    nets.iter().filter(|n| matches!(n, NetItem::Net(_))).count()
-                }
+                ModuleBody::Structural { nets, .. } => nets
+                    .iter()
+                    .map(|n| match n {
+                        NetItem::Net(net) => net.suffixes.len(),
+                        NetItem::Comment(_) => 0,
+                    })
+                    .sum(),
                 _ => 0,
             })
             .sum()
@@ -299,19 +329,21 @@ mod tests {
                     dir: PortDir::In,
                     width: 8,
                 }),
-            ],
+            ]
+            .into(),
             body: ModuleBody::BlackBox { comments: vec![] },
         });
         n.modules.push(Module {
             name: "top".into(),
             header: vec![],
-            ports: vec![],
+            ports: vec![].into(),
             body: ModuleBody::Structural {
                 nets: vec![
                     NetItem::Comment("c".into()),
                     NetItem::Net(NetDecl {
-                        name: "n0".into(),
-                        width: 1,
+                        prefix: "n0".into(),
+                        suffixes: vec!["valid".to_string(), "data".to_string()].into(),
+                        widths: vec![1, 8].into(),
                     }),
                 ],
                 assigns: vec![],
@@ -330,15 +362,26 @@ mod tests {
     }
 
     #[test]
-    fn net_count_skips_comments() {
-        assert_eq!(sample().net_count(), 1);
+    fn net_count_counts_signals_and_skips_comments() {
+        assert_eq!(sample().net_count(), 2);
+    }
+
+    #[test]
+    fn net_bundles_pair_suffixes_with_widths() {
+        let net = NetDecl {
+            prefix: "n0".into(),
+            suffixes: vec!["valid".to_string(), "data".to_string()].into(),
+            widths: vec![1, 8].into(),
+        };
+        let signals: Vec<_> = net.signals().collect();
+        assert_eq!(signals, [("valid", 1), ("data", 8)]);
     }
 
     fn structural(name: &str, children: &[&str]) -> Module {
         Module {
             name: name.into(),
             header: vec![],
-            ports: vec![],
+            ports: vec![].into(),
             body: ModuleBody::Structural {
                 nets: vec![],
                 assigns: vec![],

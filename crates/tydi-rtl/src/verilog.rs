@@ -14,10 +14,17 @@ use std::fmt::Write as _;
 
 /// Renders a bit width as a SystemVerilog type.
 pub fn sv_type(width: u32) -> String {
+    let mut out = String::new();
+    push_sv_type(&mut out, width);
+    out
+}
+
+/// Appends the SystemVerilog type of a `width`-bit signal to `out`.
+pub fn push_sv_type(out: &mut String, width: u32) {
     if width == 1 {
-        "logic".to_string()
+        out.push_str("logic");
     } else {
-        format!("logic [{}:0]", width - 1)
+        let _ = write!(out, "logic [{}:0]", width - 1);
     }
 }
 
@@ -62,7 +69,7 @@ impl SystemVerilogEmitter {
         let _ = writeln!(out, "module {} (", module.name);
         let decl_count = module.port_decls().count();
         let mut seen_decls = 0;
-        for item in &module.ports {
+        for item in module.ports.iter() {
             match item {
                 PortItem::Comment(c) => {
                     let _ = writeln!(out, "  // {c}");
@@ -70,13 +77,9 @@ impl SystemVerilogEmitter {
                 PortItem::Port(p) => {
                     seen_decls += 1;
                     let sep = if seen_decls < decl_count { "," } else { "" };
-                    let _ = writeln!(
-                        out,
-                        "  {} {} {}{sep}",
-                        dir_keyword(p.dir),
-                        sv_type(p.width),
-                        p.name
-                    );
+                    let _ = write!(out, "  {} ", dir_keyword(p.dir));
+                    push_sv_type(out, p.width);
+                    let _ = writeln!(out, " {}{sep}", p.name);
                 }
             }
         }
@@ -112,8 +115,14 @@ impl SystemVerilogEmitter {
                         NetItem::Comment(c) => {
                             let _ = writeln!(out, "  // {c}");
                         }
-                        NetItem::Net(n) => {
-                            let _ = writeln!(out, "  {} {};", sv_type(n.width), n.name);
+                        NetItem::Net(net) => {
+                            for (suffix, width) in net.signals() {
+                                out.push_str("  ");
+                                push_sv_type(out, width);
+                                out.push(' ');
+                                push_signal_name(out, &net.prefix, suffix);
+                                out.push_str(";\n");
+                            }
                         }
                     }
                 }
@@ -183,7 +192,8 @@ mod tests {
                     dir: PortDir::Out,
                     width: 1,
                 }),
-            ],
+            ]
+            .into(),
             body,
         });
         n
@@ -235,8 +245,9 @@ mod tests {
             nets: vec![
                 NetItem::Comment("i -> u.i".into()),
                 NetItem::Net(NetDecl {
-                    name: "n0_data".into(),
-                    width: 8,
+                    prefix: "n0".into(),
+                    suffixes: vec!["data".to_string()].into(),
+                    widths: vec![8].into(),
                 }),
             ],
             assigns: vec![AssignItem::Assign {

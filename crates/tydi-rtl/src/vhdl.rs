@@ -15,10 +15,17 @@ use std::fmt::Write as _;
 
 /// Renders a bit width as a VHDL type.
 pub fn vhdl_type(width: u32) -> String {
+    let mut out = String::new();
+    push_vhdl_type(&mut out, width);
+    out
+}
+
+/// Appends the VHDL type of a `width`-bit signal to `out`.
+pub fn push_vhdl_type(out: &mut String, width: u32) {
     if width == 1 {
-        "std_logic".to_string()
+        out.push_str("std_logic");
     } else {
-        format!("std_logic_vector({} downto 0)", width - 1)
+        let _ = write!(out, "std_logic_vector({} downto 0)", width - 1);
     }
 }
 
@@ -74,7 +81,7 @@ impl VhdlEmitter {
         // through).
         let decl_count = module.port_decls().count();
         let mut seen_decls = 0;
-        for item in &module.ports {
+        for item in module.ports.iter() {
             match item {
                 PortItem::Comment(c) => {
                     let _ = writeln!(out, "    -- {c}");
@@ -82,13 +89,10 @@ impl VhdlEmitter {
                 PortItem::Port(p) => {
                     seen_decls += 1;
                     let sep = if seen_decls < decl_count { ";" } else { "" };
-                    let _ = writeln!(
-                        out,
-                        "    {} : {} {}{sep}",
-                        p.name,
-                        mode_keyword(p.dir),
-                        vhdl_type(p.width)
-                    );
+                    let _ = write!(out, "    {} : {} ", p.name, mode_keyword(p.dir));
+                    push_vhdl_type(out, p.width);
+                    out.push_str(sep);
+                    out.push('\n');
                 }
             }
         }
@@ -132,8 +136,14 @@ impl VhdlEmitter {
                         NetItem::Comment(c) => {
                             let _ = writeln!(out, "  -- {c}");
                         }
-                        NetItem::Net(n) => {
-                            let _ = writeln!(out, "  signal {} : {};", n.name, vhdl_type(n.width));
+                        NetItem::Net(net) => {
+                            for (suffix, width) in net.signals() {
+                                out.push_str("  signal ");
+                                push_signal_name(out, &net.prefix, suffix);
+                                out.push_str(" : ");
+                                push_vhdl_type(out, width);
+                                out.push_str(";\n");
+                            }
                         }
                     }
                 }
@@ -199,7 +209,8 @@ mod tests {
                     dir: PortDir::In,
                     width: 8,
                 }),
-            ],
+            ]
+            .into(),
             body,
         });
         n
@@ -249,8 +260,9 @@ mod tests {
             nets: vec![
                 NetItem::Comment("i -> u.i".into()),
                 NetItem::Net(NetDecl {
-                    name: "n0_data".into(),
-                    width: 8,
+                    prefix: "n0".into(),
+                    suffixes: vec!["valid".to_string(), "data".to_string()].into(),
+                    widths: vec![1, 8].into(),
                 }),
             ],
             assigns: vec![AssignItem::Assign {
@@ -276,7 +288,9 @@ mod tests {
         });
         let text = VhdlEmitter.emit_module(&n, &n.modules[0]).unwrap();
         assert!(text.contains("  -- i -> u.i"));
-        assert!(text.contains("  signal n0_data : std_logic_vector(7 downto 0);"));
+        assert!(text.contains(
+            "  signal n0_valid : std_logic;\n  signal n0_data : std_logic_vector(7 downto 0);\n"
+        ));
         assert!(text.contains("  o_data <= i_data;"));
         assert!(text.contains("  u_a : entity work.leaf"));
         assert!(text.contains("      clk => clk,\n      i_data => n0_data\n"));

@@ -240,8 +240,8 @@ fn render_timings(output: &CompileOutput, scope: &str, codegen: bool, err: &mut 
     let t = output.timings;
     let _ = writeln!(
         err,
-        "stages: parse {:?}, elaborate {:?}, sugar {:?}, drc {:?}, analyze {:?} (self times)",
-        t.parse, t.elaborate, t.sugar, t.drc, t.analyze
+        "stages: parse {:?} (fingerprint {:?}), elaborate {:?}, sugar {:?}, drc {:?}, analyze {:?} (self times)",
+        t.parse, t.fingerprint, t.elaborate, t.sugar, t.drc, t.analyze
     );
     if codegen {
         let _ = writeln!(

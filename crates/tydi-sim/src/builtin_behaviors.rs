@@ -85,7 +85,7 @@ fn out_ports(streamlet: &Streamlet) -> Vec<String> {
         .ports
         .iter()
         .filter(|p| p.direction == PortDirection::Out)
-        .map(|p| p.name.clone())
+        .map(|p| p.name.to_string())
         .collect()
 }
 
@@ -94,7 +94,7 @@ fn in_ports(streamlet: &Streamlet) -> Vec<String> {
         .ports
         .iter()
         .filter(|p| p.direction == PortDirection::In)
-        .map(|p| p.name.clone())
+        .map(|p| p.name.to_string())
         .collect()
 }
 

@@ -8,6 +8,7 @@
 
 use crate::channel::Channel;
 use std::collections::HashMap;
+use std::sync::Arc;
 use tydi_ir::{ImplKind, PortDirection, Project};
 
 /// One leaf component of the flattened design.
@@ -101,17 +102,17 @@ pub fn flatten(
     };
 
     // Boundary channels for the top-level ports.
-    let mut bindings: HashMap<String, usize> = HashMap::new();
+    let mut bindings: HashMap<Arc<str>, usize> = HashMap::new();
     for port in &streamlet.ports {
         let idx = graph.channels.len();
         graph.channels.push(Channel::new(
             format!("boundary.{}", port.name),
             channel_capacity,
         ));
-        bindings.insert(port.name.clone(), idx);
+        bindings.insert(Arc::clone(&port.name), idx);
         match port.direction {
-            PortDirection::In => graph.boundary_inputs.push((port.name.clone(), idx)),
-            PortDirection::Out => graph.boundary_outputs.push((port.name.clone(), idx)),
+            PortDirection::In => graph.boundary_inputs.push((port.name.to_string(), idx)),
+            PortDirection::Out => graph.boundary_outputs.push((port.name.to_string(), idx)),
         }
     }
 
@@ -153,7 +154,7 @@ fn inline(
     project: &Project,
     impl_name: &str,
     path: &str,
-    bindings: &HashMap<String, usize>,
+    bindings: &HashMap<Arc<str>, usize>,
     channel_capacity: usize,
     graph: &mut SimGraph,
     depth: usize,
@@ -188,8 +189,8 @@ fn inline(
                     ))
                 })?;
                 match port.direction {
-                    PortDirection::In => inputs.insert(port.name.clone(), channel),
-                    PortDirection::Out => outputs.insert(port.name.clone(), channel),
+                    PortDirection::In => inputs.insert(port.name.to_string(), channel),
+                    PortDirection::Out => outputs.insert(port.name.to_string(), channel),
                 };
             }
             graph.components.push(ComponentNode {
@@ -208,7 +209,7 @@ fn inline(
         } => {
             // Channel per connection; own-port endpoints reuse the
             // parent bindings.
-            let mut instance_bindings: HashMap<&str, HashMap<String, usize>> = HashMap::new();
+            let mut instance_bindings: HashMap<&str, HashMap<Arc<str>, usize>> = HashMap::new();
             for instance in instances {
                 instance_bindings.insert(&instance.name, HashMap::new());
             }
@@ -248,7 +249,7 @@ fn inline(
                 for endpoint in [&connection.source, &connection.sink] {
                     if let Some(instance_name) = &endpoint.instance {
                         instance_bindings
-                            .get_mut(instance_name.as_str())
+                            .get_mut(&**instance_name)
                             .ok_or_else(|| {
                                 GraphError::Inconsistent(format!(
                                     "unknown instance `{instance_name}` in `{impl_name}`"
@@ -259,7 +260,7 @@ fn inline(
                 }
             }
             for instance in instances {
-                let child_bindings = &instance_bindings[instance.name.as_str()];
+                let child_bindings = &instance_bindings[&*instance.name];
                 inline(
                     project,
                     &instance.impl_name,

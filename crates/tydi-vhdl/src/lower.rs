@@ -9,17 +9,26 @@
 //! [`crate::builtin::BuiltinRegistry`], or a black box. Emitters only
 //! render; they never consult Tydi-IR.
 //!
-//! Each implementation's ports are expanded once per run, into a plan
-//! shared by its own module and every instance of it: an instance's
-//! port map is then a prefix substitution over the plan's suffix
-//! lists ([`PortBinding`]), not a fresh expansion. Each distinct port
-//! type is lowered to physical streams once per run.
+//! Each streamlet's ports are expanded once per run, into an interface
+//! shared by every implementation of it, their modules and every
+//! instance of them: an instance's port map is then a prefix
+//! substitution over the interface's suffix lists ([`PortBinding`]),
+//! not a fresh expansion. Each distinct port type is lowered to
+//! physical streams once per run.
 //!
 //! Structural bodies are wired through the shared [`ProjectIndex`]'s
 //! connectivity table: each connection's endpoints arrive as port
 //! slots, the net planned for every instance port is kept in a `Vec`
 //! indexed by slot, and an instance's bindings read it at the
 //! instance's base slot. No endpoint name is hashed while lowering.
+//!
+//! Nets are lowered as bundles too: an instance-to-instance connection
+//! becomes one [`NetDecl`], its legalized name plus the source port's
+//! shared suffix and width lists, which the emitters expand signal by
+//! signal. A net to or from an own port is that port's name, shared
+//! from the IR. Net names and instance labels are built and legalized
+//! in two reused buffers, so each costs the one allocation that keeps
+//! it.
 
 use crate::builtin::{BuiltinCtx, BuiltinRegistry};
 use crate::error::VhdlError;
@@ -27,12 +36,14 @@ use crate::signals::{clock_signals, PortMode, PortSignals};
 use crate::VhdlOptions;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::fmt::Write as _;
+use std::rc::Rc;
 use std::sync::Arc;
 use tydi_ir::index::{Connectivity, InstanceSlots, Slot};
 use tydi_ir::{
     Connection, ImplId, ImplKind, Implementation, Project, ProjectIndex, Streamlet, StreamletId,
 };
-use tydi_rtl::names::{sanitize, NameAllocator};
+use tydi_rtl::names::{sanitize_into, NameAllocator};
 use tydi_rtl::netlist::{
     signal_name, AssignItem, Instance, Module, ModuleBody, ModulePort, NetDecl, NetItem, Netlist,
     PortBinding, PortDir, PortItem,
@@ -90,18 +101,86 @@ pub fn lower_project_with(
     })
 }
 
-/// What lowering needs to know about one implementation's interface,
-/// computed once per run from its streamlet's port types and
-/// directions.
-struct ImplPlan<'p> {
-    streamlet: &'p Streamlet,
-    streamlet_id: StreamletId,
-    /// The emitted module name.
-    module: String,
+/// What lowering needs to know about one streamlet's interface,
+/// computed once per run from its port types and directions and
+/// shared by every implementation of the streamlet.
+struct Interface {
     /// Clock/reset signal pairs per domain, in first-use order.
     clocks: Vec<(ClockDomain, Arc<str>, Arc<str>)>,
     /// Each port's name and signals, parallel to `streamlet.ports`.
     ports: Vec<(Arc<str>, PortSignals)>,
+    /// The module port list every implementation of the streamlet
+    /// declares.
+    port_list: Arc<[PortItem]>,
+}
+
+impl Interface {
+    /// Plans `streamlet`'s interface, lowering each port type not yet
+    /// in `expansions`.
+    fn new(
+        streamlet: &Streamlet,
+        expansions: &mut HashMap<*const LogicalType, Vec<PhysicalStream>>,
+        emit_comments: bool,
+    ) -> Result<Interface, VhdlError> {
+        let clocks: Vec<(ClockDomain, Arc<str>, Arc<str>)> = clock_signals(streamlet)
+            .into_iter()
+            .map(|(domain, clk, rst)| (domain, clk.into(), rst.into()))
+            .collect();
+        let ports: Vec<(Arc<str>, PortSignals)> = streamlet
+            .ports
+            .iter()
+            .map(|port| {
+                let physical = match expansions.entry(Arc::as_ptr(&port.ty)) {
+                    Entry::Occupied(known) => known.into_mut(),
+                    Entry::Vacant(slot) => slot.insert(tydi_spec::lower(&port.ty)?),
+                };
+                let signals = PortSignals::new(port.direction, physical);
+                Ok((Arc::clone(&port.name), signals))
+            })
+            .collect::<Result<_, VhdlError>>()?;
+        // Clock/reset pairs per domain first, then each port's physical
+        // signals behind an optional type comment.
+        let mut port_list = Vec::new();
+        for (_, clk, rst) in &clocks {
+            for name in [clk, rst] {
+                port_list.push(PortItem::Port(ModulePort {
+                    name: name.to_string(),
+                    dir: PortDir::In,
+                    width: 1,
+                }));
+            }
+        }
+        for (port, (name, signals)) in streamlet.ports.iter().zip(&ports) {
+            if emit_comments {
+                port_list.push(PortItem::Comment(format!(
+                    "port {} : {}",
+                    port.name, port.ty
+                )));
+            }
+            port_list.extend(signals.named(name).map(|sig| {
+                PortItem::Port(ModulePort {
+                    name: sig.name,
+                    dir: sig.mode.into(),
+                    width: sig.width,
+                })
+            }));
+        }
+        Ok(Interface {
+            clocks,
+            ports,
+            port_list: port_list.into(),
+        })
+    }
+}
+
+/// One implementation's module: its name and its streamlet's
+/// [`Interface`].
+struct ImplPlan<'p> {
+    streamlet: &'p Streamlet,
+    streamlet_id: StreamletId,
+    /// The emitted module name.
+    module: Arc<str>,
+    interface: Rc<Interface>,
 }
 
 /// One lowering run: the project and the [`ImplPlan`] of every
@@ -112,10 +191,9 @@ struct Lowering<'p> {
     registry: &'p BuiltinRegistry,
     options: &'p VhdlOptions,
     plans: Vec<ImplPlan<'p>>,
-    /// Per streamlet with an implementation, the position in `plans`
-    /// of its first one: all plans of one streamlet share their port
-    /// signals.
-    streamlet_plans: Vec<usize>,
+    /// The interface of each streamlet with an implementation, by
+    /// [`StreamletId`].
+    interfaces: Vec<Option<Rc<Interface>>>,
     /// The suffix list of a binding that connects one signal by its
     /// own name (clocks and resets).
     scalar: Arc<[String]>,
@@ -128,6 +206,10 @@ struct Wiring {
     nets: Vec<Option<Arc<str>>>,
     net_items: Vec<NetItem>,
     assign_items: Vec<AssignItem>,
+    /// A net name or instance label before legalization.
+    raw: String,
+    /// The legalized form of `raw`.
+    legal: String,
 }
 
 impl<'p> Lowering<'p> {
@@ -143,6 +225,7 @@ impl<'p> Lowering<'p> {
         // the project keeps every port type alive for the whole run, so
         // a type's address identifies it here.
         let mut expansions: HashMap<*const LogicalType, Vec<PhysicalStream>> = HashMap::new();
+        let mut interfaces: Vec<Option<Rc<Interface>>> = vec![None; project.streamlets().len()];
         let plans: Vec<ImplPlan<'p>> = project
             .implementations_with_ids()
             .map(|(id, implementation)| {
@@ -153,40 +236,33 @@ impl<'p> Lowering<'p> {
                     ))
                 })?;
                 let streamlet = project.streamlet_by_id(streamlet_id);
+                let interface = match &interfaces[streamlet_id.index()] {
+                    Some(known) => Rc::clone(known),
+                    None => {
+                        let interface = Rc::new(Interface::new(
+                            streamlet,
+                            &mut expansions,
+                            options.emit_comments,
+                        )?);
+                        interfaces[streamlet_id.index()] = Some(Rc::clone(&interface));
+                        interface
+                    }
+                };
                 Ok(ImplPlan {
                     streamlet,
                     streamlet_id,
-                    module: allocator.allocate(&implementation.name),
-                    clocks: clock_signals(streamlet)
-                        .into_iter()
-                        .map(|(domain, clk, rst)| (domain, clk.into(), rst.into()))
-                        .collect(),
-                    ports: streamlet
-                        .ports
-                        .iter()
-                        .map(|port| {
-                            let physical = match expansions.entry(Arc::as_ptr(&port.ty)) {
-                                Entry::Occupied(known) => known.into_mut(),
-                                Entry::Vacant(slot) => slot.insert(tydi_spec::lower(&port.ty)?),
-                            };
-                            let signals = PortSignals::new(port.direction, physical);
-                            Ok((port.name.as_str().into(), signals))
-                        })
-                        .collect::<Result<_, VhdlError>>()?,
+                    module: allocator.allocate(&implementation.name).into(),
+                    interface,
                 })
             })
             .collect::<Result<_, VhdlError>>()?;
-        let mut streamlet_plans = vec![usize::MAX; project.streamlets().len()];
-        for (position, plan) in plans.iter().enumerate().rev() {
-            streamlet_plans[plan.streamlet_id.index()] = position;
-        }
         Ok(Lowering {
             project,
             index,
             registry,
             options,
             plans,
-            streamlet_plans,
+            interfaces,
             scalar: Arc::new([String::new()]),
         })
     }
@@ -205,42 +281,11 @@ impl<'p> Lowering<'p> {
             }
         }
         Ok(Module {
-            name: plan.module.clone(),
+            name: plan.module.to_string(),
             header,
-            ports: self.ports(plan),
+            ports: Arc::clone(&plan.interface.port_list),
             body: self.body(impl_id, implementation, plan)?,
         })
-    }
-
-    /// The module port list: clock/reset pairs per domain first, then
-    /// each port's physical signals behind an optional type comment.
-    fn ports(&self, plan: &ImplPlan<'_>) -> Vec<PortItem> {
-        let mut items = Vec::new();
-        for (_, clk, rst) in &plan.clocks {
-            for name in [clk, rst] {
-                items.push(PortItem::Port(ModulePort {
-                    name: name.to_string(),
-                    dir: PortDir::In,
-                    width: 1,
-                }));
-            }
-        }
-        for (port, (name, signals)) in plan.streamlet.ports.iter().zip(&plan.ports) {
-            if self.options.emit_comments {
-                items.push(PortItem::Comment(format!(
-                    "port {} : {}",
-                    port.name, port.ty
-                )));
-            }
-            items.extend(signals.named(name).map(|sig| {
-                PortItem::Port(ModulePort {
-                    name: sig.name,
-                    dir: sig.mode.into(),
-                    width: sig.width,
-                })
-            }));
-        }
-        items
     }
 
     fn body(
@@ -315,6 +360,8 @@ impl<'p> Lowering<'p> {
                     nets: vec![None; connectivity.slot_count()],
                     net_items: Vec::new(),
                     assign_items: Vec::new(),
+                    raw: String::new(),
+                    legal: String::new(),
                 };
                 for (position, connection) in connections.iter().enumerate() {
                     self.plan_connection(
@@ -332,7 +379,7 @@ impl<'p> Lowering<'p> {
                     .enumerate()
                     .map(|(position, (instance, child))| {
                         let slots = connectivity.instance(position);
-                        self.instance(plan, instance, child, slots, &wiring.nets)
+                        self.instance(plan, instance, child, slots, &mut wiring)
                     })
                     .collect::<Result<Vec<_>, _>>()?;
                 Ok(ModuleBody::Structural {
@@ -367,12 +414,8 @@ impl<'p> Lowering<'p> {
                         .assign_items
                         .push(AssignItem::Comment(connection.describe()));
                 }
-                let pairs = src
-                    .suffixes
-                    .iter()
-                    .zip(&src.shapes)
-                    .zip(dst.suffixes.iter());
-                for ((src_suffix, &(_, mode)), dst_suffix) in pairs {
+                let pairs = src.suffixes.iter().zip(&src.modes).zip(dst.suffixes.iter());
+                for ((src_suffix, &mode), dst_suffix) in pairs {
                     let from = signal_name(&source.port, src_suffix);
                     let to = signal_name(&sink.port, dst_suffix);
                     let (target, driver) = match mode {
@@ -385,8 +428,8 @@ impl<'p> Lowering<'p> {
                     });
                 }
             }
-            (None, Some(_)) => wiring.bind(slots.sink, source.port.as_str().into()),
-            (Some(_), None) => wiring.bind(slots.source, sink.port.as_str().into()),
+            (None, Some(_)) => wiring.bind(slots.sink, Arc::clone(&source.port)),
+            (Some(_), None) => wiring.bind(slots.source, Arc::clone(&sink.port)),
             (Some(src_instance), Some(_)) => {
                 let slot = slots.source.ok_or_else(|| {
                     let missing = match self.index.instance_position(impl_id, src_instance) {
@@ -396,19 +439,21 @@ impl<'p> Lowering<'p> {
                     VhdlError::Inconsistent(missing)
                 })?;
                 let (streamlet, port) = connectivity.port_of(slot);
-                let signals = &self.plans[self.streamlet_plans[streamlet.index()]].ports[port].1;
-                let net: Arc<str> =
-                    sanitize(&format!("n{position}_{src_instance}_{}", source.port)).into();
+                let interface = self.interfaces[streamlet.index()]
+                    .as_ref()
+                    .expect("an instance's streamlet has an implementation");
+                let signals = &interface.ports[port].1;
+                let _ = write!(wiring.raw, "n{position}_{src_instance}_{}", source.port);
+                let net: Arc<str> = wiring.legalize().into();
                 if self.options.emit_comments {
                     wiring
                         .net_items
                         .push(NetItem::Comment(connection.describe()));
                 }
-                wiring.net_items.extend(signals.named(&net).map(|sig| {
-                    NetItem::Net(NetDecl {
-                        name: sig.name,
-                        width: sig.width,
-                    })
+                wiring.net_items.push(NetItem::Net(NetDecl {
+                    prefix: Arc::clone(&net),
+                    suffixes: Arc::clone(&signals.suffixes),
+                    widths: Arc::clone(&signals.widths),
                 }));
                 wiring.bind(slots.source, Arc::clone(&net));
                 wiring.bind(slots.sink, net);
@@ -426,10 +471,11 @@ impl<'p> Lowering<'p> {
         instance: &tydi_ir::Instance,
         child: &ImplPlan<'_>,
         slots: Option<InstanceSlots>,
-        nets: &[Option<Arc<str>>],
+        wiring: &mut Wiring,
     ) -> Result<Instance, VhdlError> {
-        let mut bindings = Vec::with_capacity(2 * child.clocks.len() + child.ports.len());
-        for (domain, clk, rst) in &child.clocks {
+        let (parent, interface) = (&parent.interface, &child.interface);
+        let mut bindings = Vec::with_capacity(2 * interface.clocks.len() + interface.ports.len());
+        for (domain, clk, rst) in &interface.clocks {
             let (pclk, prst) = parent
                 .clocks
                 .iter()
@@ -450,12 +496,12 @@ impl<'p> Lowering<'p> {
         // slots, which only line up with this child's ports when both
         // realize the same streamlet.
         let slots = slots.filter(|slots| slots.streamlet == child.streamlet_id);
-        for (position, (name, signals)) in child.ports.iter().enumerate() {
+        for (position, (name, signals)) in interface.ports.iter().enumerate() {
             let net = slots
                 .and_then(|slots| {
                     let slot = slots.base as usize
                         + self.index.canonical_port(child.streamlet_id, position);
-                    nets[slot].as_ref()
+                    wiring.nets[slot].as_ref()
                 })
                 .ok_or_else(|| {
                     VhdlError::Inconsistent(format!(
@@ -469,9 +515,11 @@ impl<'p> Lowering<'p> {
                 suffixes: Arc::clone(&signals.suffixes),
             });
         }
+        wiring.raw.push_str("u_");
+        wiring.raw.push_str(&instance.name);
         Ok(Instance {
-            label: sanitize(&format!("u_{}", instance.name)),
-            module: child.module.clone(),
+            label: wiring.legalize().to_string(),
+            module: Arc::clone(&child.module),
             bindings,
         })
     }
@@ -484,7 +532,7 @@ impl<'p> Lowering<'p> {
         slot: Option<Slot>,
         port: &str,
     ) -> Result<&'a PortSignals, VhdlError> {
-        slot.map(|slot| &plan.ports[slot as usize].1)
+        slot.map(|slot| &plan.interface.ports[slot as usize].1)
             .ok_or_else(|| VhdlError::Inconsistent(format!("missing port `{port}`")))
     }
 }
@@ -496,6 +544,15 @@ impl Wiring {
         if let Some(slot) = slot {
             self.nets[slot as usize] = Some(net);
         }
+    }
+
+    /// The legalized form of the name written into `raw`, which is
+    /// left empty for the next one.
+    fn legalize(&mut self) -> &str {
+        self.legal.clear();
+        sanitize_into(&mut self.legal, &self.raw);
+        self.raw.clear();
+        &self.legal
     }
 }
 
@@ -603,6 +660,20 @@ pub(crate) mod tests {
         p
     }
 
+    /// Every declared net signal's name, bundles expanded in order.
+    fn net_signal_names(nets: &[NetItem]) -> Vec<String> {
+        nets.iter()
+            .filter_map(|n| match n {
+                NetItem::Net(net) => Some(net),
+                NetItem::Comment(_) => None,
+            })
+            .flat_map(|net| {
+                net.signals()
+                    .map(|(suffix, _)| signal_name(&net.prefix, suffix))
+            })
+            .collect()
+    }
+
     #[test]
     fn instances_bind_shared_suffixes_by_prefix() {
         let p = nested_project();
@@ -614,13 +685,7 @@ pub(crate) mod tests {
         else {
             panic!("expected structural body");
         };
-        let net_names: Vec<&str> = nets
-            .iter()
-            .filter_map(|n| match n {
-                NetItem::Net(d) => Some(d.name.as_str()),
-                _ => None,
-            })
-            .collect();
+        let net_names = net_signal_names(nets);
         assert_eq!(
             net_names,
             [
@@ -711,20 +776,22 @@ pub(crate) mod tests {
             panic!("expected structural body");
         };
         // One intermediate bundle for the instance-to-instance hop.
-        let net_names: Vec<&str> = nets
-            .iter()
-            .filter_map(|n| match n {
-                NetItem::Net(d) => Some(d.name.as_str()),
-                _ => None,
-            })
-            .collect();
+        let net_names = net_signal_names(nets);
         assert_eq!(
             net_names,
             vec!["n1_a_o_valid", "n1_a_o_ready", "n1_a_o_data"]
         );
         assert_eq!(instances.len(), 2);
         assert_eq!(instances[0].label, "u_a");
-        assert_eq!(instances[0].module, "leaf_i");
+        assert_eq!(&*instances[0].module, "leaf_i");
+        // The net bundle shares the source port's suffix list.
+        let NetItem::Net(net) = &nets[1] else {
+            panic!("expected the net after its comment");
+        };
+        assert!(Arc::ptr_eq(
+            &net.suffixes,
+            &instances[0].bindings[3].suffixes
+        ));
         // clk/rst first, then the expanded port signals.
         let map_a = port_map(&instances[0]);
         assert_eq!(map_a[0], ("clk".into(), "clk".into()));

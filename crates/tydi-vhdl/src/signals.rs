@@ -68,15 +68,17 @@ pub use tydi_rtl::vhdl::vhdl_type;
 /// its signals by prefixing these suffixes (see
 /// [`tydi_rtl::netlist::signal_name`]): the port name on the entity,
 /// a net name on a connection bundle. Lowering builds one per port of
-/// each implementation and shares the suffix list with every
-/// instance's port map.
+/// each implementation and shares the suffix and width lists with
+/// every instance's port map and every net that carries the port.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PortSignals {
     /// Each signal's name below the port, e.g. `valid` or
     /// `chars_data`.
     pub suffixes: Arc<[String]>,
-    /// Width and entity mode of each signal, parallel to `suffixes`.
-    pub shapes: Vec<(u32, PortMode)>,
+    /// Width of each signal, parallel to `suffixes`.
+    pub widths: Arc<[u32]>,
+    /// Entity mode of each signal, parallel to `suffixes`.
+    pub modes: Vec<PortMode>,
 }
 
 impl PortSignals {
@@ -84,7 +86,8 @@ impl PortSignals {
     /// to `physical`.
     pub fn new(direction: PortDirection, physical: &[PhysicalStream]) -> PortSignals {
         let mut suffixes = Vec::new();
-        let mut shapes = Vec::new();
+        let mut widths = Vec::new();
+        let mut modes = Vec::new();
         for stream in physical {
             let path = stream.name_suffix();
             // The data direction of this physical stream from the
@@ -102,12 +105,14 @@ impl PortSignals {
             let handshake = [("valid", 1, data_mode), ("ready", 1, data_mode.flip())];
             for (name, width, mode) in handshake.into_iter().chain(payload) {
                 suffixes.push(signal_name(&path, name));
-                shapes.push((width, mode));
+                widths.push(width);
+                modes.push(mode);
             }
         }
         PortSignals {
             suffixes: suffixes.into(),
-            shapes,
+            widths: widths.into(),
+            modes,
         }
     }
 
@@ -115,8 +120,8 @@ impl PortSignals {
     pub fn named<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = VhdlSignal> + 'a {
         self.suffixes
             .iter()
-            .zip(&self.shapes)
-            .map(move |(suffix, &(width, mode))| VhdlSignal {
+            .zip(self.widths.iter().zip(&self.modes))
+            .map(move |(suffix, (&width, &mode))| VhdlSignal {
                 name: signal_name(prefix, suffix),
                 width,
                 mode,

@@ -91,7 +91,7 @@ pub fn generate_testbench(
         let transfers: Vec<&Transfer> = testbench
             .stimuli()
             .into_iter()
-            .filter(|t| t.port == port.name)
+            .filter(|t| *t.port == *port.name)
             .collect();
         if transfers.is_empty() {
             continue;
@@ -146,7 +146,7 @@ pub fn generate_testbench(
         let transfers: Vec<&Transfer> = testbench
             .expectations()
             .into_iter()
-            .filter(|t| t.port == port.name)
+            .filter(|t| *t.port == *port.name)
             .collect();
         if transfers.is_empty() {
             continue;

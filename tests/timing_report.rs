@@ -192,6 +192,41 @@ fn build_reports_codegen_rows_inside_the_wall() {
 }
 
 #[test]
+fn parse_row_carries_its_fingerprint_part() {
+    let dir = workdir("fingerprint");
+    let (stderr, doc) = run_with_json(&dir, &["check"]);
+    // `stages: parse X (fingerprint Y), elaborate ...`: the source-text
+    // and AST hashes are a part of parse, printed inside its row.
+    let stages = stage_line(&stderr, "stages: ");
+    let parse_row = stages
+        .strip_prefix("stages: parse ")
+        .and_then(|rest| rest.split(", elaborate ").next())
+        .unwrap_or_else(|| panic!("parse row shape: {stages}"));
+    assert!(
+        parse_row.contains(" (fingerprint ") && parse_row.ends_with(')'),
+        "parse row must carry its fingerprint part: {stages}"
+    );
+    let (parse_ms, fingerprint_ms) = (
+        row_ms(&doc, "timings.parse_ms"),
+        row_ms(&doc, "timings.fingerprint_ms"),
+    );
+    assert!(
+        fingerprint_ms > 0.0 && fingerprint_ms <= parse_ms,
+        "fingerprint time is a nonzero part of parse: {doc}"
+    );
+    // The self total keeps its meaning: it does not add the part twice.
+    let rows = ["parse", "elaborate", "sugar", "drc", "analyze"]
+        .iter()
+        .map(|stage| row_ms(&doc, &format!("timings.{stage}_ms")))
+        .sum::<f64>();
+    assert!(
+        (row_ms(&doc, "timings.total_self_ms") - rows).abs() < 1e-6,
+        "self total sums the stage rows only: {doc}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn check_reports_no_codegen() {
     let dir = workdir("no-codegen");
     let (stderr, doc) = run_with_json(&dir, &["check"]);

@@ -416,6 +416,40 @@ fn fingerprint_spans_follow_parse_cache_misses() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The source-text fingerprint (the parse-cache key) is hashed for
+/// every input file on every run, cold or warm, each under its own
+/// `source-fingerprint:<file>` span.
+#[test]
+fn source_fingerprint_spans_cover_every_file() {
+    let dir = workdir("source-fingerprint");
+    for tag in ["cold", "warm"] {
+        let trace = dir.join(format!("{tag}.json"));
+        let out = tydic()
+            .arg("check")
+            .arg(cookbook("04_generative.td"))
+            .arg("--cache-dir")
+            .arg(dir.join("cache"))
+            .arg("--trace")
+            .arg(&trace)
+            .output()
+            .expect("run tydic check");
+        assert!(out.status.success(), "tydic check failed ({tag})");
+        let events = load_events(&trace);
+        assert_balanced(&events);
+        let hashed: Vec<&str> = events
+            .iter()
+            .filter(|e| e.ph == "B")
+            .filter_map(|e| e.name.strip_prefix("source-fingerprint:"))
+            .collect();
+        assert_eq!(hashed.len(), 2, "stdlib and design ({tag}): {hashed:?}");
+        assert!(
+            hashed.iter().any(|name| name.ends_with("04_generative.td")),
+            "{tag}: {hashed:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn tracing_never_changes_emitted_artifacts() {
     let dir = workdir("artifacts");
