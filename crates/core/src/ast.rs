@@ -4,10 +4,40 @@
 //! merged before elaboration). The AST mirrors the surface syntax; all
 //! evaluation, template instantiation and generative expansion happens
 //! in [`crate::instantiate`].
+//!
+//! Every identifier the tree keeps is an `Arc<str>` the parser interned
+//! once per file, so each distinct name in a file is one allocation,
+//! however often it appears, and the elaborator hands those same
+//! allocations on as IR instance and port names. Nodes stay compact:
+//! spans are 12 bytes, and payloads that are rarely present (call
+//! arguments, instance array sizes, endpoint indices) are boxed, so an
+//! [`Expr`] is 48 bytes and a [`Stmt`] 120
+//! (`statement_nodes_stay_small` pins both).
 
 use crate::sim_ast::SimBlock;
 use crate::span::Span;
+use std::collections::HashSet;
 use std::sync::Arc;
+use tydi_ir::fingerprint::NameHasherBuilder;
+
+/// Shared names: one `Arc<str>` per distinct name. The parser keeps one
+/// per file for identifiers, the elaborator one for indexed port names.
+/// Hashed word-wise from a random seed ([`NameHasherBuilder`]), which
+/// costs less than SipHash on short names.
+#[derive(Default)]
+pub(crate) struct NameTable(HashSet<Arc<str>, NameHasherBuilder>);
+
+impl NameTable {
+    /// The shared copy of `name`, allocated on its first use.
+    pub(crate) fn intern(&mut self, name: &str) -> Arc<str> {
+        if let Some(shared) = self.0.get(name) {
+            return Arc::clone(shared);
+        }
+        let shared: Arc<str> = name.into();
+        self.0.insert(Arc::clone(&shared));
+        shared
+    }
+}
 
 /// Binary operators, lowest precedence first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,7 +95,7 @@ pub enum Expr {
     /// Clock domain literal `!name`.
     Clock(String, Span),
     /// Variable reference.
-    Ident(String, Span),
+    Ident(Arc<str>, Span),
     /// Array literal `[a, b, c]`.
     Array(Vec<Expr>, Span),
     /// Range `(start..end)` or `(start..end step s)`, end exclusive.
@@ -116,9 +146,9 @@ pub enum Expr {
     /// Builtin function call (`ceil`, `log2`, `pow`, `len`, ...).
     Call {
         /// Function name.
-        name: String,
-        /// Arguments.
-        args: Vec<Expr>,
+        name: Arc<str>,
+        /// Arguments (boxed slice: keeps `Expr` at 48 bytes).
+        args: Box<[Expr]>,
         /// Source range.
         span: Span,
     },
@@ -153,7 +183,7 @@ pub enum TypeExpr {
     Bit(Box<Expr>, Span),
     /// A named type (alias, Group/Union declaration, or a `type`
     /// template parameter).
-    Ref(String, Span),
+    Ref(Arc<str>, Span),
     /// `Stream(element, args...)`
     Stream {
         /// Element type.
@@ -216,7 +246,7 @@ pub enum VarKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConstDecl {
     /// Variable name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Optional declared kind; inferred when absent.
     pub kind: Option<VarKind>,
     /// Initializer.
@@ -230,7 +260,7 @@ pub struct ConstDecl {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TemplateParam {
     /// Parameter name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Parameter kind.
     pub kind: TemplateParamKind,
     /// Source range.
@@ -254,7 +284,7 @@ pub enum TemplateParamKind {
     Type,
     /// `name: impl of <streamlet>` — only implementations derived from
     /// the named streamlet (template) are accepted.
-    ImplOf(String),
+    ImplOf(Arc<str>),
 }
 
 /// A reference to a (possibly templated) streamlet or implementation:
@@ -262,22 +292,11 @@ pub enum TemplateParamKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct NamedRef {
     /// Base name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Template arguments (empty for plain references).
     pub args: Vec<TemplateArgExpr>,
     /// Source range.
     pub span: Span,
-}
-
-impl NamedRef {
-    /// A plain (argument-less) reference.
-    pub fn plain(name: impl Into<String>, span: Span) -> Self {
-        NamedRef {
-            name: name.into(),
-            args: Vec::new(),
-            span,
-        }
-    }
 }
 
 /// One template argument at an instantiation site.
@@ -304,7 +323,7 @@ pub enum ClockSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PortDecl {
     /// Port name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Logical type (must elaborate to a `Stream`).
     pub ty: TypeExpr,
     /// Port direction.
@@ -331,7 +350,7 @@ pub enum PortDir {
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamletDecl {
     /// Streamlet name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Template parameters (empty for concrete streamlets).
     pub params: Vec<TemplateParam>,
     /// Port declarations.
@@ -348,7 +367,7 @@ pub struct StreamletDecl {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Attribute {
     /// Attribute name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Optional argument.
     pub arg: Option<Expr>,
     /// Source range.
@@ -366,7 +385,7 @@ pub enum Stmt {
     /// `instance name(impl_ref)` or `instance name(impl_ref) [n]`.
     Instance {
         /// Instance name.
-        name: String,
+        name: Arc<str>,
         /// The implementation to instantiate.
         impl_ref: NamedRef,
         /// Optional array size (boxed: rarely present).
@@ -374,19 +393,18 @@ pub enum Stmt {
         /// Source range.
         span: Span,
     },
-    /// `src => dst`.
+    /// `src => dst`. The statement starts at its source endpoint, so
+    /// `src.span` is its span.
     Connect {
         /// Source endpoint.
         src: EndpointExpr,
         /// Sink endpoint.
         dst: EndpointExpr,
-        /// Source range.
-        span: Span,
     },
     /// Generative loop (paper Table II).
     For {
         /// Loop variable.
-        var: String,
+        var: Arc<str>,
         /// Array or range to iterate.
         iterable: Expr,
         /// Body statements, expanded once per element.
@@ -423,14 +441,35 @@ pub enum Stmt {
 /// `inst[i].port[j]`, ...
 #[derive(Debug, Clone, PartialEq)]
 pub struct EndpointExpr {
-    /// Instance name plus optional index; `None` for own ports.
-    pub instance: Option<(String, Option<Box<Expr>>)>,
+    /// Instance name; `None` for own ports.
+    pub instance: Option<Arc<str>>,
     /// Port name.
-    pub port: String,
-    /// Optional port array index.
-    pub port_index: Option<Box<Expr>>,
+    pub port: Arc<str>,
+    /// The array indices, when there are any (boxed: rarely present).
+    pub indices: Option<Box<EndpointIndices>>,
     /// Source range.
     pub span: Span,
+}
+
+/// The array indices of an endpoint `inst[i].port[j]`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EndpointIndices {
+    /// Index into an instance array.
+    pub instance: Option<Expr>,
+    /// Index into a port array.
+    pub port: Option<Expr>,
+}
+
+impl EndpointExpr {
+    /// The index into the instance array, if any.
+    pub fn instance_index(&self) -> Option<&Expr> {
+        self.indices.as_ref()?.instance.as_ref()
+    }
+
+    /// The index into the port array, if any.
+    pub fn port_index(&self) -> Option<&Expr> {
+        self.indices.as_ref()?.port.as_ref()
+    }
 }
 
 /// Implementation body.
@@ -450,7 +489,7 @@ pub enum ImplBody {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ImplDecl {
     /// Implementation name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Template parameters (empty for concrete impls).
     pub params: Vec<TemplateParam>,
     /// The streamlet this implements.
@@ -478,7 +517,7 @@ pub enum Decl {
     /// `type Name = <type-expr>;`
     TypeAlias {
         /// Alias name.
-        name: String,
+        name: Arc<str>,
         /// Aliased type.
         ty: TypeExpr,
         /// Source range.
@@ -487,18 +526,18 @@ pub enum Decl {
     /// `Group Name { field: type, ... }`
     Group {
         /// Group name.
-        name: String,
+        name: Arc<str>,
         /// Fields.
-        fields: Vec<(String, TypeExpr)>,
+        fields: Vec<(Arc<str>, TypeExpr)>,
         /// Source range.
         span: Span,
     },
     /// `Union Name { field: type, ... }`
     Union {
         /// Union name.
-        name: String,
+        name: Arc<str>,
         /// Variants.
-        fields: Vec<(String, TypeExpr)>,
+        fields: Vec<(Arc<str>, TypeExpr)>,
         /// Source range.
         span: Span,
     },
@@ -563,14 +602,26 @@ mod tests {
     }
 
     /// Connections and instances are most of a large design's
-    /// statements; their rarely present index and size expressions are
-    /// boxed to keep them small.
+    /// statements and chain operands most of a long expression's
+    /// bytes; 12-byte spans, interned names and boxed rare payloads
+    /// keep them small.
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn statement_nodes_stay_small() {
-        assert_eq!(std::mem::size_of::<Expr>(), 72);
-        assert_eq!(std::mem::size_of::<EndpointExpr>(), 88);
-        assert_eq!(std::mem::size_of::<Stmt>(), 200);
+        assert_eq!(std::mem::size_of::<Span>(), 12);
+        assert_eq!(std::mem::size_of::<Expr>(), 48);
+        assert_eq!(std::mem::size_of::<(BinOp, Expr)>(), 56);
+        assert_eq!(std::mem::size_of::<EndpointExpr>(), 56);
+        assert_eq!(std::mem::size_of::<Stmt>(), 120);
+    }
+
+    #[test]
+    fn names_are_shared() {
+        let mut names = NameTable::default();
+        let first = names.intern("p0");
+        assert!(Arc::ptr_eq(&first, &names.intern("p0")));
+        assert!(!Arc::ptr_eq(&first, &names.intern("p1")));
+        assert_eq!(&*names.intern("p1"), "p1");
     }
 
     #[test]

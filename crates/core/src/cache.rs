@@ -629,11 +629,11 @@ fn parse_diag_line(line: &str) -> Option<Diagnostic> {
         "-" => None,
         text => {
             let mut nums = text.splitn(3, ':');
-            Some(Span::new(
-                nums.next()?.parse().ok()?,
-                nums.next()?.parse().ok()?,
-                nums.next()?.parse().ok()?,
-            ))
+            Some(Span {
+                file: nums.next()?.parse().ok()?,
+                start: nums.next()?.parse().ok()?,
+                end: nums.next()?.parse().ok()?,
+            })
         }
     };
     let message = parts

@@ -76,9 +76,12 @@ impl Diagnostic {
     /// excerpt when a span is available.
     pub fn render(&self, files: &[SourceFile]) -> String {
         let mut out = String::new();
-        match self.span.and_then(|s| files.get(s.file).map(|f| (s, f))) {
+        match self
+            .span
+            .and_then(|s| files.get(s.file as usize).map(|f| (s, f)))
+        {
             Some((span, file)) => {
-                let (line, col) = file.line_col(span.start);
+                let (line, col) = file.line_col(span.start as usize);
                 out.push_str(&format!(
                     "{}: {} [{}] at {}:{}:{}\n",
                     self.severity, self.message, self.stage, file.name, line, col

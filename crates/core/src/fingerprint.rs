@@ -27,7 +27,7 @@ pub use tydi_ir::fingerprint::{Fingerprint, Fingerprinter};
 
 /// Bump when the on-disk artifact-cache layout changes; stale caches
 /// then self-invalidate on load.
-const CACHE_FORMAT: &str = "tydic-artifact-cache-v4";
+const CACHE_FORMAT: &str = "tydic-artifact-cache-v5";
 
 /// The fingerprint of one registered source file (name + raw text).
 pub fn source_fingerprint(name: &str, text: &str) -> Fingerprint {
@@ -40,33 +40,75 @@ pub fn source_fingerprint(name: &str, text: &str) -> Fingerprint {
 
 /// The fingerprint of a parsed package: hashes the canonical printed
 /// form, so formatting and comment edits do not move it. The printer
-/// streams straight into the hasher; the byte count follows the
-/// printed bytes, so the framing stays unambiguous without a length
-/// prefix.
+/// streams into the hasher through a small buffer, so the hasher sees
+/// whole words, not the printer's many short pieces, and no string of
+/// the whole form is built; the byte count follows the printed bytes,
+/// so the framing stays unambiguous without a length prefix.
 pub fn ast_fingerprint(package: &Package) -> Fingerprint {
     let mut fp = Fingerprinter::new();
     fp.write_str("ast");
     let mut sink = Streamed {
         fp: &mut fp,
+        buffer: [0; STREAM_BUFFER],
+        buffered: 0,
         bytes: 0,
     };
     write_package(&mut sink, package).expect("hashing cannot fail");
+    sink.flush();
     let bytes = sink.bytes;
     fp.write_u64(bytes);
     fp.finish()
 }
 
-/// A [`fmt::Write`] sink that hashes the printed bytes unframed and
-/// counts them for the trailing length.
+/// Bytes the printed form collects before they are hashed.
+const STREAM_BUFFER: usize = 4096;
+
+/// A [`fmt::Write`] sink that hashes the printed bytes unframed, in
+/// buffered batches, and counts them for the trailing length.
 struct Streamed<'a> {
     fp: &'a mut Fingerprinter,
+    buffer: [u8; STREAM_BUFFER],
+    buffered: usize,
     bytes: u64,
 }
 
+impl Streamed<'_> {
+    fn flush(&mut self) {
+        self.fp.write_bytes(&self.buffer[..self.buffered]);
+        self.buffered = 0;
+    }
+
+    /// Hashes what is buffered, then `bytes` if they would not fit.
+    #[cold]
+    #[inline(never)]
+    fn overflow(&mut self, bytes: &[u8]) {
+        self.flush();
+        if bytes.len() > STREAM_BUFFER {
+            self.fp.write_bytes(bytes);
+        } else {
+            self.buffer[..bytes.len()].copy_from_slice(bytes);
+            self.buffered = bytes.len();
+        }
+    }
+}
+
 impl fmt::Write for Streamed<'_> {
+    /// Inlined, so the printer's short literal pieces copy as a few
+    /// stores.
+    #[inline]
     fn write_str(&mut self, text: &str) -> fmt::Result {
-        self.fp.write_bytes(text.as_bytes());
-        self.bytes += text.len() as u64;
+        let bytes = text.as_bytes();
+        self.bytes += bytes.len() as u64;
+        match self
+            .buffer
+            .get_mut(self.buffered..self.buffered + bytes.len())
+        {
+            Some(free) => {
+                free.copy_from_slice(bytes);
+                self.buffered += bytes.len();
+            }
+            None => self.overflow(bytes),
+        }
         Ok(())
     }
 }

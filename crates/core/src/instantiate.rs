@@ -30,12 +30,15 @@
 //!
 //! ## Shared IR names
 //!
-//! Each distinct IR wiring name is allocated once. Port names go
-//! through the elaborator's name table, and a body's instance table
-//! owns each instance's name. A connection endpoint clones both `Arc`s
-//! from there, and an instance clones its implementation's name from
-//! the [`ImplValue`] that resolved it. Elaborating a connection
-//! therefore allocates nothing, and an instance only its own name.
+//! Each distinct IR wiring name is allocated once, by the parser: a
+//! port, an instance and every endpoint naming them clone the `Arc`
+//! the parser interned for the name in its file, and an instance
+//! clones its implementation's name from the [`ImplValue`] that
+//! resolved it. Only derived names are allocated here: indexed names
+//! of port and instance arrays (port ones shared through the
+//! elaborator's table) and the unique names of instances declared in
+//! generative scopes. Elaborating a plain connection or instance
+//! therefore allocates nothing for its names.
 //!
 //! The elaborated IR of every cookbook design is pinned by
 //! `tests/golden/ir/`.
@@ -163,7 +166,7 @@ pub fn elaborate(
         impl_cache: HashMap::new(),
         locals: ScopeFrames::new(),
         current_package: 0,
-        names: HashSet::new(),
+        indexed_names: NameTable::default(),
     };
     for pkg_idx in 0..elab.packages.len() {
         let _span =
@@ -260,7 +263,7 @@ impl ArgKey {
         }
     }
 
-    fn of_bindings(bindings: &[(String, Value)]) -> Vec<ArgKey> {
+    fn of_bindings(bindings: &[(Arc<str>, Value)]) -> Vec<ArgKey> {
         bindings.iter().map(|(_, v)| ArgKey::of(v)).collect()
     }
 }
@@ -298,10 +301,11 @@ struct Elaborator {
     locals: ScopeFrames,
     /// The package whose scope we are currently elaborating in.
     current_package: usize,
-    /// The name table: every port name handed out so far. Ports and
-    /// the endpoints that name them share one allocation per distinct
-    /// name.
-    names: HashSet<Arc<str>>,
+    /// The indexed port names (`name_i` of a port array) handed out so
+    /// far, so array ports and the endpoints that index them share one
+    /// allocation per distinct name. Plain names need no table: they
+    /// are the parser's interned `Arc`s.
+    indexed_names: NameTable,
 }
 
 /// Maximum template/instantiation recursion before assuming runaway
@@ -435,7 +439,7 @@ impl Elaborator {
                 let mut failed = None;
                 for (field_name, field_ty) in fields {
                     match self.elaborate_type(field_ty, 0) {
-                        Ok(tv) => out_fields.push((field_name.clone(), tv.id)),
+                        Ok(tv) => out_fields.push((field_name.to_string(), tv.id)),
                         Err(e) => {
                             failed = Some(e.at(*span));
                             break;
@@ -677,7 +681,7 @@ impl Elaborator {
         args: &[TemplateArgExpr],
         span: Span,
         depth: usize,
-    ) -> Result<Vec<(String, Value)>, EvalError> {
+    ) -> Result<Vec<(Arc<str>, Value)>, EvalError> {
         if params.len() != args.len() {
             return Err(EvalError::new(
                 format!(
@@ -696,7 +700,7 @@ impl Elaborator {
                 }
                 (TemplateParamKind::ImplOf(bound), TemplateArgExpr::Impl(r)) => {
                     let impl_value = self.evaluate_impl_ref(r, depth + 1)?;
-                    if impl_value.streamlet_base.as_ref() != bound {
+                    if impl_value.streamlet_base != *bound {
                         return Err(EvalError::new(
                             format!(
                                 "template argument `{}` must be an impl of `{bound}`, but `{}` implements `{}`",
@@ -754,7 +758,7 @@ impl Elaborator {
     /// Builds the human-readable mangled instance name. Called once
     /// per cache **miss** — cache hits never reach this. Type
     /// arguments splice in the store's cached text.
-    fn mangle(&self, base: &str, bindings: &[(String, Value)]) -> Arc<str> {
+    fn mangle(&self, base: &str, bindings: &[(Arc<str>, Value)]) -> Arc<str> {
         if bindings.is_empty() {
             return base.into();
         }
@@ -775,7 +779,7 @@ impl Elaborator {
         &mut self,
         r: &NamedRef,
         depth: usize,
-    ) -> Result<(Arc<str>, String), EvalError> {
+    ) -> Result<(Arc<str>, Arc<str>), EvalError> {
         if depth > MAX_DEPTH {
             return Err(EvalError::new("instantiation recursion too deep", r.span));
         }
@@ -836,7 +840,7 @@ impl Elaborator {
         &mut self,
         id: DeclId,
         s: &StreamletDecl,
-        bindings: &[(String, Value)],
+        bindings: &[(Arc<str>, Value)],
         depth: usize,
     ) -> Option<Arc<str>> {
         let key = (id, ArgKey::of_bindings(bindings));
@@ -943,14 +947,13 @@ impl Elaborator {
                 p
             };
             match count {
-                None => {
-                    let name = self.name(&port.name);
-                    streamlet.ports.push(make_port(name));
-                }
+                None => streamlet.ports.push(make_port(Arc::clone(&port.name))),
                 Some(n) => {
                     let mut buffer = String::new();
                     for i in 0..n {
-                        let name = self.name(indexed(&mut buffer, &port.name, Some(i)));
+                        let name =
+                            self.indexed_names
+                                .intern(indexed(&mut buffer, &port.name, Some(i)));
                         streamlet.ports.push(make_port(name));
                     }
                 }
@@ -976,7 +979,7 @@ impl Elaborator {
         &mut self,
         id: DeclId,
         i: &ImplDecl,
-        bindings: &[(String, Value)],
+        bindings: &[(Arc<str>, Value)],
         depth: usize,
     ) -> Option<ImplValue> {
         let key = (id, ArgKey::of_bindings(bindings));
@@ -1019,7 +1022,7 @@ impl Elaborator {
         let value = ImplValue {
             name: Arc::clone(&ir_name),
             streamlet: Arc::clone(&streamlet_ir),
-            streamlet_base: Arc::from(streamlet_base.as_str()),
+            streamlet_base,
         };
         self.impl_cache.insert(key.clone(), value.clone());
 
@@ -1037,7 +1040,7 @@ impl Elaborator {
 
         // Attributes: @builtin("key"), @NoStrictType, etc.
         for attr in &i.attributes {
-            match attr.name.as_str() {
+            match &*attr.name {
                 "builtin" => {
                     let Some(arg) = &attr.arg else {
                         self.error("@builtin requires a string argument", attr.span);
@@ -1142,7 +1145,7 @@ impl Elaborator {
                 array,
                 span,
             } => self.run_instance(name, impl_ref, array.as_deref(), *span, body, depth),
-            Stmt::Connect { src, dst, span } => self.run_connect(src, dst, *span, body),
+            Stmt::Connect { src, dst } => self.run_connect(src, dst, body),
         }
     }
 
@@ -1209,7 +1212,7 @@ impl Elaborator {
 
     fn run_instance(
         &mut self,
-        name: &str,
+        name: &Arc<str>,
         impl_ref: &NamedRef,
         array: Option<&Expr>,
         span: Span,
@@ -1243,7 +1246,7 @@ impl Elaborator {
         // Inside a generative scope the declared name maps to
         // a unique concrete name, scoped to this iteration.
         let base: Arc<str> = if body.aliases.is_empty() {
-            name.into()
+            Arc::clone(name)
         } else {
             let unique: Arc<str> = format!("{name}__{}", body.fresh).into();
             body.fresh += 1;
@@ -1273,20 +1276,14 @@ impl Elaborator {
         }
     }
 
-    fn run_connect(
-        &mut self,
-        src: &EndpointExpr,
-        dst: &EndpointExpr,
-        span: Span,
-        body: &mut BodyBuilder<'_>,
-    ) {
+    fn run_connect(&mut self, src: &EndpointExpr, dst: &EndpointExpr, body: &mut BodyBuilder<'_>) {
         let Some(source) = self.resolve_endpoint(src, body) else {
             return;
         };
         let Some(sink) = self.resolve_endpoint(dst, body) else {
             return;
         };
-        body.connection_spans.push(span);
+        body.connection_spans.push(src.span);
         body.implementation
             .add_connection(Connection::new(source, sink));
     }
@@ -1301,43 +1298,11 @@ impl Elaborator {
         e: &EndpointExpr,
         body: &mut BodyBuilder<'_>,
     ) -> Option<EndpointRef> {
-        let port_index = match &e.port_index {
-            None => None,
-            Some(expr) => match eval_expr(expr, self) {
-                Ok(Value::Int(i)) if i >= 0 => Some(i as usize),
-                Ok(other) => {
-                    self.error(
-                        format!("port index must be a non-negative int, got {other}"),
-                        expr.span(),
-                    );
-                    return None;
-                }
-                Err(err) => {
-                    self.eval_error(err);
-                    return None;
-                }
-            },
-        };
+        let port_index = self.endpoint_index(e.port_index(), "port")?;
         let instance = match &e.instance {
             None => None,
-            Some((inst_name, inst_index)) => {
-                let inst_index = match inst_index {
-                    None => None,
-                    Some(expr) => match eval_expr(expr, self) {
-                        Ok(Value::Int(i)) if i >= 0 => Some(i as usize),
-                        Ok(other) => {
-                            self.error(
-                                format!("instance index must be a non-negative int, got {other}"),
-                                expr.span(),
-                            );
-                            return None;
-                        }
-                        Err(err) => {
-                            self.eval_error(err);
-                            return None;
-                        }
-                    },
-                };
+            Some(inst_name) => {
+                let inst_index = self.endpoint_index(e.instance_index(), "instance")?;
                 let base = resolve_alias(&body.aliases, inst_name);
                 let resolved = indexed(&mut body.buffer, base, inst_index);
                 let Some(name) = body.instances.get(resolved) else {
@@ -1348,18 +1313,33 @@ impl Elaborator {
                 Some(Arc::clone(name))
             }
         };
-        let port = self.name(indexed(&mut body.buffer, &e.port, port_index));
+        let port = match port_index {
+            None => Arc::clone(&e.port),
+            Some(i) => self
+                .indexed_names
+                .intern(indexed(&mut body.buffer, &e.port, Some(i))),
+        };
         Some(EndpointRef { instance, port })
     }
 
-    /// The shared allocation of `name` in the name table.
-    fn name(&mut self, name: &str) -> Arc<str> {
-        match self.names.get(name) {
-            Some(shared) => Arc::clone(shared),
-            None => {
-                let shared: Arc<str> = name.into();
-                self.names.insert(Arc::clone(&shared));
-                shared
+    /// Evaluates an endpoint's optional `what` index; `None` once an
+    /// invalid index is reported.
+    fn endpoint_index(&mut self, index: Option<&Expr>, what: &str) -> Option<Option<usize>> {
+        let Some(expr) = index else {
+            return Some(None);
+        };
+        match eval_expr(expr, self) {
+            Ok(Value::Int(i)) if i >= 0 => Some(Some(i as usize)),
+            Ok(other) => {
+                self.error(
+                    format!("{what} index must be a non-negative int, got {other}"),
+                    expr.span(),
+                );
+                None
+            }
+            Err(err) => {
+                self.eval_error(err);
+                None
             }
         }
     }

@@ -8,8 +8,9 @@
 //! The lexer is a stream: the parser pulls one token at a time with
 //! [`Lexer::next_token`], so no token vector is ever built.
 //! Identifiers borrow their text from the source; only string literals
-//! (whose escapes are resolved) own a copy, and a number literal is
-//! copied only when it has `_` separators to strip. Lexical errors
+//! (whose escapes are resolved) own a copy. An integer's value is
+//! accumulated while its digits are scanned; a float literal is copied
+//! only when it has `_` separators to strip. Lexical errors
 //! collect in the lexer and come out of [`Lexer::finish`], which first
 //! lexes whatever the parser left unread, so an error in an unparsed
 //! tail is still reported.
@@ -299,7 +300,13 @@ impl<'src> Lexer<'src> {
                 }
             };
         }
-        while self.peek().is_some_and(|c| c.is_ascii_digit() || c == b'_') {
+        // The integer value accumulates during the scan (`None` once it
+        // overflows), so an integer literal is never scanned twice.
+        let mut value = Some(0i64);
+        while let Some(c) = self.peek().filter(|&c| c.is_ascii_digit() || c == b'_') {
+            if c != b'_' {
+                value = value.and_then(|v| v.checked_mul(10)?.checked_add(i64::from(c - b'0')));
+            }
             self.pos += 1;
         }
         let mut is_float = false;
@@ -322,11 +329,10 @@ impl<'src> Lexer<'src> {
                 self.pos += 1;
             }
         }
-        let text = self.digits(start);
         let kind = if is_float {
-            text.parse::<f64>().ok().map(TokenKind::Float)
+            self.digits(start).parse::<f64>().ok().map(TokenKind::Float)
         } else {
-            text.parse::<i64>().ok().map(TokenKind::Int)
+            value.map(TokenKind::Int)
         };
         if kind.is_none() {
             let message = if is_float {
@@ -425,6 +431,29 @@ mod tests {
                 TokenKind::Float(0.025),
                 TokenKind::Int(1000),
                 TokenKind::Eof,
+            ]
+        );
+    }
+
+    #[test]
+    fn integer_range_limits() {
+        assert_eq!(
+            kinds("9223372036854775807 9_223_372_036_854_775_807 007 1_"),
+            vec![
+                TokenKind::Int(i64::MAX),
+                TokenKind::Int(i64::MAX),
+                TokenKind::Int(7),
+                TokenKind::Int(1),
+                TokenKind::Eof,
+            ]
+        );
+        let (_, diags) = lex("9223372036854775808 99999999999999999999");
+        let messages: Vec<&str> = diags.iter().map(|d| d.message.as_str()).collect();
+        assert_eq!(
+            messages,
+            [
+                "integer literal out of range",
+                "integer literal out of range"
             ]
         );
     }

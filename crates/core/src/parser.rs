@@ -6,12 +6,20 @@
 //! Statement terminators may be `,` or `;` interchangeably (the paper
 //! uses commas inside implementation bodies and semicolons at top
 //! level), and trailing terminators before `}` are optional.
+//!
+//! The parser pulls borrowed tokens from the streaming [`Lexer`] and
+//! interns every identifier the AST keeps: one table per file maps the
+//! borrowed text to one shared `Arc<str>`, so a name costs one
+//! allocation however often it appears. Binary operators are parsed by
+//! precedence climbing into one n-ary chain per run of operators of a
+//! level, for `const` and simulation expressions alike; an operand
+//! without prefix operators is parsed with no intermediate allocation.
 
 use crate::ast::*;
 use crate::diagnostics::Diagnostic;
 use crate::lexer::Lexer;
 use crate::sim_ast::*;
-use crate::span::Span;
+use crate::span::{oversized_source, Span};
 use crate::token::{Token, TokenKind};
 use std::sync::Arc;
 
@@ -30,8 +38,13 @@ pub const MAX_NESTING: usize = 384;
 
 /// Parses one source file into a [`Package`]. On unrecoverable errors
 /// the package may be `None`; all problems are reported as
-/// diagnostics, lexical ones first.
+/// diagnostics, lexical ones first. A source too long for a [`Span`]
+/// is refused with one diagnostic.
 pub fn parse_package(file: usize, source: &str) -> (Option<Package>, Vec<Diagnostic>) {
+    if let Some(message) = oversized_source(source.len()) {
+        let refused = Diagnostic::error("read", message, Some(Span::new(file, 0, 0)));
+        return (None, vec![refused]);
+    }
     let mut parser = Parser::new(file, source);
     let package = parser.package();
     (package, parser.finish())
@@ -80,50 +93,121 @@ const ADDITIVE: u8 = 5;
 /// The level of `^`, the only right-associative one.
 const POWER: u8 = 7;
 
-/// A chain whose latest operator still waits for its right operand.
-struct OpenChain {
-    first: Expr,
-    rest: Vec<(BinOp, Expr)>,
-    /// The operator waiting for its right operand.
-    op: BinOp,
-    level: u8,
+/// The binary operators of simulation expressions: those of `const`
+/// expressions at the same levels, without `^`.
+fn sim_binop(kind: &TokenKind<'_>) -> Option<(SimOp, u8)> {
+    Some(match kind {
+        TokenKind::OrOr => (SimOp::Or, 1),
+        TokenKind::AndAnd => (SimOp::And, 2),
+        TokenKind::EqEq => (SimOp::Eq, 3),
+        TokenKind::NotEq => (SimOp::Ne, 3),
+        TokenKind::Lt => (SimOp::Lt, 4),
+        TokenKind::Le => (SimOp::Le, 4),
+        TokenKind::Gt => (SimOp::Gt, 4),
+        TokenKind::Ge => (SimOp::Ge, 4),
+        TokenKind::Plus => (SimOp::Add, ADDITIVE),
+        TokenKind::Minus => (SimOp::Sub, ADDITIVE),
+        TokenKind::Star => (SimOp::Mul, 6),
+        TokenKind::Slash => (SimOp::Div, 6),
+        TokenKind::Percent => (SimOp::Rem, 6),
+        _ => return None,
+    })
 }
 
-impl OpenChain {
-    /// Completes the chain with its last operand. The span covers
-    /// every operand, as the outermost node of the nested form did.
-    fn close(mut self, last: Expr) -> Expr {
-        self.rest.push((self.op, last));
-        let span = self
-            .rest
+/// An expression language the precedence climber
+/// ([`Parser::binary`]) parses: `const` expressions and simulation
+/// expressions share it.
+trait Grammar {
+    /// A tree node.
+    type Node;
+    /// A binary operator.
+    type Op: Copy;
+    /// The binary operator a token stands for, and its level.
+    fn operator(kind: &TokenKind<'_>) -> Option<(Self::Op, u8)>;
+    /// Parses one operand.
+    fn operand(parser: &mut Parser<'_>) -> Option<Self::Node>;
+    /// The node for `first op1 x1 op2 x2 ...`; `rest` is not empty.
+    fn chain(first: Self::Node, rest: Vec<(Self::Op, Self::Node)>) -> Self::Node;
+}
+
+/// `const` expressions: [`Expr`].
+struct ConstGrammar;
+
+impl Grammar for ConstGrammar {
+    type Node = Expr;
+    type Op = BinOp;
+
+    fn operator(kind: &TokenKind<'_>) -> Option<(BinOp, u8)> {
+        binop(kind)
+    }
+
+    fn operand(parser: &mut Parser<'_>) -> Option<Expr> {
+        parser.operand()
+    }
+
+    /// The span covers every operand, as the outermost node of the
+    /// nested form did.
+    fn chain(first: Expr, rest: Vec<(BinOp, Expr)>) -> Expr {
+        let span = rest
             .iter()
-            .fold(self.first.span(), |span, (_, x)| span.merge(x.span()));
+            .fold(first.span(), |span, (_, x)| span.merge(x.span()));
         Expr::Chain {
-            first: Box::new(self.first),
-            rest: self.rest,
+            first: Box::new(first),
+            rest,
             span,
         }
     }
 }
 
+/// Simulation expressions: [`SimExpr`].
+struct SimGrammar;
+
+impl Grammar for SimGrammar {
+    type Node = SimExpr;
+    type Op = SimOp;
+
+    fn operator(kind: &TokenKind<'_>) -> Option<(SimOp, u8)> {
+        sim_binop(kind)
+    }
+
+    fn operand(parser: &mut Parser<'_>) -> Option<SimExpr> {
+        parser.sim_expr_unary()
+    }
+
+    fn chain(first: SimExpr, rest: Vec<(SimOp, SimExpr)>) -> SimExpr {
+        SimExpr::Chain {
+            first: Box::new(first),
+            rest,
+        }
+    }
+}
+
+/// A chain whose latest operator still waits for its right operand.
+struct OpenChain<G: Grammar> {
+    first: G::Node,
+    rest: Vec<(G::Op, G::Node)>,
+    /// The operator waiting for its right operand.
+    op: G::Op,
+    level: u8,
+}
+
+impl<G: Grammar> OpenChain<G> {
+    /// Completes the chain with its last operand.
+    fn close(mut self, last: G::Node) -> G::Node {
+        self.rest.push((self.op, last));
+        G::chain(self.first, self.rest)
+    }
+}
+
 /// Closes every open chain around the last operand.
-fn close_all(open: Vec<OpenChain>, last: Expr) -> Expr {
+fn close_all<G: Grammar>(open: Vec<OpenChain<G>>, last: G::Node) -> G::Node {
     open.into_iter()
         .rev()
         .fold(last, |operand, chain| chain.close(operand))
 }
 
-/// Wraps `operand` in its prefix operators, innermost last.
-fn wrap_prefixes(prefixes: Vec<(UnaryOp, Span)>, operand: Expr) -> Expr {
-    prefixes
-        .into_iter()
-        .rev()
-        .fold(operand, |operand, (op, span)| Expr::Unary {
-            op,
-            span: span.merge(operand.span()),
-            operand: Box::new(operand),
-        })
-}
+/// A `Group` or `Union` body: each field's name and type.
+type CompositeFields = Vec<(Arc<str>, TypeExpr)>;
 
 struct Parser<'src> {
     lexer: Lexer<'src>,
@@ -142,6 +226,8 @@ struct Parser<'src> {
     too_deep: bool,
     diagnostics: Vec<Diagnostic>,
     source: &'src str,
+    /// The file's identifiers, each shared by every node naming it.
+    names: NameTable,
 }
 
 impl<'src> Parser<'src> {
@@ -157,6 +243,7 @@ impl<'src> Parser<'src> {
             too_deep: false,
             diagnostics: Vec::new(),
             source,
+            names: NameTable::default(),
         }
     }
 
@@ -289,8 +376,14 @@ impl<'src> Parser<'src> {
         }
     }
 
-    /// An identifier the AST keeps, allocated once.
-    fn expect_name(&mut self) -> Option<String> {
+    /// An identifier the AST keeps: the file's one shared copy.
+    fn expect_name(&mut self) -> Option<Arc<str>> {
+        self.expect_ident().map(|(name, _)| self.names.intern(name))
+    }
+
+    /// An identifier as an owned string (package names and the
+    /// simulation AST).
+    fn expect_string(&mut self) -> Option<String> {
         self.expect_ident().map(|(name, _)| name.to_string())
     }
 
@@ -357,13 +450,13 @@ impl<'src> Parser<'src> {
         if !self.expect_keyword("package") {
             return None;
         }
-        let name = self.expect_name()?;
+        let name = self.expect_string()?;
         self.terminator();
         let mut uses = Vec::new();
         let mut decls = Vec::new();
         while !self.at_eof() {
             if self.eat_keyword("use") {
-                if let Some(used) = self.expect_name() {
+                if let Some(used) = self.expect_string() {
                     uses.push(used);
                 }
                 self.terminator();
@@ -499,7 +592,7 @@ impl<'src> Parser<'src> {
         }
     }
 
-    fn composite_decl(&mut self) -> Option<(String, Vec<(String, TypeExpr)>)> {
+    fn composite_decl(&mut self) -> Option<(Arc<str>, CompositeFields)> {
         let name = self.expect_name()?;
         self.expect(TokenKind::LBrace);
         let mut fields = Vec::new();
@@ -745,18 +838,17 @@ impl<'src> Parser<'src> {
     /// bodies stack only small frames.
     fn stmt(&mut self) -> Option<Stmt> {
         let span = self.peek_span();
-        if self.eat_keyword("instance") {
-            self.instance_stmt(span)
-        } else if self.eat_keyword("for") {
-            self.for_stmt(span)
-        } else if self.eat_keyword("if") {
-            self.if_stmt(span)
-        } else if self.eat_keyword("assert") {
-            self.assert_stmt(span)
-        } else if self.eat_keyword("const") {
-            self.const_decl(span).map(Stmt::Const)
-        } else {
-            self.connect_stmt(span)
+        let keyword = match self.token.kind {
+            TokenKind::Ident(word @ ("instance" | "for" | "if" | "assert" | "const")) => word,
+            _ => return self.connect_stmt(),
+        };
+        self.bump();
+        match keyword {
+            "instance" => self.instance_stmt(span),
+            "for" => self.for_stmt(span),
+            "if" => self.if_stmt(span),
+            "assert" => self.assert_stmt(span),
+            _ => self.const_decl(span).map(Stmt::Const),
         }
     }
 
@@ -765,7 +857,7 @@ impl<'src> Parser<'src> {
         self.expect(TokenKind::LParen);
         let impl_ref = self.named_ref()?;
         self.expect(TokenKind::RParen);
-        let array = self.bracketed_index();
+        let array = self.bracketed_expr().map(Box::new);
         self.terminator();
         Some(Stmt::Instance {
             name,
@@ -823,45 +915,44 @@ impl<'src> Parser<'src> {
     }
 
     /// A connection `endpoint => endpoint`.
-    fn connect_stmt(&mut self, span: Span) -> Option<Stmt> {
+    fn connect_stmt(&mut self) -> Option<Stmt> {
         let src = self.endpoint()?;
         self.expect(TokenKind::FatArrow);
         let dst = self.endpoint()?;
         self.terminator();
-        Some(Stmt::Connect { src, dst, span })
+        Some(Stmt::Connect { src, dst })
     }
 
     /// An optional `[expr]` (instance array size or endpoint index).
-    fn bracketed_index(&mut self) -> Option<Box<Expr>> {
+    fn bracketed_expr(&mut self) -> Option<Expr> {
         if !self.eat(TokenKind::LBracket) {
             return None;
         }
         let e = self.expr();
         self.expect(TokenKind::RBracket);
-        e.map(Box::new)
+        e
     }
 
     fn endpoint(&mut self) -> Option<EndpointExpr> {
         let span = self.peek_span();
         let first = self.expect_name()?;
-        let first_index = self.bracketed_index();
-        if self.eat(TokenKind::Dot) {
+        let first_index = self.bracketed_expr();
+        let (instance, port, indices) = if self.eat(TokenKind::Dot) {
             let port = self.expect_name()?;
-            let port_index = self.bracketed_index();
-            Some(EndpointExpr {
-                instance: Some((first, first_index)),
-                port,
-                port_index,
-                span,
-            })
+            (Some(first), port, (first_index, self.bracketed_expr()))
         } else {
-            Some(EndpointExpr {
-                instance: None,
-                port: first,
-                port_index: first_index,
-                span,
-            })
-        }
+            (None, first, (None, first_index))
+        };
+        let indices = match indices {
+            (None, None) => None,
+            (instance, port) => Some(Box::new(EndpointIndices { instance, port })),
+        };
+        Some(EndpointExpr {
+            instance,
+            port,
+            indices,
+            span,
+        })
     }
 
     // ---- types ------------------------------------------------------------
@@ -882,7 +973,7 @@ impl<'src> Parser<'src> {
                 Some(TypeExpr::Bit(Box::new(width), span))
             }
             "Stream" => self.stream_type(span),
-            _ => Some(TypeExpr::Ref(head.to_string(), head_span)),
+            _ => Some(TypeExpr::Ref(self.names.intern(head), head_span)),
         }
     }
 
@@ -961,27 +1052,27 @@ impl<'src> Parser<'src> {
     /// bare `>` always closes the argument list (parenthesize
     /// comparisons).
     fn expr_from(&mut self, min_level: u8) -> Option<Expr> {
-        self.nested(|p| p.binary(min_level))
+        self.nested(|p| p.binary::<ConstGrammar>(min_level))
     }
 
     /// Precedence climbing without recursion: operands alternate with
     /// operators, and `open` holds the chains still waiting for an
     /// operand, tighter levels on top. Every run of operators of one
-    /// level becomes one [`Expr::Chain`], so `a + b - c + ...` is one
-    /// flat node however long it is. `^` is right-associative: each
-    /// `^` after another opens a chain nested one level deeper.
-    fn binary(&mut self, min_level: u8) -> Option<Expr> {
+    /// level becomes one chain node, so `a + b - c + ...` is one flat
+    /// node however long it is. `^` is right-associative: each `^`
+    /// after another opens a chain nested one level deeper.
+    fn binary<G: Grammar>(&mut self, min_level: u8) -> Option<G::Node> {
         let mut open = Vec::new();
-        let mut operand = self.operand()?;
-        while let Some((op, level)) = binop(self.peek()) {
+        let mut operand = G::operand(self)?;
+        while let Some((op, level)) = G::operator(self.peek()) {
             if level < min_level {
                 break;
             }
             self.bump();
-            if !self.shift(&mut open, operand, op, level) {
+            if !self.shift::<G>(&mut open, operand, op, level) {
                 return None;
             }
-            operand = self.operand()?;
+            operand = G::operand(self)?;
         }
         Some(close_all(open, operand))
     }
@@ -989,7 +1080,13 @@ impl<'src> Parser<'src> {
     /// Takes `operand` and the operator `op` after it: closes the open
     /// chains that bind tighter, then extends the chain of `op`'s level
     /// or opens one. False when a `^` run nests too deep.
-    fn shift(&mut self, open: &mut Vec<OpenChain>, operand: Expr, op: BinOp, level: u8) -> bool {
+    fn shift<G: Grammar>(
+        &mut self,
+        open: &mut Vec<OpenChain<G>>,
+        operand: G::Node,
+        op: G::Op,
+        level: u8,
+    ) -> bool {
         let mut operand = operand;
         while open.last().is_some_and(|top| top.level > level) {
             operand = open.pop().expect("checked").close(operand);
@@ -1022,28 +1119,28 @@ impl<'src> Parser<'src> {
         self.scoped(Self::operand_levels)
     }
 
+    /// The operand after any prefixes already taken: a prefix operator
+    /// takes a nesting level and wraps the operand that follows it.
     fn operand_levels(&mut self) -> Option<Expr> {
-        let prefixes = self.prefix_operators()?;
-        let primary = self.primary()?;
-        let operand = self.index_postfixes(primary)?;
-        Some(wrap_prefixes(prefixes, operand))
-    }
-
-    /// Consumes a run of prefix `-`/`!`, one nesting level each.
-    fn prefix_operators(&mut self) -> Option<Vec<(UnaryOp, Span)>> {
-        let mut prefixes = Vec::new();
-        loop {
-            let op = match self.peek() {
-                TokenKind::Minus => UnaryOp::Neg,
-                TokenKind::Bang => UnaryOp::Not,
-                _ => return Some(prefixes),
-            };
-            prefixes.push((op, self.peek_span()));
-            self.bump();
-            if !self.enter() {
-                return None;
+        let op = match self.peek() {
+            TokenKind::Minus => UnaryOp::Neg,
+            TokenKind::Bang => UnaryOp::Not,
+            _ => {
+                let primary = self.primary()?;
+                return self.index_postfixes(primary);
             }
+        };
+        let span = self.peek_span();
+        self.bump();
+        if !self.enter() {
+            return None;
         }
+        let operand = self.operand_levels()?;
+        Some(Expr::Unary {
+            op,
+            span: span.merge(operand.span()),
+            operand: Box::new(operand),
+        })
     }
 
     /// `base[i][j]...`, one nesting level per index.
@@ -1150,7 +1247,7 @@ impl<'src> Parser<'src> {
             _ => {}
         }
         if !self.eat(TokenKind::LParen) {
-            return Some(Expr::Ident(word.to_string(), span));
+            return Some(Expr::Ident(self.names.intern(word), span));
         }
         let mut args = Vec::new();
         if !self.eat(TokenKind::RParen) {
@@ -1174,8 +1271,8 @@ impl<'src> Parser<'src> {
             return None;
         }
         Some(Expr::Call {
-            name: word.to_string(),
-            args,
+            name: self.names.intern(word),
+            args: args.into_boxed_slice(),
             span,
         })
     }
@@ -1189,11 +1286,13 @@ impl<'src> Parser<'src> {
         if !self.expect(TokenKind::LBrace) {
             return None;
         }
-        let body_start = open_span.end;
+        let body_start = open_span.end as usize;
         // Find the matching close brace by token scanning to capture
         // the raw text; parsing proceeds over the same tokens.
         let mut block = self.sim_items_until_rbrace();
-        let body_end = self.prev_span.start.max(body_start).min(self.source.len());
+        let body_end = (self.prev_span.start as usize)
+            .max(body_start)
+            .min(self.source.len());
         block.source = self.source[body_start..body_end].trim().to_string();
         Some(block)
     }
@@ -1226,7 +1325,7 @@ impl<'src> Parser<'src> {
     fn sim_item(&mut self, block: &mut SimBlock) {
         let span = self.peek_span();
         if self.eat_keyword("state") {
-            let Some(name) = self.expect_name() else {
+            let Some(name) = self.expect_string() else {
                 return;
             };
             self.expect(TokenKind::Eq);
@@ -1307,7 +1406,7 @@ impl<'src> Parser<'src> {
 
     /// `port.recv`, `port.ack`, `state == "v"` or `state != "v"`.
     fn port_event(&mut self) -> Option<SimEvent> {
-        let name = self.expect_name()?;
+        let name = self.expect_string()?;
         if self.eat(TokenKind::Dot) {
             let (what, what_span) = self.expect_ident()?;
             match what {
@@ -1396,7 +1495,7 @@ impl<'src> Parser<'src> {
     }
 
     fn sim_for(&mut self) -> Option<SimAction> {
-        let var = self.expect_name()?;
+        let var = self.expect_string()?;
         self.expect_keyword("in");
         self.expect(TokenKind::LParen);
         let start = self.sim_expr()?;
@@ -1417,7 +1516,7 @@ impl<'src> Parser<'src> {
     fn sim_simple_action(&mut self) -> Option<SimAction> {
         if self.eat_keyword("send") {
             self.expect(TokenKind::LParen);
-            let port = self.expect_name()?;
+            let port = self.expect_string()?;
             self.expect(TokenKind::Comma);
             let expr = self.sim_expr()?;
             self.expect(TokenKind::RParen);
@@ -1426,7 +1525,7 @@ impl<'src> Parser<'src> {
         }
         if self.eat_keyword("last") {
             self.expect(TokenKind::LParen);
-            let port = self.expect_name()?;
+            let port = self.expect_string()?;
             let levels = if self.eat(TokenKind::Comma) {
                 match self.token.kind {
                     TokenKind::Int(v) if v > 0 => {
@@ -1450,7 +1549,7 @@ impl<'src> Parser<'src> {
         }
         if self.eat_keyword("ack") {
             self.expect(TokenKind::LParen);
-            let port = self.expect_name()?;
+            let port = self.expect_string()?;
             self.expect(TokenKind::RParen);
             self.terminator();
             return Some(SimAction::Ack(port));
@@ -1464,7 +1563,7 @@ impl<'src> Parser<'src> {
         }
         if self.eat_keyword("set_state") {
             self.expect(TokenKind::LParen);
-            let name = self.expect_name()?;
+            let name = self.expect_string()?;
             self.expect(TokenKind::Comma);
             let value = self.sim_string()?;
             self.expect(TokenKind::RParen);
@@ -1478,40 +1577,11 @@ impl<'src> Parser<'src> {
         None
     }
 
-    /// A simulation expression, one nesting level.
+    /// A simulation expression, one nesting level. Its operators chain
+    /// like those of `const` expressions, so a long `a + b + ...` is
+    /// one flat node.
     fn sim_expr(&mut self) -> Option<SimExpr> {
-        self.nested(|p| p.sim_expr_bin(0))
-    }
-
-    fn sim_expr_bin(&mut self, min_level: u8) -> Option<SimExpr> {
-        let mut lhs = self.sim_expr_unary()?;
-        loop {
-            let (op, level) = match self.peek() {
-                TokenKind::OrOr => (SimOp::Or, 1),
-                TokenKind::AndAnd => (SimOp::And, 2),
-                TokenKind::EqEq => (SimOp::Eq, 3),
-                TokenKind::NotEq => (SimOp::Ne, 3),
-                TokenKind::Lt => (SimOp::Lt, 4),
-                TokenKind::Le => (SimOp::Le, 4),
-                TokenKind::Gt => (SimOp::Gt, 4),
-                TokenKind::Ge => (SimOp::Ge, 4),
-                TokenKind::Plus => (SimOp::Add, 5),
-                TokenKind::Minus => (SimOp::Sub, 5),
-                TokenKind::Star => (SimOp::Mul, 6),
-                TokenKind::Slash => (SimOp::Div, 6),
-                TokenKind::Percent => (SimOp::Rem, 6),
-                _ => return Some(lhs),
-            };
-            if level < min_level {
-                return Some(lhs);
-            }
-            self.bump();
-            let rhs = self.scoped(|p| p.sim_expr_bin(level + 1))?;
-            if !self.enter() {
-                return None;
-            }
-            lhs = SimExpr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
+        self.nested(|p| p.binary::<SimGrammar>(0))
     }
 
     fn sim_expr_unary(&mut self) -> Option<SimExpr> {
@@ -1563,7 +1633,7 @@ impl<'src> Parser<'src> {
             return None;
         }
         if self.eat(TokenKind::Dot) {
-            let field = self.expect_name()?;
+            let field = self.expect_string()?;
             Some(SimExpr::Field(name, field))
         } else {
             Some(SimExpr::Data(name))
@@ -1756,7 +1826,7 @@ impl parallelize_i<t_in: type, pu: impl of process_unit_s, channel: int> of para
             Decl::Impl(i) => {
                 assert_eq!(i.params.len(), 3);
                 assert!(
-                    matches!(i.params[1].kind, TemplateParamKind::ImplOf(ref s) if s == "process_unit_s")
+                    matches!(i.params[1].kind, TemplateParamKind::ImplOf(ref s) if &**s == "process_unit_s")
                 );
                 let ImplBody::Normal(stmts) = &i.body else {
                     panic!("expected normal body")
@@ -1801,7 +1871,7 @@ impl parallelize_i<t_in: type, pu: impl of process_unit_s, channel: int> of para
         match &*p.decls[0] {
             Decl::Impl(i) => {
                 assert_eq!(i.attributes.len(), 1);
-                assert_eq!(i.attributes[0].name, "builtin");
+                assert_eq!(&*i.attributes[0].name, "builtin");
                 assert!(matches!(i.body, ImplBody::External { simulation: None }));
             }
             other => panic!("{other:?}"),
@@ -1878,11 +1948,10 @@ impl adder_ext of adder_s external {
                 };
                 match &stmts[2] {
                     Stmt::Connect { src, .. } => {
-                        let (inst, idx) = src.instance.as_ref().unwrap();
-                        assert_eq!(inst, "inst");
-                        assert!(idx.is_some());
-                        assert_eq!(src.port, "q");
-                        assert!(src.port_index.is_some());
+                        assert_eq!(src.instance.as_deref(), Some("inst"));
+                        assert!(src.instance_index().is_some());
+                        assert_eq!(&*src.port, "q");
+                        assert!(src.port_index().is_some());
                     }
                     other => panic!("{other:?}"),
                 }

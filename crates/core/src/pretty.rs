@@ -18,9 +18,15 @@
 //! Compound expressions are printed fully parenthesized so the output
 //! re-parses to the same tree regardless of precedence; parentheses
 //! are not represented in the AST, so this is still a fixed point.
+//!
+//! The hot path, a long operator chain, is written in few, larger
+//! pieces: runs of opening parentheses at once, each closing
+//! parenthesis together with the next operator, and integers without
+//! the formatting machinery.
 
 use crate::ast::*;
 use std::fmt::{self, Write};
+use std::sync::Arc;
 
 /// Renders a package to canonical surface syntax.
 pub fn print_package(package: &Package) -> String {
@@ -80,7 +86,7 @@ fn print_composite(
     out: &mut impl Write,
     keyword: &str,
     name: &str,
-    fields: &[(String, TypeExpr)],
+    fields: &[(Arc<str>, TypeExpr)],
 ) -> fmt::Result {
     writeln!(out, "{keyword} {name} {{")?;
     for (field, ty) in fields {
@@ -146,7 +152,9 @@ fn print_stmt(out: &mut impl Write, stmt: &Stmt, depth: usize) -> fmt::Result {
             array,
             ..
         } => {
-            write!(out, "instance {name}(")?;
+            out.write_str("instance ")?;
+            out.write_str(name)?;
+            out.write_char('(')?;
             named_ref(out, impl_ref)?;
             out.write_char(')')?;
             if let Some(n) = array {
@@ -346,9 +354,9 @@ fn port_decl(out: &mut impl Write, port: &PortDecl) -> fmt::Result {
 }
 
 fn endpoint(out: &mut impl Write, e: &EndpointExpr) -> fmt::Result {
-    if let Some((instance, index)) = &e.instance {
+    if let Some(instance) = &e.instance {
         out.write_str(instance)?;
-        if let Some(i) = index {
+        if let Some(i) = e.instance_index() {
             out.write_char('[')?;
             expr(out, i)?;
             out.write_char(']')?;
@@ -356,7 +364,7 @@ fn endpoint(out: &mut impl Write, e: &EndpointExpr) -> fmt::Result {
         out.write_char('.')?;
     }
     out.write_str(&e.port)?;
-    if let Some(i) = &e.port_index {
+    if let Some(i) = e.port_index() {
         out.write_char('[')?;
         expr(out, i)?;
         out.write_char(']')?;
@@ -417,7 +425,7 @@ fn expr(out: &mut impl Write, e: &Expr) -> fmt::Result {
                 // printed form stays one expression in any context.
                 write!(out, "({v})")
             } else {
-                write!(out, "{v}")
+                decimal(out, v.unsigned_abs())
             }
         }
         // `{:?}` always keeps a `.0` or exponent, so the token
@@ -465,17 +473,25 @@ fn expr(out: &mut impl Write, e: &Expr) -> fmt::Result {
         }
         Expr::Chain { first, rest, .. } => {
             // Printed as the nested form `((first op1 x1) op2 x2)`,
-            // without recursing along the chain.
-            for _ in rest {
-                out.write_char('(')?;
+            // without recursing along the chain. Each `)` goes out
+            // with the operator after it.
+            let mut opening = rest.len();
+            while opening > 0 {
+                let run = opening.min(OPENING.len());
+                out.write_str(&OPENING[..run])?;
+                opening -= run;
             }
             expr(out, first)?;
-            for (op, operand) in rest {
-                out.write_str(infix(*op))?;
+            for (k, (op, operand)) in rest.iter().enumerate() {
+                let closing_infix = infix(*op);
+                out.write_str(if k == 0 {
+                    &closing_infix[1..]
+                } else {
+                    closing_infix
+                })?;
                 expr(out, operand)?;
-                out.write_char(')')?;
             }
-            Ok(())
+            out.write_char(')')
         }
         Expr::Call { name, args, .. } => {
             write!(out, "{name}(")?;
@@ -485,24 +501,45 @@ fn expr(out: &mut impl Write, e: &Expr) -> fmt::Result {
     }
 }
 
-/// A binary operator with the spaces around it.
+/// A run of opening parentheses, written in one piece.
+const OPENING: &str = "((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((";
+
+/// A binary operator with the spaces around it, after the `)` that
+/// closes its left operand.
 fn infix(op: BinOp) -> &'static str {
     match op {
-        BinOp::Or => " || ",
-        BinOp::And => " && ",
-        BinOp::Eq => " == ",
-        BinOp::Ne => " != ",
-        BinOp::Lt => " < ",
-        BinOp::Le => " <= ",
-        BinOp::Gt => " > ",
-        BinOp::Ge => " >= ",
-        BinOp::Add => " + ",
-        BinOp::Sub => " - ",
-        BinOp::Mul => " * ",
-        BinOp::Div => " / ",
-        BinOp::Rem => " % ",
-        BinOp::Pow => " ^ ",
+        BinOp::Or => ") || ",
+        BinOp::And => ") && ",
+        BinOp::Eq => ") == ",
+        BinOp::Ne => ") != ",
+        BinOp::Lt => ") < ",
+        BinOp::Le => ") <= ",
+        BinOp::Gt => ") > ",
+        BinOp::Ge => ") >= ",
+        BinOp::Add => ") + ",
+        BinOp::Sub => ") - ",
+        BinOp::Mul => ") * ",
+        BinOp::Div => ") / ",
+        BinOp::Rem => ") % ",
+        BinOp::Pow => ") ^ ",
     }
+}
+
+/// Writes a non-negative integer in decimal, without the formatting
+/// machinery (every term of a long constant chain comes through here).
+fn decimal(out: &mut impl Write, value: u64) -> fmt::Result {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    let mut rest = value;
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    out.write_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"))
 }
 
 /// Quotes a string literal using only the escapes the lexer accepts.

@@ -121,8 +121,15 @@ pub enum SimExpr {
     Field(String, String),
     /// A handler-local loop variable.
     Var(String),
-    /// Binary operation.
-    Binary(SimOp, Box<SimExpr>, Box<SimExpr>),
+    /// A chain of binary operations `first op1 x1 op2 x2 ...`, one node
+    /// for a run of operators of one precedence level, meaning
+    /// `((first op1 x1) op2 x2) ...`; `rest` is never empty.
+    Chain {
+        /// Leftmost operand.
+        first: Box<SimExpr>,
+        /// Each operator with its right operand, left to right.
+        rest: Vec<(SimOp, SimExpr)>,
+    },
     /// Unary negation.
     Neg(Box<SimExpr>),
     /// Unary logical not.

@@ -1,4 +1,8 @@
 //! Source positions for diagnostics.
+//!
+//! A [`Span`] is three `u32`s (file index, start and end byte
+//! offsets); sources longer than [`MAX_SOURCE_BYTES`] are refused with
+//! one diagnostic before they are lexed, so every offset fits.
 
 use std::fmt;
 use std::sync::Arc;
@@ -46,21 +50,40 @@ impl SourceFile {
     }
 }
 
-/// A byte range within one file.
+/// The longest source file the compiler accepts: every byte offset
+/// of a [`Span`] fits in a `u32`.
+pub const MAX_SOURCE_BYTES: usize = u32::MAX as usize;
+
+/// The diagnostic message refusing a source of `len` bytes, or `None`
+/// when its offsets fit in a [`Span`].
+pub fn oversized_source(len: usize) -> Option<String> {
+    (len > MAX_SOURCE_BYTES).then(|| {
+        format!("source of {len} bytes is longer than the {MAX_SOURCE_BYTES} bytes the compiler accepts")
+    })
+}
+
+/// A byte range within one file: three `u32`s, 12 bytes, so the many
+/// spans in a large AST stay cheap. Offsets fit because longer sources
+/// are refused before parsing (see [`MAX_SOURCE_BYTES`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Span {
     /// Index into the compiler's file table.
-    pub file: usize,
+    pub file: u32,
     /// Start byte offset (inclusive).
-    pub start: usize,
+    pub start: u32,
     /// End byte offset (exclusive).
-    pub end: usize,
+    pub end: u32,
 }
 
 impl Span {
-    /// Creates a span.
+    /// Creates a span. Offsets beyond [`MAX_SOURCE_BYTES`] never reach
+    /// here: such sources are refused before they are lexed.
     pub fn new(file: usize, start: usize, end: usize) -> Self {
-        Span { file, start, end }
+        Span {
+            file: file as u32,
+            start: start as u32,
+            end: end as u32,
+        }
     }
 
     /// A span covering both operands (must be in the same file).
@@ -103,6 +126,14 @@ mod tests {
         let f = SourceFile::new("x.td", "ab\ncd\nef");
         assert_eq!(f.line_text(2), Some("cd"));
         assert_eq!(f.line_text(9), None);
+    }
+
+    #[test]
+    fn spans_are_twelve_bytes() {
+        assert_eq!(std::mem::size_of::<Span>(), 12);
+        assert_eq!(oversized_source(MAX_SOURCE_BYTES), None);
+        let refused = oversized_source(MAX_SOURCE_BYTES + 1).expect("refused");
+        assert!(refused.contains("the 4294967295 bytes"), "{refused}");
     }
 
     #[test]

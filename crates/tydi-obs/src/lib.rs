@@ -19,7 +19,8 @@
 //!
 //! [`json`] is the workspace's one JSON representation, reader and
 //! writer: the trace exporter, the metrics snapshot and every other
-//! JSON document the toolchain writes print through it.
+//! JSON document the toolchain writes print through it. [`memory`]
+//! reads the process's peak RSS and minor page faults from procfs.
 //!
 //! # Span taxonomy
 //!
@@ -35,6 +36,7 @@
 //! `tydic --trace-fine`.
 
 pub mod json;
+pub mod memory;
 pub mod metrics;
 pub mod trace;
 

@@ -16,11 +16,12 @@ use std::io::Read as _;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 use tydi_lang::pipeline::CompileFailure;
+use tydi_lang::span::oversized_source;
 use tydi_lang::{
     compile_with_cache, ArtifactCache, CompileOptions, CompileOutput, Diagnostic, SourceFile, Span,
     Stage,
 };
-use tydi_obs::metrics;
+use tydi_obs::{memory, metrics};
 use tydi_sim::{FaultPlan, Packet, Scenario, SimBatch, Simulator};
 use tydi_stdlib::{full_registry, stdlib_source, STDLIB_FILE_NAME};
 use tydi_vhdl::{emitter_for, lower_project_with, Backend, VhdlError, VhdlOptions};
@@ -91,11 +92,15 @@ pub fn validate(request: &JobRequest) -> Result<Settings, String> {
 /// with request count.
 pub fn run_job(request: &JobRequest, cache: &mut ArtifactCache, scope: &str) -> JobResponse {
     let started = Instant::now();
+    let faults_at_start = request.memory.then(memory::minor_faults).flatten();
     let scope_guard = (!scope.is_empty()).then(|| metrics::scoped(scope.to_string()));
     let mut response = match validate(request) {
-        Ok(settings) => run_validated(request, &settings, cache, scope),
+        Ok(settings) => run_validated(request, &settings, cache, scope, faults_at_start),
         Err(message) => JobResponse::failure(request.id, 2, message),
     };
+    if request.memory {
+        publish_memory(faults_at_start);
+    }
     response.metrics_json = metrics::snapshot().within(scope).to_json();
     if scope_guard.is_some() {
         // The guard is still active, so the empty prefix resolves to
@@ -112,6 +117,7 @@ fn run_validated(
     settings: &Settings,
     cache: &mut ArtifactCache,
     scope: &str,
+    faults_at_start: Option<u64>,
 ) -> JobResponse {
     let mut response = JobResponse::new(request.id);
     let sources = match load_sources(request) {
@@ -150,7 +156,11 @@ fn run_validated(
     // `analyze` and `build` record their own work first, then render
     // the timings themselves so their rows are populated.
     if request.timings && !matches!(request.kind, JobKind::Analyze | JobKind::Build) {
-        render_timings(&output, scope, false, &mut response.stderr);
+        // A sim job's report comes before the simulation, so memory
+        // readings taken here would leave it out: its memory line is
+        // omitted, and `--timings-json` reads memory when the job ends.
+        let memory_from = faults_at_start.filter(|_| request.kind != JobKind::Sim);
+        render_timings(&output, scope, memory_from, false, &mut response.stderr);
     }
 
     match request.kind {
@@ -174,10 +184,17 @@ fn run_validated(
             );
             tydi_lang::publish_compile_metrics(&output);
             if request.timings {
-                render_timings(&output, scope, true, &mut response.stderr);
+                render_timings(&output, scope, faults_at_start, true, &mut response.stderr);
             }
         }
-        JobKind::Analyze => analyze(request, settings.deny, &mut output, scope, &mut response),
+        JobKind::Analyze => analyze(
+            request,
+            settings.deny,
+            &mut output,
+            scope,
+            faults_at_start,
+            &mut response,
+        ),
         JobKind::Sim => simulate(request, &settings.faults, &output, scope, &mut response),
         JobKind::Status | JobKind::Shutdown => unreachable!("handled by the server"),
     }
@@ -186,8 +203,8 @@ fn run_validated(
 
 /// Reads the job's input files (the standard library is implicit
 /// unless the job disables it). A file that cannot be read fails the
-/// job with exit code 2; one that is not UTF-8 fails it like a
-/// compile error, with one diagnostic at the first invalid byte.
+/// job with exit code 2; one that is not UTF-8, or too long for a
+/// source span, fails it like a compile error, with one diagnostic.
 fn load_sources(request: &JobRequest) -> Result<Vec<(String, String)>, Box<JobResponse>> {
     let mut sources: Vec<(String, String)> = Vec::new();
     if request.include_std {
@@ -201,6 +218,13 @@ fn load_sources(request: &JobRequest) -> Result<Vec<(String, String)>, Box<JobRe
                 format!("cannot read `{file}`: {e}"),
             ))
         })?;
+        if let Some(message) = oversized_source(bytes.len()) {
+            let failure = CompileFailure {
+                diagnostics: vec![Diagnostic::error("read", message, Some(Span::new(0, 0, 0)))],
+                files: vec![SourceFile::new(file, "")],
+            };
+            return Err(Box::new(compile_failed(request.id, &failure)));
+        }
         let text = String::from_utf8(bytes).map_err(|e| {
             let offset = e.utf8_error().valid_up_to();
             let message = format!("invalid UTF-8 byte `0x{:02x}`", e.as_bytes()[offset]);
@@ -230,13 +254,38 @@ fn compile_failed(id: u64, failure: &CompileFailure) -> JobResponse {
     }
 }
 
+/// Publishes the job's memory readings: the process's peak RSS
+/// (`timings.memory.peak_rss_kb`; under `serve`, the daemon's own
+/// peak) and the minor page faults the job has taken so far
+/// (`timings.memory.minor_faults`, counted from `faults_at_start`).
+/// They sit under `timings.`: like the times, they are measurements,
+/// not a function of the job. Each is absent where procfs is, and
+/// neither is read unless the request asks (`JobRequest::memory`):
+/// the reads cost tens of microseconds.
+fn publish_memory(faults_at_start: Option<u64>) {
+    if let Some(kb) = memory::peak_rss_kb() {
+        metrics::counter_set("timings.memory.peak_rss_kb", kb);
+    }
+    if let (Some(start), Some(now)) = (faults_at_start, memory::minor_faults()) {
+        metrics::counter_set("timings.memory.minor_faults", now.saturating_sub(start));
+    }
+}
+
 /// The `--timings` report: per-stage *self* times (and, after code
 /// generation, the lower/emit/write self times), then the self-time
 /// sum and the wall-clock window as separate totals, then per-stage
-/// cache reuse counts. The type-store line reads the job's own
-/// metrics back from the registry, so the report and
-/// `--timings-json` can never disagree.
-fn render_timings(output: &CompileOutput, scope: &str, codegen: bool, err: &mut String) {
+/// cache reuse counts and the memory readings so far (the minor
+/// faults counted from `faults_at_start`; no memory line without it).
+/// The memory and type-store lines read the job's own metrics back
+/// from the registry, so the report and `--timings-json` agree (the
+/// JSON's memory readings are taken again when the job ends).
+fn render_timings(
+    output: &CompileOutput,
+    scope: &str,
+    faults_at_start: Option<u64>,
+    codegen: bool,
+    err: &mut String,
+) {
     let t = output.timings;
     let _ = writeln!(
         err,
@@ -278,7 +327,20 @@ fn render_timings(output: &CompileOutput, scope: &str, codegen: bool, err: &mut 
         reused[3],
         recomputed[3],
     );
+    if faults_at_start.is_some() {
+        publish_memory(faults_at_start);
+    }
     let job = metrics::snapshot().within(scope);
+    if let (Some(kb), Some(faults)) = (
+        job.counter("timings.memory.peak_rss_kb"),
+        job.counter("timings.memory.minor_faults"),
+    ) {
+        let _ = writeln!(
+            err,
+            "memory: peak RSS {:.1} MiB, {faults} minor faults",
+            kb as f64 / 1024.0
+        );
+    }
     let _ = writeln!(
         err,
         "types: {} distinct node(s) interned, {} dedup hit(s) ({:.0}% hit rate)",
@@ -423,6 +485,7 @@ fn analyze(
     deny: Option<tydi_analyze::Severity>,
     output: &mut CompileOutput,
     scope: &str,
+    faults_at_start: Option<u64>,
     response: &mut JobResponse,
 ) {
     let top = match request.top.as_deref() {
@@ -453,7 +516,7 @@ fn analyze(
     tydi_lang::publish_compile_metrics(output);
     metrics::counter_set("analyze.hazards", report.hazards.len() as u64);
     if request.timings {
-        render_timings(output, scope, false, &mut response.stderr);
+        render_timings(output, scope, faults_at_start, false, &mut response.stderr);
     }
     if request.json {
         response.stdout.push_str(&report.to_json());
@@ -713,10 +776,10 @@ fn diagnostic_infos(
         .map(|d| {
             let location = d
                 .span
-                .and_then(|span| files.get(span.file).map(|file| (span, file)));
+                .and_then(|span| files.get(span.file as usize).map(|file| (span, file)));
             let (file, line, col) = match location {
                 Some((span, file)) => {
-                    let (line, col) = file.line_col(span.start);
+                    let (line, col) = file.line_col(span.start as usize);
                     (file.name.to_string(), line as u64, col as u64)
                 }
                 None => (String::new(), 0, 0),

@@ -206,14 +206,14 @@ fn diagnostics_json(
         .filter_map(|diagnostic| {
             let location = diagnostic
                 .span
-                .and_then(|span| files.get(span.file).map(|file| (span, file)));
+                .and_then(|span| files.get(span.file as usize).map(|file| (span, file)));
             let range = match location {
                 Some((span, file)) => {
                     if &*file.name != path {
                         return None;
                     }
-                    let (start_line, start_col) = file.line_col(span.start);
-                    let (end_line, end_col) = file.line_col(span.end);
+                    let (start_line, start_col) = file.line_col(span.start as usize);
+                    let (end_line, end_col) = file.line_col(span.end as usize);
                     range(start_line, start_col, end_line, end_col)
                 }
                 None => range(1, 1, 1, 1),

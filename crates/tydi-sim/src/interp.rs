@@ -112,37 +112,11 @@ impl SimInterpreter {
             SimExpr::Var(name) => env.get(name).copied().unwrap_or(0),
             SimExpr::Neg(e) => -self.eval(e, env, io),
             SimExpr::Not(e) => (self.eval(e, env, io) == 0) as i64,
-            SimExpr::Binary(op, a, b) => {
-                let x = self.eval(a, env, io);
-                let y = self.eval(b, env, io);
-                match op {
-                    SimOp::Add => x.wrapping_add(y),
-                    SimOp::Sub => x.wrapping_sub(y),
-                    SimOp::Mul => x.wrapping_mul(y),
-                    SimOp::Div => {
-                        if y == 0 {
-                            0
-                        } else {
-                            x / y
-                        }
-                    }
-                    SimOp::Rem => {
-                        if y == 0 {
-                            0
-                        } else {
-                            x % y
-                        }
-                    }
-                    SimOp::Eq => (x == y) as i64,
-                    SimOp::Ne => (x != y) as i64,
-                    SimOp::Lt => (x < y) as i64,
-                    SimOp::Le => (x <= y) as i64,
-                    SimOp::Gt => (x > y) as i64,
-                    SimOp::Ge => (x >= y) as i64,
-                    SimOp::And => ((x != 0) && (y != 0)) as i64,
-                    SimOp::Or => ((x != 0) || (y != 0)) as i64,
-                }
-            }
+            SimExpr::Chain { first, rest } => rest
+                .iter()
+                .fold(self.eval(first, env, io), |x, (op, operand)| {
+                    apply(*op, x, self.eval(operand, env, io))
+                }),
         }
     }
 
@@ -309,6 +283,38 @@ fn reset_ack_flags(event: &SimEvent, flags: &mut HashMap<String, bool>) {
         }
         SimEvent::Not(e) => reset_ack_flags(e, flags),
         _ => {}
+    }
+}
+
+/// One binary operation of a simulation expression. Division and
+/// remainder by zero give 0; comparisons and logic give 0 or 1.
+fn apply(op: SimOp, x: i64, y: i64) -> i64 {
+    match op {
+        SimOp::Add => x.wrapping_add(y),
+        SimOp::Sub => x.wrapping_sub(y),
+        SimOp::Mul => x.wrapping_mul(y),
+        SimOp::Div => {
+            if y == 0 {
+                0
+            } else {
+                x / y
+            }
+        }
+        SimOp::Rem => {
+            if y == 0 {
+                0
+            } else {
+                x % y
+            }
+        }
+        SimOp::Eq => (x == y) as i64,
+        SimOp::Ne => (x != y) as i64,
+        SimOp::Lt => (x < y) as i64,
+        SimOp::Le => (x <= y) as i64,
+        SimOp::Gt => (x > y) as i64,
+        SimOp::Ge => (x >= y) as i64,
+        SimOp::And => ((x != 0) && (y != 0)) as i64,
+        SimOp::Or => ((x != 0) || (y != 0)) as i64,
     }
 }
 
@@ -521,5 +527,18 @@ on (i.recv) {
         rig.run(3);
         let out = rig.drain("o");
         assert_eq!(out[0], Packet::data(2));
+    }
+
+    /// A 2001-operator expression is one flat chain per precedence
+    /// level, well within the parser's nesting budget, and folds left
+    /// to right with `*` binding tighter than `+` and `-`.
+    #[test]
+    fn long_operator_chains_parse_and_evaluate() {
+        let terms: String = (1..=667).map(|k| format!(" + {k} * 2 - {k}")).collect();
+        let src = format!("on (i.recv) {{ send(o, i.data{terms}); ack(i); }}");
+        let mut rig = Rig::new(&src, &["i"], &["o"]);
+        rig.feed("i", &[Packet::data(5)]);
+        rig.run(3);
+        assert_eq!(rig.drain("o"), vec![Packet::data(5 + 667 * 668 / 2)]);
     }
 }

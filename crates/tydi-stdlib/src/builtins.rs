@@ -8,7 +8,6 @@
 
 use std::fmt::Write as _;
 use tydi_ir::Port;
-use tydi_spec::lower;
 use tydi_vhdl::builtin::{ArchBody, BuiltinCtx};
 use tydi_vhdl::BuiltinRegistry;
 
@@ -47,16 +46,15 @@ pub fn register_builtins(registry: &BuiltinRegistry) {
 
 // ---- shared helpers -----------------------------------------------------
 
-/// The data width of a port's root physical stream.
-pub(crate) fn data_width(port: &Port) -> Result<u32, String> {
-    let phys = lower(&port.ty).map_err(|e| e.to_string())?;
-    Ok(phys[0].signals().data_bits)
+/// The data width of a port's root physical stream (its type is
+/// lowered once per module).
+pub(crate) fn data_width(ctx: &BuiltinCtx<'_>, port: &Port) -> Result<u32, String> {
+    Ok(ctx.root_widths(port)?.data)
 }
 
 /// The `last` width (dimension) of a port's root physical stream.
-pub(crate) fn last_width(port: &Port) -> Result<u32, String> {
-    let phys = lower(&port.ty).map_err(|e| e.to_string())?;
-    Ok(phys[0].signals().last_bits)
+pub(crate) fn last_width(ctx: &BuiltinCtx<'_>, port: &Port) -> Result<u32, String> {
+    Ok(ctx.root_widths(port)?.last)
 }
 
 pub(crate) fn port<'a>(ctx: &'a BuiltinCtx<'_>, name: &str) -> Result<&'a Port, String> {
@@ -116,7 +114,7 @@ fn join2(
     stmts.push_str(&op_line(in0, in1, out)?);
     // Forward `last` from the first operand when the output carries
     // dimensions (operands of a join must be dimension-aligned).
-    if last_width(out)? > 0 && last_width(in0)? == last_width(out)? {
+    if last_width(ctx, out)? > 0 && last_width(ctx, in0)? == last_width(ctx, out)? {
         let _ = writeln!(stmts, "  o_last <= in0_last;");
     }
     Ok(ArchBody {
@@ -130,9 +128,9 @@ fn join2(
 fn gen_binop(op: &'static str) -> impl Fn(&BuiltinCtx<'_>) -> Result<ArchBody, String> {
     move |ctx| {
         join2(ctx, |in0, in1, out| {
-            let w0 = data_width(in0)?;
-            let w1 = data_width(in1)?;
-            let wo = data_width(out)?;
+            let w0 = data_width(ctx, in0)?;
+            let w1 = data_width(ctx, in1)?;
+            let wo = data_width(ctx, out)?;
             let expr = format!(
                 "resize({} {op} {}, {wo})",
                 as_unsigned("in0_data", w0),
@@ -146,9 +144,9 @@ fn gen_binop(op: &'static str) -> impl Fn(&BuiltinCtx<'_>) -> Result<ArchBody, S
 /// Multiplication needs explicit resizing of the full product.
 fn gen_mul(ctx: &BuiltinCtx<'_>) -> Result<ArchBody, String> {
     join2(ctx, |in0, in1, out| {
-        let w0 = data_width(in0)?;
-        let w1 = data_width(in1)?;
-        let wo = data_width(out)?;
+        let w0 = data_width(ctx, in0)?;
+        let w1 = data_width(ctx, in1)?;
+        let wo = data_width(ctx, out)?;
         let expr = format!(
             "resize({} * {}, {wo})",
             as_unsigned("in0_data", w0),
@@ -163,8 +161,8 @@ fn gen_mul(ctx: &BuiltinCtx<'_>) -> Result<ArchBody, String> {
 fn gen_compare(op: &'static str) -> impl Fn(&BuiltinCtx<'_>) -> Result<ArchBody, String> {
     move |ctx| {
         join2(ctx, |in0, in1, _out| {
-            let w0 = data_width(in0)?;
-            let w1 = data_width(in1)?;
+            let w0 = data_width(ctx, in0)?;
+            let w1 = data_width(ctx, in1)?;
             Ok(format!(
                 "  o_data <= '1' when {} {op} {} else '0';\n",
                 as_unsigned("in0_data", w0),
@@ -177,7 +175,7 @@ fn gen_compare(op: &'static str) -> impl Fn(&BuiltinCtx<'_>) -> Result<ArchBody,
 fn gen_compare_const(op: &'static str) -> impl Fn(&BuiltinCtx<'_>) -> Result<ArchBody, String> {
     move |ctx| {
         let input = port(ctx, "i")?;
-        let wi = data_width(input)?;
+        let wi = data_width(ctx, input)?;
         let v = int_param(ctx, "v")?;
         let mut stmts = String::new();
         let _ = writeln!(stmts, "  o_valid <= i_valid;");
@@ -191,7 +189,9 @@ fn gen_compare_const(op: &'static str) -> impl Fn(&BuiltinCtx<'_>) -> Result<Arc
                 "i_data".to_string()
             }
         );
-        if last_width(input)? > 0 && last_width(port(ctx, "o")?)? == last_width(input)? {
+        if last_width(ctx, input)? > 0
+            && last_width(ctx, port(ctx, "o")?)? == last_width(ctx, input)?
+        {
             let _ = writeln!(stmts, "  o_last <= i_last;");
         }
         Ok(ArchBody {
@@ -250,7 +250,7 @@ fn gen_filter(ctx: &BuiltinCtx<'_>) -> Result<ArchBody, String> {
     let _ = writeln!(stmts, "  forward <= both and keep_data;");
     let _ = writeln!(stmts, "  o_valid <= forward;");
     let _ = writeln!(stmts, "  o_data <= i_data;");
-    if last_width(input)? > 0 && last_width(out)? == last_width(input)? {
+    if last_width(ctx, input)? > 0 && last_width(ctx, out)? == last_width(ctx, input)? {
         let _ = writeln!(stmts, "  o_last <= i_last;");
     }
     let _ = writeln!(
@@ -276,9 +276,9 @@ fn gen_reduce(kind: ReduceKind) -> impl Fn(&BuiltinCtx<'_>) -> Result<ArchBody, 
     move |ctx| {
         let input = port(ctx, "i")?;
         let out = port(ctx, "o")?;
-        let wi = data_width(input)?;
-        let wo = data_width(out)?;
-        let in_last = last_width(input)?;
+        let wi = data_width(ctx, input)?;
+        let wo = data_width(ctx, out)?;
+        let in_last = last_width(ctx, input)?;
         if in_last == 0 {
             return Err("reduction input must have dimension >= 1".into());
         }
@@ -363,7 +363,7 @@ fn gen_demux(ctx: &BuiltinCtx<'_>) -> Result<ArchBody, String> {
             "  {name}_valid <= i_valid when to_integer(sel) = {k} else '0';"
         );
         let _ = writeln!(stmts, "  {name}_data <= i_data;");
-        if last_width(output).unwrap_or(0) > 0 {
+        if last_width(ctx, output).unwrap_or(0) > 0 {
             let _ = writeln!(stmts, "  {name}_last <= i_last;");
         }
     }
@@ -450,7 +450,7 @@ fn gen_mux(ctx: &BuiltinCtx<'_>) -> Result<ArchBody, String> {
 
 fn gen_const(ctx: &BuiltinCtx<'_>) -> Result<ArchBody, String> {
     let out = port(ctx, "o")?;
-    let wo = data_width(out)?;
+    let wo = data_width(ctx, out)?;
     let v = int_param(ctx, "v")?;
     let mut stmts = String::new();
     let _ = writeln!(stmts, "  o_valid <= '1';");
@@ -485,7 +485,7 @@ fn gen_group_split2(ctx: &BuiltinCtx<'_>) -> Result<ArchBody, String> {
     let (wa, wb) = group2_field_widths(input)?;
     let out_a = port(ctx, "a")?;
     let out_b = port(ctx, "b")?;
-    if data_width(out_a)? != wa || data_width(out_b)? != wb {
+    if data_width(ctx, out_a)? != wa || data_width(ctx, out_b)? != wb {
         return Err("output widths must match the Group field widths".into());
     }
     let mut decls = String::new();
@@ -497,11 +497,11 @@ fn gen_group_split2(ctx: &BuiltinCtx<'_>) -> Result<ArchBody, String> {
     let _ = writeln!(stmts, "  b_valid <= i_valid and both_ready;");
     let _ = writeln!(stmts, "  a_data <= i_data({} downto 0);", wa - 1);
     let _ = writeln!(stmts, "  b_data <= i_data({} downto {wa});", wa + wb - 1);
-    if last_width(input)? > 0 {
-        if last_width(out_a)? == last_width(input)? {
+    if last_width(ctx, input)? > 0 {
+        if last_width(ctx, out_a)? == last_width(ctx, input)? {
             let _ = writeln!(stmts, "  a_last <= i_last;");
         }
-        if last_width(out_b)? == last_width(input)? {
+        if last_width(ctx, out_b)? == last_width(ctx, input)? {
             let _ = writeln!(stmts, "  b_last <= i_last;");
         }
     }
@@ -515,7 +515,7 @@ fn gen_group_combine2(ctx: &BuiltinCtx<'_>) -> Result<ArchBody, String> {
     let in_b = port(ctx, "b")?;
     let out = port(ctx, "o")?;
     let (wa, wb) = group2_field_widths(out)?;
-    if data_width(in_a)? != wa || data_width(in_b)? != wb {
+    if data_width(ctx, in_a)? != wa || data_width(ctx, in_b)? != wb {
         return Err("input widths must match the Group field widths".into());
     }
     let mut stmts = String::new();
@@ -523,7 +523,7 @@ fn gen_group_combine2(ctx: &BuiltinCtx<'_>) -> Result<ArchBody, String> {
     let _ = writeln!(stmts, "  a_ready <= a_valid and b_valid and o_ready;");
     let _ = writeln!(stmts, "  b_ready <= a_valid and b_valid and o_ready;");
     let _ = writeln!(stmts, "  o_data <= b_data & a_data;");
-    if last_width(out)? > 0 && last_width(in_a)? == last_width(out)? {
+    if last_width(ctx, out)? > 0 && last_width(ctx, in_a)? == last_width(ctx, out)? {
         let _ = writeln!(stmts, "  o_last <= a_last;");
     }
     Ok(ArchBody {

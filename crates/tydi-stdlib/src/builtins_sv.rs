@@ -116,7 +116,7 @@ fn join2(
     stmts.push_str(&op_line(in0, in1, out)?);
     // Forward `last` from the first operand when the output carries
     // dimensions (operands of a join must be dimension-aligned).
-    if last_width(out)? > 0 && last_width(in0)? == last_width(out)? {
+    if last_width(ctx, out)? > 0 && last_width(ctx, in0)? == last_width(ctx, out)? {
         let _ = writeln!(stmts, "  assign o_last = in0_last;");
     }
     Ok(ArchBody {
@@ -130,9 +130,9 @@ fn join2(
 fn gen_binop(op: &'static str) -> impl Fn(&BuiltinCtx<'_>) -> Result<ArchBody, String> {
     move |ctx| {
         join2(ctx, |in0, in1, out| {
-            let w0 = data_width(in0)?;
-            let w1 = data_width(in1)?;
-            let wo = data_width(out)?;
+            let w0 = data_width(ctx, in0)?;
+            let w1 = data_width(ctx, in1)?;
+            let wo = data_width(ctx, out)?;
             // The VHDL twin computes `resize(a {op} b, wo)` where
             // numeric_std evaluates `a {op} b` at max(w0, w1) bits
             // (the carry is dropped *before* the resize). A bare
@@ -156,7 +156,7 @@ fn gen_binop(op: &'static str) -> impl Fn(&BuiltinCtx<'_>) -> Result<ArchBody, S
 /// a single `wo`-bit cast — low `wo` bits of the product — matches.
 fn gen_mul(ctx: &BuiltinCtx<'_>) -> Result<ArchBody, String> {
     join2(ctx, |_in0, _in1, out| {
-        let wo = data_width(out)?;
+        let wo = data_width(ctx, out)?;
         Ok(format!(
             "  assign o_data = {};\n",
             resized("in0_data * in1_data", wo)
@@ -179,7 +179,7 @@ fn gen_compare(op: &'static str) -> impl Fn(&BuiltinCtx<'_>) -> Result<ArchBody,
 fn gen_compare_const(op: &'static str) -> impl Fn(&BuiltinCtx<'_>) -> Result<ArchBody, String> {
     move |ctx| {
         let input = port(ctx, "i")?;
-        let wi = data_width(input)?;
+        let wi = data_width(ctx, input)?;
         let v = int_param(ctx, "v")?;
         // The VHDL twin compares against `to_signed(v, wi)`, which
         // truncates an out-of-range constant into the wi-bit signed
@@ -197,7 +197,9 @@ fn gen_compare_const(op: &'static str) -> impl Fn(&BuiltinCtx<'_>) -> Result<Arc
             "$signed(i_data)".to_string()
         };
         let _ = writeln!(stmts, "  assign o_data = ({lhs} {op} {v}) ? 1'b1 : 1'b0;");
-        if last_width(input)? > 0 && last_width(port(ctx, "o")?)? == last_width(input)? {
+        if last_width(ctx, input)? > 0
+            && last_width(ctx, port(ctx, "o")?)? == last_width(ctx, input)?
+        {
             let _ = writeln!(stmts, "  assign o_last = i_last;");
         }
         Ok(ArchBody {
@@ -260,7 +262,7 @@ fn gen_filter(ctx: &BuiltinCtx<'_>) -> Result<ArchBody, String> {
     let _ = writeln!(stmts, "  assign forward = both & keep_data;");
     let _ = writeln!(stmts, "  assign o_valid = forward;");
     let _ = writeln!(stmts, "  assign o_data = i_data;");
-    if last_width(input)? > 0 && last_width(out)? == last_width(input)? {
+    if last_width(ctx, input)? > 0 && last_width(ctx, out)? == last_width(ctx, input)? {
         let _ = writeln!(stmts, "  assign o_last = i_last;");
     }
     let _ = writeln!(
@@ -286,8 +288,8 @@ fn gen_reduce(kind: ReduceKind) -> impl Fn(&BuiltinCtx<'_>) -> Result<ArchBody, 
     move |ctx| {
         let input = port(ctx, "i")?;
         let out = port(ctx, "o")?;
-        let wo = data_width(out)?;
-        let in_last = last_width(input)?;
+        let wo = data_width(ctx, out)?;
+        let in_last = last_width(ctx, input)?;
         if in_last == 0 {
             return Err("reduction input must have dimension >= 1".into());
         }
@@ -375,7 +377,7 @@ fn gen_demux(ctx: &BuiltinCtx<'_>) -> Result<ArchBody, String> {
             "  assign {name}_valid = (sel == {k}) ? i_valid : 1'b0;"
         );
         let _ = writeln!(stmts, "  assign {name}_data = i_data;");
-        if last_width(output).unwrap_or(0) > 0 {
+        if last_width(ctx, output).unwrap_or(0) > 0 {
             let _ = writeln!(stmts, "  assign {name}_last = i_last;");
         }
     }
@@ -429,7 +431,7 @@ fn gen_mux(ctx: &BuiltinCtx<'_>) -> Result<ArchBody, String> {
 
 fn gen_const(ctx: &BuiltinCtx<'_>) -> Result<ArchBody, String> {
     let out = port(ctx, "o")?;
-    let wo = data_width(out)?;
+    let wo = data_width(ctx, out)?;
     let v = int_param(ctx, "v")?;
     let mut stmts = String::new();
     let _ = writeln!(stmts, "  assign o_valid = 1'b1;");
@@ -448,7 +450,7 @@ fn gen_group_split2(ctx: &BuiltinCtx<'_>) -> Result<ArchBody, String> {
     let (wa, wb) = group2_field_widths(input)?;
     let out_a = port(ctx, "a")?;
     let out_b = port(ctx, "b")?;
-    if data_width(out_a)? != wa || data_width(out_b)? != wb {
+    if data_width(ctx, out_a)? != wa || data_width(ctx, out_b)? != wb {
         return Err("output widths must match the Group field widths".into());
     }
     let mut decls = String::new();
@@ -460,11 +462,11 @@ fn gen_group_split2(ctx: &BuiltinCtx<'_>) -> Result<ArchBody, String> {
     let _ = writeln!(stmts, "  assign b_valid = i_valid & both_ready;");
     let _ = writeln!(stmts, "  assign a_data = i_data[{}:0];", wa - 1);
     let _ = writeln!(stmts, "  assign b_data = i_data[{}:{wa}];", wa + wb - 1);
-    if last_width(input)? > 0 {
-        if last_width(out_a)? == last_width(input)? {
+    if last_width(ctx, input)? > 0 {
+        if last_width(ctx, out_a)? == last_width(ctx, input)? {
             let _ = writeln!(stmts, "  assign a_last = i_last;");
         }
-        if last_width(out_b)? == last_width(input)? {
+        if last_width(ctx, out_b)? == last_width(ctx, input)? {
             let _ = writeln!(stmts, "  assign b_last = i_last;");
         }
     }
@@ -478,7 +480,7 @@ fn gen_group_combine2(ctx: &BuiltinCtx<'_>) -> Result<ArchBody, String> {
     let in_b = port(ctx, "b")?;
     let out = port(ctx, "o")?;
     let (wa, wb) = group2_field_widths(out)?;
-    if data_width(in_a)? != wa || data_width(in_b)? != wb {
+    if data_width(ctx, in_a)? != wa || data_width(ctx, in_b)? != wb {
         return Err("input widths must match the Group field widths".into());
     }
     let mut stmts = String::new();
@@ -486,7 +488,7 @@ fn gen_group_combine2(ctx: &BuiltinCtx<'_>) -> Result<ArchBody, String> {
     let _ = writeln!(stmts, "  assign a_ready = a_valid & b_valid & o_ready;");
     let _ = writeln!(stmts, "  assign b_ready = a_valid & b_valid & o_ready;");
     let _ = writeln!(stmts, "  assign o_data = {{b_data, a_data}};");
-    if last_width(out)? > 0 && last_width(in_a)? == last_width(out)? {
+    if last_width(ctx, out)? > 0 && last_width(ctx, in_a)? == last_width(ctx, out)? {
         let _ = writeln!(stmts, "  assign o_last = a_last;");
     }
     Ok(ArchBody {

@@ -19,11 +19,13 @@
 
 use crate::error::VhdlError;
 use crate::signals::{expand_port, PortMode, VhdlSignal};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, RwLock};
 use tydi_ir::{Implementation, Port, PortDirection, Project, Streamlet};
 use tydi_rtl::Backend;
+use tydi_spec::LogicalType;
 
 /// Everything a generator may inspect.
 pub struct BuiltinCtx<'a> {
@@ -34,9 +36,52 @@ pub struct BuiltinCtx<'a> {
     /// The external implementation carrying the builtin key and any
     /// `param_*` attributes left by template instantiation.
     pub implementation: &'a Implementation,
+    /// The root stream widths of each port type asked for so far, by
+    /// the type's address (ports of one type share its `Arc`), so each
+    /// type is lowered once per module, whichever backends ask.
+    widths: RefCell<Vec<(*const LogicalType, RootWidths)>>,
 }
 
-impl BuiltinCtx<'_> {
+/// The signal widths of a port's root physical stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RootWidths {
+    /// Width of the `data` signal.
+    pub data: u32,
+    /// Width of the `last` signal (the stream's dimensionality).
+    pub last: u32,
+}
+
+impl<'a> BuiltinCtx<'a> {
+    /// The context for generating `implementation` of `streamlet`.
+    pub fn new(
+        project: &'a Project,
+        streamlet: &'a Streamlet,
+        implementation: &'a Implementation,
+    ) -> Self {
+        BuiltinCtx {
+            project,
+            streamlet,
+            implementation,
+            widths: RefCell::new(Vec::new()),
+        }
+    }
+
+    /// The data and `last` widths of `port`'s root physical stream.
+    pub fn root_widths(&self, port: &Port) -> Result<RootWidths, String> {
+        let ty = Arc::as_ptr(&port.ty);
+        if let Some((_, known)) = self.widths.borrow().iter().find(|(t, _)| *t == ty) {
+            return Ok(*known);
+        }
+        let physical = tydi_spec::lower(&port.ty).map_err(|e| e.to_string())?;
+        let signals = physical[0].signals();
+        let widths = RootWidths {
+            data: signals.data_bits,
+            last: signals.last_bits,
+        };
+        self.widths.borrow_mut().push((ty, widths));
+        Ok(widths)
+    }
+
     /// Input ports of the streamlet.
     pub fn inputs(&self) -> Vec<&Port> {
         self.streamlet
@@ -55,12 +100,14 @@ impl BuiltinCtx<'_> {
             .collect()
     }
 
-    /// Looks up a `param_<name>` attribute.
+    /// Looks up a `param_<name>` attribute (without building the key:
+    /// an implementation has a handful of attributes).
     pub fn param(&self, name: &str) -> Option<&str> {
         self.implementation
             .attributes
-            .get(&format!("param_{name}"))
-            .map(String::as_str)
+            .iter()
+            .find(|(key, _)| key.strip_prefix("param_") == Some(name))
+            .map(|(_, value)| value.as_str())
     }
 }
 
@@ -89,11 +136,11 @@ impl From<ArchBody> for tydi_rtl::netlist::BehavioralBody {
 /// A builtin generator function.
 pub type BuiltinFn = Arc<dyn Fn(&BuiltinCtx<'_>) -> Result<ArchBody, String> + Send + Sync>;
 
-/// Thread-safe registry of builtin generators, keyed by `(backend,
-/// key)`.
+/// Thread-safe registry of builtin generators: per backend, by key, so
+/// a lookup borrows the key.
 #[derive(Clone, Default)]
 pub struct BuiltinRegistry {
-    map: Arc<RwLock<HashMap<(Backend, String), BuiltinFn>>>,
+    map: Arc<RwLock<HashMap<Backend, HashMap<String, BuiltinFn>>>>,
 }
 
 impl std::fmt::Debug for BuiltinRegistry {
@@ -149,7 +196,9 @@ impl BuiltinRegistry {
         self.map
             .write()
             .expect("builtin registry poisoned")
-            .insert((backend, key.into()), Arc::new(generator));
+            .entry(backend)
+            .or_default()
+            .insert(key.into(), Arc::new(generator));
     }
 
     /// True if `key` has a registered generator for any backend.
@@ -157,8 +206,8 @@ impl BuiltinRegistry {
         self.map
             .read()
             .expect("builtin registry poisoned")
-            .keys()
-            .any(|(_, k)| k == key)
+            .values()
+            .any(|generators| generators.contains_key(key))
     }
 
     /// True if `key` has a generator for `backend`.
@@ -166,7 +215,8 @@ impl BuiltinRegistry {
         self.map
             .read()
             .expect("builtin registry poisoned")
-            .contains_key(&(backend, key.to_string()))
+            .get(&backend)
+            .is_some_and(|generators| generators.contains_key(key))
     }
 
     /// The backends `key` is registered for, in
@@ -184,8 +234,8 @@ impl BuiltinRegistry {
             .map
             .read()
             .expect("builtin registry poisoned")
-            .keys()
-            .map(|(_, k)| k.clone())
+            .values()
+            .flat_map(|generators| generators.keys().cloned())
             .collect();
         v.sort();
         v.dedup();
@@ -208,7 +258,8 @@ impl BuiltinRegistry {
             .map
             .read()
             .expect("builtin registry poisoned")
-            .get(&(backend, key.to_string()))
+            .get(&backend)
+            .and_then(|generators| generators.get(key))
             .cloned();
         match generator {
             None => Err(VhdlError::UnknownBuiltin {
@@ -451,11 +502,11 @@ mod tests {
         let s = Streamlet::new("s").with_port(Port::new("i", PortDirection::In, stream8()));
         let imp = Implementation::external("x_i", "s");
         let (p, s_name, i_name) = ctx_project(s, imp);
-        let ctx = BuiltinCtx {
-            project: &p,
-            streamlet: p.streamlet(&s_name).unwrap(),
-            implementation: p.implementation(&i_name).unwrap(),
-        };
+        let ctx = BuiltinCtx::new(
+            &p,
+            p.streamlet(&s_name).unwrap(),
+            p.implementation(&i_name).unwrap(),
+        );
         assert!(matches!(
             reg.generate("nope", &ctx),
             Err(VhdlError::UnknownBuiltin { .. })
@@ -470,11 +521,11 @@ mod tests {
             .with_port(Port::new("o", PortDirection::Out, stream8()));
         let imp = Implementation::external("pass_i", "s");
         let (p, s_name, i_name) = ctx_project(s, imp);
-        let ctx = BuiltinCtx {
-            project: &p,
-            streamlet: p.streamlet(&s_name).unwrap(),
-            implementation: p.implementation(&i_name).unwrap(),
-        };
+        let ctx = BuiltinCtx::new(
+            &p,
+            p.streamlet(&s_name).unwrap(),
+            p.implementation(&i_name).unwrap(),
+        );
         let body = reg.generate("std.passthrough", &ctx).unwrap();
         assert!(body.stmts.contains("o_valid <= i_valid;"));
         assert!(body.stmts.contains("o_data <= i_data;"));
@@ -496,11 +547,11 @@ mod tests {
             .with_port(Port::new("o1", PortDirection::Out, stream8()));
         let imp = Implementation::external("dup_i", "s");
         let (p, s_name, i_name) = ctx_project(s, imp);
-        let ctx = BuiltinCtx {
-            project: &p,
-            streamlet: p.streamlet(&s_name).unwrap(),
-            implementation: p.implementation(&i_name).unwrap(),
-        };
+        let ctx = BuiltinCtx::new(
+            &p,
+            p.streamlet(&s_name).unwrap(),
+            p.implementation(&i_name).unwrap(),
+        );
         let body = reg.generate("std.duplicator", &ctx).unwrap();
         assert!(body.stmts.contains("all_ready <= o0_ready and o1_ready;"));
         assert!(body.stmts.contains("i_ready <= all_ready;"));
@@ -521,11 +572,11 @@ mod tests {
         let s = Streamlet::new("s").with_port(Port::new("i", PortDirection::In, stream8()));
         let imp = Implementation::external("void_i", "s");
         let (p, s_name, i_name) = ctx_project(s, imp);
-        let ctx = BuiltinCtx {
-            project: &p,
-            streamlet: p.streamlet(&s_name).unwrap(),
-            implementation: p.implementation(&i_name).unwrap(),
-        };
+        let ctx = BuiltinCtx::new(
+            &p,
+            p.streamlet(&s_name).unwrap(),
+            p.implementation(&i_name).unwrap(),
+        );
         let body = reg.generate("std.voider", &ctx).unwrap();
         assert_eq!(body.stmts.trim(), "i_ready <= '1';");
         let sv = reg
@@ -540,11 +591,11 @@ mod tests {
         let s = Streamlet::new("s"); // no ports at all
         let imp = Implementation::external("dup_i", "s");
         let (p, s_name, i_name) = ctx_project(s, imp);
-        let ctx = BuiltinCtx {
-            project: &p,
-            streamlet: p.streamlet(&s_name).unwrap(),
-            implementation: p.implementation(&i_name).unwrap(),
-        };
+        let ctx = BuiltinCtx::new(
+            &p,
+            p.streamlet(&s_name).unwrap(),
+            p.implementation(&i_name).unwrap(),
+        );
         match reg.generate("std.duplicator", &ctx) {
             Err(VhdlError::BuiltinRejected { message, .. }) => {
                 assert!(message.contains("input"));
@@ -559,11 +610,11 @@ mod tests {
         let mut imp = Implementation::external("x", "s");
         imp.attributes.insert("param_outputs".into(), "4".into());
         let (p, s_name, i_name) = ctx_project(s, imp);
-        let ctx = BuiltinCtx {
-            project: &p,
-            streamlet: p.streamlet(&s_name).unwrap(),
-            implementation: p.implementation(&i_name).unwrap(),
-        };
+        let ctx = BuiltinCtx::new(
+            &p,
+            p.streamlet(&s_name).unwrap(),
+            p.implementation(&i_name).unwrap(),
+        );
         assert_eq!(ctx.param("outputs"), Some("4"));
         assert_eq!(ctx.param("missing"), None);
     }

@@ -300,11 +300,7 @@ impl<'p> Lowering<'p> {
                 sim_source,
             } => match builtin {
                 Some(key) => {
-                    let ctx = BuiltinCtx {
-                        project: self.project,
-                        streamlet: plan.streamlet,
-                        implementation,
-                    };
+                    let ctx = BuiltinCtx::new(self.project, plan.streamlet, implementation);
                     let backends = self.registry.backends_for(key);
                     if backends.is_empty() {
                         return Err(VhdlError::UnknownBuiltin {

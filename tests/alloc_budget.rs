@@ -7,7 +7,9 @@
 //! `templates` families. It pins:
 //!
 //! * allocations per instance of a 4000-instance chain, so a layer
-//!   that starts allocating per name or per signal again fails here;
+//!   that starts allocating per name or per signal again fails here,
+//!   and separately those of parsing it, where each identifier costs
+//!   an allocation only the first time it appears in the file;
 //! * the 4000/1000 chain ratio, so allocation stays linear in size;
 //! * live heap bytes across repeated jobs, so a daemon that runs the
 //!   same job again and again frees everything each job allocated.
@@ -19,6 +21,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
+use tydi_lang::parser::parse_package;
 use tydi_lang::ArtifactCache;
 use tydi_serve::execute::run_job;
 use tydi_serve::protocol::{JobKind, JobRequest};
@@ -59,13 +62,19 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Allocations per instance of a cold `chain4000` build, with 25%
-/// headroom over the measured 11.3 (the build before IR names were
-/// shared and nets lowered as bundles measured 36).
-const CHAIN_ALLOCATIONS_PER_INSTANCE: f64 = 14.2;
+/// headroom over the measured 5.26 (11.3 before the parser interned
+/// names, 36 before IR names were shared and nets lowered as bundles).
+const CHAIN_ALLOCATIONS_PER_INSTANCE: f64 = 6.6;
+
+/// `parse_package` allocations per instance of `chain4000`, with 25%
+/// headroom over the measured 1.008: one interned name per instance
+/// (the parser that allocated a `String` per identifier made 6.01).
+const PARSE_ALLOCATIONS_PER_INSTANCE: f64 = 1.26;
 
 /// Allocations per instantiation of a cold `tmpl400` build, with 25%
-/// headroom over the measured 80.4 (previously 139).
-const TEMPLATE_ALLOCATIONS_PER_INSTANCE: f64 = 100.5;
+/// headroom over the measured 64.8 (80.4 before the parser interned
+/// names and builtin lookups stopped allocating; 139 before that).
+const TEMPLATE_ALLOCATIONS_PER_INSTANCE: f64 = 81.0;
 
 /// Upper bound of the `chain4000` / `chain1000` allocation ratio.
 const CHAIN_SCALING: f64 = 4.4;
@@ -174,6 +183,22 @@ fn cold_builds_stay_within_their_allocation_budget() {
         "chain4000/chain1000 allocations {chain4000}/{chain1000} = {scaling:.2} \
          (bound {CHAIN_SCALING})"
     );
+    let text = chain(4000);
+    let before = ALLOCATIONS.load(Relaxed);
+    let parsed = parse_package(0, &text);
+    let parse = ALLOCATIONS.load(Relaxed) - before;
+    assert!(
+        parsed.0.is_some() && parsed.1.is_empty(),
+        "chain4000 parses"
+    );
+    drop(parsed);
+    let per_instance = parse as f64 / 4000.0;
+    assert!(
+        per_instance <= PARSE_ALLOCATIONS_PER_INSTANCE,
+        "parsing chain4000 made {parse} allocations, {per_instance:.2} per instance \
+         (budget {PARSE_ALLOCATIONS_PER_INSTANCE})"
+    );
+
     let tmpl400 = allocations(&tmpl);
     let per_template = tmpl400 as f64 / 400.0;
     assert!(

@@ -164,7 +164,7 @@ fn inputs_nested_at_the_budget_compile_and_one_deeper_is_one_diagnostic() {
         assert_eq!(diags.len(), 1, "{}: {diags:?}", shape.name);
         assert!(too_deep(&diags[0].message), "{}: {diags:?}", shape.name);
         let span = diags[0].span.expect("the nesting diagnostic has a span");
-        assert!(span.start > 0 && span.end <= deeper.len());
+        assert!(span.start > 0 && span.end as usize <= deeper.len());
     }
 }
 

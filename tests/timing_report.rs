@@ -191,6 +191,38 @@ fn build_reports_codegen_rows_inside_the_wall() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `--timings` reports the process's peak RSS and the job's minor page
+/// faults, read from procfs, on the line before the type-store line;
+/// `--timings-json` carries both under `timings.memory.`.
+#[test]
+fn report_carries_memory_readings() {
+    if !std::path::Path::new("/proc/self/stat").exists() {
+        return;
+    }
+    let dir = workdir("memory");
+    let out_dir = dir.join("out");
+    let (stderr, doc) = run_with_json(&dir, &["build", "-o", out_dir.to_str().unwrap()]);
+    let line = stage_line(&stderr, "memory: ");
+    let shape = line
+        .strip_prefix("memory: peak RSS ")
+        .and_then(|rest| rest.strip_suffix(" minor faults"))
+        .and_then(|rest| rest.split_once(" MiB, "));
+    let Some((mib, faults)) = shape else {
+        panic!("memory line shape: {line}")
+    };
+    assert!(mib.parse::<f64>().is_ok_and(|mib| mib > 0.0), "{line}");
+    assert!(
+        faults.parse::<u64>().is_ok_and(|faults| faults > 0),
+        "{line}"
+    );
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert!(lines[lines.len() - 2].starts_with("memory: "), "{stderr}");
+    for key in ["timings.memory.peak_rss_kb", "timings.memory.minor_faults"] {
+        assert!(row_ms(&doc, key) > 0.0, "`{key}` in {doc}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn parse_row_carries_its_fingerprint_part() {
     let dir = workdir("fingerprint");
