@@ -92,13 +92,16 @@ pub fn validate(request: &JobRequest) -> Result<Settings, String> {
 /// with request count.
 pub fn run_job(request: &JobRequest, cache: &mut ArtifactCache, scope: &str) -> JobResponse {
     let started = Instant::now();
-    let faults_at_start = request.memory.then(memory::minor_faults).flatten();
+    // Only a job whose metrics someone reads takes memory readings: the
+    // procfs reads cost tens of microseconds.
+    let reads_memory = request.timings || request.timings_json;
+    let faults_at_start = reads_memory.then(memory::minor_faults).flatten();
     let scope_guard = (!scope.is_empty()).then(|| metrics::scoped(scope.to_string()));
     let mut response = match validate(request) {
         Ok(settings) => run_validated(request, &settings, cache, scope, faults_at_start),
         Err(message) => JobResponse::failure(request.id, 2, message),
     };
-    if request.memory {
+    if reads_memory {
         publish_memory(faults_at_start);
     }
     response.metrics_json = metrics::snapshot().within(scope).to_json();
@@ -156,9 +159,11 @@ fn run_validated(
     // `analyze` and `build` record their own work first, then render
     // the timings themselves so their rows are populated.
     if request.timings && !matches!(request.kind, JobKind::Analyze | JobKind::Build) {
-        // A sim job's report comes before the simulation, so memory
-        // readings taken here would leave it out: its memory line is
-        // omitted, and `--timings-json` reads memory when the job ends.
+        // A sim job's report has no memory line. It is the one
+        // `--timings` report that tests/serve_protocol.rs compares
+        // between daemon and in-process runs with only durations masked,
+        // and the two processes' memory readings differ.
+        // `--timings-json` still reads them when the job ends.
         let memory_from = faults_at_start.filter(|_| request.kind != JobKind::Sim);
         render_timings(&output, scope, memory_from, false, &mut response.stderr);
     }
@@ -260,8 +265,8 @@ fn compile_failed(id: u64, failure: &CompileFailure) -> JobResponse {
 /// (`timings.memory.minor_faults`, counted from `faults_at_start`).
 /// They sit under `timings.`: like the times, they are measurements,
 /// not a function of the job. Each is absent where procfs is, and
-/// neither is read unless the request asks (`JobRequest::memory`):
-/// the reads cost tens of microseconds.
+/// neither is read unless the request asks for timings
+/// (`JobRequest::timings` or `JobRequest::timings_json`).
 fn publish_memory(faults_at_start: Option<u64>) {
     if let Some(kb) = memory::peak_rss_kb() {
         metrics::counter_set("timings.memory.peak_rss_kb", kb);
@@ -901,6 +906,39 @@ impl wire_i of wire_s { i => o, }
             0,
             "request namespace scrubbed"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every `--timings` report carries the memory line, whether or not
+    /// the client also keeps the metrics document; a job that asks for
+    /// neither reads no memory.
+    #[test]
+    fn memory_readings_follow_the_timings_request() {
+        if !Path::new("/proc/self/stat").exists() {
+            return;
+        }
+        let dir = temp_dir("memory");
+        let file = write_source(&dir, "demo.td", GOOD);
+        let mut cache = ArtifactCache::new();
+        let mut request = JobRequest::new(JobKind::Check);
+        request.files = vec![file];
+        let plain = run_job(&request, &mut cache, "req.memory-plain.");
+        assert!(!plain.metrics_json.contains("timings.memory."));
+        request.timings = true;
+        let reported = run_job(&request, &mut cache, "req.memory-timings.");
+        assert!(
+            reported.stderr.contains("memory: peak RSS "),
+            "{}",
+            reported.stderr
+        );
+        assert!(reported
+            .metrics_json
+            .contains("timings.memory.minor_faults"));
+        request.timings = false;
+        request.timings_json = true;
+        let kept = run_job(&request, &mut cache, "req.memory-json.");
+        assert!(!kept.stderr.contains("memory: "), "{}", kept.stderr);
+        assert!(kept.metrics_json.contains("timings.memory.peak_rss_kb"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -87,10 +87,11 @@ pub struct JobRequest {
     pub clock_mhz: Option<f64>,
     /// Append the `--timings` report to stderr.
     pub timings: bool,
-    /// Read the process's memory use from procfs into the job's
-    /// metrics (`timings.memory.*`; set by `--timings` and
-    /// `--timings-json`, so a job nobody reports on skips the reads).
-    pub memory: bool,
+    /// The client keeps the job's metrics document (`--timings-json`).
+    /// With this or `timings`, the job also reads the process's memory
+    /// use into them (`timings.memory.*`); other jobs skip those procfs
+    /// reads.
+    pub timings_json: bool,
     /// `sim`: number of stimulus scenarios.
     pub scenarios: usize,
     /// `sim`: packets per boundary input.
@@ -131,7 +132,7 @@ impl JobRequest {
             json: false,
             clock_mhz: None,
             timings: false,
-            memory: false,
+            timings_json: false,
             scenarios: 4,
             packets: 64,
             max_cycles: 100_000,
@@ -170,7 +171,7 @@ impl JobRequest {
         out.push_some("idle", self.idle);
         out.push_some("test_sleep_ms", self.test_sleep_ms);
         out.push_some("timings", self.timings.then_some(true));
-        out.push_some("memory", self.memory.then_some(true));
+        out.push_some("timings_json", self.timings_json.then_some(true));
         out.push_some("test_panic", self.test_panic.then_some(true));
         out.push_some("inject", self.inject.as_ref());
         out.push_some("inject_sweep", self.inject_sweep.as_deref());
@@ -212,7 +213,7 @@ impl JobRequest {
         request.deny = get_str(&value, "deny");
         request.clock_mhz = value.get("clock_mhz").and_then(Json::as_f64);
         request.timings = get_bool(&value, "timings").unwrap_or(false);
-        request.memory = get_bool(&value, "memory").unwrap_or(false);
+        request.timings_json = get_bool(&value, "timings_json").unwrap_or(false);
         request.scenarios = get_u64(&value, "scenarios").map_or(request.scenarios, |n| n as usize);
         request.packets = get_u64(&value, "packets").unwrap_or(request.packets);
         request.max_cycles = get_u64(&value, "max_cycles").unwrap_or(request.max_cycles);
@@ -613,7 +614,7 @@ mod tests {
         let line = JobRequest::new(JobKind::Sim).to_json();
         for key in [
             "timings",
-            "memory",
+            "timings_json",
             "scenarios",
             "packets",
             "max_cycles",

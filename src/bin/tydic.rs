@@ -342,8 +342,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, CliError> {
             file => request.files.push(file.to_string()),
         }
     }
-    // Only a reported job reads its memory use (procfs reads are not free).
-    options.request.memory = options.request.timings || options.timings_json.is_some();
+    options.request.timings_json = options.timings_json.is_some();
     if options.command == "serve" {
         if options.daemon {
             return Err(CliError::usage("--daemon is not supported with `serve`"));
@@ -682,13 +681,7 @@ fn run(options: &Options) -> Result<u8, CliError> {
         run_watch(options);
         return Ok(0);
     }
-    let mut cache = None;
-    let code = run_once(options, &mut cache);
-    // The process exits next: leave the cache (every parsed tree and
-    // the elaborated project) to the OS whole instead of freeing it
-    // node by node. It holds no lock and nothing unsaved.
-    std::mem::forget(cache);
-    Ok(code)
+    Ok(run_once(options, &mut None))
 }
 
 fn report(e: &CliError) -> ExitCode {

@@ -10,13 +10,17 @@
 //!   `UPDATE_GOLDEN=1 cargo test --test parser_pins`.
 //! - The AST fingerprint of every cookbook design and of the standard
 //!   library. It keys the artifact cache, so a printer change that
-//!   moves it invalidates every cache without a format bump.
+//!   moves it invalidates every cache without a format bump. A second
+//!   set of pins, under a byte-wise reference hash, pins the printed
+//!   forms themselves.
 
 use std::fs;
 use std::path::PathBuf;
 use std::process::Command;
+use tydi::lang::ast::Package;
 use tydi::lang::fingerprint::ast_fingerprint;
 use tydi::lang::parser::parse_package;
+use tydi::lang::pretty::print_package;
 
 fn repo_path(rel: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(rel)
@@ -53,10 +57,7 @@ fn malformed_inputs_render_pinned_diagnostics() {
     }
 }
 
-/// The fingerprints of these sources under the word-wise hash. The
-/// printed forms they hash are the ones the nested-binary-node parser
-/// and printer gave: byte-wise FNV-1a over them still gives the pins
-/// that hash had.
+/// The fingerprints of these sources under the word-wise hash.
 const PINNED_FINGERPRINTS: &[(&str, &str)] = &[
     ("std.td", "16980cee48109b8f"),
     ("01_variables.td", "c4d525a3dda2608c"),
@@ -75,6 +76,29 @@ const PINNED_FINGERPRINTS: &[(&str, &str)] = &[
     ("mixed", "20187cb05efd24a5"),
 ];
 
+/// The same sources' fingerprints under the byte-wise FNV-1a hash the
+/// `Fingerprinter` used before it hashed words, over the printed forms
+/// the nested-binary-node parser and printer gave. `bytewise_fingerprint`
+/// still reproduces them from today's printed forms, so the printer
+/// changes no printed byte.
+const BYTEWISE_FINGERPRINTS: &[(&str, &str)] = &[
+    ("std.td", "10a6ddd50a5f4a04"),
+    ("01_variables.td", "0a6bf26fd43a22d2"),
+    ("02_types.td", "c1ea30de1494aa00"),
+    ("03_templates.td", "36d851762d424dd3"),
+    ("04_generative.td", "30e59d70516584c5"),
+    ("05_external_sim.td", "fbf6e29cdd0450b4"),
+    ("06_sugaring.td", "a7d018771effb6db"),
+    ("07_clockdomains.td", "e23ce80e388f157d"),
+    ("08_transform_types.td", "fb140376d90cbe72"),
+    ("09_parallelize.td", "042b51710e52d76d"),
+    ("10_full_flow.td", "97d66b50f63d6681"),
+    ("11_batch_sim.td", "25d574cd3b7a0a9d"),
+    ("12_emit_verilog.td", "09d4cde18e6124d9"),
+    ("13_analyze.td", "3c9451e4ab4786e9"),
+    ("mixed", "69a74d645d29a663"),
+];
+
 /// Every operator level, chains of each, `^` runs, prefix operators,
 /// index postfixes and parenthesized chains in operand position.
 const MIXED: &str = "package mixed;\n\
@@ -82,14 +106,37 @@ const MIXED: &str = "package mixed;\n\
     const b = 1 < 2 == true && false || !(x > 3) && y <= z != (p >= q) || r;\n\
     const c = ((a + b) - c) + (d - (e + f)) + [1 + 2, 3 * 4 * 5][0];\n";
 
-fn fingerprint(text: &str) -> String {
+fn parse(text: &str) -> Package {
     let (package, diags) = parse_package(0, text);
     assert!(diags.is_empty(), "{diags:?}");
-    ast_fingerprint(&package.expect("package")).to_string()
+    package.expect("package")
 }
 
-#[test]
-fn ast_fingerprints_are_pinned() {
+fn fingerprint(text: &str) -> String {
+    ast_fingerprint(&parse(text)).to_string()
+}
+
+/// A reference for the AST fingerprint's byte stream: byte-wise FNV-1a
+/// over the length-prefixed tag `ast`, the printed form and its length,
+/// as `Fingerprinter` framed them before it hashed words.
+fn bytewise_fingerprint(text: &str) -> String {
+    let printed = print_package(&parse(text));
+    let stream = [
+        &3u64.to_le_bytes()[..],
+        b"ast",
+        printed.as_bytes(),
+        &(printed.len() as u64).to_le_bytes(),
+    ];
+    let mut state = 0xcbf2_9ce4_8422_2325u64;
+    for &byte in stream.into_iter().flatten() {
+        state ^= u64::from(byte);
+        state = state.wrapping_mul(0x1_0000_0193);
+    }
+    format!("{state:016x}")
+}
+
+/// The standard library, `MIXED` and every cookbook design.
+fn pinned_sources() -> Vec<(String, String)> {
     let mut sources = vec![
         (
             "std.td".to_string(),
@@ -104,16 +151,27 @@ fn ast_fingerprints_are_pinned() {
             sources.push((name, fs::read_to_string(&path).expect("read design")));
         }
     }
-    assert_eq!(
-        sources.len(),
-        PINNED_FINGERPRINTS.len(),
-        "one pin per source"
-    );
+    sources
+}
+
+fn assert_pinned(pins: &[(&str, &str)], hash: fn(&str) -> String) {
+    let sources = pinned_sources();
+    assert_eq!(sources.len(), pins.len(), "one pin per source");
     for (name, text) in &sources {
-        let pinned = PINNED_FINGERPRINTS
+        let pinned = pins
             .iter()
             .find(|(pinned, _)| pinned == name)
             .unwrap_or_else(|| panic!("no pinned fingerprint for {name}"));
-        assert_eq!(fingerprint(text), pinned.1, "fingerprint of {name}");
+        assert_eq!(hash(text), pinned.1, "fingerprint of {name}");
     }
+}
+
+#[test]
+fn ast_fingerprints_are_pinned() {
+    assert_pinned(PINNED_FINGERPRINTS, fingerprint);
+}
+
+#[test]
+fn printed_forms_are_unchanged() {
+    assert_pinned(BYTEWISE_FINGERPRINTS, bytewise_fingerprint);
 }
